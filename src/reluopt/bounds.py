@@ -4,11 +4,13 @@ progressive tightening."""
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalFailure
+from .errors import DimensionMismatch, NumericalFailure, Timeout
 from .geometry import Hyperrectangle
 from .model import Activation, Network, NodeId
 from .state import root_state
@@ -110,18 +112,32 @@ def tighten_lp(
     input_box: Hyperrectangle,
     seed: BoundsMap,
     per_query_timeout: float,
+    deadline: Optional[float] = None,
+    counters: Optional[dict] = None,
 ) -> BoundsMap:
     """Progressive LP tightening: visit ReLU nodes in topological order and
     solve up to four LPs per node (max/min of zhat and of z) over the
     all-undetermined relaxation under the current bounds. A bound is replaced
-    only when the LP finishes within the per-query timeout and improves it
-    by at least the improvement threshold. Improved bounds are visible to
-    later nodes immediately.
+    only when the LP finishes within its time limit and improves it by at
+    least the improvement threshold. Improved bounds are visible to later
+    nodes immediately.
+
+    All LPs are re-solved in one live HiGHS model; only bounds and the cost
+    change between them. Each LP's time limit is `per_query_timeout`, cut to
+    the time left before `deadline` (a `time.monotonic()` reading); once
+    that is spent, tightening stops and keeps the bounds found so far.
+    `counters`, when given, accumulates `simplex_iters` and
+    `tighten_limit_hits` (LPs stopped by their time limit).
     """
-    from .lp import LPStatus, build_relaxed_lp, solve_lp
+    from .highs import new_model
+    from .lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
 
     if per_query_timeout <= 0.0:
         return seed
+    if counters is None:
+        counters = {}
+    for name in ("simplex_iters", "tighten_limit_hits"):
+        counters.setdefault(name, 0)
 
     pre_lo, pre_hi, post_lo, post_hi = seed.copy_arrays()
 
@@ -137,10 +153,14 @@ def tighten_lp(
         )
 
     state = root_state(net)
+    relaxation = encode_relaxation(net)
+    model = new_model()
 
     for i, k in enumerate(net.relu_layers):
         for j in range(net.layers[k].out_width):
-            lp, imap = build_relaxed_lp(net, state, current(), input_box)
+            lp, imap = build_relaxed_lp(
+                net, state, current(), input_box, relaxation=relaxation
+            )
             targets = [
                 ("pre", imap.pre[k][j], pre_lo[k], pre_hi[k]),
                 ("post", imap.post[k][j], post_lo[k], post_hi[k]),
@@ -149,16 +169,40 @@ def tighten_lp(
                 obj = np.zeros(lp.n_vars)
                 obj[col] = 1.0
                 for maximize in (True, False):
+                    limit = per_query_timeout
+                    if deadline is not None:
+                        limit = min(limit, deadline - time.monotonic())
+                        if limit <= 0.0:
+                            log.warning(
+                                "bound tightening stopped at node (%d, %d): "
+                                "the search budget is spent",
+                                i,
+                                j,
+                            )
+                            return current()
                     try:
                         res = solve_lp(
                             lp.with_objective(obj, maximize=maximize),
-                            time_limit=per_query_timeout,
+                            time_limit=limit,
+                            model=model,
                         )
+                    except Timeout:
+                        counters["tighten_limit_hits"] += 1
+                        log.warning(
+                            "bound kept at node (%d, %d) %s: LP stopped at its "
+                            "%.3g s time limit",
+                            i,
+                            j,
+                            kind,
+                            limit,
+                        )
+                        continue
                     except NumericalFailure as exc:
                         log.debug(
                             "bound kept at node (%d, %d) %s: %s", i, j, kind, exc
                         )
                         continue
+                    counters["simplex_iters"] += res.iterations
                     if res.status != LPStatus.OPTIMAL:
                         continue
                     if maximize:

@@ -21,6 +21,8 @@ class Hyperrectangle:
         hi = np.asarray(self.upper, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionMismatch("lower/upper must be 1-d vectors of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise DimensionMismatch("box bounds must be finite")
         if np.any(lo > hi):
             raise DimensionMismatch("lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)

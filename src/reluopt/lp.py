@@ -1,21 +1,26 @@
 """Linear programs: representation, solving, and construction of the
 relaxed LP for a partial activation state.
 
-Undetermined ReLUs are relaxed to z >= 0 and z >= zhat; fixed ReLUs get
-their phase equality plus the implied sign row on the pre-activation
-(zhat >= 0 for active, zhat <= 0 for inactive), which is what makes the
-LP exact on fully-fixed leaves.
+The relaxed LP has the same rows in every state: the affine chaining rows,
+one link row z - zhat >= 0 per ReLU, and the output rows. A state changes
+only bounds. An active ReLU's link row becomes z - zhat = 0 and its zhat gets
+lower bound 0; an inactive ReLU gets zhat <= 0 and z in [0, 0]; every ReLU
+has z >= 0 as its lower bound. Undetermined ReLUs are thus relaxed to
+z >= 0 and z >= zhat, and fully fixed leaves are exact. Because only bounds
+differ, one live HiGHS model (reluopt.highs) serves every LP of a problem.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import DimensionMismatch, InconsistentState, NumericalFailure
+from . import highs
+from .errors import DimensionMismatch, NumericalFailure, Timeout
 from .model import Activation, Network, NodeId
 from .problems import Objective, Relation, Row
 from .state import PartialActivationState
@@ -39,6 +44,10 @@ class LPRow:
     relation: Relation
     rhs: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.rhs):
+            raise DimensionMismatch("row rhs must be finite")
+
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -55,8 +64,6 @@ class LinearProgram:
         for row in self.rows:
             if row.coeffs.shape[0] != n:
                 raise DimensionMismatch("row length disagrees with variable count")
-            if not np.isfinite(row.rhs):
-                raise DimensionMismatch("row rhs must be finite")
         object.__setattr__(self, "rows", tuple(self.rows))
 
     @property
@@ -74,14 +81,31 @@ class LPResult:
     status: str
     value: Optional[float] = None
     assignment: Optional[np.ndarray] = None
+    iterations: int = 0  # simplex iterations the solve took
 
 
-def solve_lp(lp: LinearProgram, time_limit: Optional[float] = None) -> LPResult:
+def solve_lp(
+    lp: LinearProgram,
+    time_limit: Optional[float] = None,
+    model: Optional[highs.LiveModel] = None,
+) -> LPResult:
     """Solve with the deterministic single-threaded HiGHS backend.
 
-    Raises NumericalFailure when the backend gives up (iteration/time limit
-    or numerical trouble) rather than returning a possibly-wrong answer.
+    With a live `model` (from `highs.new_model`) the model is synced to `lp`
+    and re-solved warm from its last basis; without one, `lp` is solved
+    cold, in a fresh HiGHS model or, when scipy has no HiGHS binding, by
+    `linprog`. Raises Timeout when `time_limit` stops the solve and
+    NumericalFailure when the backend gives up otherwise, rather than
+    returning a possibly-wrong answer.
     """
+    if model is None:
+        model = highs.new_model()
+        if model is None:
+            return _solve_linprog(lp, time_limit)
+    return model.solve(lp, time_limit)
+
+
+def _solve_linprog(lp: LinearProgram, time_limit: Optional[float]) -> LPResult:
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for row in lp.rows:
         if row.relation is Relation.LE:
@@ -109,11 +133,13 @@ def solve_lp(lp: LinearProgram, time_limit: Optional[float] = None) -> LPResult:
     )
     if res.status == 0:
         x = np.asarray(res.x, dtype=np.float64)
-        return LPResult(LPStatus.OPTIMAL, float(lp.objective @ x), x)
+        return LPResult(LPStatus.OPTIMAL, float(lp.objective @ x), x, res.nit)
     if res.status == 2:
-        return LPResult(LPStatus.INFEASIBLE)
+        return LPResult(LPStatus.INFEASIBLE, iterations=res.nit)
     if res.status == 3:
-        return LPResult(LPStatus.UNBOUNDED)
+        return LPResult(LPStatus.UNBOUNDED, iterations=res.nit)
+    if res.status == 1 and time_limit is not None:
+        raise Timeout("LP stopped at its time limit")
     raise NumericalFailure(f"LP backend failed: {res.message}")
 
 
@@ -178,39 +204,35 @@ def _expand_row(row: Row, imap: VariableIndexMap) -> LPRow:
     return LPRow(coeffs, row.relation, float(row.rhs))
 
 
-def build_relaxed_lp(
-    net: Network,
-    state: PartialActivationState,
-    bounds: "BoundsMap",
-    input_box: "Hyperrectangle",
-    output_rows: Sequence[Row] = (),
-    objective: Objective = Objective(),
-    t_upper: float = np.inf,
-) -> tuple[LinearProgram, VariableIndexMap]:
-    state.validate(net)
-    use_t = bool(
-        objective.c_t != 0.0 or any(r.a_t for r in output_rows)
-    )
+@dataclass(frozen=True)
+class LinkRow:
+    """Where a ReLU node sits in the relaxed LP."""
+
+    index: int  # position of its link row z - zhat >= 0
+    eq: LPRow  # the same row as z - zhat = 0, used once the node is active
+    pre: int  # column of zhat
+    post: int  # column of z
+
+
+@dataclass(frozen=True)
+class Relaxation:
+    """The rows and objective of a network's relaxed LP, which no activation
+    state changes. Encode once per problem and pass to `build_relaxed_lp`,
+    so that every LP of the problem shares these rows."""
+
+    imap: VariableIndexMap
+    rows: tuple[LPRow, ...]  # every link row as z - zhat >= 0
+    links: dict[NodeId, LinkRow]
+    objective: np.ndarray
+
+
+def encode_relaxation(
+    net: Network, output_rows: Sequence[Row] = (), objective: Objective = Objective()
+) -> Relaxation:
+    use_t = bool(objective.c_t != 0.0 or any(r.a_t for r in output_rows))
     imap = _index_map(net, use_t)
     n_vars = imap.n_vars
-
-    lower = np.full(n_vars, -np.inf)
-    upper = np.full(n_vars, np.inf)
-    lower[imap.x] = input_box.lower
-    upper[imap.x] = input_box.upper
-    for k in range(len(net.layers)):
-        lower[imap.pre[k]] = bounds.pre_lower[k]
-        upper[imap.pre[k]] = bounds.pre_upper[k]
-        lower[imap.post[k]] = bounds.post_lower[k]
-        upper[imap.post[k]] = bounds.post_upper[k]
-    if use_t:
-        lower[imap.t] = 0.0
-        upper[imap.t] = t_upper
-
     rows: list[LPRow] = []
-
-    def add(coeffs, relation, rhs):
-        rows.append(LPRow(coeffs, relation, float(rhs)))
 
     # Affine chaining: pre_k - W_k . prev = b_k
     for k, layer in enumerate(net.layers):
@@ -219,42 +241,30 @@ def build_relaxed_lp(
             coeffs = np.zeros(n_vars)
             coeffs[imap.pre[k][r]] = 1.0
             coeffs[prev] = -layer.weights[r]
-            add(coeffs, Relation.EQ, layer.biases[r])
+            rows.append(LPRow(coeffs, Relation.EQ, float(layer.biases[r])))
 
-    # Activation rows
+    def post_minus_pre(k: int, r: int, relation: Relation) -> LPRow:
+        coeffs = np.zeros(n_vars)
+        coeffs[imap.post[k][r]] = 1.0
+        coeffs[imap.pre[k][r]] = -1.0
+        return LPRow(coeffs, relation, 0.0)
+
+    # Activation rows: post = pre for identity layers, a link row per ReLU.
+    links = {}
+    for i, k in enumerate(net.relu_layers):
+        for j in range(net.layers[k].out_width):
+            row = post_minus_pre(k, j, Relation.GE)
+            links[NodeId(i, j)] = LinkRow(
+                index=len(rows),
+                eq=LPRow(row.coeffs, Relation.EQ, 0.0),
+                pre=int(imap.pre[k][j]),
+                post=int(imap.post[k][j]),
+            )
+            rows.append(row)
     for k, layer in enumerate(net.layers):
         if layer.activation is Activation.IDENTITY:
             for r in range(layer.out_width):
-                coeffs = np.zeros(n_vars)
-                coeffs[imap.post[k][r]] = 1.0
-                coeffs[imap.pre[k][r]] = -1.0
-                add(coeffs, Relation.EQ, 0.0)
-    for node in sorted(state.active):
-        pi, qi = imap.pre_index(node), imap.post_index(node)
-        coeffs = np.zeros(n_vars)
-        coeffs[qi] = 1.0
-        coeffs[pi] = -1.0
-        add(coeffs, Relation.EQ, 0.0)
-        coeffs = np.zeros(n_vars)
-        coeffs[pi] = 1.0
-        add(coeffs, Relation.GE, 0.0)
-    for node in sorted(state.inactive):
-        pi, qi = imap.pre_index(node), imap.post_index(node)
-        coeffs = np.zeros(n_vars)
-        coeffs[qi] = 1.0
-        add(coeffs, Relation.EQ, 0.0)
-        coeffs = np.zeros(n_vars)
-        coeffs[pi] = 1.0
-        add(coeffs, Relation.LE, 0.0)
-    for node in sorted(state.undetermined):
-        pi, qi = imap.pre_index(node), imap.post_index(node)
-        coeffs = np.zeros(n_vars)
-        coeffs[qi] = 1.0
-        coeffs[pi] = -1.0
-        add(coeffs, Relation.GE, 0.0)
-        coeffs = np.zeros(n_vars)
-        coeffs[qi] = 1.0
-        add(coeffs, Relation.GE, 0.0)
+                rows.append(post_minus_pre(k, r, Relation.EQ))
 
     for row in output_rows:
         rows.append(_expand_row(row, imap))
@@ -266,8 +276,54 @@ def build_relaxed_lp(
         obj[imap.y] = objective.c_y
     if objective.c_t:
         obj[imap.t] = objective.c_t
+    return Relaxation(imap, tuple(rows), links, obj)
 
-    lp = LinearProgram(lower=lower, upper=upper, rows=tuple(rows), objective=obj)
+
+def build_relaxed_lp(
+    net: Network,
+    state: PartialActivationState,
+    bounds: "BoundsMap",
+    input_box: "Hyperrectangle",
+    output_rows: Sequence[Row] = (),
+    objective: Objective = Objective(),
+    t_upper: float = np.inf,
+    relaxation: Optional[Relaxation] = None,
+) -> tuple[LinearProgram, VariableIndexMap]:
+    """The relaxed LP of `state`. `relaxation`, when given, must be
+    `encode_relaxation(net, output_rows, objective)`; it is then reused
+    instead of encoded again."""
+    state.validate(net)
+    if relaxation is None:
+        relaxation = encode_relaxation(net, output_rows, objective)
+    imap = relaxation.imap
+
+    lower = np.full(imap.n_vars, -np.inf)
+    upper = np.full(imap.n_vars, np.inf)
+    lower[imap.x] = input_box.lower
+    upper[imap.x] = input_box.upper
+    for k, layer in enumerate(net.layers):
+        lower[imap.pre[k]] = bounds.pre_lower[k]
+        upper[imap.pre[k]] = bounds.pre_upper[k]
+        post_lower = bounds.post_lower[k]
+        if layer.activation is Activation.RELU:
+            post_lower = np.maximum(post_lower, 0.0)  # z >= 0
+        lower[imap.post[k]] = post_lower
+        upper[imap.post[k]] = bounds.post_upper[k]
+    if imap.t is not None:
+        lower[imap.t] = 0.0
+        upper[imap.t] = t_upper
+
+    rows = list(relaxation.rows)
+    for node in state.active:
+        link = relaxation.links[node]
+        rows[link.index] = link.eq
+        lower[link.pre] = max(lower[link.pre], 0.0)
+    for node in state.inactive:
+        link = relaxation.links[node]
+        upper[link.pre] = min(upper[link.pre], 0.0)
+        upper[link.post] = min(upper[link.post], 0.0)
+
+    lp = LinearProgram(lower=lower, upper=upper, rows=tuple(rows), objective=relaxation.objective)
     return lp, imap
 
 

@@ -13,11 +13,14 @@ from typing import Callable, Optional, TextIO
 import numpy as np
 
 from .bounds import BoundsMap, fixed_by_bounds, propagate_interval, tighten_lp
-from .errors import NoUndetermined
+from .errors import NoUndetermined, Timeout
+from .highs import LiveModel, new_model
 from .lp import (
     LPStatus,
+    Relaxation,
     build_relaxed_lp,
     check_relu_consistency,
+    encode_relaxation,
     solve_lp,
     split_assignment,
 )
@@ -57,6 +60,7 @@ class RegionOutcome:
     value: Optional[float] = None
     assignment: Optional[np.ndarray] = None  # input vector (Optimal only)
     lp_assignment: Optional[np.ndarray] = None  # full LP vector (Unknown only)
+    iterations: int = 0  # simplex iterations of the region's LP
 
 
 @dataclass
@@ -98,10 +102,17 @@ def optimum_for_region(
     bounds: BoundsMap,
     incumbent: float,
     consistency_tol: float = CONSISTENCY_TOL,
+    relaxation: Optional[Relaxation] = None,
+    model: Optional[LiveModel] = None,
+    time_limit: Optional[float] = None,
 ) -> RegionOutcome:
     """Solve the relaxed LP for the region. Infeasible regions and regions
     whose LP bound cannot beat the incumbent report WorseThanOpt; a
-    consistent LP optimum is the region optimum; otherwise Unknown."""
+    consistent LP optimum is the region optimum; otherwise Unknown.
+
+    `relaxation` is the problem's `encode_relaxation`, and `model` the live
+    HiGHS model its LPs are re-solved in; both are optional. Raises Timeout
+    when `time_limit` stops the LP."""
     lp, imap = build_relaxed_lp(
         net,
         state,
@@ -110,25 +121,27 @@ def optimum_for_region(
         output_rows=problem.rows,
         objective=problem.objective,
         t_upper=problem.t_upper,
+        relaxation=relaxation,
     )
-    res = solve_lp(lp)
+    res = solve_lp(lp, time_limit=time_limit, model=model)
+    its = res.iterations
     if res.status == LPStatus.INFEASIBLE:
-        return RegionOutcome(RegionStatus.WORSE_THAN_OPT, lp_bound=-np.inf)
+        return RegionOutcome(RegionStatus.WORSE_THAN_OPT, lp_bound=-np.inf, iterations=its)
     bound = np.inf if res.status == LPStatus.UNBOUNDED else res.value
     if bound <= incumbent:
-        return RegionOutcome(RegionStatus.WORSE_THAN_OPT, lp_bound=bound)
+        return RegionOutcome(RegionStatus.WORSE_THAN_OPT, lp_bound=bound, iterations=its)
     if res.status == LPStatus.UNBOUNDED:
         # No assignment to check; force a split.
-        return RegionOutcome(RegionStatus.UNKNOWN, lp_bound=bound)
+        return RegionOutcome(RegionStatus.UNKNOWN, lp_bound=bound, iterations=its)
     pre, post = split_assignment(net, imap, res.assignment)
     if not check_relu_consistency(net, pre, post, consistency_tol):
         x = res.assignment[imap.x].copy()
         value = problem.objective_at(net, x)
         return RegionOutcome(
-            RegionStatus.OPTIMAL, lp_bound=bound, value=value, assignment=x
+            RegionStatus.OPTIMAL, lp_bound=bound, value=value, assignment=x, iterations=its
         )
     return RegionOutcome(
-        RegionStatus.UNKNOWN, lp_bound=bound, lp_assignment=res.assignment
+        RegionStatus.UNKNOWN, lp_bound=bound, lp_assignment=res.assignment, iterations=its
     )
 
 
@@ -175,14 +188,28 @@ def optimize(
     `region_evaluator` defaults to optimum_for_region and exists so search
     behavior (pruning, incumbents, ordering) can be exercised with scripted
     region outcomes.
+
+    Every LP draws on `config.timeout`: tightening LPs and node LPs get at
+    most the time left, and a node LP stopped by that limit ends the search
+    as Timeout. `stats.extra` counts the simplex iterations of all LPs
+    (`simplex_iters`) and the tightening LPs stopped by their time limit
+    (`tighten_limit_hits`).
     """
     start = time.monotonic()
-    stats = SearchStats()
+    deadline = start + config.timeout
+    stats = SearchStats(extra={"simplex_iters": 0, "tighten_limit_hits": 0})
 
     if bounds is None:
         bounds = propagate_interval(net, problem.box)
         if config.tighten_timeout > 0.0:
-            bounds = tighten_lp(net, problem.box, bounds, config.tighten_timeout)
+            bounds = tighten_lp(
+                net,
+                problem.box,
+                bounds,
+                config.tighten_timeout,
+                deadline=deadline,
+                counters=stats.extra,
+            )
 
     fixed = fixed_by_bounds(bounds)
     root = root_state(net, active=fixed.active, inactive=fixed.inactive)
@@ -198,17 +225,25 @@ def optimize(
             v_ws += float(problem.objective.c_x @ x_ws)
         incumbent, argopt = v_ws, x_ws
 
-    evaluator = region_evaluator or (
-        lambda st, inc: optimum_for_region(
-            net, problem, st, bounds, inc, config.consistency_tol
-        )
-    )
+    # One encoding and one live model per call, so a problem's node
+    # sequence never depends on problems solved before it.
+    relaxation = encode_relaxation(net, problem.rows, problem.objective)
+    model = new_model()
 
-    imap = (
-        _imap_for(net, problem)
-        if config.split_strategy is SplitStrategy.LARGEST_VIOLATION
-        else None
-    )
+    def evaluate_region(st: PartialActivationState, inc: float) -> RegionOutcome:
+        return optimum_for_region(
+            net,
+            problem,
+            st,
+            bounds,
+            inc,
+            config.consistency_tol,
+            relaxation=relaxation,
+            model=model,
+            time_limit=deadline - time.monotonic(),
+        )
+
+    evaluator = region_evaluator or evaluate_region
 
     # Frontier entries: (priority, tiebreak counter, state, parent LP bound).
     # Best-first keys on the parent's LP bound (children can only be worse);
@@ -241,9 +276,14 @@ def optimize(
             break
         stats.peak_frontier = max(stats.peak_frontier, len(frontier))
         state, _ = pop()
-        outcome = evaluator(state, incumbent)
+        try:
+            outcome = evaluator(state, incumbent)
+        except Timeout:
+            timed_out = True
+            break
         stats.nodes_explored += 1
         stats.lps_solved += 1
+        stats.extra["simplex_iters"] += outcome.iterations
         if trace is not None:
             trace.write(
                 json.dumps(
@@ -269,7 +309,7 @@ def optimize(
             config.split_strategy,
             lp_assignment=outcome.lp_assignment,
             net=net,
-            imap=imap,
+            imap=relaxation.imap,
         )
         push(second, outcome.lp_bound)
         push(first, outcome.lp_bound)
@@ -285,10 +325,3 @@ def optimize(
     if argopt is None and not np.isfinite(incumbent):
         return SearchResult(Status.INFEASIBLE, stats=stats)
     return SearchResult(Status.OPTIMAL, value=incumbent, argopt=argopt, stats=stats)
-
-
-def _imap_for(net: Network, problem: OptimizationProblem):
-    from .lp import _index_map
-
-    use_t = bool(problem.objective.c_t != 0.0 or any(r.a_t for r in problem.rows))
-    return _index_map(net, use_t)

@@ -22,10 +22,15 @@ class PartialActivationState:
         object.__setattr__(self, "undetermined", frozenset(self.undetermined))
 
     def validate(self, net: Network) -> None:
-        all_nodes = set(net.relu_node_ids())
-        sets = (self.active, self.inactive, self.undetermined)
-        union = set().union(*sets)
-        if union != all_nodes or sum(len(s) for s in sets) != len(all_nodes):
+        widths = net.relu_layer_widths()
+        union = self.active | self.inactive | self.undetermined
+        # The sets are disjoint and hold as many distinct nodes as the
+        # network has, each of them a node of the network.
+        if (
+            len(self.active) + len(self.inactive) + len(self.undetermined) != len(union)
+            or len(union) != sum(widths)
+            or not all(0 <= i < len(widths) and 0 <= j < widths[i] for i, j in union)
+        ):
             raise InconsistentState(
                 "active/inactive/undetermined must partition all ReLU nodes"
             )

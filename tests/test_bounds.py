@@ -129,3 +129,34 @@ def test_bounds_map_node_accessors(abs_net):
     assert (lo, hi) == (-2.0, 3.0)
     lo, hi = bounds.post(NodeId(0, 1))
     assert (lo, hi) == (0.0, 2.0)
+
+
+def test_tightening_lp_stopped_by_its_time_limit_keeps_the_bound(caplog):
+    rng = np.random.default_rng(41)
+    net = random_net(rng, n_in=4, hidden=(30, 30), n_out=1)
+    b = box(-np.ones(4), np.ones(4))
+    seed = propagate_interval(net, b)
+    counters = {}
+    with caplog.at_level("WARNING", logger="reluopt.bounds"):
+        kept = tighten_lp(net, b, seed, per_query_timeout=1e-9, counters=counters)
+    assert counters["tighten_limit_hits"] > 0
+    assert "time limit" in caplog.text
+    for k in range(len(net.layers)):
+        assert np.all(kept.pre_lower[k] >= seed.pre_lower[k])
+        assert np.all(kept.pre_upper[k] <= seed.pre_upper[k])
+    _assert_sound(net, kept, b, rng, samples=200, tol=1e-7)
+
+
+def test_tightening_stops_at_the_deadline():
+    import time
+
+    rng = np.random.default_rng(43)
+    net = random_net(rng, n_in=2, hidden=(5, 4), n_out=1)
+    b = box([-1.0, -1.0], [1.0, 1.0])
+    seed = propagate_interval(net, b)
+    counters = {}
+    kept = tighten_lp(net, b, seed, 5.0, deadline=time.monotonic() - 1.0, counters=counters)
+    assert counters == {"simplex_iters": 0, "tighten_limit_hits": 0}
+    for k in range(len(net.layers)):
+        np.testing.assert_array_equal(kept.pre_lower[k], seed.pre_lower[k])
+        np.testing.assert_array_equal(kept.pre_upper[k], seed.pre_upper[k])

@@ -332,3 +332,14 @@ def test_main_export_milp(tmp_path, capsys):
     model = parse_lp_text(target.read_text())
     assert model.maximize
     assert len(model.rows) > 0
+
+
+def test_nonfinite_input_box_is_an_error_record(tmp_path):
+    _write_net(tmp_path, n_in=2, hidden=(4,), n_out=1)
+    p = tmp_path / "q.problem"
+    p.write_text(
+        "kind: output_optimization\nnetwork: net.nnet\nobjective: 1\n"
+        "input_lower: -1,-inf\ninput_upper: 1,1\n"
+    )
+    rec = solve_spec(load_problem(str(p)))
+    assert rec.status == "Error"

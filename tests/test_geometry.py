@@ -86,3 +86,11 @@ def test_linf_epigraph_rows():
 def test_linf_epigraph_rejects_nonfinite():
     with pytest.raises(DimensionMismatch):
         linf_epigraph([np.inf])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hyperrectangle_rejects_nonfinite_bounds(bad):
+    with pytest.raises(DimensionMismatch):
+        Hyperrectangle(np.array([-1.0, bad]), np.array([1.0, 1.0]))
+    with pytest.raises(DimensionMismatch):
+        Hyperrectangle(np.array([-1.0, -1.0]), np.array([1.0, bad]))

@@ -9,12 +9,14 @@ from reluopt import (
     Objective,
     Relation,
     Row,
+    Timeout,
     build_relaxed_lp,
     check_relu_consistency,
     propagate_interval,
     solve_lp,
     split_assignment,
 )
+from reluopt import highs
 from reluopt.model import NodeId, activation_pattern, evaluate, forward_trace
 from reluopt.state import root_state
 
@@ -36,9 +38,24 @@ def _random_lp(rng, n, n_rows):
     return lower, upper, rows, objective
 
 
-def test_solve_lp_matches_vertex_enumeration_oracle():
+@pytest.fixture
+def backends(monkeypatch):
+    """Each solve_lp backend in turn: the live HiGHS model, then the
+    linprog fallback, forced by hiding scipy's HiGHS binding."""
+
+    def each():
+        assert highs.available()
+        yield "live"
+        monkeypatch.setattr(highs, "_core", None)
+        assert highs.new_model() is None
+        yield "linprog"
+
+    return each()
+
+
+def test_solve_lp_matches_vertex_enumeration_oracle(backends):
     rng = np.random.default_rng(5)
-    solved = 0
+    cases = []
     for _ in range(60):
         n = int(rng.integers(2, 4))
         lower, upper, rows, objective = _random_lp(rng, n, int(rng.integers(1, 5)))
@@ -48,40 +65,49 @@ def test_solve_lp_matches_vertex_enumeration_oracle():
             rows=tuple(LPRow(np.asarray(a), Relation(rel), b) for a, rel, b in rows),
             objective=objective,
         )
-        res = solve_lp(lp)
-        status, value = lp_oracle(lower, upper, rows, objective)
-        if status == "infeasible":
-            assert res.status == LPStatus.INFEASIBLE
-        else:
-            assert res.status == LPStatus.OPTIMAL
-            assert res.value == pytest.approx(value, abs=1e-6)
-            # the reported assignment achieves the reported value
-            assert float(lp.objective @ res.assignment) == pytest.approx(res.value, abs=1e-9)
-            solved += 1
-    assert solved >= 30
+        cases.append((lp, *lp_oracle(lower, upper, rows, objective)))
+    for _ in backends:
+        solved = 0
+        for lp, status, value in cases:
+            res = solve_lp(lp)
+            if status == "infeasible":
+                assert res.status == LPStatus.INFEASIBLE
+            else:
+                assert res.status == LPStatus.OPTIMAL
+                assert res.value == pytest.approx(value, abs=1e-6)
+                # the reported assignment achieves the reported value
+                assert float(lp.objective @ res.assignment) == pytest.approx(res.value, abs=1e-9)
+                solved += 1
+        assert solved >= 30
 
 
-def test_solve_lp_detects_infeasible():
+def test_solve_lp_detects_infeasible(backends):
     lp = LinearProgram(
         lower=np.array([0.0]),
         upper=np.array([1.0]),
         rows=(LPRow(np.array([1.0]), Relation.GE, 2.0),),
         objective=np.array([1.0]),
     )
-    assert solve_lp(lp).status == LPStatus.INFEASIBLE
+    crossed = LinearProgram(
+        lower=np.array([1.0]), upper=np.array([0.0]), rows=(), objective=np.array([1.0])
+    )
+    for _ in backends:
+        assert solve_lp(lp).status == LPStatus.INFEASIBLE
+        assert solve_lp(crossed).status == LPStatus.INFEASIBLE
 
 
-def test_solve_lp_detects_unbounded():
+def test_solve_lp_detects_unbounded(backends):
     lp = LinearProgram(
         lower=np.array([-np.inf]),
         upper=np.array([np.inf]),
         rows=(),
         objective=np.array([1.0]),
     )
-    assert solve_lp(lp).status == LPStatus.UNBOUNDED
+    for _ in backends:
+        assert solve_lp(lp).status == LPStatus.UNBOUNDED
 
 
-def test_solve_lp_minimize():
+def test_solve_lp_minimize(backends):
     lp = LinearProgram(
         lower=np.array([-1.0]),
         upper=np.array([2.0]),
@@ -89,8 +115,23 @@ def test_solve_lp_minimize():
         objective=np.array([1.0]),
         maximize=False,
     )
-    res = solve_lp(lp)
-    assert res.value == pytest.approx(-1.0)
+    for _ in backends:
+        res = solve_lp(lp)
+        assert res.value == pytest.approx(-1.0)
+
+
+def test_solve_lp_time_limit_raises_timeout(backends):
+    rng = np.random.default_rng(3)
+    net = random_net(rng, n_in=4, hidden=(30, 30), n_out=1)
+    b = box(-np.ones(4), np.ones(4))
+    lp, _ = build_relaxed_lp(
+        net, root_state(net), propagate_interval(net, b), b,
+        objective=Objective(c_y=np.array([1.0])),
+    )
+    for _ in backends:
+        with pytest.raises(Timeout):
+            solve_lp(lp, time_limit=1e-9)
+        assert solve_lp(lp, time_limit=60.0).status == LPStatus.OPTIMAL
 
 
 # ---------------------------------------------------------------------------

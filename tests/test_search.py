@@ -16,6 +16,7 @@ from reluopt import (
     SearchConfig,
     SplitStrategy,
     Status,
+    Timeout,
     optimize,
     optimum_for_region,
     propagate_interval,
@@ -297,3 +298,54 @@ def test_child_bound_never_exceeds_parent_bound():
 def test_invalid_timeout_rejected():
     with pytest.raises(ValueError):
         SearchConfig(timeout=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The search budget and the counters the search keeps
+
+
+def test_node_lp_stopped_by_the_budget_ends_as_timeout_with_incumbent(abs_net):
+    outcomes = [
+        RegionOutcome(RegionStatus.UNKNOWN, lp_bound=10.0),
+        RegionOutcome(RegionStatus.OPTIMAL, lp_bound=6.0, value=5.0, assignment=np.array([1.0])),
+    ]
+
+    def evaluator(state, incumbent):
+        if not outcomes:
+            raise Timeout("LP stopped at its time limit")
+        return outcomes.pop(0)
+
+    problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
+    result = optimize(abs_net, problem, region_evaluator=evaluator)
+    assert result.status is Status.TIMEOUT
+    assert result.value == 5.0 and result.argopt.tolist() == [1.0]
+    assert result.stats.nodes_explored == 2
+
+
+def test_tiny_budget_cuts_tightening_and_node_lps(caplog):
+    """Tightening this net takes about a second unbudgeted; each LP gets only
+    what is left of the search timeout, so the search returns on time."""
+    rng = np.random.default_rng(101)
+    net = random_net(rng, n_in=4, hidden=(40, 40, 40), n_out=1)
+    problem = output_max_problem(net, [1.0], -np.ones(4), np.ones(4))
+    for config in (
+        SearchConfig(timeout=0.05, tighten_timeout=5.0),
+        SearchConfig(timeout=0.002),
+    ):
+        with caplog.at_level("WARNING", logger="reluopt.bounds"):
+            result = optimize(net, problem, config)
+        assert result.status is Status.TIMEOUT
+        assert result.stats.wall_seconds < config.timeout + 0.25
+    assert "search budget is spent" in caplog.text
+
+
+def test_search_counts_simplex_iterations():
+    rng = np.random.default_rng(5)
+    net = random_net(rng, n_in=2, hidden=(6, 4), n_out=1)
+    problem = output_max_problem(net, [1.0], [-1.0, -1.0], [1.0, 1.0])
+    plain = optimize(net, problem)
+    tightened = optimize(net, problem, SearchConfig(tighten_timeout=5.0))
+    assert plain.stats.extra["simplex_iters"] > 0
+    assert tightened.stats.extra["simplex_iters"] > 0
+    assert plain.stats.extra["tighten_limit_hits"] == tightened.stats.extra["tighten_limit_hits"] == 0
+    assert tightened.value == pytest.approx(plain.value, abs=1e-6)
