@@ -52,13 +52,9 @@ _DECIDED = (
 )
 
 
-def available() -> bool:
-    return _core is not None
-
-
 def new_model() -> Optional["LiveModel"]:
     """An empty live model, or None when scipy has no HiGHS binding."""
-    return LiveModel() if available() else None
+    return None if _core is None else LiveModel()
 
 
 def _row_bounds(rows) -> tuple[np.ndarray, np.ndarray]:

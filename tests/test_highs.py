@@ -20,7 +20,7 @@ from reluopt.state import root_state
 
 from conftest import box, random_net
 
-pytestmark = pytest.mark.skipif(not highs.available(), reason="scipy has no HiGHS binding")
+pytestmark = pytest.mark.skipif(highs.new_model() is None, reason="scipy has no HiGHS binding")
 
 
 def _random_problem(rng, min_adv: bool):
@@ -106,18 +106,19 @@ def test_undecided_status_gets_one_cold_resolve(monkeypatch):
     run = highs.LiveModel._run
     calls = []
 
-    def flaky(self, time_limit, fail_times):
-        calls.append(time_limit)
+    def flaky(self, stop_at, fail_times):
+        calls.append(stop_at)
         if len(calls) <= fail_times:
             return undecided, 0
-        return run(self, time_limit)
+        return run(self, stop_at)
 
-    monkeypatch.setattr(highs.LiveModel, "_run", lambda self, tl: flaky(self, tl, 1))
-    assert solve_lp(lp).status == _solve_linprog(lp, None).status
+    monkeypatch.setattr(highs.LiveModel, "_run", lambda self, stop_at: flaky(self, stop_at, 1))
+    assert solve_lp(lp, time_limit=30.0).status == _solve_linprog(lp, None).status
     assert len(calls) == 2
+    assert calls[0] == calls[1]  # the cold re-solve shares the first solve's time limit
 
     calls.clear()
-    monkeypatch.setattr(highs.LiveModel, "_run", lambda self, tl: flaky(self, tl, 2))
+    monkeypatch.setattr(highs.LiveModel, "_run", lambda self, stop_at: flaky(self, stop_at, 2))
     with pytest.raises(NumericalFailure):
         solve_lp(lp)
     assert len(calls) == 2
