@@ -17,7 +17,7 @@ from .errors import (
     TooLarge,
     UnboundedNode,
 )
-from .geometry import Hyperrectangle, Polytope, linf_epigraph
+from .geometry import Hyperrectangle, linf_epigraph
 from .lp import (
     LinearProgram,
     LPResult,

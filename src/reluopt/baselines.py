@@ -1,6 +1,9 @@
 """Reference solvers and exporters: bisection over a decision procedure,
 the brute-force activation-enumeration oracle, and big-M MILP export.
-The gradient attacks live in attacks.py and are re-exported here."""
+
+Brute force (`_leaf_affine`) and the MILP export encode the network on
+their own instead of through `reluopt.lp.encode_relaxation`: they are the
+independent references that branch-and-bound is checked against."""
 
 from __future__ import annotations
 
@@ -11,11 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attacks import fgsm, pgd  # noqa: F401  (part of this module's surface)
 from .bounds import BoundsMap, fixed_by_bounds, propagate_interval, tighten_lp
 from .errors import NumericalFailure, Timeout, TooLarge, UnboundedNode
 from .geometry import Hyperrectangle
-from .lp import LPRow, LPStatus, LinearProgram, LPResult, solve_lp
+from .lp import LPStatus, LinearProgram, solve_lp
 from .lpformat import MilpModel, MilpRow, MilpVar, write_lp_text
 from .model import Activation, Network, NodeId
 from .problems import Objective, OptimizationProblem, Relation, Row
@@ -68,7 +70,7 @@ def verify_decision(
 class BisectionConfig:
     gap: float = 1e-4
     bracket: Optional[tuple[float, float]] = None  # None = doubling policy
-    per_call_timeout: float = 60.0
+    timeout: float = 60.0  # seconds for the whole run
     tighten_timeout: float = 0.0
     max_iterations: int = 200
 
@@ -89,31 +91,37 @@ def bisection_optimize(
     value at the box center. Epigraph (minimum-perturbation) problems start
     in the middle of [-t_upper, 0] and declare Infeasible if no witness is
     found before the bracket collapses to within the gap of the boundary.
+
+    `cfg.timeout` is a budget for the whole run: bound tightening and each
+    decision call get the time left, and a run that spends it returns
+    Timeout with its bracket and incumbent.
     """
     start = time.monotonic()
+    deadline = start + cfg.timeout
     stats = SearchStats()
     bounds = propagate_interval(net, problem.box)
     if cfg.tighten_timeout > 0.0:
-        bounds = tighten_lp(net, problem.box, bounds, cfg.tighten_timeout)
+        bounds = tighten_lp(net, problem.box, bounds, cfg.tighten_timeout, deadline=deadline)
 
     best_value = -np.inf
     best_x: Optional[np.ndarray] = None
 
     def decide(d: float):
-        """Feasibility of (rows of problem) and objective >= d."""
+        """Feasibility of (rows of problem) and objective >= d; None once
+        the budget is spent."""
         nonlocal best_value, best_x
+        left = deadline - time.monotonic()
+        if left <= 0.0:
+            return None
         obj = problem.objective
         feas = OptimizationProblem(
             box=problem.box,
             objective=Objective(),
             rows=problem.rows + (Row(obj.c_x, obj.c_y, obj.c_t, Relation.GE, d),),
-            use_t=problem.use_t,
             t_upper=problem.t_upper,
             x0=problem.x0,
         )
-        config = SearchConfig(
-            timeout=cfg.per_call_timeout, stop_at_first_optimal=True
-        )
+        config = SearchConfig(timeout=left, stop_at_first_optimal=True)
         result = optimize(net, feas, config, bounds=bounds)
         stats.nodes_explored += result.stats.nodes_explored
         stats.lps_solved += result.stats.lps_solved
@@ -246,7 +254,7 @@ def _leaf_lp(net: Network, problem: OptimizationProblem, phases) -> tuple[Linear
     for coeffs, rel, rhs in region:
         full = np.zeros(n_vars)
         full[:n] = coeffs
-        rows.append(LPRow(full, rel, rhs))
+        rows.append((full, rel, rhs))
     constant = 0.0
     for row in problem.rows:
         full = np.zeros(n_vars)
@@ -258,7 +266,7 @@ def _leaf_lp(net: Network, problem: OptimizationProblem, phases) -> tuple[Linear
             rhs -= float(row.a_y @ q)
         if row.a_t:
             full[n] = row.a_t
-        rows.append(LPRow(full, row.relation, float(rhs)))
+        rows.append((full, row.relation, float(rhs)))
 
     obj = np.zeros(n_vars)
     o = problem.objective
@@ -269,7 +277,7 @@ def _leaf_lp(net: Network, problem: OptimizationProblem, phases) -> tuple[Linear
         constant += float(o.c_y @ q)
     if o.c_t:
         obj[n] = o.c_t
-    return LinearProgram(lower=lower, upper=upper, rows=tuple(rows), objective=obj), constant
+    return LinearProgram.from_rows(rows, lower, upper, obj), constant
 
 
 def brute_force_optimize(
@@ -467,11 +475,8 @@ def milp_to_lp(
         coeffs = np.zeros(n)
         for name, c in row.coeffs.items():
             coeffs[index[name]] = c
-        rows.append(LPRow(coeffs, row.relation, row.rhs))
+        rows.append((coeffs, row.relation, row.rhs))
     obj = np.zeros(n)
     for name, c in model.objective.items():
         obj[index[name]] = c
-    lp = LinearProgram(
-        lower=lower, upper=upper, rows=tuple(rows), objective=obj, maximize=model.maximize
-    )
-    return lp, index
+    return LinearProgram.from_rows(rows, lower, upper, obj, model.maximize), index

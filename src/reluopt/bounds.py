@@ -116,11 +116,13 @@ def tighten_lp(
     counters: Optional[dict] = None,
 ) -> BoundsMap:
     """Progressive LP tightening: visit ReLU nodes in topological order and
-    solve up to four LPs per node (max/min of zhat and of z) over the
+    solve up to two LPs per node (max and min of zhat) over the
     all-undetermined relaxation under the current bounds. A bound is replaced
     only when the LP finishes within its time limit and improves it by at
-    least the improvement threshold. Improved bounds are visible to later
-    nodes immediately.
+    least the improvement threshold. The post-activation bounds then follow
+    as post = max(0, pre): with z >= 0 and z >= zhat as its only rows, an LP
+    over z could not do better. Improved bounds are visible to later nodes
+    immediately.
 
     All LPs are re-solved in one live HiGHS model; only bounds and the cost
     change between them. Each LP's time limit is `per_query_timeout`, cut to
@@ -161,58 +163,49 @@ def tighten_lp(
             lp, imap = build_relaxed_lp(
                 net, state, current(), input_box, relaxation=relaxation
             )
-            targets = [
-                ("pre", imap.pre[k][j], pre_lo[k], pre_hi[k]),
-                ("post", imap.post[k][j], post_lo[k], post_hi[k]),
-            ]
-            for kind, col, lo_arr, hi_arr in targets:
-                obj = np.zeros(lp.n_vars)
-                obj[col] = 1.0
-                for maximize in (True, False):
-                    limit = per_query_timeout
-                    if deadline is not None:
-                        limit = min(limit, deadline - time.monotonic())
-                        if limit <= 0.0:
-                            log.warning(
-                                "bound tightening stopped at node (%d, %d): "
-                                "the search budget is spent",
-                                i,
-                                j,
-                            )
-                            return current()
-                    try:
-                        res = solve_lp(
-                            lp.with_objective(obj, maximize=maximize),
-                            time_limit=limit,
-                            model=model,
-                        )
-                    except Timeout:
-                        counters["tighten_limit_hits"] += 1
+            obj = np.zeros(lp.n_vars)
+            obj[imap.pre[k][j]] = 1.0
+            for maximize in (True, False):
+                limit = per_query_timeout
+                if deadline is not None:
+                    limit = min(limit, deadline - time.monotonic())
+                    if limit <= 0.0:
                         log.warning(
-                            "bound kept at node (%d, %d) %s: LP stopped at its "
-                            "%.3g s time limit",
+                            "bound tightening stopped at node (%d, %d): "
+                            "the search budget is spent",
                             i,
                             j,
-                            kind,
-                            limit,
                         )
-                        continue
-                    except NumericalFailure as exc:
-                        log.debug(
-                            "bound kept at node (%d, %d) %s: %s", i, j, kind, exc
-                        )
-                        continue
-                    counters["simplex_iters"] += res.iterations
-                    if res.status != LPStatus.OPTIMAL:
-                        continue
-                    if maximize:
-                        cand = res.value + SAFETY_MARGIN
-                        if hi_arr[j] - cand >= IMPROVEMENT_THRESHOLD:
-                            hi_arr[j] = cand
-                    else:
-                        cand = res.value - SAFETY_MARGIN
-                        if cand - lo_arr[j] >= IMPROVEMENT_THRESHOLD:
-                            lo_arr[j] = cand
+                        return current()
+                try:
+                    res = solve_lp(
+                        lp.with_objective(obj, maximize=maximize),
+                        time_limit=limit,
+                        model=model,
+                    )
+                except Timeout:
+                    counters["tighten_limit_hits"] += 1
+                    log.warning(
+                        "bound kept at node (%d, %d): LP stopped at its %.3g s time limit",
+                        i,
+                        j,
+                        limit,
+                    )
+                    continue
+                except NumericalFailure as exc:
+                    log.debug("bound kept at node (%d, %d): %s", i, j, exc)
+                    continue
+                counters["simplex_iters"] += res.iterations
+                if res.status != LPStatus.OPTIMAL:
+                    continue
+                if maximize:
+                    cand = res.value + SAFETY_MARGIN
+                    if pre_hi[k][j] - cand >= IMPROVEMENT_THRESHOLD:
+                        pre_hi[k][j] = cand
+                else:
+                    cand = res.value - SAFETY_MARGIN
+                    if cand - pre_lo[k][j] >= IMPROVEMENT_THRESHOLD:
+                        pre_lo[k][j] = cand
             # Keep post bounds consistent with the (possibly tighter) pre bounds.
             post_lo[k][j] = max(post_lo[k][j], max(0.0, pre_lo[k][j]) - POST_CONSISTENCY_EPS, 0.0)
             post_hi[k][j] = min(post_hi[k][j], max(0.0, pre_hi[k][j]) + POST_CONSISTENCY_EPS)

@@ -264,18 +264,10 @@ def canonicalize(spec: ProblemSpec, net: Network) -> CanonicalQuery:
         box=box,
         objective=Objective(c_t=-1.0),
         rows=tuple(rows),
-        use_t=True,
         t_upper=t_upper,
         x0=x0,
     )
     return CanonicalQuery((problem,), -1.0)
-
-
-def spec_objective_value(spec: ProblemSpec, net: Network, x) -> float:
-    """Recompute the reported objective at an input point."""
-    query = canonicalize(spec, net)
-    best = max(p.objective_at(net, x) for p in query.subproblems)
-    return query.report_sign * best
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +472,7 @@ def _run_solver(spec, net, query, solver, timeout, trace) -> ResultRecord:
         elif solver == "bisection":
             cfg = baselines.BisectionConfig(
                 gap=spec.gap,
-                per_call_timeout=timeout,
+                timeout=timeout,
                 tighten_timeout=spec.tighten_timeout,
             )
             result = baselines.bisection_optimize(net, problem, cfg)

@@ -1,5 +1,4 @@
-"""Input/output set representations and linear-constraint encodings:
-hyperrectangles, polytopes, L-infinity epigraphs, and polytope complements."""
+"""Input boxes and the L-infinity epigraph rows."""
 
 from __future__ import annotations
 
@@ -8,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .problems import Direction, Relation, Row
+from .problems import Relation, Row
 
 
 @dataclass(frozen=True)
@@ -47,84 +46,6 @@ class Hyperrectangle:
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(count, self.dim))
-
-
-@dataclass(frozen=True)
-class Polytope:
-    """{x : Ax <= b}."""
-
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
-        b = np.asarray(self.b, dtype=np.float64)
-        if b.ndim != 1 or A.shape[0] != b.shape[0]:
-            raise DimensionMismatch("A row count must equal b length")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return bool(np.all(self.A @ np.asarray(x, dtype=np.float64) <= self.b + tol))
-
-
-@dataclass(frozen=True)
-class LinearObjective:
-    """Objective c.y with an explicit direction, as written in problem files."""
-
-    coefficients: np.ndarray
-    direction: Direction = Direction.MAXIMIZE
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.float64)
-        if not np.all(np.isfinite(c)):
-            raise DimensionMismatch("objective coefficients must be finite")
-        object.__setattr__(self, "coefficients", c)
-
-
-@dataclass(frozen=True)
-class HalfspaceDisjunction:
-    """Union of halfspaces a_i.x >= b_i (at least one must hold)."""
-
-    halfspaces: tuple[tuple[np.ndarray, float], ...]
-
-    def __post_init__(self):
-        if not self.halfspaces:
-            raise DimensionMismatch("disjunction must be nonempty")
-        object.__setattr__(
-            self,
-            "halfspaces",
-            tuple(
-                (np.asarray(a, dtype=np.float64), float(b)) for a, b in self.halfspaces
-            ),
-        )
-
-    def satisfied_by(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        return any(a @ x >= b - tol for a, b in self.halfspaces)
-
-
-def box_contains(h: Hyperrectangle, x, tol: float) -> bool:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != h.lower.shape:
-        raise DimensionMismatch(
-            f"point of shape {x.shape} vs box of dimension {h.dim}"
-        )
-    return bool(np.all(x >= h.lower - tol) and np.all(x <= h.upper + tol))
-
-
-def complement(p: Polytope) -> HalfspaceDisjunction:
-    """Closed relaxation of the complement: one reversed facet per row.
-    Boundary points belong to both the polytope and its complement."""
-    return HalfspaceDisjunction(
-        tuple((p.A[i], float(p.b[i])) for i in range(p.A.shape[0]))
-    )
-
-
-def box_polytope(h: Hyperrectangle) -> Polytope:
-    """The 2n-row polytope {x : x <= upper, -x <= -lower}."""
-    eye = np.eye(h.dim)
-    return Polytope(np.vstack([eye, -eye]), np.concatenate([h.upper, -h.lower]))
 
 
 def linf_epigraph(x0) -> list[Row]:

@@ -1,35 +1,38 @@
 """Linear programs: representation, solving, and construction of the
 relaxed LP for a partial activation state.
 
-The relaxed LP has the same rows in every state: the affine chaining rows,
-one link row z - zhat >= 0 per ReLU, and the output rows. A state changes
-only bounds. An active ReLU's link row becomes z - zhat = 0 and its zhat gets
-lower bound 0; an inactive ReLU gets zhat <= 0 and z in [0, 0]; every ReLU
-has z >= 0 as its lower bound. Undetermined ReLUs are thus relaxed to
-z >= 0 and z >= zhat, and fully fixed leaves are exact. Because only bounds
-differ, one live HiGHS model (reluopt.highs) serves every LP of a problem.
+A `LinearProgram` is the form HiGHS takes: one sparse CSC matrix A and the
+vectors of row_lower <= A v <= row_upper, lower <= v <= upper, and the
+costs. The relaxed LP of a network has one matrix in every state: the affine
+chaining rows, one link row z - zhat >= 0 per ReLU, and the output rows.
+`encode_relaxation` builds it once per problem, and a state changes only
+vectors. An active ReLU's link row gets row upper bound 0 (z - zhat = 0) and
+its zhat lower bound 0; an inactive ReLU gets zhat <= 0 and z in [0, 0];
+every ReLU has z >= 0 as its lower bound. Undetermined ReLUs are thus relaxed
+to z >= 0 and z >= zhat, and fully fixed leaves are exact. LPs that share the
+matrix object are re-solved in one live HiGHS model (reluopt.highs) by bound
+and cost changes.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix, csc_matrix, vstack
 
 from . import highs
 from .errors import DimensionMismatch, NumericalFailure, Timeout
 from .model import Activation, Network, NodeId
-from .problems import Objective, Relation, Row
+from .problems import Objective, Relation, Row, uses_t
 from .state import PartialActivationState
 
 if TYPE_CHECKING:
     from .bounds import BoundsMap
     from .geometry import Hyperrectangle
-
-FEASIBILITY_TOL = 1e-6
 
 
 class LPStatus:
@@ -38,37 +41,94 @@ class LPStatus:
     UNBOUNDED = "unbounded"
 
 
+def row_sides(relation: Relation, rhs: float) -> tuple[float, float]:
+    """The row `a.v <relation> rhs` as `lower <= a.v <= upper`."""
+    lower = -np.inf if relation is Relation.LE else rhs
+    upper = np.inf if relation is Relation.GE else rhs
+    return lower, upper
+
+
 @dataclass(frozen=True)
 class LPRow:
+    """One row of `LinearProgram.rows`."""
+
     coeffs: np.ndarray  # dense, full variable length
     relation: Relation
     rhs: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.rhs):
-            raise DimensionMismatch("row rhs must be finite")
+
+class RowView(Sequence):
+    """The rows of an LP as dense `LPRow`s, built when read; `len` builds
+    none. For readers outside the package: the package itself works on the
+    matrix and the row bound vectors."""
+
+    def __init__(self, lp: "LinearProgram"):
+        self._lp = lp
+        self._dense = None
+
+    def __len__(self) -> int:
+        return self._lp.matrix.shape[0]
+
+    def __getitem__(self, i: int) -> LPRow:
+        lower, upper = float(self._lp.row_lower[i]), float(self._lp.row_upper[i])
+        if lower != upper and np.isfinite(lower) and np.isfinite(upper):
+            raise ValueError(f"row {i} is bounded on both sides and has no single relation")
+        if self._dense is None:
+            self._dense = self._lp.matrix.toarray()
+        if lower == upper:
+            return LPRow(self._dense[i], Relation.EQ, lower)
+        if upper == np.inf:
+            return LPRow(self._dense[i], Relation.GE, lower)
+        return LPRow(self._dense[i], Relation.LE, upper)
 
 
 @dataclass(frozen=True)
 class LinearProgram:
+    """Maximize (or minimize) objective.v subject to
+    row_lower <= matrix @ v <= row_upper and lower <= v <= upper.
+
+    `matrix` is a scipy.sparse CSC matrix. A row side may be infinite only
+    away from its row (-inf below, +inf above), and every row has a finite
+    side; no bound or cost is NaN."""
+
+    matrix: csc_matrix
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    rows: tuple[LPRow, ...]
     objective: np.ndarray
     maximize: bool = True
 
     def __post_init__(self):
-        n = self.lower.shape[0]
-        if self.upper.shape[0] != n or self.objective.shape[0] != n:
-            raise DimensionMismatch("bound/objective lengths disagree")
-        for row in self.rows:
-            if row.coeffs.shape[0] != n:
-                raise DimensionMismatch("row length disagrees with variable count")
-        object.__setattr__(self, "rows", tuple(self.rows))
+        n_rows, n_vars = self.matrix.shape
+        if not self.row_lower.shape == self.row_upper.shape == (n_rows,):
+            raise DimensionMismatch("row bound lengths disagree with the row count")
+        if not self.lower.shape == self.upper.shape == self.objective.shape == (n_vars,):
+            raise DimensionMismatch("bound/objective lengths disagree with the variable count")
+        if np.isnan(np.concatenate((self.lower, self.upper, self.objective))).any():
+            raise DimensionMismatch("variable bounds and costs must not be NaN")
+        # max(lower, -upper) is finite exactly when a row has a finite side,
+        # no side is NaN, and no side is the infinity facing its row.
+        if not np.isfinite(np.maximum(self.row_lower, -self.row_upper)).all():
+            raise DimensionMismatch("every row needs a finite side and no NaN side")
+
+    @classmethod
+    def from_rows(cls, rows, lower, upper, objective, maximize: bool = True) -> "LinearProgram":
+        """The LP with dense rows `(coeffs, relation, rhs)` over its variables."""
+        lower, upper, objective = (np.asarray(v, dtype=float) for v in (lower, upper, objective))
+        dense = np.array([coeffs for coeffs, _, _ in rows], dtype=np.float64)
+        sides = np.array([row_sides(rel, float(rhs)) for _, rel, rhs in rows])
+        row_lower, row_upper = sides.reshape(-1, 2).T.copy()
+        matrix = csc_matrix(dense.reshape(len(rows), lower.shape[0]))
+        return cls(matrix, row_lower, row_upper, lower, upper, objective, maximize)
 
     @property
     def n_vars(self) -> int:
         return self.lower.shape[0]
+
+    @property
+    def rows(self) -> RowView:
+        return RowView(self)
 
     def with_objective(self, objective: np.ndarray, maximize: bool) -> "LinearProgram":
         return replace(
@@ -106,27 +166,20 @@ def solve_lp(
 
 
 def _solve_linprog(lp: LinearProgram, time_limit: Optional[float]) -> LPResult:
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for row in lp.rows:
-        if row.relation is Relation.LE:
-            a_ub.append(row.coeffs)
-            b_ub.append(row.rhs)
-        elif row.relation is Relation.GE:
-            a_ub.append(-row.coeffs)
-            b_ub.append(-row.rhs)
-        else:
-            a_eq.append(row.coeffs)
-            b_eq.append(row.rhs)
+    a = lp.matrix.tocsr()
+    eq = lp.row_lower == lp.row_upper
+    le = ~eq & np.isfinite(lp.row_upper)
+    ge = ~eq & np.isfinite(lp.row_lower)
     c = -lp.objective if lp.maximize else lp.objective
     options = {"presolve": True}
     if time_limit is not None:
         options["time_limit"] = max(float(time_limit), 0.0)
     res = linprog(
         c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        A_ub=vstack([a[le], -a[ge]]),
+        b_ub=np.concatenate([lp.row_upper[le], -lp.row_lower[ge]]),
+        A_eq=a[eq],
+        b_eq=lp.row_lower[eq],
         bounds=np.column_stack([lp.lower, lp.upper]),
         method="highs",
         options=options,
@@ -191,92 +244,69 @@ def _index_map(net: Network, use_t: bool) -> VariableIndexMap:
     )
 
 
-def _expand_row(row: Row, imap: VariableIndexMap) -> LPRow:
-    coeffs = np.zeros(imap.n_vars)
-    if row.a_x is not None:
-        coeffs[imap.x] = row.a_x
-    if row.a_y is not None:
-        coeffs[imap.y] = row.a_y
-    if row.a_t:
-        if imap.t is None:
-            raise DimensionMismatch("row uses t but the LP has no t variable")
-        coeffs[imap.t] = row.a_t
-    return LPRow(coeffs, row.relation, float(row.rhs))
-
-
-@dataclass(frozen=True)
-class LinkRow:
-    """Where a ReLU node sits in the relaxed LP."""
-
-    index: int  # position of its link row z - zhat >= 0
-    eq: LPRow  # the same row as z - zhat = 0, used once the node is active
-    pre: int  # column of zhat
-    post: int  # column of z
-
-
 @dataclass(frozen=True)
 class Relaxation:
-    """The rows and objective of a network's relaxed LP, which no activation
-    state changes. Encode once per problem and pass to `build_relaxed_lp`,
-    so that every LP of the problem shares these rows."""
+    """A network's relaxed LP with every ReLU undetermined and no column
+    bounds. Encode once per problem and pass to `build_relaxed_lp`, so that
+    every LP of the problem shares its matrix."""
 
     imap: VariableIndexMap
-    rows: tuple[LPRow, ...]  # every link row as z - zhat >= 0
-    links: dict[NodeId, LinkRow]
-    objective: np.ndarray
+    lp: LinearProgram
+    links: dict[NodeId, tuple[int, int, int]]  # each ReLU's link row, zhat and z columns
 
 
 def encode_relaxation(
     net: Network, output_rows: Sequence[Row] = (), objective: Objective = Objective()
 ) -> Relaxation:
-    use_t = bool(objective.c_t != 0.0 or any(r.a_t for r in output_rows))
-    imap = _index_map(net, use_t)
-    n_vars = imap.n_vars
-    rows: list[LPRow] = []
+    imap = _index_map(net, uses_t(objective, output_rows))
+    entries, sides = [], []  # (rows, columns, coeffs) triplets; (lower, upper) per block
+
+    def add(lower, upper, *pieces) -> np.ndarray:
+        """Append a block of rows lower <= sum of coeffs * v[columns] <= upper,
+        summed over the pieces (columns, coeffs); both broadcast against the
+        block's row indices as a column. Returns those row indices."""
+        start = sum(len(block_lower) for block_lower, _ in sides)
+        rows = np.arange(start, start + len(lower))[:, None]
+        for columns, coeffs in pieces:
+            zero = 0 * (rows + columns)  # broadcasts as np.broadcast_arrays does, but cheaply
+            entries.append((rows + zero, columns + zero, coeffs + zero))
+        sides.append((lower, upper))
+        return rows[:, 0]
 
     # Affine chaining: pre_k - W_k . prev = b_k
     for k, layer in enumerate(net.layers):
         prev = imap.x if k == 0 else imap.post[k - 1]
-        for r in range(layer.out_width):
-            coeffs = np.zeros(n_vars)
-            coeffs[imap.pre[k][r]] = 1.0
-            coeffs[prev] = -layer.weights[r]
-            rows.append(LPRow(coeffs, Relation.EQ, float(layer.biases[r])))
+        add(layer.biases, layer.biases, (imap.pre[k][:, None], 1.0), (prev, -layer.weights))
 
-    def post_minus_pre(k: int, r: int, relation: Relation) -> LPRow:
-        coeffs = np.zeros(n_vars)
-        coeffs[imap.post[k][r]] = 1.0
-        coeffs[imap.pre[k][r]] = -1.0
-        return LPRow(coeffs, relation, 0.0)
-
-    # Activation rows: post = pre for identity layers, a link row per ReLU.
+    # Activation rows: a link row per ReLU, then post = pre for identity layers.
     links = {}
     for i, k in enumerate(net.relu_layers):
-        for j in range(net.layers[k].out_width):
-            row = post_minus_pre(k, j, Relation.GE)
-            links[NodeId(i, j)] = LinkRow(
-                index=len(rows),
-                eq=LPRow(row.coeffs, Relation.EQ, 0.0),
-                pre=int(imap.pre[k][j]),
-                post=int(imap.post[k][j]),
-            )
-            rows.append(row)
+        pre, post = imap.pre[k], imap.post[k]
+        zero = np.zeros(len(pre))
+        link_rows = add(zero, zero + np.inf, (post[:, None], 1.0), (pre[:, None], -1.0))
+        for j, row in enumerate(link_rows):
+            links[NodeId(i, j)] = (int(row), int(pre[j]), int(post[j]))
     for k, layer in enumerate(net.layers):
         if layer.activation is Activation.IDENTITY:
-            for r in range(layer.out_width):
-                rows.append(post_minus_pre(k, r, Relation.EQ))
+            zero = np.zeros(layer.out_width)
+            add(zero, zero, (imap.post[k][:, None], 1.0), (imap.pre[k][:, None], -1.0))
 
     for row in output_rows:
-        rows.append(_expand_row(row, imap))
+        lower, upper = row_sides(row.relation, float(row.rhs))
+        pieces = ((imap.x, row.a_x), (imap.y, row.a_y), (imap.t, row.a_t))
+        add([lower], [upper], *((c, a) for c, a in pieces if c is not None and a is not None))
 
-    obj = np.zeros(n_vars)
-    if objective.c_x is not None:
-        obj[imap.x] = objective.c_x
-    if objective.c_y is not None:
-        obj[imap.y] = objective.c_y
-    if objective.c_t:
-        obj[imap.t] = objective.c_t
-    return Relaxation(imap, tuple(rows), links, obj)
+    row_lower, row_upper = (np.concatenate(side).astype(np.float64) for side in zip(*sides))
+    rows, cols, vals = (np.concatenate([e[i].ravel() for e in entries]) for i in range(3))
+    matrix = coo_matrix((vals, (rows, cols)), shape=(len(row_lower), imap.n_vars)).tocsc()
+    matrix.eliminate_zeros()
+
+    obj = np.zeros(imap.n_vars)
+    for index, c in ((imap.x, objective.c_x), (imap.y, objective.c_y), (imap.t, objective.c_t)):
+        if index is not None and c is not None:
+            obj[index] = c
+    free = np.full(imap.n_vars, np.inf)
+    return Relaxation(imap, LinearProgram(matrix, row_lower, row_upper, -free, free, obj), links)
 
 
 def build_relaxed_lp(
@@ -291,7 +321,7 @@ def build_relaxed_lp(
 ) -> tuple[LinearProgram, VariableIndexMap]:
     """The relaxed LP of `state`. `relaxation`, when given, must be
     `encode_relaxation(net, output_rows, objective)`; it is then reused
-    instead of encoded again."""
+    instead of encoded again, and the LP shares its matrix."""
     state.validate(net)
     if relaxation is None:
         relaxation = encode_relaxation(net, output_rows, objective)
@@ -313,17 +343,18 @@ def build_relaxed_lp(
         lower[imap.t] = 0.0
         upper[imap.t] = t_upper
 
-    rows = list(relaxation.rows)
+    row_upper = relaxation.lp.row_upper.copy()
     for node in state.active:
-        link = relaxation.links[node]
-        rows[link.index] = link.eq
-        lower[link.pre] = max(lower[link.pre], 0.0)
+        row, pre, _ = relaxation.links[node]
+        row_upper[row] = 0.0
+        lower[pre] = max(lower[pre], 0.0)
     for node in state.inactive:
-        link = relaxation.links[node]
-        upper[link.pre] = min(upper[link.pre], 0.0)
-        upper[link.post] = min(upper[link.post], 0.0)
+        _, pre, post = relaxation.links[node]
+        upper[pre] = min(upper[pre], 0.0)
+        upper[post] = min(upper[post], 0.0)
 
-    lp = LinearProgram(lower=lower, upper=upper, rows=tuple(rows), objective=relaxation.objective)
+    base = relaxation.lp
+    lp = LinearProgram(base.matrix, base.row_lower, row_upper, lower, upper, base.objective)
     return lp, imap
 
 

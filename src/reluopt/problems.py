@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -93,16 +93,22 @@ class Objective:
         return total
 
 
+def uses_t(objective: Objective, rows: Sequence[Row]) -> bool:
+    """Whether a problem has the epigraph scalar t: its objective or one of
+    its rows gives t a nonzero coefficient."""
+    return objective.c_t != 0.0 or any(row.a_t for row in rows)
+
+
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """Canonical maximization problem. `use_t` enables the epigraph scalar
-    with bounds [0, t_upper]. `x0` is carried for min-perturbation problems
-    so solvers can recompute t exactly from an input point."""
+    """Canonical maximization problem. The epigraph scalar t, with bounds
+    [0, t_upper], is enabled when the objective or a row uses it (`use_t`).
+    `x0` is carried for min-perturbation problems so solvers can recompute t
+    exactly from an input point."""
 
     box: "Hyperrectangle"
     objective: Objective
     rows: tuple[Row, ...] = ()
-    use_t: bool = False
     t_upper: float = np.inf
     x0: Optional[np.ndarray] = None
 
@@ -110,6 +116,10 @@ class OptimizationProblem:
         object.__setattr__(self, "rows", tuple(self.rows))
         if self.x0 is not None:
             object.__setattr__(self, "x0", np.asarray(self.x0, dtype=np.float64))
+
+    @property
+    def use_t(self) -> bool:
+        return uses_t(self.objective, self.rows)
 
     def t_of(self, x) -> float:
         """The tightest feasible epigraph value at input x (0 when the

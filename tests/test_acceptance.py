@@ -104,7 +104,6 @@ def _minadv_query(rng, net, radius=1.0, margin=None):
         box=b,
         objective=Objective(c_t=-1.0),
         rows=rows,
-        use_t=True,
         t_upper=radius,
         x0=x0,
     )

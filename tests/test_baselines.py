@@ -80,7 +80,6 @@ def test_bisection_min_adversarial(abs_net):
         box=box([-3.0], [3.0]),
         objective=Objective(c_t=-1.0),
         rows=rows,
-        use_t=True,
         t_upper=3.0,
         x0=np.array([0.0]),
     )
@@ -97,7 +96,6 @@ def test_bisection_infeasible(abs_net):
         box=box([-3.0], [3.0]),
         objective=Objective(c_t=-1.0),
         rows=rows,
-        use_t=True,
         t_upper=3.0,
         x0=np.array([0.0]),
     )
@@ -117,6 +115,30 @@ def test_bisection_agrees_with_search():
         approx = bisection_optimize(net, problem)
         assert approx.status is Status.OPTIMAL
         assert approx.value == pytest.approx(exact.value, abs=2e-4)
+
+
+@pytest.mark.parametrize(
+    "hidden, tighten_timeout",
+    [
+        ((6, 6), 0.0),  # about 20 decision calls when run to the gap
+        ((50, 50, 50, 50), 5.0),  # tightening alone takes seconds
+    ],
+)
+def test_bisection_timeout_is_a_budget_for_the_whole_run(hidden, tighten_timeout):
+    import time
+
+    rng = np.random.default_rng(3)
+    net = random_net(rng, n_in=3, hidden=hidden, n_out=2)
+    problem = output_max_problem(net, np.array([1.0, -1.0]), -np.ones(3), np.ones(3))
+    cfg = BisectionConfig(gap=1e-6, timeout=0.3, tighten_timeout=tighten_timeout)
+    start = time.monotonic()
+    r = bisection_optimize(net, problem, cfg)
+    assert time.monotonic() - start < cfg.timeout + 1.0
+    assert r.status is Status.TIMEOUT
+    lo, hi = r.stats.extra["bracket"]
+    assert lo <= hi
+    if r.argopt is not None:  # the incumbent is reported with its value
+        assert r.value == pytest.approx(problem.objective_at(net, r.argopt))
 
 
 def test_bisection_rejects_bad_gap():

@@ -160,3 +160,24 @@ def test_tightening_stops_at_the_deadline():
     for k in range(len(net.layers)):
         np.testing.assert_array_equal(kept.pre_lower[k], seed.pre_lower[k])
         np.testing.assert_array_equal(kept.pre_upper[k], seed.pre_upper[k])
+
+
+def test_tightened_post_bounds_are_max_of_zero_and_pre_bounds():
+    from reluopt.bounds import POST_CONSISTENCY_EPS
+
+    rng = np.random.default_rng(53)
+    improved = 0
+    for _ in range(5):
+        net = random_net(rng, n_in=3, hidden=(6, 5, 4), n_out=1)
+        b = box(-np.ones(3), np.ones(3))
+        seed = propagate_interval(net, b)
+        tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
+        for k in net.relu_layers:
+            improved += int(np.count_nonzero(tight.pre_upper[k] < seed.pre_upper[k]))
+            for post, pre in (
+                (tight.post_lower[k], tight.pre_lower[k]),
+                (tight.post_upper[k], tight.pre_upper[k]),
+            ):
+                gap = np.abs(post - np.maximum(0.0, pre))
+                assert np.all(gap <= POST_CONSISTENCY_EPS + 1e-12)  # + round-off
+    assert improved > 0

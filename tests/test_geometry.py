@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from reluopt import DimensionMismatch, Hyperrectangle, Polytope
-from reluopt.geometry import (
-    box_contains,
-    box_polytope,
-    complement,
-    linf_epigraph,
-)
+from reluopt import DimensionMismatch, Hyperrectangle
+from reluopt.geometry import linf_epigraph
 
 
 def test_hyperrectangle_basics():
@@ -33,42 +28,7 @@ def test_sample_inside_box():
     h = Hyperrectangle(np.array([-1.0, 2.0]), np.array([1.0, 5.0]))
     pts = h.sample(np.random.default_rng(0), 200)
     assert pts.shape == (200, 2)
-    for p in pts:
-        assert box_contains(h, p, 0.0)
-
-
-def test_box_contains_tolerance():
-    h = Hyperrectangle(np.array([0.0]), np.array([1.0]))
-    assert box_contains(h, [1.0 + 1e-9], 1e-8)
-    assert not box_contains(h, [1.1], 1e-8)
-
-
-def test_polytope_contains():
-    p = Polytope(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
-    assert p.contains([0.5, 0.5])
-    assert not p.contains([1.5, 0.0])
-
-
-def test_complement_is_reversed_facets():
-    p = Polytope(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))  # 0 <= x <= 1
-    comp = complement(p)
-    rng = np.random.default_rng(1)
-    for x in rng.uniform(-3, 3, 500):
-        inside = p.contains([x])
-        outside = comp.satisfied_by([x])
-        # Every point is in the polytope or in its closed complement;
-        # strict-interior points are never in the complement.
-        assert inside or outside
-        if 1e-9 < x < 1 - 1e-9:
-            assert not outside
-
-
-def test_box_polytope_roundtrip():
-    h = Hyperrectangle(np.array([-1.0, 0.0]), np.array([2.0, 1.0]))
-    p = box_polytope(h)
-    rng = np.random.default_rng(2)
-    for x in rng.uniform(-2, 3, (500, 2)):
-        assert p.contains(x) == box_contains(h, x, 0.0)
+    assert np.all((pts >= h.lower) & (pts <= h.upper))
 
 
 def test_linf_epigraph_rows():

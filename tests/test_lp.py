@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy.sparse import csc_matrix
+
 from reluopt import (
+    DimensionMismatch,
     Hyperrectangle,
     LinearProgram,
-    LPRow,
     LPStatus,
     Objective,
     Relation,
@@ -59,11 +61,8 @@ def test_solve_lp_matches_vertex_enumeration_oracle(backends):
     for _ in range(60):
         n = int(rng.integers(2, 4))
         lower, upper, rows, objective = _random_lp(rng, n, int(rng.integers(1, 5)))
-        lp = LinearProgram(
-            lower=lower,
-            upper=upper,
-            rows=tuple(LPRow(np.asarray(a), Relation(rel), b) for a, rel, b in rows),
-            objective=objective,
+        lp = LinearProgram.from_rows(
+            [(np.asarray(a), Relation(rel), b) for a, rel, b in rows], lower, upper, objective
         )
         cases.append((lp, *lp_oracle(lower, upper, rows, objective)))
     for _ in backends:
@@ -82,39 +81,21 @@ def test_solve_lp_matches_vertex_enumeration_oracle(backends):
 
 
 def test_solve_lp_detects_infeasible(backends):
-    lp = LinearProgram(
-        lower=np.array([0.0]),
-        upper=np.array([1.0]),
-        rows=(LPRow(np.array([1.0]), Relation.GE, 2.0),),
-        objective=np.array([1.0]),
-    )
-    crossed = LinearProgram(
-        lower=np.array([1.0]), upper=np.array([0.0]), rows=(), objective=np.array([1.0])
-    )
+    lp = LinearProgram.from_rows([(np.array([1.0]), Relation.GE, 2.0)], [0.0], [1.0], [1.0])
+    crossed = LinearProgram.from_rows([], [1.0], [0.0], [1.0])
     for _ in backends:
         assert solve_lp(lp).status == LPStatus.INFEASIBLE
         assert solve_lp(crossed).status == LPStatus.INFEASIBLE
 
 
 def test_solve_lp_detects_unbounded(backends):
-    lp = LinearProgram(
-        lower=np.array([-np.inf]),
-        upper=np.array([np.inf]),
-        rows=(),
-        objective=np.array([1.0]),
-    )
+    lp = LinearProgram.from_rows([], [-np.inf], [np.inf], [1.0])
     for _ in backends:
         assert solve_lp(lp).status == LPStatus.UNBOUNDED
 
 
 def test_solve_lp_minimize(backends):
-    lp = LinearProgram(
-        lower=np.array([-1.0]),
-        upper=np.array([2.0]),
-        rows=(),
-        objective=np.array([1.0]),
-        maximize=False,
-    )
+    lp = LinearProgram.from_rows([], [-1.0], [2.0], [1.0], maximize=False)
     for _ in backends:
         res = solve_lp(lp)
         assert res.value == pytest.approx(-1.0)
@@ -270,3 +251,57 @@ def test_row_using_t_without_t_variable_raises(abs_net):
         output_rows=(Row(np.array([1.0]), None, -1.0, Relation.LE, 0.0),),
     )
     assert imap.t is not None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lower", np.array([np.nan, 0.0])),
+        ("upper", np.array([1.0, np.nan])),
+        ("objective", np.array([np.nan, 1.0])),
+        ("row_lower", np.array([np.nan])),
+        ("row_upper", np.array([np.nan])),
+        ("row_lower", np.array([np.inf])),  # an infinite side must face away
+        ("row_upper", np.array([-np.inf])),
+        ("row_lower", np.array([-np.inf])),  # with row_upper +inf: no finite side
+        ("row_lower", np.array([0.0, 0.0])),
+        ("upper", np.array([1.0])),
+        ("objective", np.array([1.0, 1.0, 1.0])),
+    ],
+)
+def test_linear_program_rejects_nonfinite_rows_and_bad_lengths(field, value):
+    good = dict(
+        matrix=csc_matrix(np.array([[1.0, -1.0]])),
+        row_lower=np.array([0.0]),
+        row_upper=np.array([np.inf]),
+        lower=np.zeros(2),
+        upper=np.ones(2),
+        objective=np.ones(2),
+    )
+    LinearProgram(**good)
+    with pytest.raises(DimensionMismatch):
+        LinearProgram(**{**good, field: value})
+
+
+@pytest.mark.parametrize("rhs", [np.nan, np.inf, -np.inf])
+def test_rows_with_nonfinite_rhs_are_rejected(rhs):
+    for relation in Relation:
+        with pytest.raises(DimensionMismatch):
+            LinearProgram.from_rows([(np.array([1.0]), relation, rhs)], [0.0], [1.0], [1.0])
+
+
+def test_node_lp_shares_the_relaxation_matrix_and_reads_as_rows(abs_net):
+    from reluopt.lp import encode_relaxation
+
+    b = box([-2.0], [2.0])
+    relaxation = encode_relaxation(abs_net)
+    state = root_state(abs_net, active={NodeId(0, 0)})
+    lp, imap = build_relaxed_lp(abs_net, state, propagate_interval(abs_net, b), b, relaxation=relaxation)
+    assert lp.matrix is relaxation.lp.matrix
+    rows = list(lp.rows)
+    assert len(rows) == len(lp.rows) == lp.matrix.shape[0]
+    np.testing.assert_array_equal([row.coeffs for row in rows], lp.matrix.toarray())
+    # the active node's link row z - zhat is an equality, the other's an inequality
+    links = {rows[relaxation.links[node][0]].relation for node in abs_net.relu_node_ids()}
+    assert links == {Relation.EQ, Relation.GE}
+    assert rows[relaxation.links[NodeId(0, 0)][0]].relation is Relation.EQ

@@ -199,7 +199,6 @@ def test_min_adversarial_abs_net(abs_net):
         box=box([-3.0], [3.0]),
         objective=Objective(c_t=-1.0),
         rows=rows,
-        use_t=True,
         t_upper=3.0,
         x0=np.array([0.0]),
     )
