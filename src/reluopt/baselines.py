@@ -94,7 +94,9 @@ def bisection_optimize(
 
     `cfg.timeout` is a budget for the whole run: bound tightening and each
     decision call get the time left, and a run that spends it returns
-    Timeout with its bracket and incumbent.
+    Timeout with its bracket and incumbent. A decision whose witness does
+    not raise the lower end of the bracket ends the run as Optimal: the
+    bracket is then within the decision procedure's tolerance.
     """
     start = time.monotonic()
     deadline = start + cfg.timeout
@@ -194,10 +196,15 @@ def bisection_optimize(
         answer = decide(mid)
         if answer is None:
             return finish(Status.TIMEOUT, lo, hi)
-        if answer:
-            lo = max(lo, best_value)
-        else:
+        if not answer:
             hi = mid
+        elif best_value > lo:
+            lo = best_value
+        else:
+            # The witness meets objective >= mid only within the decision
+            # procedure's tolerance, so the bracket is as narrow as it can
+            # resolve: the incumbent is optimal.
+            break
     else:
         raise NumericalFailure("bisection did not converge within iteration cap")
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalFailure, Timeout
 from .geometry import Hyperrectangle
 from .model import Activation, Network, NodeId
-from .state import root_state
+from .problems import Objective, OptimizationProblem
 
 log = logging.getLogger(__name__)
 
@@ -44,14 +44,6 @@ class BoundsMap:
     def post(self, node: NodeId) -> tuple[float, float]:
         k = self.relu_layers[node.layer]
         return float(self.post_lower[k][node.node]), float(self.post_upper[k][node.node])
-
-    def copy_arrays(self):
-        return (
-            [a.copy() for a in self.pre_lower],
-            [a.copy() for a in self.pre_upper],
-            [a.copy() for a in self.post_lower],
-            [a.copy() for a in self.post_upper],
-        )
 
 
 @dataclass(frozen=True)
@@ -124,15 +116,16 @@ def tighten_lp(
     over z could not do better. Improved bounds are visible to later nodes
     immediately.
 
-    All LPs are re-solved in one live HiGHS model; only bounds and the cost
-    change between them. Each LP's time limit is `per_query_timeout`, cut to
-    the time left before `deadline` (a `time.monotonic()` reading); once
-    that is spent, tightening stops and keeps the bounds found so far.
-    `counters`, when given, accumulates `simplex_iters` and
-    `tighten_limit_hits` (LPs stopped by their time limit).
+    The bounds live in the column vectors of one root LP, which every LP
+    re-solves in one live HiGHS model; only bounds and the cost change
+    between them. Each LP's time limit is `per_query_timeout`, cut to the
+    time left before `deadline` (a `time.monotonic()` reading); once that is
+    spent, tightening stops and keeps the bounds found so far. `counters`,
+    when given, accumulates `simplex_iters` and `tighten_limit_hits` (LPs
+    stopped by their time limit).
     """
     from .highs import new_model
-    from .lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
+    from .lp import LPStatus, encode_relaxation, solve_lp
 
     if per_query_timeout <= 0.0:
         return seed
@@ -141,75 +134,66 @@ def tighten_lp(
     for name in ("simplex_iters", "tighten_limit_hits"):
         counters.setdefault(name, 0)
 
-    pre_lo, pre_hi, post_lo, post_hi = seed.copy_arrays()
+    relaxation = encode_relaxation(net, OptimizationProblem(input_box, Objective()), seed)
+    lp, imap = relaxation.lp, relaxation.imap
+    lower, upper = lp.lower, lp.upper  # the bounds, tightened in place
+    model = new_model()
 
     def current() -> BoundsMap:
         return BoundsMap(
             input_lower=seed.input_lower,
             input_upper=seed.input_upper,
-            pre_lower=tuple(pre_lo),
-            pre_upper=tuple(pre_hi),
-            post_lower=tuple(post_lo),
-            post_upper=tuple(post_hi),
+            pre_lower=tuple(lower[columns] for columns in imap.pre),
+            pre_upper=tuple(upper[columns] for columns in imap.pre),
+            post_lower=tuple(lower[columns] for columns in imap.post),
+            post_upper=tuple(upper[columns] for columns in imap.post),
             relu_layers=seed.relu_layers,
         )
 
-    state = root_state(net)
-    relaxation = encode_relaxation(net)
-    model = new_model()
-
-    for i, k in enumerate(net.relu_layers):
-        for j in range(net.layers[k].out_width):
-            lp, imap = build_relaxed_lp(
-                net, state, current(), input_box, relaxation=relaxation
-            )
-            obj = np.zeros(lp.n_vars)
-            obj[imap.pre[k][j]] = 1.0
-            for maximize in (True, False):
-                limit = per_query_timeout
-                if deadline is not None:
-                    limit = min(limit, deadline - time.monotonic())
-                    if limit <= 0.0:
-                        log.warning(
-                            "bound tightening stopped at node (%d, %d): "
-                            "the search budget is spent",
-                            i,
-                            j,
-                        )
-                        return current()
-                try:
-                    res = solve_lp(
-                        lp.with_objective(obj, maximize=maximize),
-                        time_limit=limit,
-                        model=model,
-                    )
-                except Timeout:
-                    counters["tighten_limit_hits"] += 1
+    for node, zhat, z in zip(net.relu_node_ids(), relaxation.zhat, relaxation.z):
+        obj = np.zeros(lp.n_vars)
+        obj[zhat] = 1.0
+        lo, hi = lower[zhat], upper[zhat]
+        for maximize in (True, False):
+            limit = per_query_timeout
+            if deadline is not None:
+                limit = min(limit, deadline - time.monotonic())
+                if limit <= 0.0:
                     log.warning(
-                        "bound kept at node (%d, %d): LP stopped at its %.3g s time limit",
-                        i,
-                        j,
-                        limit,
+                        "bound tightening stopped at node %s: the search budget is spent",
+                        tuple(node),
                     )
-                    continue
-                except NumericalFailure as exc:
-                    log.debug("bound kept at node (%d, %d): %s", i, j, exc)
-                    continue
-                counters["simplex_iters"] += res.iterations
-                if res.status != LPStatus.OPTIMAL:
-                    continue
-                if maximize:
-                    cand = res.value + SAFETY_MARGIN
-                    if pre_hi[k][j] - cand >= IMPROVEMENT_THRESHOLD:
-                        pre_hi[k][j] = cand
-                else:
-                    cand = res.value - SAFETY_MARGIN
-                    if cand - pre_lo[k][j] >= IMPROVEMENT_THRESHOLD:
-                        pre_lo[k][j] = cand
-            # Keep post bounds consistent with the (possibly tighter) pre bounds.
-            post_lo[k][j] = max(post_lo[k][j], max(0.0, pre_lo[k][j]) - POST_CONSISTENCY_EPS, 0.0)
-            post_hi[k][j] = min(post_hi[k][j], max(0.0, pre_hi[k][j]) + POST_CONSISTENCY_EPS)
-            if post_lo[k][j] > post_hi[k][j]:  # numerically crossed, keep sound order
-                post_lo[k][j] = post_hi[k][j] = max(0.0, post_hi[k][j])
+                    return current()
+            try:
+                res = solve_lp(
+                    lp.with_objective(obj, maximize=maximize), time_limit=limit, model=model
+                )
+            except Timeout:
+                counters["tighten_limit_hits"] += 1
+                log.warning(
+                    "bound kept at node %s: LP stopped at its %.3g s time limit", tuple(node), limit
+                )
+                continue
+            except NumericalFailure as exc:
+                log.debug("bound kept at node %s: %s", tuple(node), exc)
+                continue
+            counters["simplex_iters"] += res.iterations
+            if res.status != LPStatus.OPTIMAL:
+                continue
+            if maximize:
+                cand = res.value + SAFETY_MARGIN
+                if hi - cand >= IMPROVEMENT_THRESHOLD:
+                    hi = cand
+            else:
+                cand = res.value - SAFETY_MARGIN
+                if cand - lo >= IMPROVEMENT_THRESHOLD:
+                    lo = cand
+        # Both LPs of a node see the same bounds; later nodes see the new ones,
+        # with the post bounds kept consistent: post = max(0, pre).
+        lower[zhat], upper[zhat] = lo, hi
+        lower[z] = max(lower[z], max(0.0, lo) - POST_CONSISTENCY_EPS, 0.0)
+        upper[z] = min(upper[z], max(0.0, hi) + POST_CONSISTENCY_EPS)
+        if lower[z] > upper[z]:  # numerically crossed, keep sound order
+            lower[z] = upper[z] = max(0.0, upper[z])
 
     return current()

@@ -39,11 +39,6 @@ class Hyperrectangle:
     def radius(self) -> np.ndarray:
         return 0.5 * (self.upper - self.lower)
 
-    def intersect(self, other: "Hyperrectangle") -> "Hyperrectangle":
-        return Hyperrectangle(
-            np.maximum(self.lower, other.lower), np.minimum(self.upper, other.upper)
-        )
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(count, self.dim))
 

@@ -5,13 +5,13 @@ A `LinearProgram` is the form HiGHS takes: one sparse CSC matrix A and the
 vectors of row_lower <= A v <= row_upper, lower <= v <= upper, and the
 costs. The relaxed LP of a network has one matrix in every state: the affine
 chaining rows, one link row z - zhat >= 0 per ReLU, and the output rows.
-`encode_relaxation` builds it once per problem, and a state changes only
-vectors. An active ReLU's link row gets row upper bound 0 (z - zhat = 0) and
-its zhat lower bound 0; an inactive ReLU gets zhat <= 0 and z in [0, 0];
-every ReLU has z >= 0 as its lower bound. Undetermined ReLUs are thus relaxed
-to z >= 0 and z >= zhat, and fully fixed leaves are exact. LPs that share the
-matrix object are re-solved in one live HiGHS model (reluopt.highs) by bound
-and cost changes.
+`encode_relaxation` builds it once per problem, column bounds included, as
+the root LP, and a state changes only vectors. An active ReLU's link row gets
+row upper bound 0 (z - zhat = 0) and its zhat lower bound 0; an inactive ReLU
+gets zhat <= 0 and z in [0, 0]; every ReLU has z >= 0 as its lower bound.
+Undetermined ReLUs are thus relaxed to z >= 0 and z >= zhat, and fully fixed
+leaves are exact. LPs that share the matrix object are re-solved in one live
+HiGHS model (reluopt.highs) by bound and cost changes.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from scipy.sparse import coo_matrix, csc_matrix, vstack
 from . import highs
 from .errors import DimensionMismatch, NumericalFailure, Timeout
 from .model import Activation, Network, NodeId
-from .problems import Objective, Relation, Row, uses_t
-from .state import PartialActivationState
+from .problems import Relation
+from .state import ACTIVE, INACTIVE, PartialActivationState
 
 if TYPE_CHECKING:
     from .bounds import BoundsMap
-    from .geometry import Hyperrectangle
+    from .problems import OptimizationProblem
 
 
 class LPStatus:
@@ -208,14 +208,7 @@ class VariableIndexMap:
     pre: tuple[np.ndarray, ...]
     post: tuple[np.ndarray, ...]
     t: Optional[int]
-    relu_layers: tuple[int, ...]
     n_vars: int
-
-    def pre_index(self, node: NodeId) -> int:
-        return int(self.pre[self.relu_layers[node.layer]][node.node])
-
-    def post_index(self, node: NodeId) -> int:
-        return int(self.post[self.relu_layers[node.layer]][node.node])
 
     @property
     def y(self) -> np.ndarray:
@@ -239,26 +232,31 @@ def _index_map(net: Network, use_t: bool) -> VariableIndexMap:
         pre=tuple(pre),
         post=tuple(post),
         t=t,
-        relu_layers=net.relu_layers,
         n_vars=cursor,
     )
 
 
 @dataclass(frozen=True)
 class Relaxation:
-    """A network's relaxed LP with every ReLU undetermined and no column
-    bounds. Encode once per problem and pass to `build_relaxed_lp`, so that
-    every LP of the problem shares its matrix."""
+    """A problem's root LP: its relaxed LP with every ReLU undetermined,
+    column bounds included. Encode once per problem; `build_relaxed_lp`
+    derives every node LP from it, sharing its matrix. `link_row`, `zhat`
+    and `z` give each ReLU's link row and columns, in `net.relu_node_ids()`
+    order."""
 
     imap: VariableIndexMap
     lp: LinearProgram
-    links: dict[NodeId, tuple[int, int, int]]  # each ReLU's link row, zhat and z columns
+    link_row: np.ndarray
+    zhat: np.ndarray
+    z: np.ndarray
 
 
 def encode_relaxation(
-    net: Network, output_rows: Sequence[Row] = (), objective: Objective = Objective()
+    net: Network, problem: "OptimizationProblem", bounds: "BoundsMap"
 ) -> Relaxation:
-    imap = _index_map(net, uses_t(objective, output_rows))
+    """The root LP of `problem` on `net`: x in the box, every zhat and z in
+    its `bounds`, z >= 0 for ReLUs, and t in [0, t_upper]."""
+    imap = _index_map(net, problem.use_t)
     entries, sides = [], []  # (rows, columns, coeffs) triplets; (lower, upper) per block
 
     def add(lower, upper, *pieces) -> np.ndarray:
@@ -279,19 +277,17 @@ def encode_relaxation(
         add(layer.biases, layer.biases, (imap.pre[k][:, None], 1.0), (prev, -layer.weights))
 
     # Activation rows: a link row per ReLU, then post = pre for identity layers.
-    links = {}
-    for i, k in enumerate(net.relu_layers):
-        pre, post = imap.pre[k], imap.post[k]
-        zero = np.zeros(len(pre))
-        link_rows = add(zero, zero + np.inf, (post[:, None], 1.0), (pre[:, None], -1.0))
-        for j, row in enumerate(link_rows):
-            links[NodeId(i, j)] = (int(row), int(pre[j]), int(post[j]))
+    links = []
+    for k in net.relu_layers:
+        zero = np.zeros(net.layers[k].out_width)
+        pieces = (imap.post[k][:, None], 1.0), (imap.pre[k][:, None], -1.0)
+        links.append(add(zero, zero + np.inf, *pieces))
     for k, layer in enumerate(net.layers):
         if layer.activation is Activation.IDENTITY:
             zero = np.zeros(layer.out_width)
             add(zero, zero, (imap.post[k][:, None], 1.0), (imap.pre[k][:, None], -1.0))
 
-    for row in output_rows:
+    for row in problem.rows:
         lower, upper = row_sides(row.relation, float(row.rhs))
         pieces = ((imap.x, row.a_x), (imap.y, row.a_y), (imap.t, row.a_t))
         add([lower], [upper], *((c, a) for c, a in pieces if c is not None and a is not None))
@@ -301,36 +297,16 @@ def encode_relaxation(
     matrix = coo_matrix((vals, (rows, cols)), shape=(len(row_lower), imap.n_vars)).tocsc()
     matrix.eliminate_zeros()
 
+    objective = problem.objective
     obj = np.zeros(imap.n_vars)
     for index, c in ((imap.x, objective.c_x), (imap.y, objective.c_y), (imap.t, objective.c_t)):
         if index is not None and c is not None:
             obj[index] = c
-    free = np.full(imap.n_vars, np.inf)
-    return Relaxation(imap, LinearProgram(matrix, row_lower, row_upper, -free, free, obj), links)
 
-
-def build_relaxed_lp(
-    net: Network,
-    state: PartialActivationState,
-    bounds: "BoundsMap",
-    input_box: "Hyperrectangle",
-    output_rows: Sequence[Row] = (),
-    objective: Objective = Objective(),
-    t_upper: float = np.inf,
-    relaxation: Optional[Relaxation] = None,
-) -> tuple[LinearProgram, VariableIndexMap]:
-    """The relaxed LP of `state`. `relaxation`, when given, must be
-    `encode_relaxation(net, output_rows, objective)`; it is then reused
-    instead of encoded again, and the LP shares its matrix."""
-    state.validate(net)
-    if relaxation is None:
-        relaxation = encode_relaxation(net, output_rows, objective)
-    imap = relaxation.imap
-
-    lower = np.full(imap.n_vars, -np.inf)
-    upper = np.full(imap.n_vars, np.inf)
-    lower[imap.x] = input_box.lower
-    upper[imap.x] = input_box.upper
+    lower = np.empty(imap.n_vars)
+    upper = np.empty(imap.n_vars)
+    lower[imap.x] = problem.box.lower
+    upper[imap.x] = problem.box.upper
     for k, layer in enumerate(net.layers):
         lower[imap.pre[k]] = bounds.pre_lower[k]
         upper[imap.pre[k]] = bounds.pre_upper[k]
@@ -341,21 +317,32 @@ def build_relaxed_lp(
         upper[imap.post[k]] = bounds.post_upper[k]
     if imap.t is not None:
         lower[imap.t] = 0.0
-        upper[imap.t] = t_upper
+        upper[imap.t] = problem.t_upper
 
-    row_upper = relaxation.lp.row_upper.copy()
-    for node in state.active:
-        row, pre, _ = relaxation.links[node]
-        row_upper[row] = 0.0
-        lower[pre] = max(lower[pre], 0.0)
-    for node in state.inactive:
-        _, pre, post = relaxation.links[node]
-        upper[pre] = min(upper[pre], 0.0)
-        upper[post] = min(upper[post], 0.0)
+    relu_columns = lambda arrays: np.concatenate([np.empty(0, np.intp), *arrays])
+    return Relaxation(
+        imap,
+        LinearProgram(matrix, row_lower, row_upper, lower, upper, obj),
+        link_row=relu_columns(links),
+        zhat=relu_columns(imap.pre[k] for k in net.relu_layers),
+        z=relu_columns(imap.post[k] for k in net.relu_layers),
+    )
 
-    base = relaxation.lp
-    lp = LinearProgram(base.matrix, base.row_lower, row_upper, lower, upper, base.objective)
-    return lp, imap
+
+def build_relaxed_lp(relaxation: Relaxation, state: PartialActivationState) -> LinearProgram:
+    """The relaxed LP of `state`: the root LP with each active ReLU's link
+    row made an equality z - zhat = 0 and its zhat >= 0, and each inactive
+    ReLU's zhat and z at most 0. It shares the root LP's matrix."""
+    root = relaxation.lp
+    row_upper, lower, upper = root.row_upper.copy(), root.lower.copy(), root.upper.copy()
+    active = state.phase == ACTIVE
+    row_upper[relaxation.link_row[active]] = 0.0
+    zhat = relaxation.zhat[active]
+    lower[zhat] = np.maximum(lower[zhat], 0.0)
+    inactive = state.phase == INACTIVE
+    for columns in (relaxation.zhat[inactive], relaxation.z[inactive]):
+        upper[columns] = np.minimum(upper[columns], 0.0)
+    return LinearProgram(root.matrix, root.row_lower, row_upper, lower, upper, root.objective)
 
 
 def split_assignment(net: Network, imap: VariableIndexMap, vec: np.ndarray):

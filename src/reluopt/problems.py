@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -93,12 +93,6 @@ class Objective:
         return total
 
 
-def uses_t(objective: Objective, rows: Sequence[Row]) -> bool:
-    """Whether a problem has the epigraph scalar t: its objective or one of
-    its rows gives t a nonzero coefficient."""
-    return objective.c_t != 0.0 or any(row.a_t for row in rows)
-
-
 @dataclass(frozen=True)
 class OptimizationProblem:
     """Canonical maximization problem. The epigraph scalar t, with bounds
@@ -119,7 +113,9 @@ class OptimizationProblem:
 
     @property
     def use_t(self) -> bool:
-        return uses_t(self.objective, self.rows)
+        """Whether the problem has the epigraph scalar t: its objective or
+        one of its rows gives t a nonzero coefficient."""
+        return self.objective.c_t != 0.0 or any(row.a_t for row in self.rows)
 
     def t_of(self, x) -> float:
         """The tightest feasible epigraph value at input x (0 when the

@@ -24,9 +24,9 @@ from .lp import (
     solve_lp,
     split_assignment,
 )
-from .model import Network, NodeId
+from .model import Network
 from .problems import OptimizationProblem
-from .state import PartialActivationState, root_state
+from .state import UNDETERMINED, PartialActivationState, root_state
 
 CONSISTENCY_TOL = 1e-6
 
@@ -86,8 +86,6 @@ class SearchConfig:
     node_order: NodeOrder = NodeOrder.BEST_FIRST
     timeout: float = 120.0
     tighten_timeout: float = 0.0  # seconds per preprocessing LP; 0 disables
-    warm_start_pgd: bool = False
-    consistency_tol: float = CONSISTENCY_TOL
     stop_at_first_optimal: bool = False  # feasibility mode: exit on first witness
 
     def __post_init__(self):
@@ -101,7 +99,6 @@ def optimum_for_region(
     state: PartialActivationState,
     bounds: BoundsMap,
     incumbent: float,
-    consistency_tol: float = CONSISTENCY_TOL,
     relaxation: Optional[Relaxation] = None,
     model: Optional[LiveModel] = None,
     time_limit: Optional[float] = None,
@@ -110,19 +107,13 @@ def optimum_for_region(
     whose LP bound cannot beat the incumbent report WorseThanOpt; a
     consistent LP optimum is the region optimum; otherwise Unknown.
 
-    `relaxation` is the problem's `encode_relaxation`, and `model` the live
-    HiGHS model its LPs are re-solved in; both are optional. Raises Timeout
-    when `time_limit` stops the LP."""
-    lp, imap = build_relaxed_lp(
-        net,
-        state,
-        bounds,
-        problem.box,
-        output_rows=problem.rows,
-        objective=problem.objective,
-        t_upper=problem.t_upper,
-        relaxation=relaxation,
-    )
+    `relaxation` is the problem's `encode_relaxation(net, problem, bounds)`,
+    encoded here when not given, and `model` the live HiGHS model its LPs
+    are re-solved in. Raises Timeout when `time_limit` stops the LP."""
+    if relaxation is None:
+        relaxation = encode_relaxation(net, problem, bounds)
+    imap = relaxation.imap
+    lp = build_relaxed_lp(relaxation, state)
     res = solve_lp(lp, time_limit=time_limit, model=model)
     its = res.iterations
     if res.status == LPStatus.INFEASIBLE:
@@ -134,7 +125,7 @@ def optimum_for_region(
         # No assignment to check; force a split.
         return RegionOutcome(RegionStatus.UNKNOWN, lp_bound=bound, iterations=its)
     pre, post = split_assignment(net, imap, res.assignment)
-    if not check_relu_consistency(net, pre, post, consistency_tol):
+    if not check_relu_consistency(net, pre, post, CONSISTENCY_TOL):
         x = res.assignment[imap.x].copy()
         value = problem.objective_at(net, x)
         return RegionOutcome(
@@ -149,30 +140,29 @@ def split(
     state: PartialActivationState,
     strategy: SplitStrategy,
     lp_assignment: Optional[np.ndarray] = None,
-    net: Optional[Network] = None,
-    imap=None,
+    relaxation: Optional[Relaxation] = None,
 ) -> tuple[PartialActivationState, PartialActivationState]:
     """Fix one undetermined node: first child active, second inactive."""
-    if not state.undetermined:
+    undetermined = np.flatnonzero(state.phase == UNDETERMINED)
+    if not undetermined.size:
         raise NoUndetermined("state has no undetermined node to split")
-    node = _pick_node(state, strategy, lp_assignment, net, imap)
-    return state.fix(node, active=True), state.fix(node, active=False)
+    i = _pick_node(undetermined, strategy, lp_assignment, relaxation)
+    return state.fix_at(i, active=True), state.fix_at(i, active=False)
 
 
-def _pick_node(state, strategy, lp_assignment, net, imap) -> NodeId:
-    earliest = min(state.undetermined)
+def _pick_node(undetermined, strategy, lp_assignment, relaxation) -> int:
+    """The phase index to split on, out of the `undetermined` ones. Largest
+    violation picks the earliest node with the largest |z - max(0, zhat)|
+    at the LP point, and the earliest node when none is violated."""
     if strategy is SplitStrategy.EARLIEST_UNFIXED or lp_assignment is None:
-        return earliest
-    if net is None or imap is None:
-        raise ValueError("LargestViolation needs the network and index map")
-    best, best_violation = earliest, 0.0
-    for node in sorted(state.undetermined):
-        zhat = lp_assignment[imap.pre_index(node)]
-        z = lp_assignment[imap.post_index(node)]
-        violation = abs(z - max(0.0, zhat))
-        if violation > best_violation:
-            best, best_violation = node, violation
-    return best if best_violation > 0.0 else earliest
+        return undetermined[0]
+    if relaxation is None:
+        raise ValueError("LargestViolation needs the relaxation")
+    zhat = lp_assignment[relaxation.zhat[undetermined]]
+    z = lp_assignment[relaxation.z[undetermined]]
+    violation = np.abs(z - np.maximum(0.0, zhat))
+    best = int(np.argmax(violation))  # the first of equal maxima
+    return undetermined[best] if violation[best] > 0.0 else undetermined[0]
 
 
 def optimize(
@@ -217,17 +207,9 @@ def optimize(
     incumbent = -np.inf
     argopt: Optional[np.ndarray] = None
 
-    if config.warm_start_pgd and not problem.rows and problem.objective.c_y is not None:
-        from .attacks import pgd
-
-        x_ws, v_ws = pgd(net, problem.box.center, problem.objective.c_y, problem.box)
-        if problem.objective.c_x is not None:
-            v_ws += float(problem.objective.c_x @ x_ws)
-        incumbent, argopt = v_ws, x_ws
-
     # One encoding and one live model per call, so a problem's node
     # sequence never depends on problems solved before it.
-    relaxation = encode_relaxation(net, problem.rows, problem.objective)
+    relaxation = encode_relaxation(net, problem, bounds)
     model = new_model()
 
     def evaluate_region(st: PartialActivationState, inc: float) -> RegionOutcome:
@@ -237,7 +219,6 @@ def optimize(
             st,
             bounds,
             inc,
-            config.consistency_tol,
             relaxation=relaxation,
             model=model,
             time_limit=deadline - time.monotonic(),
@@ -308,8 +289,7 @@ def optimize(
             state,
             config.split_strategy,
             lp_assignment=outcome.lp_assignment,
-            net=net,
-            imap=relaxation.imap,
+            relaxation=relaxation,
         )
         push(second, outcome.lp_bound)
         push(first, outcome.lp_bound)

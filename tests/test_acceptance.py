@@ -44,7 +44,7 @@ from reluopt import (
     tighten_lp,
 )
 from reluopt.geometry import Hyperrectangle, linf_epigraph
-from reluopt.lp import LPStatus, _index_map
+from reluopt.lp import LPStatus, _index_map, encode_relaxation
 from reluopt.model import Activation, NodeId, forward_trace
 from reluopt.state import root_state
 
@@ -251,9 +251,8 @@ def test_relaxation_invariants():
         # fully fixed feasible leaf: LP assignment must be ReLU-consistent
         leaf_active = {n for n in nodes if rng.random() < 0.5}
         leaf = root_state(net, active=leaf_active, inactive=set(nodes) - leaf_active)
-        lp, imap = build_relaxed_lp(
-            net, leaf, bounds, b, objective=Objective(c_y=np.array([1.0]))
-        )
+        relaxation = encode_relaxation(net, problem, bounds)
+        lp, imap = build_relaxed_lp(relaxation, leaf), relaxation.imap
         res = solve_lp(lp)
         if res.status == LPStatus.OPTIMAL:
             pre, post = split_assignment(net, imap, res.assignment)
@@ -367,9 +366,7 @@ def test_milp_export_fidelity():
                 active=set(fixed.active) | {n for n, on in phases.items() if on},
                 inactive=set(fixed.inactive) | {n for n, on in phases.items() if not on},
             )
-            lp, _ = build_relaxed_lp(
-                net, leaf, bounds, b, objective=Objective(c_y=np.array([1.0]))
-            )
+            lp = build_relaxed_lp(encode_relaxation(net, problem, bounds), leaf)
             deltas = {}
             for name in binaries:
                 k, j = map(int, name.split("_")[1:])

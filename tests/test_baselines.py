@@ -141,6 +141,22 @@ def test_bisection_timeout_is_a_budget_for_the_whole_run(hidden, tighten_timeout
         assert r.value == pytest.approx(problem.objective_at(net, r.argopt))
 
 
+def test_bisection_stops_when_a_witness_cannot_raise_the_bracket():
+    # With a gap below the LP tolerances, a decision at mid succeeds with a
+    # witness whose true value is below mid, so the bracket cannot move.
+    rng = np.random.default_rng(3)
+    net = random_net(rng, n_in=3, hidden=(8, 8), n_out=2)
+    problem = output_max_problem(net, np.array([1.0, -1.0]), -np.ones(3), np.ones(3))
+    exact = optimize(net, problem)
+    cfg = BisectionConfig(gap=1e-9, bracket=(2.4537, 2.4538), timeout=30.0)
+    r = bisection_optimize(net, problem, cfg)
+    assert r.status is Status.OPTIMAL
+    assert r.value == pytest.approx(exact.value, abs=1e-5)
+    assert r.value == pytest.approx(problem.objective_at(net, r.argopt))
+    lo, hi = r.stats.extra["bracket"]
+    assert lo <= exact.value + 1e-5 and exact.value - 1e-5 <= hi
+
+
 def test_bisection_rejects_bad_gap():
     with pytest.raises(ValueError):
         BisectionConfig(gap=0.0)

@@ -17,13 +17,6 @@ def test_hyperrectangle_rejects_crossed_bounds():
         Hyperrectangle(np.array([1.0]), np.array([0.0]))
 
 
-def test_intersect():
-    a = Hyperrectangle(np.array([0.0]), np.array([2.0]))
-    b = Hyperrectangle(np.array([1.0]), np.array([3.0]))
-    c = a.intersect(b)
-    assert (c.lower[0], c.upper[0]) == (1.0, 2.0)
-
-
 def test_sample_inside_box():
     h = Hyperrectangle(np.array([-1.0, 2.0]), np.array([1.0, 5.0]))
     pts = h.sample(np.random.default_rng(0), 200)

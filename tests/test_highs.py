@@ -7,6 +7,7 @@ from reluopt import (
     LPStatus,
     NumericalFailure,
     Objective,
+    OptimizationProblem,
     Relation,
     Row,
     build_relaxed_lp,
@@ -31,11 +32,15 @@ def _random_problem(rng, min_adv: bool):
     radius = rng.uniform(0.2, 1.5, n_in)
     b = box(center - radius, center + radius)
     if not min_adv:
-        return net, b, (), Objective(c_y=rng.normal(size=2)), np.inf
+        return net, OptimizationProblem(b, Objective(c_y=rng.normal(size=2)))
     # maximize -t with t >= |x - x0|_inf and a target row on the outputs
     target = Row(None, np.array([1.0, -1.0]), 0.0, Relation.GE, float(rng.normal(scale=0.5)))
     rows = tuple(linf_epigraph(center)) + (target,)
-    return net, b, rows, Objective(c_t=-1.0), float(radius.max())
+    return net, OptimizationProblem(b, Objective(c_t=-1.0), rows, float(radius.max()))
+
+
+def _relaxation(net, problem):
+    return encode_relaxation(net, problem, propagate_interval(net, problem.box))
 
 
 def _random_state(rng, net):
@@ -56,15 +61,11 @@ def test_live_model_matches_cold_linprog():
     rng = np.random.default_rng(20240)
     compared = {LPStatus.OPTIMAL: 0, LPStatus.INFEASIBLE: 0}
     for trial in range(16):
-        net, b, rows, objective, t_upper = _random_problem(rng, min_adv=trial % 2 == 1)
-        bounds = propagate_interval(net, b)
-        relaxation = encode_relaxation(net, rows, objective)
+        net, problem = _random_problem(rng, min_adv=trial % 2 == 1)
+        relaxation = _relaxation(net, problem)
         model = highs.new_model()
         for step in range(30):
-            lp, _ = build_relaxed_lp(
-                net, _random_state(rng, net), bounds, b, rows, objective, t_upper,
-                relaxation=relaxation,
-            )
+            lp = build_relaxed_lp(relaxation, _random_state(rng, net))
             if step % 5 == 4:  # as bound tightening does: a new cost and sense
                 lp = lp.with_objective(rng.normal(size=lp.n_vars), maximize=bool(rng.random() < 0.5))
             live = solve_lp(lp, model=model)
@@ -78,30 +79,26 @@ def test_live_model_matches_cold_linprog():
 
 def test_node_lps_of_one_problem_load_the_model_once(monkeypatch):
     rng = np.random.default_rng(7)
-    net, b, rows, objective, t_upper = _random_problem(rng, min_adv=True)
-    bounds = propagate_interval(net, b)
-    relaxation = encode_relaxation(net, rows, objective)
+    net, problem = _random_problem(rng, min_adv=True)
+    relaxation = _relaxation(net, problem)
     loads = []
     load = highs.LiveModel._load
     monkeypatch.setattr(highs.LiveModel, "_load", lambda self, lp: (loads.append(lp), load(self, lp)))
     model = highs.new_model()
     for _ in range(10):
-        lp, _ = build_relaxed_lp(
-            net, _random_state(rng, net), bounds, b, rows, objective, t_upper,
-            relaxation=relaxation,
-        )
+        lp = build_relaxed_lp(relaxation, _random_state(rng, net))
         solve_lp(lp, model=model)
     assert len(loads) == 1
     # an LP with other rows is loaded afresh
-    other, _ = build_relaxed_lp(net, root_state(net), bounds, b, rows, objective, t_upper)
+    other = build_relaxed_lp(_relaxation(net, problem), root_state(net))
     solve_lp(other, model=model)
     assert len(loads) == 2
 
 
 def test_undecided_status_gets_one_cold_resolve(monkeypatch):
     rng = np.random.default_rng(11)
-    net, b, rows, objective, t_upper = _random_problem(rng, min_adv=False)
-    lp, _ = build_relaxed_lp(net, root_state(net), propagate_interval(net, b), b, rows, objective)
+    net, problem = _random_problem(rng, min_adv=False)
+    lp = build_relaxed_lp(_relaxation(net, problem), root_state(net))
     undecided = highs._core.HighsModelStatus.kUnboundedOrInfeasible
     run = highs.LiveModel._run
     calls = []

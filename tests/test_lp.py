@@ -9,6 +9,7 @@ from reluopt import (
     LinearProgram,
     LPStatus,
     Objective,
+    OptimizationProblem,
     Relation,
     Row,
     Timeout,
@@ -19,6 +20,7 @@ from reluopt import (
     split_assignment,
 )
 from reluopt import highs
+from reluopt.lp import encode_relaxation
 from reluopt.model import NodeId, activation_pattern, evaluate, forward_trace
 from reluopt.state import root_state
 
@@ -38,6 +40,14 @@ def _random_lp(rng, n, n_rows):
         rows.append((a, rel, b))
     objective = rng.normal(size=n)
     return lower, upper, rows, objective
+
+
+def _relaxed_lp(net, state, b, output_rows=(), objective=Objective(), t_upper=np.inf):
+    """The relaxed LP of `state` on box `b` under interval bounds, and its
+    index map."""
+    problem = OptimizationProblem(b, objective, output_rows, t_upper)
+    relaxation = encode_relaxation(net, problem, propagate_interval(net, b))
+    return build_relaxed_lp(relaxation, state), relaxation.imap
 
 
 @pytest.fixture
@@ -105,10 +115,7 @@ def test_solve_lp_time_limit_raises_timeout(backends):
     rng = np.random.default_rng(3)
     net = random_net(rng, n_in=4, hidden=(30, 30), n_out=1)
     b = box(-np.ones(4), np.ones(4))
-    lp, _ = build_relaxed_lp(
-        net, root_state(net), propagate_interval(net, b), b,
-        objective=Objective(c_y=np.array([1.0])),
-    )
+    lp, _ = _relaxed_lp(net, root_state(net), b, objective=Objective(c_y=np.array([1.0])))
     for _ in backends:
         with pytest.raises(Timeout):
             solve_lp(lp, time_limit=1e-9)
@@ -146,8 +153,7 @@ def test_root_relaxation_contains_all_true_points():
     for _ in range(10):
         net = random_net(rng, n_in=2, hidden=(4,), n_out=1)
         b = box([-1.5, -1.5], [1.5, 1.5])
-        bounds = propagate_interval(net, b)
-        lp, imap = build_relaxed_lp(net, root_state(net), bounds, b)
+        lp, imap = _relaxed_lp(net, root_state(net), b)
         for x in b.sample(rng, 50):
             assert _true_assignment_feasible(net, lp, imap, x)
 
@@ -157,10 +163,7 @@ def test_root_relaxation_upper_bounds_true_max():
     for _ in range(10):
         net = random_net(rng, n_in=2, hidden=(5,), n_out=1)
         b = box([-1.0, -1.0], [1.0, 1.0])
-        bounds = propagate_interval(net, b)
-        lp, _ = build_relaxed_lp(
-            net, root_state(net), bounds, b, objective=Objective(c_y=np.array([1.0]))
-        )
+        lp, _ = _relaxed_lp(net, root_state(net), b, objective=Objective(c_y=np.array([1.0])))
         res = solve_lp(lp)
         assert res.status == LPStatus.OPTIMAL
         sampled = max(float(evaluate(net, x)[0]) for x in b.sample(rng, 300))
@@ -174,7 +177,6 @@ def test_leaf_lp_is_exact_and_consistent():
     for _ in range(10):
         net = random_net(rng, n_in=2, hidden=(4,), n_out=1)
         b = box([-1.0, -1.0], [1.0, 1.0])
-        bounds = propagate_interval(net, b)
         x = b.sample(rng, 1)[0]
         masks = activation_pattern(net, x)
         active, inactive = set(), set()
@@ -182,9 +184,7 @@ def test_leaf_lp_is_exact_and_consistent():
             for j, on in enumerate(mask):
                 (active if on else inactive).add(NodeId(i, j))
         state = root_state(net, active=active, inactive=inactive)
-        lp, imap = build_relaxed_lp(
-            net, state, bounds, b, objective=Objective(c_y=np.array([1.0]))
-        )
+        lp, imap = _relaxed_lp(net, state, b, objective=Objective(c_y=np.array([1.0])))
         assert _true_assignment_feasible(net, lp, imap, x)
         res = solve_lp(lp)
         assert res.status == LPStatus.OPTIMAL
@@ -200,14 +200,13 @@ def test_output_rows_and_epigraph_variable(abs_net):
     from reluopt.geometry import linf_epigraph
 
     b = box([-2.0], [2.0])
-    bounds = propagate_interval(abs_net, b)
     rows = tuple(linf_epigraph(np.array([0.0]))) + (
         Row(a_x=None, a_y=np.array([1.0]), a_t=0.0, relation=Relation.GE, rhs=1.0),
     )
     # fully fixed on the positive branch: x >= 0 region
     state = root_state(abs_net, active={NodeId(0, 0)}, inactive={NodeId(0, 1)})
-    lp, imap = build_relaxed_lp(
-        abs_net, state, bounds, b, output_rows=rows, objective=Objective(c_t=-1.0), t_upper=2.0
+    lp, imap = _relaxed_lp(
+        abs_net, state, b, output_rows=rows, objective=Objective(c_t=-1.0), t_upper=2.0
     )
     res = solve_lp(lp)
     assert res.status == LPStatus.OPTIMAL
@@ -218,12 +217,10 @@ def test_output_rows_and_epigraph_variable(abs_net):
 def test_infeasible_state_gives_infeasible_lp(abs_net):
     # both nodes inactive forces x <= 0 and -x <= 0 and y = 0; ask y >= 1.
     b = box([-2.0], [2.0])
-    bounds = propagate_interval(abs_net, b)
     state = root_state(abs_net, inactive={NodeId(0, 0), NodeId(0, 1)})
-    lp, _ = build_relaxed_lp(
+    lp, _ = _relaxed_lp(
         abs_net,
         state,
-        bounds,
         b,
         output_rows=(Row(None, np.array([1.0]), 0.0, Relation.GE, 1.0),),
         objective=Objective(c_y=np.array([1.0])),
@@ -241,12 +238,10 @@ def test_check_relu_consistency_ordering(abs_net):
 
 def test_row_using_t_without_t_variable_raises(abs_net):
     b = box([-1.0], [1.0])
-    bounds = propagate_interval(abs_net, b)
     # a_t present forces the t variable to exist; this is the supported path
-    lp, imap = build_relaxed_lp(
+    lp, imap = _relaxed_lp(
         abs_net,
         root_state(abs_net),
-        bounds,
         b,
         output_rows=(Row(np.array([1.0]), None, -1.0, Relation.LE, 0.0),),
     )
@@ -291,17 +286,90 @@ def test_rows_with_nonfinite_rhs_are_rejected(rhs):
 
 
 def test_node_lp_shares_the_relaxation_matrix_and_reads_as_rows(abs_net):
-    from reluopt.lp import encode_relaxation
-
     b = box([-2.0], [2.0])
-    relaxation = encode_relaxation(abs_net)
+    problem = OptimizationProblem(b, Objective())
+    relaxation = encode_relaxation(abs_net, problem, propagate_interval(abs_net, b))
     state = root_state(abs_net, active={NodeId(0, 0)})
-    lp, imap = build_relaxed_lp(abs_net, state, propagate_interval(abs_net, b), b, relaxation=relaxation)
+    lp = build_relaxed_lp(relaxation, state)
     assert lp.matrix is relaxation.lp.matrix
     rows = list(lp.rows)
     assert len(rows) == len(lp.rows) == lp.matrix.shape[0]
     np.testing.assert_array_equal([row.coeffs for row in rows], lp.matrix.toarray())
     # the active node's link row z - zhat is an equality, the other's an inequality
-    links = {rows[relaxation.links[node][0]].relation for node in abs_net.relu_node_ids()}
+    links = {rows[row].relation for row in relaxation.link_row}
     assert links == {Relation.EQ, Relation.GE}
-    assert rows[relaxation.links[NodeId(0, 0)][0]].relation is Relation.EQ
+    assert rows[relaxation.link_row[0]].relation is Relation.EQ
+
+
+def _reference_node_vectors(net, problem, bounds, state, relaxation):
+    """The node LP's row upper bounds and column bounds, built node by node
+    from the bounds map and the state's node sets: the reference that
+    `build_relaxed_lp` must match bit for bit."""
+    imap = relaxation.imap
+    lower = np.full(imap.n_vars, -np.inf)
+    upper = np.full(imap.n_vars, np.inf)
+    lower[imap.x] = problem.box.lower
+    upper[imap.x] = problem.box.upper
+    for k, layer in enumerate(net.layers):
+        lower[imap.pre[k]] = bounds.pre_lower[k]
+        upper[imap.pre[k]] = bounds.pre_upper[k]
+        post_lower = bounds.post_lower[k]
+        if k in net.relu_layers:
+            post_lower = np.maximum(post_lower, 0.0)
+        lower[imap.post[k]] = post_lower
+        upper[imap.post[k]] = bounds.post_upper[k]
+    if imap.t is not None:
+        lower[imap.t] = 0.0
+        upper[imap.t] = problem.t_upper
+
+    dense = relaxation.lp.matrix.toarray()
+    row_upper = relaxation.lp.row_upper.copy()
+    for node in state.active | state.inactive:
+        pre = int(imap.pre[net.relu_layers[node.layer]][node.node])
+        post = int(imap.post[net.relu_layers[node.layer]][node.node])
+        if node in state.active:
+            link = np.zeros(imap.n_vars)
+            link[[post, pre]] = 1.0, -1.0
+            (row,) = np.flatnonzero((dense == link).all(axis=1))  # z - zhat >= 0
+            row_upper[row] = 0.0
+            lower[pre] = max(lower[pre], 0.0)
+        else:
+            upper[pre] = min(upper[pre], 0.0)
+            upper[post] = min(upper[post], 0.0)
+    return row_upper, lower, upper
+
+
+def test_node_lp_vectors_match_the_node_by_node_reference():
+    from reluopt.geometry import linf_epigraph
+    from reluopt.bounds import tighten_lp
+
+    rng = np.random.default_rng(404)
+    for trial in range(12):
+        n_in = int(rng.integers(2, 4))
+        hidden = (int(rng.integers(3, 7)), int(rng.integers(2, 5)))
+        net = random_net(rng, n_in=n_in, hidden=hidden, n_out=2)
+        center = rng.uniform(-1.0, 1.0, n_in)
+        b = box(center - 0.8, center + 0.8)
+        if trial % 2:  # min-adversarial: maximize -t with epigraph and target rows
+            target = Row(None, np.array([1.0, -1.0]), 0.0, Relation.GE, 0.0)
+            rows = tuple(linf_epigraph(center)) + (target,)
+            problem = OptimizationProblem(b, Objective(c_t=-1.0), rows, 0.8)
+        else:
+            problem = OptimizationProblem(b, Objective(c_y=rng.normal(size=2)))
+        bounds = propagate_interval(net, b)
+        if trial % 3 == 0:
+            bounds = tighten_lp(net, b, bounds, 5.0)
+        relaxation = encode_relaxation(net, problem, bounds)
+        for _ in range(10):
+            active, inactive = set(), set()
+            for node in net.relu_node_ids():
+                u = rng.random()
+                (active if u < 0.3 else inactive if u < 0.6 else set()).add(node)
+            state = root_state(net, active=active, inactive=inactive)
+            lp = build_relaxed_lp(relaxation, state)
+            assert lp.matrix is relaxation.lp.matrix
+            assert lp.row_lower is relaxation.lp.row_lower
+            assert lp.objective is relaxation.lp.objective
+            expected = _reference_node_vectors(net, problem, bounds, state, relaxation)
+            for got, want in zip((lp.row_upper, lp.lower, lp.upper), expected):
+                assert got.tobytes() == want.tobytes()

@@ -157,16 +157,17 @@ def test_split_earliest(abs_net):
 
 
 def test_split_largest_violation(abs_net):
-    from reluopt.lp import _index_map
+    from reluopt.lp import encode_relaxation
 
-    imap = _index_map(abs_net, use_t=False)
-    vec = np.zeros(imap.n_vars)
+    problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
+    relaxation = encode_relaxation(abs_net, problem, propagate_interval(abs_net, problem.box))
+    vec = np.zeros(relaxation.imap.n_vars)
     # node (0,1): zhat = -1 but z = 2 -> violation 2; node (0,0) consistent.
-    vec[imap.pre_index(NodeId(0, 1))] = -1.0
-    vec[imap.post_index(NodeId(0, 1))] = 2.0
+    vec[relaxation.zhat[1]] = -1.0
+    vec[relaxation.z[1]] = 2.0
     state = root_state(abs_net)
     first, _ = split(
-        state, SplitStrategy.LARGEST_VIOLATION, lp_assignment=vec, net=abs_net, imap=imap
+        state, SplitStrategy.LARGEST_VIOLATION, lp_assignment=vec, relaxation=relaxation
     )
     assert NodeId(0, 1) in first.active
 
@@ -258,14 +259,12 @@ def test_optimum_beats_sampling_and_argopt_reevaluates():
         )
 
 
-def test_warm_start_and_tightening_do_not_change_answer():
+def test_tightening_does_not_change_answer():
     rng = np.random.default_rng(71)
     net = random_net(rng, n_in=2, hidden=(6,), n_out=1)
     problem = output_max_problem(net, [1.0], [-1.0, -1.0], [1.0, 1.0])
     plain = optimize(net, problem)
-    warm = optimize(net, problem, SearchConfig(warm_start_pgd=True))
     tight = optimize(net, problem, SearchConfig(tighten_timeout=1.0))
-    assert plain.value == pytest.approx(warm.value, abs=1e-6)
     assert plain.value == pytest.approx(tight.value, abs=1e-6)
 
 
