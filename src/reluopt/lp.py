@@ -17,7 +17,7 @@ HiGHS model (reluopt.highs) by bound and cost changes.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -131,9 +131,20 @@ class LinearProgram:
         return RowView(self)
 
     def with_objective(self, objective: np.ndarray, maximize: bool) -> "LinearProgram":
-        return replace(
-            self, objective=np.asarray(objective, dtype=np.float64), maximize=maximize
-        )
+        """This LP with another cost vector; only that vector is checked."""
+        objective = np.asarray(objective, dtype=np.float64)
+        if objective.shape != self.objective.shape or np.isnan(objective).any():
+            raise DimensionMismatch("the cost vector must match the variables and not be NaN")
+        return self._derive(objective=objective, maximize=maximize)
+
+    def _derive(self, **fields) -> "LinearProgram":
+        """This LP with `fields` replaced, skipping the checks of
+        `__post_init__`. Only for new vectors that keep those checks true,
+        as writing 0 or a min/max with 0 into checked vectors does: the
+        checks then run once per problem, not once per node LP."""
+        lp = object.__new__(type(self))
+        lp.__dict__.update(self.__dict__, **fields)
+        return lp
 
 
 @dataclass(frozen=True)
@@ -342,7 +353,7 @@ def build_relaxed_lp(relaxation: Relaxation, state: PartialActivationState) -> L
     inactive = state.phase == INACTIVE
     for columns in (relaxation.zhat[inactive], relaxation.z[inactive]):
         upper[columns] = np.minimum(upper[columns], 0.0)
-    return LinearProgram(root.matrix, root.row_lower, row_upper, lower, upper, root.objective)
+    return root._derive(row_upper=row_upper, lower=lower, upper=upper)
 
 
 def split_assignment(net: Network, imap: VariableIndexMap, vec: np.ndarray):

@@ -26,7 +26,7 @@ from .lp import (
 )
 from .model import Network
 from .problems import OptimizationProblem
-from .state import UNDETERMINED, PartialActivationState, root_state
+from .state import ACTIVE, UNDETERMINED, PartialActivationState, root_state
 
 CONSISTENCY_TOL = 1e-6
 
@@ -143,17 +143,22 @@ def split(
     relaxation: Optional[Relaxation] = None,
 ) -> tuple[PartialActivationState, PartialActivationState]:
     """Fix one undetermined node: first child active, second inactive."""
-    undetermined = np.flatnonzero(state.phase == UNDETERMINED)
-    if not undetermined.size:
-        raise NoUndetermined("state has no undetermined node to split")
-    i = _pick_node(undetermined, strategy, lp_assignment, relaxation)
+    i = split_index(state, strategy, lp_assignment, relaxation)
     return state.fix_at(i, active=True), state.fix_at(i, active=False)
 
 
-def _pick_node(undetermined, strategy, lp_assignment, relaxation) -> int:
-    """The phase index to split on, out of the `undetermined` ones. Largest
-    violation picks the earliest node with the largest |z - max(0, zhat)|
-    at the LP point, and the earliest node when none is violated."""
+def split_index(
+    state: PartialActivationState,
+    strategy: SplitStrategy,
+    lp_assignment: Optional[np.ndarray] = None,
+    relaxation: Optional[Relaxation] = None,
+) -> int:
+    """The phase index `split` fixes. Largest violation picks the earliest
+    node with the largest |z - max(0, zhat)| at the LP point, and the
+    earliest node when none is violated."""
+    undetermined = np.flatnonzero(state.phase == UNDETERMINED)
+    if not undetermined.size:
+        raise NoUndetermined("state has no undetermined node to split")
     if strategy is SplitStrategy.EARLIEST_UNFIXED or lp_assignment is None:
         return undetermined[0]
     if relaxation is None:
@@ -163,6 +168,29 @@ def _pick_node(undetermined, strategy, lp_assignment, relaxation) -> int:
     violation = np.abs(z - np.maximum(0.0, zhat))
     best = int(np.argmax(violation))  # the first of equal maxima
     return undetermined[best] if violation[best] > 0.0 else undetermined[0]
+
+
+def _parent_answers(
+    state: PartialActivationState,
+    parent: Optional[RegionOutcome],
+    fixed: int,
+    relaxation: Relaxation,
+) -> bool:
+    """Whether `parent`, the Unknown outcome of the state that the split of
+    node `fixed` made `state` from, answers for `state`: its LP optimum
+    satisfies the phase `state` gives that node. The child's region is then
+    a subset of the parent's that holds the parent's optimizer, so the
+    parent's outcome is its own. A leaf is never answered this way: its
+    answer comes from its own LP."""
+    if parent is None or parent.lp_assignment is None:
+        return False
+    zhat = parent.lp_assignment[relaxation.zhat[fixed]]
+    z = parent.lp_assignment[relaxation.z[fixed]]
+    if abs(z - max(0.0, zhat)) > CONSISTENCY_TOL:
+        return False
+    if not (zhat >= 0.0 if state.phase[fixed] == ACTIVE else zhat <= 0.0):
+        return False
+    return UNDETERMINED in state.phase
 
 
 def optimize(
@@ -179,11 +207,21 @@ def optimize(
     behavior (pruning, incumbents, ordering) can be exercised with scripted
     region outcomes.
 
+    A node's LP is solved only when its parent's cannot answer for it. A
+    popped node whose parent bound is at most the incumbent is dropped
+    unsolved and uncounted. A child whose region holds its parent's LP
+    optimum (the split node's new phase is already satisfied there) takes
+    the parent's Unknown outcome as its own; it is counted and traced as a
+    node but solves no LP, so `stats.lps_solved` can be below
+    `stats.nodes_explored`.
+
     Every LP draws on `config.timeout`: tightening LPs and node LPs get at
     most the time left, and a node LP stopped by that limit ends the search
     as Timeout. `stats.extra` counts the simplex iterations of all LPs
     (`simplex_iters`) and the tightening LPs stopped by their time limit
-    (`tighten_limit_hits`).
+    (`tighten_limit_hits`). It also holds the global upper `bound`, the
+    largest of the incumbent and the parent bounds of the nodes still open,
+    and the `gap` from the incumbent up to it (inf without an incumbent).
     """
     start = time.monotonic()
     deadline = start + config.timeout
@@ -226,29 +264,25 @@ def optimize(
 
     evaluator = region_evaluator or evaluate_region
 
-    # Frontier entries: (priority, tiebreak counter, state, parent LP bound).
-    # Best-first keys on the parent's LP bound (children can only be worse);
-    # depth-first is LIFO.
+    # Frontier entries: (-parent bound, tiebreak counter, state, parent's
+    # Unknown outcome or None at the root, index the split fixed). Best-first
+    # pops the largest parent bound (children can only be worse); depth-first
+    # is LIFO.
     best_first = config.node_order is NodeOrder.BEST_FIRST
     counter = 0
     frontier: list = []
 
-    def push(state: PartialActivationState, parent_bound: float):
+    def push(state: PartialActivationState, parent: Optional[RegionOutcome], fixed: int):
         nonlocal counter
+        bound = np.inf if parent is None else parent.lp_bound
+        entry = (-bound, counter, state, parent, fixed)
         if best_first:
-            heapq.heappush(frontier, (-parent_bound, counter, state))
+            heapq.heappush(frontier, entry)
         else:
-            frontier.append((None, counter, state))
+            frontier.append(entry)
         counter += 1
 
-    def pop() -> tuple[PartialActivationState, float]:
-        if best_first:
-            neg_bound, _, state = heapq.heappop(frontier)
-            return state, -neg_bound
-        _, _, state = frontier.pop()
-        return state, np.inf
-
-    push(root, np.inf)
+    push(root, None, -1)
     timed_out = False
 
     while frontier:
@@ -256,15 +290,26 @@ def optimize(
             timed_out = True
             break
         stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-        state, _ = pop()
-        try:
-            outcome = evaluator(state, incumbent)
-        except Timeout:
-            timed_out = True
-            break
+        entry = heapq.heappop(frontier) if best_first else frontier.pop()
+        neg_bound, _, state, parent, fixed = entry
+        if -neg_bound <= incumbent:
+            # Already beaten: no LP, not a node. Best-first pops the largest
+            # parent bound, so every node left is beaten too.
+            if best_first:
+                break
+            continue
+        if _parent_answers(state, parent, fixed, relaxation):
+            outcome = parent
+        else:
+            try:
+                outcome = evaluator(state, incumbent)
+            except Timeout:
+                frontier.append(entry)  # still open: its bound counts
+                timed_out = True
+                break
+            stats.lps_solved += 1
+            stats.extra["simplex_iters"] += outcome.iterations
         stats.nodes_explored += 1
-        stats.lps_solved += 1
-        stats.extra["simplex_iters"] += outcome.iterations
         if trace is not None:
             trace.write(
                 json.dumps(
@@ -285,16 +330,15 @@ def optimize(
                 if config.stop_at_first_optimal:
                     break
             continue
-        first, second = split(
-            state,
-            config.split_strategy,
-            lp_assignment=outcome.lp_assignment,
-            relaxation=relaxation,
-        )
-        push(second, outcome.lp_bound)
-        push(first, outcome.lp_bound)
+        i = split_index(state, config.split_strategy, outcome.lp_assignment, relaxation)
+        push(state.fix_at(i, active=False), outcome, i)
+        push(state.fix_at(i, active=True), outcome, i)
 
     stats.wall_seconds = time.monotonic() - start
+    # The global bound: nothing open can beat the largest parent bound left.
+    global_bound = max([incumbent] + [-neg_bound for neg_bound, *_ in frontier])
+    stats.extra["bound"] = global_bound
+    stats.extra["gap"] = global_bound - incumbent if argopt is not None else np.inf
     if timed_out:
         return SearchResult(
             Status.TIMEOUT,

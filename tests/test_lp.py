@@ -278,6 +278,25 @@ def test_linear_program_rejects_nonfinite_rows_and_bad_lengths(field, value):
         LinearProgram(**{**good, field: value})
 
 
+def test_node_lps_are_checked_once_per_problem(abs_net, monkeypatch):
+    """The root LP is checked when encoded; node LPs and tightening costs
+    derive from it without the whole check, and a new cost is still checked."""
+    checks = []
+    check = LinearProgram.__post_init__
+    monkeypatch.setattr(LinearProgram, "__post_init__", lambda lp: checks.append(check(lp)))
+    b = box([-2.0], [2.0])
+    problem = OptimizationProblem(b, Objective())
+    relaxation = encode_relaxation(abs_net, problem, propagate_interval(abs_net, b))
+    assert len(checks) == 1
+    lp = build_relaxed_lp(relaxation, root_state(abs_net, inactive={NodeId(0, 1)}))
+    cost = lp.with_objective(np.ones(lp.n_vars), maximize=False)
+    assert len(checks) == 1
+    assert cost.matrix is lp.matrix and not cost.maximize and cost.upper is lp.upper
+    for bad in (np.full(lp.n_vars, np.nan), np.ones(lp.n_vars + 1)):
+        with pytest.raises(DimensionMismatch):
+            lp.with_objective(bad, maximize=True)
+
+
 @pytest.mark.parametrize("rhs", [np.nan, np.inf, -np.inf])
 def test_rows_with_nonfinite_rhs_are_rejected(rhs):
     for relation in Relation:

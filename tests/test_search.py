@@ -347,3 +347,185 @@ def test_search_counts_simplex_iterations():
     assert tightened.stats.extra["simplex_iters"] > 0
     assert plain.stats.extra["tighten_limit_hits"] == tightened.stats.extra["tighten_limit_hits"] == 0
     assert tightened.value == pytest.approx(plain.value, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# A node's LP is solved only when its parent's cannot answer for it
+
+
+def _reuse_nets(seeds=range(5)):
+    """Random nets small enough for brute force, each with its problem."""
+    for seed in seeds:
+        rng = np.random.default_rng(1000 + seed)
+        net = random_net(rng, n_in=2, hidden=(6, 4), n_out=2)
+        problem = output_max_problem(net, rng.normal(size=2), [-1.0, -1.0], [1.0, 1.0])
+        yield net, problem
+
+
+@pytest.mark.parametrize("order", list(NodeOrder))
+def test_earliest_unfixed_with_reuse_finds_the_brute_force_optimum(order):
+    from reluopt.baselines import brute_force_optimize
+
+    config = SearchConfig(split_strategy=SplitStrategy.EARLIEST_UNFIXED, node_order=order)
+    reused = 0
+    for net, problem in _reuse_nets():
+        result = optimize(net, problem, config)
+        exact = brute_force_optimize(net, problem)
+        assert result.status is exact.status is Status.OPTIMAL
+        assert result.value == pytest.approx(exact.value, abs=1e-6)
+        assert problem.objective_at(net, result.argopt) == pytest.approx(result.value, abs=1e-9)
+        assert result.stats.lps_solved <= result.stats.nodes_explored
+        reused += result.stats.lps_solved < result.stats.nodes_explored
+    assert reused >= 1
+
+
+@pytest.mark.parametrize("order", list(NodeOrder))
+def test_largest_violation_solves_one_lp_per_node(order):
+    config = SearchConfig(split_strategy=SplitStrategy.LARGEST_VIOLATION, node_order=order)
+    for net, problem in _reuse_nets():
+        result = optimize(net, problem, config)
+        assert result.status is Status.OPTIMAL
+        assert result.stats.lps_solved == result.stats.nodes_explored > 1
+
+
+def _fixed_nodes(fingerprint):
+    """The (phase letter, node) pairs a trace fingerprint names."""
+    pairs = set()
+    for part in fingerprint.rstrip("]").split("]"):
+        letter, nodes = part.split("[")
+        for node in filter(None, nodes.split(",")):
+            pairs.add((letter, NodeId(*map(int, node.split(".")))))
+    return frozenset(pairs)
+
+
+@pytest.mark.parametrize("order", list(NodeOrder))
+def test_reused_child_is_traced_with_its_parent_bound(order):
+    """Every explored node is traced. A node that reached no LP is a child
+    holding its parent's LP optimum: it reports Unknown at its parent's
+    bound, which its own LP would also give."""
+    config = SearchConfig(node_order=order)
+    reused = 0
+    for net, problem in _reuse_nets():
+        bounds = propagate_interval(net, problem.box)
+        solved = []
+
+        def evaluator(state, incumbent):
+            solved.append(state.fingerprint())
+            return optimum_for_region(net, problem, state, bounds, incumbent)
+
+        trace = io.StringIO()
+        result = optimize(
+            net, problem, config, bounds=bounds, trace=trace, region_evaluator=evaluator
+        )
+        records = [json.loads(line) for line in trace.getvalue().splitlines()]
+        assert len(records) == result.stats.nodes_explored
+        assert len(solved) == result.stats.lps_solved
+        by_fixed = {_fixed_nodes(r["state"]): r for r in records}
+        for record in records:
+            if record["state"] in solved:
+                continue
+            fixed = _fixed_nodes(record["state"])
+            parents = [by_fixed[fixed - {pair}] for pair in fixed if fixed - {pair} in by_fixed]
+            assert len(parents) == 1
+            assert record["status"] == parents[0]["status"] == "unknown"
+            assert record["lp_bound"] == parents[0]["lp_bound"]
+            state = root_state(
+                net,
+                active={node for letter, node in fixed if letter == "A"},
+                inactive={node for letter, node in fixed if letter == "N"},
+            )
+            own = optimum_for_region(net, problem, state, bounds, -np.inf)
+            assert own.lp_bound == pytest.approx(record["lp_bound"], abs=1e-6)
+            reused += 1
+    assert reused >= 1
+
+
+@pytest.mark.parametrize("order", list(NodeOrder))
+def test_node_whose_parent_bound_is_beaten_reaches_no_evaluator(abs_net, order):
+    # Both grandchildren under bound 19 are optimal at 19; whichever is
+    # solved first makes 19 the incumbent, and its sibling is then dropped.
+    script = {
+        "A[]N[]": ("unknown", 20.0),
+        "A[]N[0.0]": ("infeasible",),
+        "A[0.0]N[]": ("unknown", 19.0),
+        "A[0.0]N[0.1]": ("optimal", 19.0, 19.0),
+        "A[0.0,0.1]N[]": ("optimal", 19.0, 19.0),
+    }
+    evaluator, visits = scripted_evaluator(script)
+    problem = output_max_problem(abs_net, [1.0], [-1.0], [1.0])
+    trace = io.StringIO()
+    result = optimize(
+        abs_net,
+        problem,
+        SearchConfig(timeout=10.0, node_order=order),
+        region_evaluator=evaluator,
+        trace=trace,
+    )
+    assert result.status is Status.OPTIMAL and result.value == 19.0
+    visited = [fingerprint for fingerprint, _ in visits]
+    assert len(visited) == len(set(visited)) == 4
+    assert len({"A[0.0]N[0.1]", "A[0.0,0.1]N[]"} & set(visited)) == 1
+    assert result.stats.nodes_explored == result.stats.lps_solved == 4
+    assert len(trace.getvalue().splitlines()) == 4
+
+
+# ---------------------------------------------------------------------------
+# The global bound and gap
+
+
+def test_timeout_reports_bound_and_gap_counting_the_node_in_flight(abs_net):
+    outcomes = [
+        RegionOutcome(RegionStatus.UNKNOWN, lp_bound=10.0),
+        RegionOutcome(RegionStatus.OPTIMAL, lp_bound=6.0, value=5.0, assignment=np.array([1.0])),
+    ]
+
+    def evaluator(state, incumbent):
+        if not outcomes:
+            raise Timeout("LP stopped at its time limit")
+        return outcomes.pop(0)
+
+    problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
+    result = optimize(abs_net, problem, region_evaluator=evaluator)
+    assert result.status is Status.TIMEOUT and result.value == 5.0
+    # the second child was in flight, under its parent's bound 10
+    assert result.stats.extra["bound"] == 10.0
+    assert result.stats.extra["gap"] == 5.0
+
+
+def test_timeout_before_any_node_has_infinite_bound_and_gap(abs_net):
+    def evaluator(state, incumbent):
+        raise Timeout("LP stopped at its time limit")
+
+    problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
+    result = optimize(abs_net, problem, region_evaluator=evaluator)
+    assert result.status is Status.TIMEOUT and result.value is None
+    assert result.stats.extra["bound"] == np.inf
+    assert result.stats.extra["gap"] == np.inf
+
+
+@pytest.mark.parametrize("order", list(NodeOrder))
+def test_optimal_closes_the_gap_and_infeasible_has_no_bound(abs_net, order):
+    script = {
+        "A[]N[]": ("unknown", 20.0),
+        "A[]N[0.0]": ("infeasible",),
+        "A[0.0]N[]": ("unknown", 17.0),
+        "A[0.0]N[0.1]": ("optimal", 9.0, 9.0),
+        "A[0.0,0.1]N[]": ("optimal", 7.0, 7.0),
+    }
+    evaluator, _ = scripted_evaluator(script)
+    problem = output_max_problem(abs_net, [1.0], [-1.0], [1.0])
+    config = SearchConfig(timeout=10.0, node_order=order)
+    result = optimize(abs_net, problem, config, region_evaluator=evaluator)
+    assert result.status is Status.OPTIMAL
+    assert result.stats.extra["bound"] == 9.0
+    assert result.stats.extra["gap"] == 0.0
+
+    infeasible = OptimizationProblem(
+        box=box([-1.0], [1.0]),
+        objective=Objective(c_y=np.array([1.0])),
+        rows=(Row(None, np.array([1.0]), 0.0, Relation.GE, 10.0),),
+    )
+    result = optimize(abs_net, infeasible, config)
+    assert result.status is Status.INFEASIBLE
+    assert result.stats.extra["bound"] == -np.inf
+    assert result.stats.extra["gap"] == np.inf
