@@ -3,7 +3,13 @@ feed-forward ReLU networks: branch-and-bound over partial activation states
 with LP-relaxation bounding, plus reference baselines."""
 
 from .attacks import fgsm, pgd
-from .bounds import BoundsMap, fixed_by_bounds, propagate_interval, tighten_lp
+from .bounds import (
+    BoundsMap,
+    fixed_by_bounds,
+    propagate_interval,
+    propagate_symbolic,
+    tighten_lp,
+)
 from .errors import (
     DimensionMismatch,
     EmptyDomain,
@@ -53,6 +59,7 @@ from .search import (
     Status,
     optimize,
     optimum_for_region,
+    root_bounds,
     split,
 )
 from .state import PartialActivationState, root_state

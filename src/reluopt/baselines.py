@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundsMap, fixed_by_bounds, propagate_interval, tighten_lp
+from .bounds import BoundsMap, fixed_by_bounds, propagate_interval
 from .errors import NumericalFailure, Timeout, TooLarge, UnboundedNode
 from .geometry import Hyperrectangle
 from .lp import LPStatus, LinearProgram, solve_lp
@@ -27,6 +27,7 @@ from .search import (
     SearchStats,
     Status,
     optimize,
+    root_bounds,
 )
 
 _MAX_BRUTE_FORCE_NODES = 20
@@ -92,18 +93,18 @@ def bisection_optimize(
     in the middle of [-t_upper, 0] and declare Infeasible if no witness is
     found before the bracket collapses to within the gap of the boundary.
 
-    `cfg.timeout` is a budget for the whole run: bound tightening and each
-    decision call get the time left, and a run that spends it returns
-    Timeout with its bracket and incumbent. A decision whose witness does
-    not raise the lower end of the bracket ends the run as Optimal: the
-    bracket is then within the decision procedure's tolerance.
+    Every decision call searches from the bounds branch-and-bound starts
+    from (`root_bounds`), computed once. `cfg.timeout` is a budget for the
+    whole run: bound tightening and each decision call get the time left,
+    and a run that spends it returns Timeout with its bracket and
+    incumbent. A decision whose witness does not raise the lower end of the
+    bracket ends the run as Optimal: the bracket is then within the
+    decision procedure's tolerance.
     """
     start = time.monotonic()
     deadline = start + cfg.timeout
     stats = SearchStats()
-    bounds = propagate_interval(net, problem.box)
-    if cfg.tighten_timeout > 0.0:
-        bounds = tighten_lp(net, problem.box, bounds, cfg.tighten_timeout, deadline=deadline)
+    bounds = root_bounds(net, problem.box, cfg.tighten_timeout, deadline)
 
     best_value = -np.inf
     best_x: Optional[np.ndarray] = None

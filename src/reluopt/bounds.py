@@ -1,5 +1,5 @@
-"""Per-node activation bounds: interval propagation and LP-based
-progressive tightening."""
+"""Per-node activation bounds: interval propagation, back-substitution
+(symbolic) bounds, and LP-based progressive tightening."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, Timeout
 from .geometry import Hyperrectangle
-from .model import Activation, Network, NodeId
+from .model import Activation, Layer, Network, NodeId
 from .problems import Objective, OptimizationProblem
 
 log = logging.getLogger(__name__)
@@ -52,37 +52,118 @@ class FixedByBounds:
     inactive: frozenset[NodeId]
 
 
-def propagate_interval(net: Network, input_box: Hyperrectangle) -> BoundsMap:
-    """Sound interval bounds, splitting each weight row into its positive
-    and negative parts against the incoming interval."""
+def _check_box(net: Network, input_box: Hyperrectangle) -> None:
     if input_box.dim != net.input_dim:
         raise DimensionMismatch(
             f"box dimension {input_box.dim} != network input {net.input_dim}"
         )
-    lo, hi = input_box.lower, input_box.upper
-    pre_lo, pre_hi, post_lo, post_hi = [], [], [], []
-    for layer in net.layers:
-        w_pos = np.maximum(layer.weights, 0.0)
-        w_neg = np.minimum(layer.weights, 0.0)
-        zl = w_pos @ lo + w_neg @ hi + layer.biases
-        zu = w_pos @ hi + w_neg @ lo + layer.biases
-        pre_lo.append(zl)
-        pre_hi.append(zu)
-        if layer.activation is Activation.RELU:
-            lo, hi = np.maximum(0.0, zl), np.maximum(0.0, zu)
-        else:
-            lo, hi = zl, zu
-        post_lo.append(lo)
-        post_hi.append(hi)
+
+
+def _interval_step(layer: Layer, lo: np.ndarray, hi: np.ndarray):
+    """Interval bounds on `layer`'s pre-activation, splitting each weight
+    row into its positive and negative parts against the incoming interval."""
+    w_pos = np.maximum(layer.weights, 0.0)
+    w_neg = np.minimum(layer.weights, 0.0)
+    return w_pos @ lo + w_neg @ hi + layer.biases, w_pos @ hi + w_neg @ lo + layer.biases
+
+
+def _post(layer: Layer, zl: np.ndarray, zu: np.ndarray):
+    if layer.activation is Activation.RELU:
+        return np.maximum(0.0, zl), np.maximum(0.0, zu)
+    return zl, zu
+
+
+def _bounds_map(net: Network, input_box: Hyperrectangle, pre_lo, pre_hi) -> BoundsMap:
+    post = [_post(layer, zl, zu) for layer, zl, zu in zip(net.layers, pre_lo, pre_hi)]
     return BoundsMap(
         input_lower=input_box.lower.copy(),
         input_upper=input_box.upper.copy(),
         pre_lower=tuple(pre_lo),
         pre_upper=tuple(pre_hi),
-        post_lower=tuple(post_lo),
-        post_upper=tuple(post_hi),
+        post_lower=tuple(lo for lo, _ in post),
+        post_upper=tuple(hi for _, hi in post),
         relu_layers=net.relu_layers,
     )
+
+
+def propagate_interval(net: Network, input_box: Hyperrectangle) -> BoundsMap:
+    """Sound interval bounds, layer by layer from the input box."""
+    _check_box(net, input_box)
+    lo, hi = input_box.lower, input_box.upper
+    pre_lo, pre_hi = [], []
+    for layer in net.layers:
+        zl, zu = _interval_step(layer, lo, hi)
+        pre_lo.append(zl)
+        pre_hi.append(zu)
+        lo, hi = _post(layer, zl, zu)
+    return _bounds_map(net, input_box, pre_lo, pre_hi)
+
+
+def _relaxation(layer: Layer, zl: np.ndarray, zu: np.ndarray):
+    """Linear bounds on `layer`'s output in its pre-activation zhat within
+    [zl, zu]: z >= lower_slope * zhat and z <= upper_slope * zhat +
+    upper_intercept. A fixed ReLU is exact; an undetermined one gets the
+    triangle face z <= s (zhat - zl), s = zu / (zu - zl), and z >= zhat when
+    zu > -zl, else z >= 0."""
+    ones = np.ones(layer.out_width)
+    if layer.activation is Activation.IDENTITY:
+        return ones, ones, np.zeros(layer.out_width)
+    inactive = zu <= 0.0  # as fixed_by_bounds: [0, 0] counts as inactive
+    active = ~inactive & (zl >= 0.0)
+    free = ~(inactive | active)
+    slope = np.where(active, 1.0, 0.0)
+    slope[free] = zu[free] / (zu[free] - zl[free])
+    intercept = np.where(free, -slope * zl, 0.0)
+    lower_slope = np.where(active | (free & (zu > -zl)), 1.0, 0.0)
+    return lower_slope, slope, intercept
+
+
+def _back_substitute(layers, relaxations, k: int, x_lo: np.ndarray, x_hi: np.ndarray):
+    """Lower and upper bounds on layer k's pre-activation: substitute the
+    relaxation of every earlier layer back to the input, then bound the
+    resulting linear function of x over the box. To bound a side, a
+    coefficient that pushes that way takes a layer's upper relaxation and one
+    that pushes the other way its lower relaxation."""
+    sides = []
+    for upper in (False, True):
+        a, c = layers[k].weights, layers[k].biases.copy()
+        for j in range(k - 1, -1, -1):
+            lower_slope, upper_slope, upper_intercept = relaxations[j]
+            pos, neg = np.maximum(a, 0.0), np.minimum(a, 0.0)
+            up, down = (pos, neg) if upper else (neg, pos)
+            c += up @ upper_intercept
+            a = up * upper_slope + down * lower_slope
+            c += a @ layers[j].biases
+            a = a @ layers[j].weights
+        toward, away = (x_hi, x_lo) if upper else (x_lo, x_hi)
+        sides.append(c + np.maximum(a, 0.0) @ toward + np.minimum(a, 0.0) @ away)
+    return sides
+
+
+def propagate_symbolic(net: Network, input_box: Hyperrectangle) -> BoundsMap:
+    """Back-substitution bounds: DeepPoly (Singh et al. 2019), or CROWN
+    (Zhang et al. 2018) with a fixed lower slope.
+
+    Layer by layer, each earlier layer's output is replaced by its linear
+    relaxation (see `_relaxation`) under the bounds already found, down to
+    the input box. The sides found this way are widened by SAFETY_MARGIN and
+    intersected with the interval bounds computed from the previous layer's
+    intersected bounds, so they never lie outside `propagate_interval`'s."""
+    _check_box(net, input_box)
+    x_lo, x_hi = input_box.lower, input_box.upper
+    lo, hi = x_lo, x_hi
+    pre_lo, pre_hi, relaxations = [], [], []
+    for k, layer in enumerate(net.layers):
+        zl, zu = _interval_step(layer, lo, hi)
+        if k:
+            sl, su = _back_substitute(net.layers, relaxations, k, x_lo, x_hi)
+            zl = np.maximum(zl, sl - SAFETY_MARGIN)
+            zu = np.minimum(zu, su + SAFETY_MARGIN)
+        pre_lo.append(zl)
+        pre_hi.append(zu)
+        relaxations.append(_relaxation(layer, zl, zu))
+        lo, hi = _post(layer, zl, zu)
+    return _bounds_map(net, input_box, pre_lo, pre_hi)
 
 
 def fixed_by_bounds(b: BoundsMap) -> FixedByBounds:
@@ -108,24 +189,34 @@ def tighten_lp(
     counters: Optional[dict] = None,
 ) -> BoundsMap:
     """Progressive LP tightening: visit ReLU nodes in topological order and
-    solve up to two LPs per node (max and min of zhat) over the
-    all-undetermined relaxation under the current bounds. A bound is replaced
-    only when the LP finishes within its time limit and improves it by at
-    least the improvement threshold. The post-activation bounds then follow
-    as post = max(0, pre): with z >= 0 and z >= zhat as its only rows, an LP
-    over z could not do better. Improved bounds are visible to later nodes
-    immediately.
+    solve up to two LPs per node (max and min of zhat) over the relaxation
+    under the current bounds. A bound is replaced only when the LP finishes
+    within its time limit and improves it by at least the improvement
+    threshold. The post-activation bounds then follow as post = max(0, pre):
+    with z >= 0 and z >= zhat as an undetermined node's only rows below z,
+    an LP over z could not do better. Improved bounds are visible to later
+    nodes immediately.
 
-    The bounds live in the column vectors of one root LP, which every LP
-    re-solves in one live HiGHS model; only bounds and the cost change
-    between them. Each LP's time limit is `per_query_timeout`, cut to the
-    time left before `deadline` (a `time.monotonic()` reading); once that is
-    spent, tightening stops and keeps the bounds found so far. `counters`,
-    when given, accumulates `simplex_iters` and `tighten_limit_hits` (LPs
-    stopped by their time limit).
+    The LPs relax each ReLU as B&B's root node does: the phases the bounds
+    fix are written into the LP (`build_relaxed_lp` of the state
+    `fixed_by_bounds` gives), and a node whose own LPs fix its phase gets
+    that phase too, before later nodes are solved. A phase fixed in a later
+    layer can cut an earlier node's LP as well, through the column bounds of
+    the layers after it. Every node is tightened,
+    fixed ones included: a fixed node's interval can still narrow, and the
+    nodes after it see the narrower one.
+
+    The bounds live in the vectors of that one LP, which every LP re-solves
+    in one live HiGHS model; only bounds and the cost change between them.
+    Each LP's time limit is `per_query_timeout`, cut to the time left before
+    `deadline` (a `time.monotonic()` reading); once that is spent,
+    tightening stops and keeps the bounds found so far. `counters`, when
+    given, accumulates `simplex_iters` and `tighten_limit_hits` (LPs stopped
+    by their time limit).
     """
     from .highs import new_model
-    from .lp import LPStatus, encode_relaxation, solve_lp
+    from .lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
+    from .state import root_state
 
     if per_query_timeout <= 0.0:
         return seed
@@ -135,8 +226,11 @@ def tighten_lp(
         counters.setdefault(name, 0)
 
     relaxation = encode_relaxation(net, OptimizationProblem(input_box, Objective()), seed)
-    lp, imap = relaxation.lp, relaxation.imap
-    lower, upper = lp.lower, lp.upper  # the bounds, tightened in place
+    fixed = fixed_by_bounds(seed)
+    lp = build_relaxed_lp(relaxation, root_state(net, fixed.active, fixed.inactive))
+    imap = relaxation.imap
+    # The bounds and phases, tightened in place: the build made these copies.
+    row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper
     model = new_model()
 
     def current() -> BoundsMap:
@@ -150,7 +244,8 @@ def tighten_lp(
             relu_layers=seed.relu_layers,
         )
 
-    for node, zhat, z in zip(net.relu_node_ids(), relaxation.zhat, relaxation.z):
+    nodes = zip(net.relu_node_ids(), relaxation.zhat, relaxation.z, relaxation.link_row)
+    for node, zhat, z, link in nodes:
         obj = np.zeros(lp.n_vars)
         obj[zhat] = 1.0
         lo, hi = lower[zhat], upper[zhat]
@@ -195,5 +290,10 @@ def tighten_lp(
         upper[z] = min(upper[z], max(0.0, hi) + POST_CONSISTENCY_EPS)
         if lower[z] > upper[z]:  # numerically crossed, keep sound order
             lower[z] = upper[z] = max(0.0, upper[z])
+        # The phase the bounds fix, as build_relaxed_lp writes it.
+        if hi <= 0.0:
+            upper[z] = 0.0  # z = 0
+        elif lo >= 0.0:
+            row_upper[link] = 0.0  # z = zhat
 
     return current()

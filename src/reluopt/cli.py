@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines
 from .attacks import fgsm, pgd
-from .bounds import propagate_interval
+from .bounds import propagate_symbolic
 from .errors import EmptyDomain, ReluOptError, SchemaError
 from .geometry import Hyperrectangle, linf_epigraph
 from .model import Activation, Layer, Network, evaluate, load_nnet, write_nnet
@@ -482,14 +482,15 @@ def _run_solver(spec, net, query, solver, timeout, trace) -> ResultRecord:
             raise SchemaError("solver", f"unknown solver {solver}")
         nodes += result.stats.nodes_explored
         lps += result.stats.lps_solved
+        # The best value is proven only when every subproblem is: one that
+        # timed out leaves the record Timeout, whatever the others found.
         if result.status is Status.TIMEOUT:
-            if status != "Optimal":
-                status = "Timeout"
-            continue
-        if result.status is Status.OPTIMAL:
-            if best_value is None or result.value > best_value:
-                best_value, best_x = result.value, result.argopt
+            status = "Timeout"
+        elif result.status is Status.OPTIMAL and status != "Timeout":
             status = "Optimal"
+        # A timed-out run reports its incumbent, as an optimal one does.
+        if result.value is not None and (best_value is None or result.value > best_value):
+            best_value, best_x = result.value, result.argopt
 
     value = None if best_value is None else query.report_sign * best_value
     return ResultRecord(spec.problem_id, solver, status, value, best_x, 0.0, nodes, lps)
@@ -652,8 +653,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         net = load_nnet(spec.network_path())
         query = canonicalize(spec, net)
         problem = query.subproblems[0]
-        bounds = propagate_interval(net, problem.box)
-        _, text = baselines.export_milp(net, problem, bounds)
+        _, text = baselines.export_milp(net, problem, propagate_symbolic(net, problem.box))
         with open(args.output, "w") as fh:
             fh.write(text)
         print(args.output)

@@ -54,13 +54,17 @@ class Row:
             total += float(self.a_y @ y)
         return total
 
-    def satisfied(self, x, y, t: float = 0.0, tol: float = 0.0) -> bool:
-        v = self.value(x, y, t)
+    def violation(self, x, y, t: float = 0.0) -> float:
+        """How far the row is from holding at (x, y, t); 0 where it holds."""
+        excess = self.value(x, y, t) - self.rhs
         if self.relation is Relation.LE:
-            return v <= self.rhs + tol
+            return max(excess, 0.0)
         if self.relation is Relation.GE:
-            return v >= self.rhs - tol
-        return abs(v - self.rhs) <= tol
+            return max(-excess, 0.0)
+        return abs(excess)
+
+    def satisfied(self, x, y, t: float = 0.0, tol: float = 0.0) -> bool:
+        return self.violation(x, y, t) <= tol
 
     def reversed(self) -> "Row":
         """The closed complement: a.v <= b becomes a.v >= b and vice versa."""
@@ -130,9 +134,22 @@ class OptimizationProblem:
 
         return self.objective.value(x, evaluate(net, x), self.t_of(x))
 
-    def rows_satisfied(self, net, x, tol: float = 1e-6) -> bool:
+    def row_violation(self, net, x) -> float:
+        """The most that input x fails a row by, with y recomputed by forward
+        pass; 0 when every row holds, NaN when a row evaluates to NaN."""
         from .model import evaluate
 
+        x = np.asarray(x, dtype=np.float64)
         y = evaluate(net, x)
         t = self.t_of(x)
-        return all(r.satisfied(x, y, t, tol) for r in self.rows)
+        return float(np.max([0.0, *(r.violation(x, y, t) for r in self.rows)]))
+
+    def violation(self, net, x) -> float:
+        """The most that input x leaves the box or fails a row by; 0 when x
+        is feasible."""
+        x = np.asarray(x, dtype=np.float64)
+        outside = np.maximum(self.box.lower - x, x - self.box.upper)
+        return float(np.max([self.row_violation(net, x), *outside]))
+
+    def rows_satisfied(self, net, x, tol: float = 1e-6) -> bool:
+        return self.row_violation(net, x) <= tol

@@ -12,8 +12,17 @@ from typing import Callable, Optional, TextIO
 
 import numpy as np
 
-from .bounds import BoundsMap, fixed_by_bounds, propagate_interval, tighten_lp
+# propagate_interval is unused here but stays importable by this module's
+# name: perfbench's tracer wraps it, as it wraps tighten_lp.
+from .bounds import (  # noqa: F401
+    BoundsMap,
+    fixed_by_bounds,
+    propagate_interval,
+    propagate_symbolic,
+    tighten_lp,
+)
 from .errors import NoUndetermined, Timeout
+from .geometry import Hyperrectangle
 from .highs import LiveModel, new_model
 from .lp import (
     LPStatus,
@@ -91,6 +100,22 @@ class SearchConfig:
     def __post_init__(self):
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+
+
+def root_bounds(
+    net: Network,
+    box: Hyperrectangle,
+    tighten_timeout: float = 0.0,
+    deadline: Optional[float] = None,
+    counters: Optional[dict] = None,
+) -> BoundsMap:
+    """The bounds a search starts from: back-substitution bounds, then, when
+    `tighten_timeout` is positive, LP tightening (`tighten_lp`) seeded with
+    them, under `deadline`."""
+    bounds = propagate_symbolic(net, box)
+    if tighten_timeout > 0.0:
+        bounds = tighten_lp(net, box, bounds, tighten_timeout, deadline=deadline, counters=counters)
+    return bounds
 
 
 def optimum_for_region(
@@ -222,22 +247,17 @@ def optimize(
     (`tighten_limit_hits`). It also holds the global upper `bound`, the
     largest of the incumbent and the parent bounds of the nodes still open,
     and the `gap` from the incumbent up to it (inf without an incumbent).
+    A result with an argopt re-checks it by a forward pass: `max_violation`
+    is the most it leaves the box or fails a row by (0 when it holds).
+
+    `bounds` defaults to `root_bounds` under `config.tighten_timeout`.
     """
     start = time.monotonic()
     deadline = start + config.timeout
     stats = SearchStats(extra={"simplex_iters": 0, "tighten_limit_hits": 0})
 
     if bounds is None:
-        bounds = propagate_interval(net, problem.box)
-        if config.tighten_timeout > 0.0:
-            bounds = tighten_lp(
-                net,
-                problem.box,
-                bounds,
-                config.tighten_timeout,
-                deadline=deadline,
-                counters=stats.extra,
-            )
+        bounds = root_bounds(net, problem.box, config.tighten_timeout, deadline, stats.extra)
 
     fixed = fixed_by_bounds(bounds)
     root = root_state(net, active=fixed.active, inactive=fixed.inactive)
@@ -339,6 +359,8 @@ def optimize(
     global_bound = max([incumbent] + [-neg_bound for neg_bound, *_ in frontier])
     stats.extra["bound"] = global_bound
     stats.extra["gap"] = global_bound - incumbent if argopt is not None else np.inf
+    if argopt is not None:
+        stats.extra["max_violation"] = problem.violation(net, argopt)
     if timed_out:
         return SearchResult(
             Status.TIMEOUT,

@@ -19,6 +19,7 @@ from reluopt import (
     parse_lp_text,
     pgd,
     propagate_interval,
+    propagate_symbolic,
     solve_lp,
     verify_decision,
 )
@@ -115,6 +116,23 @@ def test_bisection_agrees_with_search():
         approx = bisection_optimize(net, problem)
         assert approx.status is Status.OPTIMAL
         assert approx.value == pytest.approx(exact.value, abs=2e-4)
+
+
+@pytest.mark.parametrize("tighten_timeout", [0.0, 5.0])
+def test_bisection_equals_search_within_the_gap_on_equal_root_bounds(tighten_timeout):
+    # Both search from root_bounds: symbolic bounds, then (with a tightening
+    # timeout) phase-aware LP tightening.
+    rng = np.random.default_rng(131)
+    cfg = BisectionConfig(gap=1e-4, tighten_timeout=tighten_timeout)
+    for _ in range(3):
+        net = random_net(rng, n_in=3, hidden=(6, 5), n_out=2)
+        lo = rng.uniform(-1.0, 0.5, 3)
+        problem = output_max_problem(net, rng.normal(size=2), lo, lo + 0.5)
+        exact = optimize(net, problem)
+        approx = bisection_optimize(net, problem, cfg)
+        assert approx.status is exact.status is Status.OPTIMAL
+        assert exact.value - cfg.gap - 1e-6 <= approx.value <= exact.value + 1e-6
+        assert approx.value == pytest.approx(problem.objective_at(net, approx.argopt))
 
 
 @pytest.mark.parametrize(
@@ -323,3 +341,45 @@ def test_milp_unbounded_node_raises():
     )
     with pytest.raises(UnboundedNode):
         export_milp(net, problem, loose)
+
+
+def _milp_optimum(model):
+    """Status and optimum of a MILP model by HiGHS MIP (scipy.optimize.milp)."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lp, index = milp_to_lp(model)
+    integrality = np.zeros(lp.n_vars)
+    integrality[[index[name] for name in model.binaries()]] = 1
+    res = milp(
+        -lp.objective,
+        integrality=integrality,
+        bounds=Bounds(lp.lower, lp.upper),
+        constraints=LinearConstraint(lp.matrix, lp.row_lower, lp.row_upper),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status in (0, 2), res.message
+    return ("optimal", float(lp.objective @ res.x)) if res.status == 0 else ("infeasible", None)
+
+
+def test_milp_under_symbolic_bounds_has_the_interval_optimum():
+    rng = np.random.default_rng(151)
+    fewer = 0
+    for _ in range(4):
+        net = random_net(rng, n_in=3, hidden=(8, 6), n_out=2)
+        x0 = rng.uniform(-0.5, 0.5, 3)
+        rows = tuple(linf_epigraph(x0)) + (Row(None, np.array([-1.0, 1.0]), 0.0, Relation.GE, 0.0),)
+        problems = (
+            output_max_problem(net, rng.normal(size=2), x0 - 0.3, x0 + 0.3),
+            OptimizationProblem(box(x0 - 0.5, x0 + 0.5), Objective(c_t=-1.0), rows, 0.5, x0),
+        )
+        for problem in problems:
+            loose, _ = export_milp(net, problem, propagate_interval(net, problem.box))
+            tight, _ = export_milp(net, problem, propagate_symbolic(net, problem.box))
+            assert len(tight.binaries()) <= len(loose.binaries())
+            fewer += len(tight.binaries()) < len(loose.binaries())
+            status, value = _milp_optimum(tight)
+            assert status == _milp_optimum(loose)[0]
+            if status == "optimal":
+                assert value == pytest.approx(_milp_optimum(loose)[1], abs=1e-6)
+                assert value == pytest.approx(optimize(net, problem).value, abs=1e-5)
+    assert fewer > 0

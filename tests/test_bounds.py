@@ -6,6 +6,7 @@ from reluopt import (
     Hyperrectangle,
     fixed_by_bounds,
     propagate_interval,
+    propagate_symbolic,
     tighten_lp,
 )
 from reluopt.model import NodeId, forward_trace
@@ -181,3 +182,215 @@ def test_tightened_post_bounds_are_max_of_zero_and_pre_bounds():
                 gap = np.abs(post - np.maximum(0.0, pre))
                 assert np.all(gap <= POST_CONSISTENCY_EPS + 1e-12)  # + round-off
     assert improved > 0
+
+
+# ---------------------------------------------------------------------------
+# Back-substitution (symbolic) bounds and phase-aware tightening
+
+
+def _identity_hidden_net(rng):
+    """A random net with an identity layer between two ReLU layers."""
+    from reluopt import Activation, Layer, Network
+
+    widths = [3, 6, 5, 6, 2]
+    acts = [Activation.RELU, Activation.IDENTITY, Activation.RELU, Activation.IDENTITY]
+    layers = []
+    for k, act in enumerate(acts):
+        w = rng.normal(0.0, 1.0 / np.sqrt(widths[k]), (widths[k + 1], widths[k]))
+        layers.append(Layer(w, rng.normal(0.0, 0.3, widths[k + 1]), act))
+    return Network(tuple(layers))
+
+
+def _symbolic_cases():
+    """(net, box) pairs: random nets on unit boxes, nets with identity hidden
+    layers, and the boxes of min-adversarial problems (a ball clipped to a
+    domain around a point)."""
+    from reluopt.cli import ProblemSpec, canonicalize
+
+    rng = np.random.default_rng(211)
+    for _ in range(4):
+        net = random_net(rng, n_in=3, hidden=(8, 8, 6), n_out=2)
+        yield net, box(-np.ones(3), np.ones(3))
+    for _ in range(2):
+        net = _identity_hidden_net(rng)
+        yield net, box(-np.ones(3), 0.5 * np.ones(3))
+    for _ in range(2):
+        net = random_net(rng, n_in=3, hidden=(10, 6), n_out=3)
+        spec = ProblemSpec(
+            kind="min_adversarial_linf",
+            network="",
+            x0=rng.uniform(-0.5, 0.5, 3),
+            radius=np.array([0.8]),
+            domain_lower=-np.ones(3),
+            domain_upper=np.ones(3),
+            target_label=1,
+            true_label=0,
+        )
+        yield net, canonicalize(spec, net).subproblems[0].box
+
+
+def _undetermined(net, bounds):
+    fixed = fixed_by_bounds(bounds)
+    return net.num_relu_nodes - len(fixed.active) - len(fixed.inactive)
+
+
+def test_symbolic_bounds_are_sound_on_ten_thousand_samples():
+    rng = np.random.default_rng(223)
+    for net, b in _symbolic_cases():
+        bounds = propagate_symbolic(net, b)
+        xs = b.sample(rng, 10_000)
+        a = xs.T
+        for k, layer in enumerate(net.layers):
+            pre = layer.weights @ a + layer.biases[:, None]
+            a = np.maximum(pre, 0.0) if k in net.relu_layers else pre
+            assert np.all(pre >= bounds.pre_lower[k][:, None])
+            assert np.all(pre <= bounds.pre_upper[k][:, None])
+            assert np.all(a >= bounds.post_lower[k][:, None])
+            assert np.all(a <= bounds.post_upper[k][:, None])
+
+
+def test_symbolic_bounds_lie_within_interval_bounds_and_fix_more():
+    tighter = 0
+    for net, b in _symbolic_cases():
+        interval = propagate_interval(net, b)
+        symbolic = propagate_symbolic(net, b)
+        for side in ("pre_lower", "post_lower"):
+            for s, i in zip(getattr(symbolic, side), getattr(interval, side)):
+                assert np.all(s >= i)
+        for side in ("pre_upper", "post_upper"):
+            for s, i in zip(getattr(symbolic, side), getattr(interval, side)):
+                assert np.all(s <= i)
+        # The first layer is affine in the box: interval bounds are exact there.
+        np.testing.assert_array_equal(symbolic.pre_lower[0], interval.pre_lower[0])
+        np.testing.assert_array_equal(symbolic.pre_upper[0], interval.pre_upper[0])
+        assert _undetermined(net, symbolic) <= _undetermined(net, interval)
+        tighter += sum(
+            int(np.count_nonzero(s < i)) for s, i in zip(symbolic.pre_upper, interval.pre_upper)
+        )
+    assert tighter > 0
+
+
+def _correlated_net():
+    """z1 = relu(x), z2 = relu(1 - x), then relu(z1 + z2): the sum is >= 1."""
+    from reluopt import Activation, Layer, Network
+
+    return Network(
+        (
+            Layer(np.array([[1.0], [-1.0]]), np.array([0.0, 1.0]), Activation.RELU),
+            Layer(np.array([[1.0, 1.0]]), np.array([0.0]), Activation.RELU),
+            Layer(np.array([[1.0]]), np.array([0.0]), Activation.IDENTITY),
+        )
+    )
+
+
+def test_symbolic_bounds_give_the_exact_lower_bound_on_the_correlated_net():
+    # The net of test_tighten_strictly_improves_correlated_net. On [-1, 2]
+    # both first-layer ReLUs have u > -l, so their lower slope is 1 and
+    # back-substitution sees z1 + z2 >= x + (1 - x) = 1.
+    net = _correlated_net()
+    bounds = propagate_symbolic(net, box([-1.0], [2.0]))
+    assert bounds.pre_lower[1][0] == pytest.approx(1.0, abs=1e-6)
+    assert bounds.pre_lower[1][0] <= 1.0
+    assert NodeId(1, 0) in fixed_by_bounds(bounds).active
+
+
+def test_symbolic_bounds_check_the_box_dimension():
+    net = random_net(np.random.default_rng(0), n_in=2)
+    with pytest.raises(DimensionMismatch):
+        propagate_symbolic(net, box([0.0], [1.0]))
+
+
+def test_phase_aware_tightening_is_sound_and_fixes_at_least_what_its_seed_does():
+    rng = np.random.default_rng(227)
+    for net, b in _symbolic_cases():
+        interval = propagate_interval(net, b)
+        seed = propagate_symbolic(net, b)
+        tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
+        _assert_sound(net, tight, b, rng, samples=300, tol=1e-7)
+        assert _undetermined(net, tight) <= _undetermined(net, seed)
+        assert _undetermined(net, tight) <= _undetermined(net, interval)
+        for k in range(len(net.layers)):
+            assert np.all(tight.pre_lower[k] >= seed.pre_lower[k])
+            assert np.all(tight.pre_upper[k] <= seed.pre_upper[k])
+
+
+def test_tightening_applies_the_phase_a_node_lp_fixes_before_later_nodes():
+    # c = relu(z1 + z2 - 0.5) is active (z1 + z2 >= 1), which interval bounds
+    # miss but its min LP finds. With c = z1 + z2 - 0.5 written into the LP,
+    # the next node's pre-activation c - z1 - z2 + 0.4 is exactly -0.1;
+    # relaxed as c <= its upper bound it could reach far above 0.
+    from reluopt import Activation, Layer, Network
+
+    # The second layer also passes z1 and z2 on (relu of a nonnegative input
+    # is fixed active), so the third layer can read them.
+    net = Network(
+        (
+            Layer(np.array([[1.0], [-1.0]]), np.array([0.0, 1.0]), Activation.RELU),
+            Layer(
+                np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
+                np.array([-0.5, 0.0, 0.0]),
+                Activation.RELU,
+            ),
+            Layer(np.array([[1.0, -1.0, -1.0]]), np.array([0.4]), Activation.RELU),
+            Layer(np.array([[1.0]]), np.array([0.0]), Activation.IDENTITY),
+        )
+    )
+    b = box([-1.0], [2.0])
+    seed = propagate_interval(net, b)
+    assert seed.pre_lower[1][0] < 0.0 < seed.pre_upper[2][0]  # both undetermined
+    tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
+    assert tight.pre_lower[1][0] == pytest.approx(0.5, abs=1e-6)
+    assert tight.pre_upper[2][0] == pytest.approx(-0.1, abs=1e-6)
+    assert NodeId(2, 0) in fixed_by_bounds(tight).inactive
+    _assert_sound(net, tight, b, np.random.default_rng(229), samples=500, tol=1e-7)
+
+
+def test_tightening_writes_the_seeds_fixed_phases_into_its_lps():
+    # x in [0.5, 1] fixes z = relu(x) active, and z - x - 0.1 is -0.1 on the
+    # whole box. An LP that relaxed the fixed ReLU as z >= x, z <= 1 would
+    # find 0.4 as its maximum.
+    from reluopt import Activation, Layer, Network
+
+    net = Network(
+        (
+            Layer(np.array([[1.0], [1.0], [-1.0]]), np.array([0.0, 0.0, 0.0]), Activation.RELU),
+            Layer(np.array([[1.0, -1.0, 1.0]]), np.array([-0.1]), Activation.RELU),
+            Layer(np.array([[1.0]]), np.array([0.0]), Activation.IDENTITY),
+        )
+    )
+    b = box([0.5], [1.0])
+    seed = propagate_interval(net, b)
+    assert seed.pre_upper[1][0] > 0.0
+    tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
+    assert tight.pre_upper[1][0] == pytest.approx(-0.1, abs=1e-6)
+
+
+def test_tightening_lps_see_the_phases_the_seed_fixes_in_later_layers():
+    # Each tightened bound is at least as tight as the LP over the seed's
+    # relaxation with the seed's fixed phases written in. Those phases can
+    # cut the LP of an earlier node: a later active ReLU's z = zhat, under
+    # the column bounds of the layers after it, constrains the layers before.
+    from reluopt.bounds import IMPROVEMENT_THRESHOLD, SAFETY_MARGIN
+    from reluopt.lp import build_relaxed_lp, encode_relaxation, solve_lp
+    from reluopt.problems import Objective, OptimizationProblem
+    from reluopt.state import root_state
+
+    rng = np.random.default_rng(233)
+    slack = SAFETY_MARGIN + IMPROVEMENT_THRESHOLD + 1e-9
+    for _ in range(6):
+        net = random_net(rng, n_in=3, hidden=(8, 8, 8), n_out=1)
+        lo = rng.uniform(-1.0, 0.6, 3)
+        b = box(lo, lo + 0.4)
+        seed = propagate_symbolic(net, b)
+        tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
+        relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), seed)
+        fixed = fixed_by_bounds(seed)
+        lp = build_relaxed_lp(relaxation, root_state(net, fixed.active, fixed.inactive))
+        for i, (k, j) in enumerate(net.relu_node_ids()):
+            obj = np.zeros(lp.n_vars)
+            obj[relaxation.zhat[i]] = 1.0
+            top = solve_lp(lp.with_objective(obj, maximize=True)).value
+            bottom = solve_lp(lp.with_objective(obj, maximize=False)).value
+            layer = net.relu_layers[k]
+            assert tight.pre_upper[layer][j] <= top + slack
+            assert tight.pre_lower[layer][j] >= bottom - slack

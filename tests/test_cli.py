@@ -7,7 +7,9 @@ import pytest
 from reluopt import EmptyDomain, SchemaError, evaluate, load_nnet, write_nnet
 from reluopt.cli import (
     CSV_COLUMNS,
+    CanonicalQuery,
     ProblemSpec,
+    _run_solver,
     canonicalize,
     generate_queries,
     load_problem,
@@ -343,3 +345,70 @@ def test_nonfinite_input_box_is_an_error_record(tmp_path):
     )
     rec = solve_spec(load_problem(str(p)))
     assert rec.status == "Error"
+
+
+def test_timed_out_run_keeps_its_incumbent(tmp_path, monkeypatch):
+    import reluopt.cli
+    from reluopt.search import SearchResult, SearchStats, Status
+
+    _, net_path = _write_net(tmp_path, n_in=2, hidden=(4,), n_out=1)
+    x = np.array([0.25, -0.5])
+    stats = SearchStats(nodes_explored=7, lps_solved=5, extra={"bound": 3.0, "gap": 1.0})
+    timed_out = SearchResult(Status.TIMEOUT, value=2.0, argopt=x, stats=stats)
+    monkeypatch.setattr(reluopt.cli, "optimize", lambda *args, **kwargs: timed_out)
+    for direction, sign in ((Direction.MAXIMIZE, 1.0), (Direction.MINIMIZE, -1.0)):
+        rec = solve_spec(_out_spec(net_path, direction=direction))
+        assert rec.status == "Timeout"
+        assert rec.value == sign * 2.0
+        np.testing.assert_array_equal(rec.argopt, x)
+        assert (rec.nodes, rec.lps) == (7, 5)
+
+    no_incumbent = SearchResult(Status.TIMEOUT, stats=stats)
+    monkeypatch.setattr(reluopt.cli, "optimize", lambda *args, **kwargs: no_incumbent)
+    rec = solve_spec(_out_spec(net_path))
+    assert rec.status == "Timeout" and rec.value is None and rec.argopt is None
+
+    # Two subproblems: the record is Optimal only when neither timed out.
+    spec = _out_spec(net_path)
+    net = load_nnet(spec.network_path())
+    (problem,) = canonicalize(spec, net).subproblems
+    query = CanonicalQuery((problem, problem), -1.0)
+    y = np.array([-0.75, 0.5])
+    optimal = SearchResult(Status.OPTIMAL, value=1.0, argopt=y, stats=stats)
+    infeasible = SearchResult(Status.INFEASIBLE, stats=stats)
+    for pair, status, value, argopt in (
+        ((optimal, timed_out), "Timeout", -2.0, x),
+        ((timed_out, optimal), "Timeout", -2.0, x),
+        ((optimal, infeasible), "Optimal", -1.0, y),
+        ((infeasible, optimal), "Optimal", -1.0, y),
+        ((infeasible, infeasible), "Infeasible", None, None),
+    ):
+        results = iter(pair)
+        monkeypatch.setattr(reluopt.cli, "optimize", lambda *args, **kwargs: next(results))
+        rec = _run_solver(spec, net, query, "branch_bound", 1.0, None)
+        assert (rec.status, rec.value) == (status, value)
+        if argopt is None:
+            assert rec.argopt is None
+        else:
+            np.testing.assert_array_equal(rec.argopt, argopt)
+        assert (rec.nodes, rec.lps) == (14, 10)
+
+
+def test_export_milp_takes_big_m_constants_from_symbolic_bounds(tmp_path):
+    from reluopt import parse_lp_text, propagate_symbolic
+    from reluopt.baselines import export_milp
+
+    qdir = tmp_path / "g"
+    (path,) = generate_queries("acas_out", seed=13, count=1, scale=16, out_dir=str(qdir))
+    target = tmp_path / "model.lp"
+    assert main(["export-milp", path, "-o", str(target)]) == 0
+    spec = load_problem(path)
+    net = load_nnet(spec.network_path())
+    problem = canonicalize(spec, net).subproblems[0]
+    _, expected = export_milp(net, problem, propagate_symbolic(net, problem.box))
+    assert target.read_text() == expected
+    written = parse_lp_text(expected)
+    for name in written.binaries():
+        k, j = map(int, name.split("_")[1:])
+        zhat = written.var(f"zhat_{k}_{j}")
+        assert zhat.lower < 0.0 < zhat.upper

@@ -20,6 +20,8 @@ from reluopt import (
     optimize,
     optimum_for_region,
     propagate_interval,
+    propagate_symbolic,
+    root_bounds,
     split,
 )
 from reluopt.geometry import linf_epigraph
@@ -529,3 +531,97 @@ def test_optimal_closes_the_gap_and_infeasible_has_no_bound(abs_net, order):
     assert result.status is Status.INFEASIBLE
     assert result.stats.extra["bound"] == -np.inf
     assert result.stats.extra["gap"] == np.inf
+
+
+# ---------------------------------------------------------------------------
+# Root bounds and the argopt re-check
+
+
+def _min_adv_problem(net, rng):
+    """Smallest L-inf move from x0 that makes output 1 at least output 0."""
+    x0 = rng.uniform(-0.5, 0.5, net.input_dim)
+    rows = tuple(linf_epigraph(x0)) + (
+        Row(None, np.array([-1.0, 1.0]), 0.0, Relation.GE, 0.0),
+    )
+    return OptimizationProblem(
+        box=box(x0 - 1.0, x0 + 1.0),
+        objective=Objective(c_t=-1.0),
+        rows=rows,
+        t_upper=1.0,
+        x0=x0,
+    )
+
+
+def _root_bound_cases():
+    """Output-maximization and min-adversarial problems on random nets that
+    brute force can enumerate under interval bounds."""
+    for seed in range(3):
+        rng = np.random.default_rng(2000 + seed)
+        net = random_net(rng, n_in=2, hidden=(5, 4), n_out=2)
+        yield net, output_max_problem(net, rng.normal(size=2), [-1.0, -1.0], [1.0, 1.0])
+        yield net, _min_adv_problem(net, rng)
+
+
+def test_root_bounds_are_symbolic_bounds_then_tightening():
+    rng = np.random.default_rng(2011)
+    net = random_net(rng, n_in=3, hidden=(8, 6), n_out=1)
+    b = box(-np.ones(3), np.ones(3))
+    symbolic = root_bounds(net, b)
+    expected = propagate_symbolic(net, b)
+    for k in range(len(net.layers)):
+        np.testing.assert_array_equal(symbolic.pre_lower[k], expected.pre_lower[k])
+        np.testing.assert_array_equal(symbolic.pre_upper[k], expected.pre_upper[k])
+    counters = {}
+    tight = root_bounds(net, b, tighten_timeout=5.0, counters=counters)
+    assert counters["simplex_iters"] > 0
+    for k in range(len(net.layers)):
+        assert np.all(tight.pre_lower[k] >= symbolic.pre_lower[k])
+        assert np.all(tight.pre_upper[k] <= symbolic.pre_upper[k])
+
+
+def test_search_from_root_bounds_finds_the_brute_force_optimum():
+    from reluopt.baselines import brute_force_optimize
+
+    kinds = set()
+    for net, problem in _root_bound_cases():
+        exact = brute_force_optimize(net, problem)
+        kinds.add((problem.use_t, exact.status))
+        for order in NodeOrder:
+            for tighten_timeout in (0.0, 5.0):
+                config = SearchConfig(node_order=order, tighten_timeout=tighten_timeout)
+                result = optimize(net, problem, config)
+                assert result.status is exact.status
+                if exact.status is Status.OPTIMAL:
+                    assert result.value == pytest.approx(exact.value, abs=1e-6)
+                    x = result.argopt
+                    assert problem.objective_at(net, x) == pytest.approx(result.value, abs=1e-9)
+                    assert result.stats.extra["max_violation"] <= 1e-6
+    assert {(False, Status.OPTIMAL), (True, Status.OPTIMAL)} <= kinds
+
+
+def test_every_argopt_is_rechecked_by_a_forward_pass(abs_net):
+    problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
+    # The LP optimum may sit outside the box by HiGHS's feasibility tolerance.
+    assert 0.0 <= optimize(abs_net, problem).stats.extra["max_violation"] <= 1e-6
+
+    # A scripted optimum outside the box, and one failing a row by 0.5.
+    def outside(state, incumbent):
+        x = np.array([4.0])
+        return RegionOutcome(RegionStatus.OPTIMAL, lp_bound=4.0, value=4.0, assignment=x)
+
+    result = optimize(abs_net, problem, region_evaluator=outside)
+    assert result.stats.extra["max_violation"] == pytest.approx(1.0)
+
+    rows = (Row(None, np.array([1.0]), 0.0, Relation.GE, 2.5),)
+    constrained = OptimizationProblem(problem.box, problem.objective, rows)
+
+    def short(state, incumbent):
+        x = np.array([2.0])
+        return RegionOutcome(RegionStatus.OPTIMAL, lp_bound=2.0, value=2.0, assignment=x)
+
+    result = optimize(abs_net, constrained, region_evaluator=short)
+    assert result.stats.extra["max_violation"] == pytest.approx(0.5)
+
+    unreachable = (Row(None, np.array([1.0]), 0.0, Relation.GE, 10.0),)
+    infeasible = OptimizationProblem(problem.box, problem.objective, unreachable)
+    assert "max_violation" not in optimize(abs_net, infeasible).stats.extra
