@@ -27,7 +27,6 @@ from .geometry import Hyperrectangle, linf_epigraph
 from .lp import (
     LinearProgram,
     LPResult,
-    LPRow,
     LPStatus,
     build_relaxed_lp,
     check_relu_consistency,

@@ -350,11 +350,10 @@ def export_milp(
     rows: list[MilpRow] = []
     name_pre = lambda k, j: f"zhat_{k}_{j}"
     name_post = lambda k, j: f"z_{k}_{j}"
+    x_names = [f"x{i}" for i in range(n)]
 
-    for i in range(n):
-        variables.append(
-            MilpVar(f"x{i}", float(problem.box.lower[i]), float(problem.box.upper[i]))
-        )
+    for i, name in enumerate(x_names):
+        variables.append(MilpVar(name, float(problem.box.lower[i]), float(problem.box.upper[i])))
     for k, layer in enumerate(net.layers):
         for j in range(layer.out_width):
             variables.append(
@@ -383,7 +382,7 @@ def export_milp(
 
     # Affine chaining
     for k, layer in enumerate(net.layers):
-        prev = [f"x{i}" for i in range(n)] if k == 0 else [
+        prev = x_names if k == 0 else [
             name_post(k - 1, j) for j in range(net.layers[k - 1].out_width)
         ]
         for r in range(layer.out_width):
@@ -427,34 +426,21 @@ def export_milp(
 
     K = len(net.layers) - 1
     y_names = [name_post(K, j) for j in range(net.output_dim)]
-    for row in problem.rows:
-        coeffs: dict[str, float] = {}
-        if row.a_x is not None:
-            for i, v in enumerate(row.a_x):
-                if v != 0.0:
-                    coeffs[f"x{i}"] = float(v)
-        if row.a_y is not None:
-            for j, v in enumerate(row.a_y):
-                if v != 0.0:
-                    coeffs[y_names[j]] = float(v)
-        if row.a_t:
-            coeffs["t"] = float(row.a_t)
-        add(coeffs, row.relation, float(row.rhs))
 
-    objective: dict[str, float] = {}
+    def named(c_x, c_y, c_t) -> dict[str, float]:
+        """The nonzero coefficients of x, y and t, by variable name."""
+        coeffs: dict[str, float] = {}
+        for names, values in ((x_names, c_x), (y_names, c_y)):
+            if values is not None:
+                coeffs.update((name, float(v)) for name, v in zip(names, values) if v != 0.0)
+        if c_t:
+            coeffs["t"] = float(c_t)
+        return coeffs
+
+    for row in problem.rows:
+        add(named(row.a_x, row.a_y, row.a_t), row.relation, float(row.rhs))
     o = problem.objective
-    if o.c_x is not None:
-        for i, v in enumerate(o.c_x):
-            if v != 0.0:
-                objective[f"x{i}"] = float(v)
-    if o.c_y is not None:
-        for j, v in enumerate(o.c_y):
-            if v != 0.0:
-                objective[y_names[j]] = float(v)
-    if o.c_t:
-        objective["t"] = float(o.c_t)
-    if not objective:
-        objective = {"x0": 0.0}
+    objective = named(o.c_x, o.c_y, o.c_t) or {"x0": 0.0}
 
     model = MilpModel(
         variables=tuple(variables + binaries),

@@ -214,7 +214,7 @@ def tighten_lp(
     given, accumulates `simplex_iters` and `tighten_limit_hits` (LPs stopped
     by their time limit).
     """
-    from .highs import new_model
+    from .highs import LiveModel
     from .lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
     from .state import root_state
 
@@ -231,7 +231,7 @@ def tighten_lp(
     imap = relaxation.imap
     # The bounds and phases, tightened in place: the build made these copies.
     row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper
-    model = new_model()
+    model = LiveModel()
 
     def current() -> BoundsMap:
         return BoundsMap(

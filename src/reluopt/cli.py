@@ -32,7 +32,9 @@ SOLVERS = ("branch_bound", "bisection", "brute_force", "fgsm", "pgd", "milp_expo
 EXACT_SOLVERS = ("branch_bound", "bisection", "brute_force")
 APPROX_SOLVERS = ("fgsm", "pgd")
 
-CSV_COLUMNS = ["problem_id", "solver", "status", "value", "wall_s", "nodes", "lps", "argopt_path"]
+CSV_COLUMNS = [
+    "problem_id", "solver", "status", "value", "wall_s", "nodes", "lps", "argopt_path", "error"
+]
 
 
 @dataclass
@@ -212,8 +214,9 @@ def load_problem(path: str) -> ProblemSpec:
 
 @dataclass(frozen=True)
 class CanonicalQuery:
-    """Canonical maximization subproblems plus the reporting transform:
-    reported value = report_sign * (best canonical value over subproblems)."""
+    """The canonical maximization problem plus the reporting transform:
+    reported value = report_sign * canonical value. `subproblems` holds
+    exactly that one problem."""
 
     subproblems: tuple[OptimizationProblem, ...]
     report_sign: float
@@ -408,6 +411,13 @@ class ResultRecord:
     nodes: int
     lps: int
     argopt_path: str = ""
+    error: str = ""  # "<exception class>: <message>" of an Error record
+
+
+def _error_record(problem_id: str, solver: str, exc: ReluOptError) -> ResultRecord:
+    return ResultRecord(
+        problem_id, solver, "Error", None, None, 0.0, 0, 0, error=f"{type(exc).__name__}: {exc}"
+    )
 
 
 _STATUS_NAMES = {
@@ -431,22 +441,18 @@ def solve_spec(
         query = canonicalize(spec, net)
         start = time.monotonic()  # wall time counts the solve alone
         record = _run_solver(spec, net, query, solver, timeout, trace)
-    except ReluOptError:
-        record = ResultRecord(spec.problem_id, solver, "Error", None, None, 0.0, 0, 0)
+    except ReluOptError as exc:
+        record = _error_record(spec.problem_id, solver, exc)
     record.wall_s = time.monotonic() - start
     return record
 
 
 def _run_solver(spec, net, query, solver, timeout, trace) -> ResultRecord:
-    best_value = None
-    best_x = None
-    status = "Infeasible"
-    nodes = lps = 0
+    (problem,) = query.subproblems
 
     if solver in APPROX_SOLVERS:
         if spec.kind != "output_optimization":
             raise SchemaError("solver", f"{solver} only applies to output optimization")
-        problem = query.subproblems[0]
         c = problem.objective.c_y
         x0 = problem.box.center
         if solver == "fgsm":
@@ -457,43 +463,40 @@ def _run_solver(spec, net, query, solver, timeout, trace) -> ResultRecord:
             spec.problem_id, solver, "Optimal", query.report_sign * v, x, 0.0, 0, 0
         )
 
-    if solver == "milp_export":
+    if solver == "branch_bound":
+        config = SearchConfig(
+            split_strategy=spec.split,
+            node_order=spec.order,
+            timeout=timeout,
+            tighten_timeout=spec.tighten_timeout,
+        )
+        result = optimize(net, problem, config, trace=trace)
+    elif solver == "bisection":
+        cfg = baselines.BisectionConfig(
+            gap=spec.gap,
+            timeout=timeout,
+            tighten_timeout=spec.tighten_timeout,
+        )
+        result = baselines.bisection_optimize(net, problem, cfg)
+    elif solver == "brute_force":
+        result = baselines.brute_force_optimize(net, problem)
+    elif solver == "milp_export":
         raise SchemaError("solver", "milp_export is handled by the export-milp command")
+    else:
+        raise SchemaError("solver", f"unknown solver {solver}")
 
-    for problem in query.subproblems:
-        if solver == "branch_bound":
-            config = SearchConfig(
-                split_strategy=spec.split,
-                node_order=spec.order,
-                timeout=timeout,
-                tighten_timeout=spec.tighten_timeout,
-            )
-            result = optimize(net, problem, config, trace=trace)
-        elif solver == "bisection":
-            cfg = baselines.BisectionConfig(
-                gap=spec.gap,
-                timeout=timeout,
-                tighten_timeout=spec.tighten_timeout,
-            )
-            result = baselines.bisection_optimize(net, problem, cfg)
-        elif solver == "brute_force":
-            result = baselines.brute_force_optimize(net, problem)
-        else:
-            raise SchemaError("solver", f"unknown solver {solver}")
-        nodes += result.stats.nodes_explored
-        lps += result.stats.lps_solved
-        # The best value is proven only when every subproblem is: one that
-        # timed out leaves the record Timeout, whatever the others found.
-        if result.status is Status.TIMEOUT:
-            status = "Timeout"
-        elif result.status is Status.OPTIMAL and status != "Timeout":
-            status = "Optimal"
-        # A timed-out run reports its incumbent, as an optimal one does.
-        if result.value is not None and (best_value is None or result.value > best_value):
-            best_value, best_x = result.value, result.argopt
-
-    value = None if best_value is None else query.report_sign * best_value
-    return ResultRecord(spec.problem_id, solver, status, value, best_x, 0.0, nodes, lps)
+    # A timed-out run reports its incumbent, as an optimal one does.
+    value = None if result.value is None else query.report_sign * result.value
+    return ResultRecord(
+        spec.problem_id,
+        solver,
+        _STATUS_NAMES[result.status],
+        value,
+        result.argopt,
+        0.0,
+        result.stats.nodes_explored,
+        result.stats.lps_solved,
+    )
 
 
 def run_benchmark(
@@ -512,8 +515,7 @@ def run_benchmark(
             spec = load_problem(path)
         except ReluOptError as exc:
             pid = os.path.splitext(os.path.basename(path))[0]
-            for solver in solvers:
-                records.append(ResultRecord(pid, solver, "Error", None, None, 0.0, 0, 0))
+            records.extend(_error_record(pid, solver, exc) for solver in solvers)
             continue
         for solver in solvers:
             records.append(solve_spec(spec, solver=solver, timeout=timeout))
@@ -540,6 +542,7 @@ def run_benchmark(
                     rec.nodes,
                     rec.lps,
                     rec.argopt_path,
+                    rec.error,
                 ]
             )
 
@@ -651,8 +654,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "export-milp":
         spec = load_problem(args.spec)
         net = load_nnet(spec.network_path())
-        query = canonicalize(spec, net)
-        problem = query.subproblems[0]
+        (problem,) = canonicalize(spec, net).subproblems
         _, text = baselines.export_milp(net, problem, propagate_symbolic(net, problem.box))
         with open(args.output, "w") as fh:
             fh.write(text)

@@ -9,9 +9,8 @@ basis (Huangfu & Hall 2018) instead of from scratch. An LP with another
 matrix object is loaded afresh; LPs built from one `reluopt.lp.Relaxation`
 share its matrix.
 
-The binding is scipy's private `scipy.optimize._highspy._core`. Older scipy
-has no such module; `new_model` then returns None and `reluopt.lp.solve_lp`
-solves each LP cold with `scipy.optimize.linprog`.
+The binding is scipy's private `scipy.optimize._highspy._core`, shipped by
+the scipy releases `pyproject.toml` allows.
 """
 
 from __future__ import annotations
@@ -20,16 +19,12 @@ import math
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+from scipy.optimize._highspy import _core
 
 from .errors import NumericalFailure, Timeout
 
 if TYPE_CHECKING:
     from .lp import LinearProgram, LPResult
-
-try:
-    from scipy.optimize._highspy import _core
-except ImportError:  # scipy without the HiGHS binding
-    _core = None
 
 # Deterministic, silent, single-threaded; presolve off so that the basis
 # left by one solve is the starting point of the next.
@@ -37,21 +32,12 @@ OPTIONS = (("output_flag", False), ("presolve", "off"), ("threads", 1))
 
 # Statuses that decide the LP; any other gets one cold re-solve.
 _DECIDED = (
-    ()
-    if _core is None
-    else (
-        _core.HighsModelStatus.kOptimal,
-        _core.HighsModelStatus.kInfeasible,
-        _core.HighsModelStatus.kModelError,
-        _core.HighsModelStatus.kUnbounded,
-        _core.HighsModelStatus.kTimeLimit,
-    )
+    _core.HighsModelStatus.kOptimal,
+    _core.HighsModelStatus.kInfeasible,
+    _core.HighsModelStatus.kModelError,
+    _core.HighsModelStatus.kUnbounded,
+    _core.HighsModelStatus.kTimeLimit,
 )
-
-
-def new_model() -> Optional["LiveModel"]:
-    """An empty live model, or None when scipy has no HiGHS binding."""
-    return None if _core is None else LiveModel()
 
 
 class LiveModel:
@@ -117,7 +103,7 @@ class LiveModel:
     def solve(self, lp: "LinearProgram", time_limit: Optional[float] = None) -> "LPResult":
         """Solve `lp`, warm-started from the previous solve's basis.
 
-        Statuses map as `linprog`'s do. A status that decides nothing (for
+        Statuses map to `LPStatus`. A status that decides nothing (for
         example unbounded-or-infeasible) gets one cold re-solve; if that
         decides nothing either, NumericalFailure. Raises Timeout when the
         time limit stops the solve."""

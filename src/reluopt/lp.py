@@ -21,11 +21,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix, csc_matrix, vstack
+# linprog is unused here but stays importable by this module's name:
+# perfbench's tracer wraps it.
+from scipy.optimize import linprog  # noqa: F401
+from scipy.sparse import coo_matrix, csc_matrix
 
 from . import highs
-from .errors import DimensionMismatch, NumericalFailure, Timeout
+from .errors import DimensionMismatch
 from .model import Activation, Network, NodeId
 from .problems import Relation
 from .state import ACTIVE, INACTIVE, PartialActivationState
@@ -162,49 +164,12 @@ def solve_lp(
 ) -> LPResult:
     """Solve with the deterministic single-threaded HiGHS backend.
 
-    With a live `model` (from `highs.new_model`) the model is synced to `lp`
-    and re-solved warm from its last basis; without one, `lp` is solved
-    cold, in a fresh HiGHS model or, when scipy has no HiGHS binding, by
-    `linprog`. Raises Timeout when `time_limit` stops the solve and
-    NumericalFailure when the backend gives up otherwise, rather than
-    returning a possibly-wrong answer.
+    A live `model` is synced to `lp` and re-solved warm from its last basis;
+    without one, `lp` is solved cold in a fresh model. Raises Timeout when
+    `time_limit` stops the solve and NumericalFailure when the backend gives
+    up otherwise, rather than returning a possibly-wrong answer.
     """
-    if model is None:
-        model = highs.new_model()
-        if model is None:
-            return _solve_linprog(lp, time_limit)
-    return model.solve(lp, time_limit)
-
-
-def _solve_linprog(lp: LinearProgram, time_limit: Optional[float]) -> LPResult:
-    a = lp.matrix.tocsr()
-    eq = lp.row_lower == lp.row_upper
-    le = ~eq & np.isfinite(lp.row_upper)
-    ge = ~eq & np.isfinite(lp.row_lower)
-    c = -lp.objective if lp.maximize else lp.objective
-    options = {"presolve": True}
-    if time_limit is not None:
-        options["time_limit"] = max(float(time_limit), 0.0)
-    res = linprog(
-        c,
-        A_ub=vstack([a[le], -a[ge]]),
-        b_ub=np.concatenate([lp.row_upper[le], -lp.row_lower[ge]]),
-        A_eq=a[eq],
-        b_eq=lp.row_lower[eq],
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        method="highs",
-        options=options,
-    )
-    if res.status == 0:
-        x = np.asarray(res.x, dtype=np.float64)
-        return LPResult(LPStatus.OPTIMAL, float(lp.objective @ x), x, res.nit)
-    if res.status == 2:
-        return LPResult(LPStatus.INFEASIBLE, iterations=res.nit)
-    if res.status == 3:
-        return LPResult(LPStatus.UNBOUNDED, iterations=res.nit)
-    if res.status == 1 and time_limit is not None:
-        raise Timeout("LP stopped at its time limit")
-    raise NumericalFailure(f"LP backend failed: {res.message}")
+    return (model or highs.LiveModel()).solve(lp, time_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .bounds import (  # noqa: F401
 )
 from .errors import NoUndetermined, Timeout
 from .geometry import Hyperrectangle
-from .highs import LiveModel, new_model
+from .highs import LiveModel
 from .lp import (
     LPStatus,
     Relaxation,
@@ -130,7 +130,8 @@ def optimum_for_region(
 ) -> RegionOutcome:
     """Solve the relaxed LP for the region. Infeasible regions and regions
     whose LP bound cannot beat the incumbent report WorseThanOpt; a
-    consistent LP optimum is the region optimum; otherwise Unknown.
+    consistent LP optimum, its x clipped into the box, is the region
+    optimum; otherwise Unknown.
 
     `relaxation` is the problem's `encode_relaxation(net, problem, bounds)`,
     encoded here when not given, and `model` the live HiGHS model its LPs
@@ -151,7 +152,7 @@ def optimum_for_region(
         return RegionOutcome(RegionStatus.UNKNOWN, lp_bound=bound, iterations=its)
     pre, post = split_assignment(net, imap, res.assignment)
     if not check_relu_consistency(net, pre, post, CONSISTENCY_TOL):
-        x = res.assignment[imap.x].copy()
+        x = np.clip(res.assignment[imap.x], problem.box.lower, problem.box.upper)
         value = problem.objective_at(net, x)
         return RegionOutcome(
             RegionStatus.OPTIMAL, lp_bound=bound, value=value, assignment=x, iterations=its
@@ -268,7 +269,7 @@ def optimize(
     # One encoding and one live model per call, so a problem's node
     # sequence never depends on problems solved before it.
     relaxation = encode_relaxation(net, problem, bounds)
-    model = new_model()
+    model = LiveModel()
 
     def evaluate_region(st: PartialActivationState, inc: float) -> RegionOutcome:
         return optimum_for_region(

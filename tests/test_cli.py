@@ -7,9 +7,7 @@ import pytest
 from reluopt import EmptyDomain, SchemaError, evaluate, load_nnet, write_nnet
 from reluopt.cli import (
     CSV_COLUMNS,
-    CanonicalQuery,
     ProblemSpec,
-    _run_solver,
     canonicalize,
     generate_queries,
     load_problem,
@@ -277,6 +275,12 @@ def test_run_benchmark_error_record_does_not_abort(tmp_path):
     statuses = {r.problem_id: r.status for r in records}
     assert statuses["bad"] == "Error"
     assert statuses[[r.problem_id for r in records if r.problem_id != "bad"][0]] == "Optimal"
+    # The load failure's reason reaches the record and results.csv.
+    reason = "SchemaError: network: missing required field"
+    assert {r.problem_id: r.error for r in records}["bad"] == reason
+    with open(out / "results.csv") as fh:
+        errors = {row["problem_id"]: row["error"] for row in csv.DictReader(fh)}
+    assert errors == {r.problem_id: "" if r.problem_id != "bad" else reason for r in records}
 
 
 def test_solver_error_is_per_record(tmp_path):
@@ -345,6 +349,7 @@ def test_nonfinite_input_box_is_an_error_record(tmp_path):
     )
     rec = solve_spec(load_problem(str(p)))
     assert rec.status == "Error"
+    assert rec.error == "DimensionMismatch: box bounds must be finite"
 
 
 def test_timed_out_run_keeps_its_incumbent(tmp_path, monkeypatch):
@@ -352,46 +357,32 @@ def test_timed_out_run_keeps_its_incumbent(tmp_path, monkeypatch):
     from reluopt.search import SearchResult, SearchStats, Status
 
     _, net_path = _write_net(tmp_path, n_in=2, hidden=(4,), n_out=1)
-    x = np.array([0.25, -0.5])
+    x, y = np.array([0.25, -0.5]), np.array([-0.75, 0.5])
     stats = SearchStats(nodes_explored=7, lps_solved=5, extra={"bound": 3.0, "gap": 1.0})
     timed_out = SearchResult(Status.TIMEOUT, value=2.0, argopt=x, stats=stats)
-    monkeypatch.setattr(reluopt.cli, "optimize", lambda *args, **kwargs: timed_out)
-    for direction, sign in ((Direction.MAXIMIZE, 1.0), (Direction.MINIMIZE, -1.0)):
-        rec = solve_spec(_out_spec(net_path, direction=direction))
-        assert rec.status == "Timeout"
-        assert rec.value == sign * 2.0
-        np.testing.assert_array_equal(rec.argopt, x)
-        assert (rec.nodes, rec.lps) == (7, 5)
-
     no_incumbent = SearchResult(Status.TIMEOUT, stats=stats)
-    monkeypatch.setattr(reluopt.cli, "optimize", lambda *args, **kwargs: no_incumbent)
-    rec = solve_spec(_out_spec(net_path))
-    assert rec.status == "Timeout" and rec.value is None and rec.argopt is None
-
-    # Two subproblems: the record is Optimal only when neither timed out.
-    spec = _out_spec(net_path)
-    net = load_nnet(spec.network_path())
-    (problem,) = canonicalize(spec, net).subproblems
-    query = CanonicalQuery((problem, problem), -1.0)
-    y = np.array([-0.75, 0.5])
+    stats = SearchStats(nodes_explored=3, lps_solved=2)
     optimal = SearchResult(Status.OPTIMAL, value=1.0, argopt=y, stats=stats)
     infeasible = SearchResult(Status.INFEASIBLE, stats=stats)
-    for pair, status, value, argopt in (
-        ((optimal, timed_out), "Timeout", -2.0, x),
-        ((timed_out, optimal), "Timeout", -2.0, x),
-        ((optimal, infeasible), "Optimal", -1.0, y),
-        ((infeasible, optimal), "Optimal", -1.0, y),
-        ((infeasible, infeasible), "Infeasible", None, None),
+
+    # The one result of the query's one problem maps straight to the record,
+    # its value under the report sign of the direction.
+    for result, status, value, argopt, counts in (
+        (optimal, "Optimal", 1.0, y, (3, 2)),
+        (infeasible, "Infeasible", None, None, (3, 2)),
+        (timed_out, "Timeout", 2.0, x, (7, 5)),
+        (no_incumbent, "Timeout", None, None, (7, 5)),
     ):
-        results = iter(pair)
-        monkeypatch.setattr(reluopt.cli, "optimize", lambda *args, **kwargs: next(results))
-        rec = _run_solver(spec, net, query, "branch_bound", 1.0, None)
-        assert (rec.status, rec.value) == (status, value)
-        if argopt is None:
-            assert rec.argopt is None
-        else:
-            np.testing.assert_array_equal(rec.argopt, argopt)
-        assert (rec.nodes, rec.lps) == (14, 10)
+        monkeypatch.setattr(reluopt.cli, "optimize", lambda *args, result=result, **kw: result)
+        for direction, sign in ((Direction.MAXIMIZE, 1.0), (Direction.MINIMIZE, -1.0)):
+            rec = solve_spec(_out_spec(net_path, direction=direction))
+            assert rec.status == status
+            assert rec.value == (None if value is None else sign * value)
+            if argopt is None:
+                assert rec.argopt is None
+            else:
+                np.testing.assert_array_equal(rec.argopt, argopt)
+            assert (rec.nodes, rec.lps) == counts
 
 
 def test_export_milp_takes_big_m_constants_from_symbolic_bounds(tmp_path):

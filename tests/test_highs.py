@@ -1,4 +1,4 @@
-"""The live HiGHS model against cold linprog solves of the same LPs."""
+"""The live HiGHS model against cold solves of the same LPs in fresh models."""
 
 import numpy as np
 import pytest
@@ -16,12 +16,10 @@ from reluopt import (
 )
 from reluopt import highs
 from reluopt.geometry import linf_epigraph
-from reluopt.lp import _solve_linprog, encode_relaxation
+from reluopt.lp import encode_relaxation
 from reluopt.state import root_state
 
 from conftest import box, random_net
-
-pytestmark = pytest.mark.skipif(highs.new_model() is None, reason="scipy has no HiGHS binding")
 
 
 def _random_problem(rng, min_adv: bool):
@@ -54,22 +52,22 @@ def _random_state(rng, net):
     return root_state(net, active=active, inactive=inactive)
 
 
-def test_live_model_matches_cold_linprog():
+def test_live_model_matches_cold_solves():
     """One live model re-solves a random sequence of partial states, with
-    objective and sense changes mixed in; every answer matches a fresh
-    linprog solve of the same LinearProgram."""
+    objective and sense changes mixed in, syncing only what differs; every
+    answer matches a cold solve of the same LinearProgram in a fresh model."""
     rng = np.random.default_rng(20240)
     compared = {LPStatus.OPTIMAL: 0, LPStatus.INFEASIBLE: 0}
     for trial in range(16):
         net, problem = _random_problem(rng, min_adv=trial % 2 == 1)
         relaxation = _relaxation(net, problem)
-        model = highs.new_model()
+        model = highs.LiveModel()
         for step in range(30):
             lp = build_relaxed_lp(relaxation, _random_state(rng, net))
             if step % 5 == 4:  # as bound tightening does: a new cost and sense
                 lp = lp.with_objective(rng.normal(size=lp.n_vars), maximize=bool(rng.random() < 0.5))
             live = solve_lp(lp, model=model)
-            cold = _solve_linprog(lp, None)
+            cold = solve_lp(lp)
             assert live.status == cold.status
             if cold.status == LPStatus.OPTIMAL:
                 assert live.value == pytest.approx(cold.value, abs=1e-7 * max(1.0, abs(cold.value)))
@@ -84,7 +82,7 @@ def test_node_lps_of_one_problem_load_the_model_once(monkeypatch):
     loads = []
     load = highs.LiveModel._load
     monkeypatch.setattr(highs.LiveModel, "_load", lambda self, lp: (loads.append(lp), load(self, lp)))
-    model = highs.new_model()
+    model = highs.LiveModel()
     for _ in range(10):
         lp = build_relaxed_lp(relaxation, _random_state(rng, net))
         solve_lp(lp, model=model)
@@ -99,6 +97,7 @@ def test_undecided_status_gets_one_cold_resolve(monkeypatch):
     rng = np.random.default_rng(11)
     net, problem = _random_problem(rng, min_adv=False)
     lp = build_relaxed_lp(_relaxation(net, problem), root_state(net))
+    reference = solve_lp(lp).status
     undecided = highs._core.HighsModelStatus.kUnboundedOrInfeasible
     run = highs.LiveModel._run
     calls = []
@@ -110,7 +109,7 @@ def test_undecided_status_gets_one_cold_resolve(monkeypatch):
         return run(self, stop_at)
 
     monkeypatch.setattr(highs.LiveModel, "_run", lambda self, stop_at: flaky(self, stop_at, 1))
-    assert solve_lp(lp, time_limit=30.0).status == _solve_linprog(lp, None).status
+    assert solve_lp(lp, time_limit=30.0).status == reference
     assert len(calls) == 2
     assert calls[0] == calls[1]  # the cold re-solve shares the first solve's time limit
 

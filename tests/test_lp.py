@@ -19,7 +19,6 @@ from reluopt import (
     solve_lp,
     split_assignment,
 )
-from reluopt import highs
 from reluopt.lp import encode_relaxation
 from reluopt.model import NodeId, activation_pattern, evaluate, forward_trace
 from reluopt.state import root_state
@@ -50,22 +49,7 @@ def _relaxed_lp(net, state, b, output_rows=(), objective=Objective(), t_upper=np
     return build_relaxed_lp(relaxation, state), relaxation.imap
 
 
-@pytest.fixture
-def backends(monkeypatch):
-    """Each solve_lp backend in turn: the live HiGHS model, then the
-    linprog fallback, forced by hiding scipy's HiGHS binding."""
-
-    def each():
-        assert highs.new_model() is not None
-        yield "live"
-        monkeypatch.setattr(highs, "_core", None)
-        assert highs.new_model() is None
-        yield "linprog"
-
-    return each()
-
-
-def test_solve_lp_matches_vertex_enumeration_oracle(backends):
+def test_solve_lp_matches_vertex_enumeration_oracle():
     rng = np.random.default_rng(5)
     cases = []
     for _ in range(60):
@@ -75,51 +59,46 @@ def test_solve_lp_matches_vertex_enumeration_oracle(backends):
             [(np.asarray(a), Relation(rel), b) for a, rel, b in rows], lower, upper, objective
         )
         cases.append((lp, *lp_oracle(lower, upper, rows, objective)))
-    for _ in backends:
-        solved = 0
-        for lp, status, value in cases:
-            res = solve_lp(lp)
-            if status == "infeasible":
-                assert res.status == LPStatus.INFEASIBLE
-            else:
-                assert res.status == LPStatus.OPTIMAL
-                assert res.value == pytest.approx(value, abs=1e-6)
-                # the reported assignment achieves the reported value
-                assert float(lp.objective @ res.assignment) == pytest.approx(res.value, abs=1e-9)
-                solved += 1
-        assert solved >= 30
+    solved = 0
+    for lp, status, value in cases:
+        res = solve_lp(lp)
+        if status == "infeasible":
+            assert res.status == LPStatus.INFEASIBLE
+        else:
+            assert res.status == LPStatus.OPTIMAL
+            assert res.value == pytest.approx(value, abs=1e-6)
+            # the reported assignment achieves the reported value
+            assert float(lp.objective @ res.assignment) == pytest.approx(res.value, abs=1e-9)
+            solved += 1
+    assert solved >= 30
 
 
-def test_solve_lp_detects_infeasible(backends):
+def test_solve_lp_detects_infeasible():
     lp = LinearProgram.from_rows([(np.array([1.0]), Relation.GE, 2.0)], [0.0], [1.0], [1.0])
     crossed = LinearProgram.from_rows([], [1.0], [0.0], [1.0])
-    for _ in backends:
-        assert solve_lp(lp).status == LPStatus.INFEASIBLE
-        assert solve_lp(crossed).status == LPStatus.INFEASIBLE
+    assert solve_lp(lp).status == LPStatus.INFEASIBLE
+    assert solve_lp(crossed).status == LPStatus.INFEASIBLE
 
 
-def test_solve_lp_detects_unbounded(backends):
+def test_solve_lp_detects_unbounded():
     lp = LinearProgram.from_rows([], [-np.inf], [np.inf], [1.0])
-    for _ in backends:
-        assert solve_lp(lp).status == LPStatus.UNBOUNDED
+    assert solve_lp(lp).status == LPStatus.UNBOUNDED
 
 
-def test_solve_lp_minimize(backends):
+def test_solve_lp_minimize():
     lp = LinearProgram.from_rows([], [-1.0], [2.0], [1.0], maximize=False)
-    for _ in backends:
-        res = solve_lp(lp)
-        assert res.value == pytest.approx(-1.0)
+    res = solve_lp(lp)
+    assert res.value == pytest.approx(-1.0)
 
 
-def test_solve_lp_time_limit_raises_timeout(backends):
+def test_solve_lp_time_limit_raises_timeout():
     rng = np.random.default_rng(3)
     net = random_net(rng, n_in=4, hidden=(30, 30), n_out=1)
     b = box(-np.ones(4), np.ones(4))
     lp, _ = _relaxed_lp(net, root_state(net), b, objective=Objective(c_y=np.array([1.0])))
-    for _ in backends:
-        with pytest.raises(Timeout):
-            solve_lp(lp, time_limit=1e-9)
-        assert solve_lp(lp, time_limit=60.0).status == LPStatus.OPTIMAL
+    with pytest.raises(Timeout):
+        solve_lp(lp, time_limit=1e-9)
+    assert solve_lp(lp, time_limit=60.0).status == LPStatus.OPTIMAL
 
 
 # ---------------------------------------------------------------------------

@@ -599,9 +599,18 @@ def test_search_from_root_bounds_finds_the_brute_force_optimum():
     assert {(False, Status.OPTIMAL), (True, Status.OPTIMAL)} <= kinds
 
 
+def test_optimal_argopt_is_clipped_into_the_box(abs_net):
+    # The LP optimum sits outside [-2, 3] by HiGHS's feasibility tolerance
+    # (x = 3.0000001); the argopt is that point clipped into the box.
+    problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
+    result = optimize(abs_net, problem)
+    assert np.all((problem.box.lower <= result.argopt) & (result.argopt <= problem.box.upper))
+    assert result.stats.extra["max_violation"] == 0.0
+    assert result.value == problem.objective_at(abs_net, result.argopt)
+
+
 def test_every_argopt_is_rechecked_by_a_forward_pass(abs_net):
     problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
-    # The LP optimum may sit outside the box by HiGHS's feasibility tolerance.
     assert 0.0 <= optimize(abs_net, problem).stats.extra["max_violation"] <= 1e-6
 
     # A scripted optimum outside the box, and one failing a row by 0.5.
