@@ -33,7 +33,8 @@ EXACT_SOLVERS = ("branch_bound", "bisection", "brute_force")
 APPROX_SOLVERS = ("fgsm", "pgd")
 
 CSV_COLUMNS = [
-    "problem_id", "solver", "status", "value", "wall_s", "nodes", "lps", "argopt_path", "error"
+    "problem_id", "solver", "status", "value", "wall_s", "nodes", "lps", "argopt_path", "error",
+    "bound", "gap",
 ]
 
 
@@ -400,7 +401,7 @@ def generate_queries(
 # Solving and the benchmark harness
 
 
-@dataclass
+@dataclass(slots=True)  # a bench run holds thousands of records
 class ResultRecord:
     problem_id: str
     solver: str
@@ -412,6 +413,10 @@ class ResultRecord:
     lps: int
     argopt_path: str = ""
     error: str = ""  # "<exception class>: <message>" of an Error record
+    # branch_bound: the global bound on the optimum, under the report sign,
+    # and the gap between it and the incumbent's value
+    bound: Optional[float] = None
+    gap: Optional[float] = None
 
 
 def _error_record(problem_id: str, solver: str, exc: ReluOptError) -> ResultRecord:
@@ -486,7 +491,9 @@ def _run_solver(spec, net, query, solver, timeout, trace) -> ResultRecord:
         raise SchemaError("solver", f"unknown solver {solver}")
 
     # A timed-out run reports its incumbent, as an optimal one does.
-    value = None if result.value is None else query.report_sign * result.value
+    sign = query.report_sign
+    value = None if result.value is None else sign * result.value
+    bound = result.stats.extra.get("bound")
     return ResultRecord(
         spec.problem_id,
         solver,
@@ -496,7 +503,15 @@ def _run_solver(spec, net, query, solver, timeout, trace) -> ResultRecord:
         0.0,
         result.stats.nodes_explored,
         result.stats.lps_solved,
+        bound=None if bound is None else sign * bound,
+        gap=result.stats.extra.get("gap"),
     )
+
+
+def _csv_float(v: Optional[float]) -> str:
+    """A float cell of results.csv: empty for None, inf and -inf as Python
+    prints them."""
+    return "" if v is None else f"{v:.12g}"
 
 
 def run_benchmark(
@@ -537,12 +552,14 @@ def run_benchmark(
                     rec.problem_id,
                     rec.solver,
                     rec.status,
-                    "" if rec.value is None else f"{rec.value:.12g}",
+                    _csv_float(rec.value),
                     f"{rec.wall_s:.3f}",
                     rec.nodes,
                     rec.lps,
                     rec.argopt_path,
                     rec.error,
+                    _csv_float(rec.bound),
+                    _csv_float(rec.gap),
                 ]
             )
 

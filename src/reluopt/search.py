@@ -15,6 +15,7 @@ import numpy as np
 # propagate_interval is unused here but stays importable by this module's
 # name: perfbench's tracer wraps it, as it wraps tighten_lp.
 from .bounds import (  # noqa: F401
+    COUNTERS,
     BoundsMap,
     fixed_by_bounds,
     propagate_interval,
@@ -244,7 +245,8 @@ def optimize(
     Every LP draws on `config.timeout`: tightening LPs and node LPs get at
     most the time left, and a node LP stopped by that limit ends the search
     as Timeout. `stats.extra` counts the simplex iterations of all LPs
-    (`simplex_iters`) and the tightening LPs stopped by their time limit
+    (`simplex_iters`) and the tightening LPs solved (`tighten_lps`), settled
+    without a solve (`tighten_skipped`) and stopped by their time limit
     (`tighten_limit_hits`). It also holds the global upper `bound`, the
     largest of the incumbent and the parent bounds of the nodes still open,
     and the `gap` from the incumbent up to it (inf without an incumbent).
@@ -255,7 +257,7 @@ def optimize(
     """
     start = time.monotonic()
     deadline = start + config.timeout
-    stats = SearchStats(extra={"simplex_iters": 0, "tighten_limit_hits": 0})
+    stats = SearchStats(extra=dict.fromkeys(COUNTERS, 0))
 
     if bounds is None:
         bounds = root_bounds(net, problem.box, config.tighten_timeout, deadline, stats.extra)

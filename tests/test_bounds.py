@@ -157,7 +157,9 @@ def test_tightening_stops_at_the_deadline():
     seed = propagate_interval(net, b)
     counters = {}
     kept = tighten_lp(net, b, seed, 5.0, deadline=time.monotonic() - 1.0, counters=counters)
-    assert counters == {"simplex_iters": 0, "tighten_limit_hits": 0}
+    assert counters == dict.fromkeys(
+        ("simplex_iters", "tighten_lps", "tighten_skipped", "tighten_limit_hits"), 0
+    )
     for k in range(len(net.layers)):
         np.testing.assert_array_equal(kept.pre_lower[k], seed.pre_lower[k])
         np.testing.assert_array_equal(kept.pre_upper[k], seed.pre_upper[k])
@@ -394,3 +396,121 @@ def test_tightening_lps_see_the_phases_the_seed_fixes_in_later_layers():
             layer = net.relu_layers[k]
             assert tight.pre_upper[layer][j] <= top + slack
             assert tight.pre_lower[layer][j] >= bottom - slack
+
+
+# ---------------------------------------------------------------------------
+# Filtered tightening against the solve-every-LP reference
+
+
+def _tighten_every_lp(net, b, seed):
+    """Progressive tightening as it ran before filtering: both LPs of every
+    ReLU are solved, with no time limit. Returns the pre and post bounds, as
+    `tighten_lp`'s BoundsMap holds them, and the number of LPs solved."""
+    from reluopt.bounds import IMPROVEMENT_THRESHOLD, POST_CONSISTENCY_EPS, SAFETY_MARGIN
+    from reluopt.highs import LiveModel
+    from reluopt.lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
+    from reluopt.problems import Objective, OptimizationProblem
+    from reluopt.state import root_state
+
+    relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), seed)
+    fixed = fixed_by_bounds(seed)
+    lp = build_relaxed_lp(relaxation, root_state(net, fixed.active, fixed.inactive))
+    row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper
+    model, solved = LiveModel(), 0
+    for zhat, z, link in zip(relaxation.zhat, relaxation.z, relaxation.link_row):
+        obj = np.zeros(lp.n_vars)
+        obj[zhat] = 1.0
+        lo, hi = lower[zhat], upper[zhat]
+        for maximize in (True, False):
+            res = solve_lp(lp.with_objective(obj, maximize=maximize), model=model)
+            solved += 1
+            if res.status != LPStatus.OPTIMAL:
+                continue
+            if maximize and hi - (res.value + SAFETY_MARGIN) >= IMPROVEMENT_THRESHOLD:
+                hi = res.value + SAFETY_MARGIN
+            if not maximize and res.value - SAFETY_MARGIN - lo >= IMPROVEMENT_THRESHOLD:
+                lo = res.value - SAFETY_MARGIN
+        lower[zhat], upper[zhat] = lo, hi
+        lower[z] = max(lower[z], max(0.0, lo) - POST_CONSISTENCY_EPS, 0.0)
+        upper[z] = min(upper[z], max(0.0, hi) + POST_CONSISTENCY_EPS)
+        if lower[z] > upper[z]:
+            lower[z] = upper[z] = max(0.0, upper[z])
+        if hi <= 0.0:
+            upper[z] = 0.0
+        elif lo >= 0.0:
+            row_upper[link] = 0.0
+    imap = relaxation.imap
+    bounds = {
+        "pre_lower": [lower[c] for c in imap.pre],
+        "pre_upper": [upper[c] for c in imap.pre],
+        "post_lower": [lower[c] for c in imap.post],
+        "post_upper": [upper[c] for c in imap.post],
+    }
+    return bounds, solved
+
+
+def _filter_cases():
+    """_symbolic_cases; seeded (8, 8, 8) nets on unit boxes and on boxes of
+    width 0.4, where tightening fixes more phases; and two nets of random
+    shape on small boxes, where a node that tightening makes active cuts off
+    a pool point that meets its bounds."""
+    yield from _symbolic_cases()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, n_in=3, hidden=(8, 8, 8), n_out=1)
+        lo = rng.uniform(-1.0, 0.6, 3)
+        yield net, box(-np.ones(3), np.ones(3))
+        yield net, box(lo, lo + 0.4)
+    for seed in (1041, 1181):
+        rng = np.random.default_rng(seed)
+        hidden = tuple(int(h) for h in rng.integers(3, 10, size=rng.integers(2, 5)))
+        net = random_net(rng, n_in=2, hidden=hidden, n_out=1)
+        lo = rng.uniform(-1.0, 0.6, 2)
+        yield net, box(lo, lo + rng.uniform(0.1, 1.0))
+
+
+def test_filtered_tightening_gives_the_bounds_of_solving_every_lp_with_fewer_lps():
+    from reluopt.bounds import SAFETY_MARGIN
+
+    solved = reference_solved = 0
+    for net, b in _filter_cases():
+        seed = propagate_symbolic(net, b)
+        counters = {}
+        tight = tighten_lp(net, b, seed, per_query_timeout=5.0, counters=counters)
+        reference, n = _tighten_every_lp(net, b, seed)
+        for side, arrays in reference.items():
+            for k, expected in enumerate(arrays):
+                np.testing.assert_allclose(
+                    getattr(tight, side)[k], expected, rtol=0.0, atol=SAFETY_MARGIN
+                )
+        assert counters["tighten_lps"] <= n
+        solved += counters["tighten_lps"]
+        reference_solved += n
+    assert solved < reference_solved
+
+
+def test_tightening_counts_each_lp_as_solved_skipped_or_stopped(monkeypatch):
+    # Every LP tightening solves goes through reluopt.lp.solve_lp, looked up
+    # at call time, so a wrapper there sees the solves `tighten_lps` counts.
+    import reluopt.lp
+
+    calls = []
+    original = reluopt.lp.solve_lp
+    monkeypatch.setattr(
+        reluopt.lp, "solve_lp", lambda *args, **kw: calls.append(1) or original(*args, **kw)
+    )
+    rng = np.random.default_rng(241)
+    for timeout in (5.0, 1e-9):
+        net = random_net(rng, n_in=4, hidden=(12, 12), n_out=1)
+        b = box(-np.ones(4), np.ones(4))
+        counters, calls[:] = {}, []
+        tighten_lp(net, b, propagate_symbolic(net, b), timeout, counters=counters)
+        visited = (
+            counters["tighten_lps"] + counters["tighten_skipped"] + counters["tighten_limit_hits"]
+        )
+        assert visited == 2 * net.num_relu_nodes
+        assert counters["tighten_lps"] + counters["tighten_limit_hits"] == len(calls)
+        if timeout == 5.0:
+            assert counters["tighten_skipped"] > 0 and counters["tighten_limit_hits"] == 0
+        else:
+            assert counters["tighten_limit_hits"] > 0

@@ -364,18 +364,26 @@ def test_timed_out_run_keeps_its_incumbent(tmp_path, monkeypatch):
     stats = SearchStats(nodes_explored=3, lps_solved=2)
     optimal = SearchResult(Status.OPTIMAL, value=1.0, argopt=y, stats=stats)
     infeasible = SearchResult(Status.INFEASIBLE, stats=stats)
+    stats = SearchStats(nodes_explored=1, extra={"bound": np.inf, "gap": np.inf})
+    unbounded = SearchResult(Status.TIMEOUT, stats=stats)
 
     # The one result of the query's one problem maps straight to the record,
-    # its value under the report sign of the direction.
-    for result, status, value, argopt, counts in (
-        (optimal, "Optimal", 1.0, y, (3, 2)),
-        (infeasible, "Infeasible", None, None, (3, 2)),
-        (timed_out, "Timeout", 2.0, x, (7, 5)),
-        (no_incumbent, "Timeout", None, None, (7, 5)),
+    # its value and bound under the report sign of the direction. results.csv
+    # ends in the bound and gap cells: (maximize, minimize) pairs below.
+    empty, finite = (("", ""), ("", "")), (("3", "1"), ("-3", "1"))
+    infinite = (("inf", "inf"), ("-inf", "inf"))
+    for result, status, value, argopt, counts, bound, gap, cells in (
+        (optimal, "Optimal", 1.0, y, (3, 2), None, None, empty),
+        (infeasible, "Infeasible", None, None, (3, 2), None, None, empty),
+        (timed_out, "Timeout", 2.0, x, (7, 5), 3.0, 1.0, finite),
+        (no_incumbent, "Timeout", None, None, (7, 5), 3.0, 1.0, finite),
+        (unbounded, "Timeout", None, None, (1, 0), np.inf, np.inf, infinite),
     ):
         monkeypatch.setattr(reluopt.cli, "optimize", lambda *args, result=result, **kw: result)
-        for direction, sign in ((Direction.MAXIMIZE, 1.0), (Direction.MINIMIZE, -1.0)):
-            rec = solve_spec(_out_spec(net_path, direction=direction))
+        directions = ((Direction.MAXIMIZE, 1.0), (Direction.MINIMIZE, -1.0))
+        for (direction, sign), cell in zip(directions, cells):
+            spec = _out_spec(net_path, direction=direction)
+            rec = solve_spec(spec)
             assert rec.status == status
             assert rec.value == (None if value is None else sign * value)
             if argopt is None:
@@ -383,6 +391,15 @@ def test_timed_out_run_keeps_its_incumbent(tmp_path, monkeypatch):
             else:
                 np.testing.assert_array_equal(rec.argopt, argopt)
             assert (rec.nodes, rec.lps) == counts
+            assert rec.bound == (None if bound is None else sign * bound)
+            assert rec.gap == gap
+            path = tmp_path / "query.problem"
+            path.write_text(serialize_problem(spec))
+            out = tmp_path / "out"
+            run_benchmark([str(path)], ["branch_bound"], timeout=10.0, out_dir=str(out))
+            with open(out / "results.csv") as fh:
+                (row,) = csv.reader(fh.readlines()[1:])
+            assert tuple(row[-2:]) == cell
 
 
 def test_export_milp_takes_big_m_constants_from_symbolic_bounds(tmp_path):

@@ -351,6 +351,17 @@ def test_search_counts_simplex_iterations():
     assert tightened.value == pytest.approx(plain.value, abs=1e-6)
 
 
+def test_search_counts_the_tightening_lps_solved_and_skipped():
+    rng = np.random.default_rng(7)
+    net = random_net(rng, n_in=2, hidden=(8, 8), n_out=1)
+    problem = output_max_problem(net, [1.0], [-1.0, -1.0], [1.0, 1.0])
+    plain = optimize(net, problem).stats.extra
+    assert plain["tighten_lps"] == plain["tighten_skipped"] == plain["tighten_limit_hits"] == 0
+    tightened = optimize(net, problem, SearchConfig(tighten_timeout=5.0)).stats.extra
+    assert tightened["tighten_lps"] > 0 and tightened["tighten_skipped"] > 0
+    assert tightened["tighten_lps"] + tightened["tighten_skipped"] == 2 * net.num_relu_nodes
+
+
 # ---------------------------------------------------------------------------
 # A node's LP is solved only when its parent's cannot answer for it
 
