@@ -14,6 +14,7 @@ from .errors import DimensionMismatch, NumericalFailure, Timeout
 from .geometry import Hyperrectangle
 from .model import Activation, Layer, Network, NodeId
 from .problems import Objective, OptimizationProblem
+from .state import ACTIVE, INACTIVE, UNDETERMINED
 
 log = logging.getLogger(__name__)
 
@@ -104,6 +105,13 @@ def propagate_interval(net: Network, input_box: Hyperrectangle) -> BoundsMap:
     return _bounds_map(net, input_box, pre_lo, pre_hi)
 
 
+def _phase(zl: np.ndarray, zu: np.ndarray) -> np.ndarray:
+    """The phase each interval [zl, zu] fixes: INACTIVE when zu <= 0 (so
+    [0, 0] counts as inactive: z = 0 either way), else ACTIVE when zl >= 0,
+    else UNDETERMINED."""
+    return np.where(zu <= 0.0, INACTIVE, np.where(zl >= 0.0, ACTIVE, UNDETERMINED)).astype(np.int8)
+
+
 def _relaxation(layer: Layer, zl: np.ndarray, zu: np.ndarray):
     """Linear bounds on `layer`'s output in its pre-activation zhat within
     [zl, zu]: z >= lower_slope * zhat and z <= upper_slope * zhat +
@@ -113,9 +121,8 @@ def _relaxation(layer: Layer, zl: np.ndarray, zu: np.ndarray):
     ones = np.ones(layer.out_width)
     if layer.activation is Activation.IDENTITY:
         return ones, ones, np.zeros(layer.out_width)
-    inactive = zu <= 0.0  # as fixed_by_bounds: [0, 0] counts as inactive
-    active = ~inactive & (zl >= 0.0)
-    free = ~(inactive | active)
+    phase = _phase(zl, zu)
+    active, free = phase == ACTIVE, phase == UNDETERMINED
     slope = np.where(active, 1.0, 0.0)
     slope[free] = zu[free] / (zu[free] - zl[free])
     intercept = np.where(free, -slope * zl, 0.0)
@@ -171,18 +178,20 @@ def propagate_symbolic(net: Network, input_box: Hyperrectangle) -> BoundsMap:
     return _bounds_map(net, input_box, pre_lo, pre_hi)
 
 
+def phases(b: BoundsMap) -> np.ndarray:
+    """The phase each ReLU's pre-activation interval fixes, as an int8
+    vector in `relu_node_ids()` order: ACTIVE, INACTIVE or UNDETERMINED. An
+    interval of exactly [0, 0] counts as inactive (z = 0 either way)."""
+    layers = [_phase(b.pre_lower[k], b.pre_upper[k]) for k in b.relu_layers]
+    return np.concatenate([np.empty(0, np.int8), *layers])
+
+
 def fixed_by_bounds(b: BoundsMap) -> FixedByBounds:
-    """Nodes whose phase is forced by their pre-activation interval.
-    A node with pre bounds exactly [0, 0] counts as inactive (z = 0 either way)."""
-    active, inactive = set(), set()
-    for i, k in enumerate(b.relu_layers):
-        zl, zu = b.pre_lower[k], b.pre_upper[k]
-        for j in range(len(zl)):
-            if zu[j] <= 0.0:
-                inactive.add(NodeId(i, j))
-            elif zl[j] >= 0.0:
-                active.add(NodeId(i, j))
-    return FixedByBounds(frozenset(active), frozenset(inactive))
+    """The nodes `phases` fixes, as NodeId sets."""
+    phase = phases(b)
+    nodes = [NodeId(i, j) for i, k in enumerate(b.relu_layers) for j in range(len(b.pre_lower[k]))]
+    by_phase = lambda value: frozenset(nodes[i] for i in np.flatnonzero(phase == value))
+    return FixedByBounds(by_phase(ACTIVE), by_phase(INACTIVE))
 
 
 def tighten_lp(
@@ -203,13 +212,13 @@ def tighten_lp(
     nodes immediately.
 
     The LPs relax each ReLU as B&B's root node does: the phases the bounds
-    fix are written into the LP (`build_relaxed_lp` of the state
-    `fixed_by_bounds` gives), and a node whose own LPs fix its phase gets
-    that phase too, before later nodes are solved. A phase fixed in a later
-    layer can cut an earlier node's LP as well, through the column bounds of
-    the layers after it. Every node is tightened,
-    fixed ones included: a fixed node's interval can still narrow, and the
-    nodes after it see the narrower one.
+    fix (`phases`) are written into the LP by `build_relaxed_lp`, with a
+    triangle row for each ReLU they leave undetermined, and a node whose own
+    LPs fix its phase gets that phase too, before later nodes are solved. A
+    phase fixed in a later layer can cut an earlier node's LP as well,
+    through the column bounds of the layers after it. Every node is
+    tightened, fixed ones included: a fixed node's interval can still
+    narrow, and the nodes after it see the narrower one.
 
     The bounds live in the vectors of that one LP, which every LP re-solves
     in one live HiGHS model; only bounds and the cost change between them.
@@ -237,7 +246,7 @@ def tighten_lp(
     """
     from .highs import LiveModel
     from .lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
-    from .state import root_state
+    from .state import phase_state
 
     if per_query_timeout <= 0.0:
         return seed
@@ -247,8 +256,7 @@ def tighten_lp(
         counters.setdefault(name, 0)
 
     relaxation = encode_relaxation(net, OptimizationProblem(input_box, Objective()), seed)
-    fixed = fixed_by_bounds(seed)
-    lp = build_relaxed_lp(relaxation, root_state(net, fixed.active, fixed.inactive))
+    lp = build_relaxed_lp(relaxation, phase_state(net, relaxation.phase))
     imap = relaxation.imap
     # The bounds and phases, tightened in place: the build made these copies.
     row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper

@@ -7,7 +7,9 @@ re-solves from the basis that solve left behind. After a phase split only
 bounds change, so the dual simplex method restarts from a dual-feasible
 basis (Huangfu & Hall 2018) instead of from scratch. An LP with another
 matrix object is loaded afresh; LPs built from one `reluopt.lp.Relaxation`
-share its matrix.
+share its matrix. An LP that carries a starting basis (`LinearProgram.basis`)
+has it set when it is loaded, so the first solve of a live model starts from
+that basis instead of from HiGHS's slack basis.
 
 The binding is scipy's private `scipy.optimize._highspy._core`, shipped by
 the scipy releases `pyproject.toml` allows.
@@ -29,6 +31,15 @@ if TYPE_CHECKING:
 # Deterministic, silent, single-threaded; presolve off so that the basis
 # left by one solve is the starting point of the next.
 OPTIONS = (("output_flag", False), ("presolve", "off"), ("threads", 1))
+
+# The basis status codes of `LinearProgram.basis`: nonbasic at the lower
+# bound, basic, nonbasic at the upper bound. A row's status is its slack's.
+AT_LOWER, BASIC, AT_UPPER = 0, 1, 2
+_STATUS = (
+    _core.HighsBasisStatus.kLower,
+    _core.HighsBasisStatus.kBasic,
+    _core.HighsBasisStatus.kUpper,
+)
 
 # Statuses that decide the LP; any other gets one cold re-solve.
 _DECIDED = (
@@ -66,6 +77,13 @@ class LiveModel:
         a.value_ = lp.matrix.data
         if self._highs.passModel(model) == _core.HighsStatus.kError:
             raise NumericalFailure("HiGHS rejected the LP")
+        if lp.basis is not None:
+            # The basis sets where the solve starts, never what it returns.
+            basis = _core.HighsBasis()
+            basis.col_status = [_STATUS[code] for code in lp.basis[0]]
+            basis.row_status = [_STATUS[code] for code in lp.basis[1]]
+            basis.valid = True
+            self._highs.setBasis(basis)
 
     def _sync(self, lp: "LinearProgram") -> None:
         """Make the loaded model equal `lp`: load `lp` when its matrix is

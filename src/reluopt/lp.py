@@ -4,14 +4,20 @@ relaxed LP for a partial activation state.
 A `LinearProgram` is the form HiGHS takes: one sparse CSC matrix A and the
 vectors of row_lower <= A v <= row_upper, lower <= v <= upper, and the
 costs. The relaxed LP of a network has one matrix in every state: the affine
-chaining rows, one link row z - zhat >= 0 per ReLU, and the output rows.
-`encode_relaxation` builds it once per problem, column bounds included, as
-the root LP, and a state changes only vectors. An active ReLU's link row gets
-row upper bound 0 (z - zhat = 0) and its zhat lower bound 0; an inactive ReLU
-gets zhat <= 0 and z in [0, 0]; every ReLU has z >= 0 as its lower bound.
-Undetermined ReLUs are thus relaxed to z >= 0 and z >= zhat, and fully fixed
-leaves are exact. LPs that share the matrix object are re-solved in one live
-HiGHS model (reluopt.highs) by bound and cost changes.
+chaining rows, one link row z - zhat >= 0 per ReLU, one triangle row
+z - s zhat <= -s l, s = u / (u - l), per ReLU whose root bounds [l, u]
+straddle zero, and the output rows. `encode_relaxation` builds it once per
+problem, column bounds included, as the root LP, and a state changes only
+vectors. An active ReLU's link row gets row upper bound 0 (z - zhat = 0) and
+its zhat lower bound 0; an inactive ReLU gets zhat <= 0 and z in [0, 0];
+every ReLU has z >= 0 as its lower bound and z <= u as its upper bound.
+Undetermined ReLUs are thus relaxed to their convex hull over [l, u]: z >= 0,
+z >= zhat and the triangle face (Ehlers 2017). The triangle row holds in
+every phase (z = zhat <= u, or z = 0 with zhat >= l), so it never changes
+with the state, and fully fixed leaves are exact. LPs that share the matrix
+object are re-solved in one live HiGHS model (reluopt.highs) by bound and
+cost changes; the root LP carries a starting basis for that model's first
+solve, whose primal point is the forward pass at a box vertex.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ from scipy.sparse import coo_matrix, csc_matrix
 
 from . import highs
 from .errors import DimensionMismatch
-from .model import Activation, Network, NodeId
+from .bounds import phases
+from .model import Activation, Network, NodeId, forward_trace, gradient
 from .problems import Relation
-from .state import ACTIVE, INACTIVE, PartialActivationState
+from .state import ACTIVE, INACTIVE, UNDETERMINED, PartialActivationState
 
 if TYPE_CHECKING:
     from .bounds import BoundsMap
@@ -91,7 +98,9 @@ class LinearProgram:
 
     `matrix` is a scipy.sparse CSC matrix. A row side may be infinite only
     away from its row (-inf below, +inf above), and every row has a finite
-    side; no bound or cost is NaN."""
+    side; no bound or cost is NaN. `basis`, when given, is a starting basis
+    for a live model's first solve: the status of every column and of every
+    row, as `reluopt.highs` codes (AT_LOWER, BASIC, AT_UPPER)."""
 
     matrix: csc_matrix
     row_lower: np.ndarray
@@ -100,6 +109,7 @@ class LinearProgram:
     upper: np.ndarray
     objective: np.ndarray
     maximize: bool = True
+    basis: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
         n_rows, n_vars = self.matrix.shape
@@ -113,6 +123,8 @@ class LinearProgram:
         # no side is NaN, and no side is the infinity facing its row.
         if not np.isfinite(np.maximum(self.row_lower, -self.row_upper)).all():
             raise DimensionMismatch("every row needs a finite side and no NaN side")
+        if self.basis is not None and tuple(len(s) for s in self.basis) != (n_vars, n_rows):
+            raise DimensionMismatch("the basis needs one status per column and per row")
 
     @classmethod
     def from_rows(cls, rows, lower, upper, objective, maximize: bool = True) -> "LinearProgram":
@@ -217,22 +229,29 @@ class Relaxation:
     """A problem's root LP: its relaxed LP with every ReLU undetermined,
     column bounds included. Encode once per problem; `build_relaxed_lp`
     derives every node LP from it, sharing its matrix. `link_row`, `zhat`
-    and `z` give each ReLU's link row and columns, in `net.relu_node_ids()`
-    order."""
+    and `z` give each ReLU's link row and columns, and `phase` the phase its
+    bounds fix (`bounds.phases`), in `net.relu_node_ids()` order."""
 
     imap: VariableIndexMap
     lp: LinearProgram
     link_row: np.ndarray
     zhat: np.ndarray
     z: np.ndarray
+    phase: np.ndarray
 
 
 def encode_relaxation(
     net: Network, problem: "OptimizationProblem", bounds: "BoundsMap"
 ) -> Relaxation:
     """The root LP of `problem` on `net`: x in the box, every zhat and z in
-    its `bounds`, z >= 0 for ReLUs, and t in [0, t_upper]."""
+    its `bounds`, z >= 0 for ReLUs, a triangle row for each ReLU the bounds
+    leave undetermined, t in [0, t_upper], and a starting basis
+    (`_starting_basis`)."""
     imap = _index_map(net, problem.use_t)
+    phase = phases(bounds)
+    relu_columns = lambda arrays: np.concatenate([np.empty(0, np.intp), *arrays])
+    zhat = relu_columns(imap.pre[k] for k in net.relu_layers)
+    z = relu_columns(imap.post[k] for k in net.relu_layers)
     entries, sides = [], []  # (rows, columns, coeffs) triplets; (lower, upper) per block
 
     def add(lower, upper, *pieces) -> np.ndarray:
@@ -248,20 +267,31 @@ def encode_relaxation(
         return rows[:, 0]
 
     # Affine chaining: pre_k - W_k . prev = b_k
+    equalities = []
     for k, layer in enumerate(net.layers):
         prev = imap.x if k == 0 else imap.post[k - 1]
-        add(layer.biases, layer.biases, (imap.pre[k][:, None], 1.0), (prev, -layer.weights))
+        pieces = (imap.pre[k][:, None], 1.0), (prev, -layer.weights)
+        equalities.append(add(layer.biases, layer.biases, *pieces))
 
-    # Activation rows: a link row per ReLU, then post = pre for identity layers.
+    # Activation rows: a link row per ReLU, a triangle row per undetermined
+    # ReLU, then post = pre for identity layers.
     links = []
     for k in net.relu_layers:
         zero = np.zeros(net.layers[k].out_width)
         pieces = (imap.post[k][:, None], 1.0), (imap.pre[k][:, None], -1.0)
         links.append(add(zero, zero + np.inf, *pieces))
+    free = phase == UNDETERMINED
+    l, u = (
+        np.concatenate([np.empty(0), *(side[k] for k in net.relu_layers)])[free]
+        for side in (bounds.pre_lower, bounds.pre_upper)
+    )
+    s = u / (u - l)  # z - s zhat <= -s l
+    add(np.full_like(s, -np.inf), -s * l, (z[free][:, None], 1.0), (zhat[free][:, None], -s[:, None]))
     for k, layer in enumerate(net.layers):
         if layer.activation is Activation.IDENTITY:
             zero = np.zeros(layer.out_width)
-            add(zero, zero, (imap.post[k][:, None], 1.0), (imap.pre[k][:, None], -1.0))
+            pieces = (imap.post[k][:, None], 1.0), (imap.pre[k][:, None], -1.0)
+            equalities.append(add(zero, zero, *pieces))
 
     for row in problem.rows:
         lower, upper = row_sides(row.relation, float(row.rhs))
@@ -295,14 +325,60 @@ def encode_relaxation(
         lower[imap.t] = 0.0
         upper[imap.t] = problem.t_upper
 
-    relu_columns = lambda arrays: np.concatenate([np.empty(0, np.intp), *arrays])
+    link_row = relu_columns(links)
+    equalities = np.concatenate(equalities)
+    basis = _starting_basis(net, problem, imap, phase, z, link_row, equalities, len(row_lower))
     return Relaxation(
         imap,
-        LinearProgram(matrix, row_lower, row_upper, lower, upper, obj),
-        link_row=relu_columns(links),
-        zhat=relu_columns(imap.pre[k] for k in net.relu_layers),
-        z=relu_columns(imap.post[k] for k in net.relu_layers),
+        LinearProgram(matrix, row_lower, row_upper, lower, upper, obj, basis=basis),
+        link_row=link_row,
+        zhat=zhat,
+        z=z,
+        phase=phase,
     )
+
+
+def _starting_basis(
+    net: Network,
+    problem: "OptimizationProblem",
+    imap: VariableIndexMap,
+    phase: np.ndarray,
+    z: np.ndarray,
+    link_row: np.ndarray,
+    equalities: np.ndarray,
+    n_rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The root LP's starting basis, whose primal point is the forward pass
+    at a vertex of the box: the vertex the sign of the objective's gradient
+    at the box center picks (the upper bound where it is positive).
+
+    x is nonbasic at that vertex and t at 0. Every zhat is basic in its
+    affine row (`equalities` holds the affine and identity rows), and every
+    identity output in its identity row. A ReLU's z is basic with its link
+    row at its bound z - zhat = 0 when the ReLU is fixed active or active at
+    the vertex; otherwise z is nonbasic at 0 and its link row is basic. The
+    slacks of the triangle and problem rows are basic. In layer order the
+    basis matrix is lower triangular with a unit diagonal, so it is
+    nonsingular."""
+    box, objective = problem.box, problem.objective
+    grad = np.zeros(net.input_dim)
+    if objective.c_x is not None:
+        grad += objective.c_x
+    if objective.c_y is not None:
+        grad += gradient(net, box.center, objective.c_y)
+    pre = forward_trace(net, np.where(grad > 0.0, box.upper, box.lower)).pre
+    zhat = np.concatenate([np.empty(0), *(pre[k] for k in net.relu_layers)])
+    z_basic = (phase == ACTIVE) | ((phase == UNDETERMINED) & (zhat > 0.0))
+
+    cols = np.full(imap.n_vars, highs.BASIC, np.int8)
+    cols[imap.x] = np.where(grad > 0.0, highs.AT_UPPER, highs.AT_LOWER)
+    cols[z[~z_basic]] = highs.AT_LOWER
+    if imap.t is not None:
+        cols[imap.t] = highs.AT_LOWER
+    rows = np.full(n_rows, highs.BASIC, np.int8)
+    rows[equalities] = highs.AT_LOWER
+    rows[link_row[z_basic]] = highs.AT_LOWER
+    return cols, rows
 
 
 def build_relaxed_lp(relaxation: Relaxation, state: PartialActivationState) -> LinearProgram:

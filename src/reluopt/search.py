@@ -12,8 +12,8 @@ from typing import Callable, Optional, TextIO
 
 import numpy as np
 
-# propagate_interval is unused here but stays importable by this module's
-# name: perfbench's tracer wraps it, as it wraps tighten_lp.
+# fixed_by_bounds and propagate_interval are unused here but stay importable
+# by this module's name: perfbench's tracer wraps them, as it wraps tighten_lp.
 from .bounds import (  # noqa: F401
     COUNTERS,
     BoundsMap,
@@ -36,7 +36,7 @@ from .lp import (
 )
 from .model import Network
 from .problems import OptimizationProblem
-from .state import ACTIVE, UNDETERMINED, PartialActivationState, root_state
+from .state import ACTIVE, UNDETERMINED, PartialActivationState, phase_state
 
 CONSISTENCY_TOL = 1e-6
 
@@ -262,15 +262,14 @@ def optimize(
     if bounds is None:
         bounds = root_bounds(net, problem.box, config.tighten_timeout, deadline, stats.extra)
 
-    fixed = fixed_by_bounds(bounds)
-    root = root_state(net, active=fixed.active, inactive=fixed.inactive)
-
     incumbent = -np.inf
     argopt: Optional[np.ndarray] = None
 
     # One encoding and one live model per call, so a problem's node
-    # sequence never depends on problems solved before it.
+    # sequence never depends on problems solved before it. The root state
+    # fixes the phases the bounds fix.
     relaxation = encode_relaxation(net, problem, bounds)
+    root = phase_state(net, relaxation.phase)
     model = LiveModel()
 
     def evaluate_region(st: PartialActivationState, inc: float) -> RegionOutcome:

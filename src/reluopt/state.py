@@ -64,6 +64,16 @@ class PartialActivationState:
         return f"A[{fmt(ACTIVE)}]N[{fmt(INACTIVE)}]"
 
 
+def phase_state(net: Network, phase: np.ndarray) -> PartialActivationState:
+    """The state with a copy of `phase`, one phase per ReLU node in
+    `net.relu_node_ids()` order."""
+    phase = np.array(phase, dtype=np.int8)
+    if phase.shape != (net.num_relu_nodes,):
+        raise InconsistentState(f"{phase.size} phases for {net.num_relu_nodes} ReLU nodes")
+    phase.flags.writeable = False
+    return PartialActivationState(phase, tuple(net.relu_node_ids()))
+
+
 def root_state(net: Network, active=(), inactive=()) -> PartialActivationState:
     """State with the given nodes fixed and everything else undetermined."""
     phase = np.zeros(net.num_relu_nodes, np.int8)

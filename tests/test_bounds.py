@@ -9,7 +9,9 @@ from reluopt import (
     propagate_symbolic,
     tighten_lp,
 )
+from reluopt.bounds import phases
 from reluopt.model import NodeId, forward_trace
+from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED
 
 from conftest import box, random_net
 
@@ -67,9 +69,31 @@ def test_fixed_by_bounds_zero_interval_is_inactive():
             Layer(np.ones((1, 1)), np.zeros(1), Activation.IDENTITY),
         )
     )
-    fixed = fixed_by_bounds(propagate_interval(net, box([-1.0], [1.0])))
+    bounds = propagate_interval(net, box([-1.0], [1.0]))
+    fixed = fixed_by_bounds(bounds)
     assert NodeId(0, 0) in fixed.inactive
     assert NodeId(0, 0) not in fixed.active
+    assert phases(bounds).tolist() == [INACTIVE]
+
+
+def test_phases_follow_the_intervals_in_node_order():
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(10):
+        net = random_net(rng, n_in=3, hidden=(6, 5), n_out=2)
+        center = rng.uniform(-1.0, 1.0, 3)
+        bounds = propagate_symbolic(net, box(center - 0.7, center + 0.7))
+        phase = phases(bounds)
+        assert phase.dtype == np.int8 and phase.shape == (net.num_relu_nodes,)
+        for node, got in zip(net.relu_node_ids(), phase):
+            lo, hi = bounds.pre(node)
+            assert got == (INACTIVE if hi <= 0.0 else ACTIVE if lo >= 0.0 else UNDETERMINED)
+        fixed = fixed_by_bounds(bounds)
+        nodes = np.array(net.relu_node_ids())
+        assert {tuple(n) for n in nodes[phase == ACTIVE]} == set(fixed.active)
+        assert {tuple(n) for n in nodes[phase == INACTIVE]} == set(fixed.inactive)
+        seen.update(phase.tolist())
+    assert seen == {ACTIVE, INACTIVE, UNDETERMINED}
 
 
 def test_tighten_zero_timeout_is_noop():

@@ -105,12 +105,14 @@ def test_solve_lp_time_limit_raises_timeout():
 # Relaxed LP construction
 
 
-def _true_assignment_feasible(net, lp, imap, x, tol=1e-6):
-    """Embed the true forward trace into the LP variable vector and check
-    every row and bound."""
+def _true_assignment_feasible(net, lp, imap, x, tol=1e-6, t=0.0):
+    """Embed the true forward trace (and `t`) into the LP variable vector and
+    check every row and bound."""
     trace = forward_trace(net, x)
     vec = np.zeros(imap.n_vars)
     vec[imap.x] = x
+    if imap.t is not None:
+        vec[imap.t] = t
     for k in range(len(net.layers)):
         vec[imap.pre[k]] = trace.pre[k]
         vec[imap.post[k]] = trace.post[k]
@@ -172,6 +174,73 @@ def test_leaf_lp_is_exact_and_consistent():
         # exactness: the LP value is attained by the network itself
         x_opt = res.assignment[imap.x]
         assert float(evaluate(net, x_opt)[0]) == pytest.approx(res.value, abs=1e-6)
+
+
+@pytest.mark.parametrize("min_adv", [False, True])
+def test_triangle_rows_hold_in_every_phase(min_adv):
+    """The triangle rows cut off no point the network reaches: each sampled
+    feasible x's exact forward pass satisfies every row and bound of the
+    node LP of a state that fixes ReLUs as x activates them, with the rest
+    (and the ReLUs the bounds fix) as the root leaves them, so the rows are
+    checked in the active, inactive and undetermined phase alike."""
+    from reluopt.bounds import propagate_symbolic, tighten_lp
+    from reluopt.geometry import linf_epigraph
+    from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, phase_state
+
+    rng = np.random.default_rng(808 + min_adv)
+    checked, phases_seen = 0, set()
+    for trial in range(12):
+        n_in = int(rng.integers(2, 4))
+        net = random_net(rng, n_in=n_in, hidden=(int(rng.integers(3, 7)), 4), n_out=2)
+        center = rng.uniform(-1.0, 1.0, n_in)
+        b = box(center - 0.8, center + 0.8)
+        if min_adv:  # maximize -t with epigraph and target rows
+            target = Row(None, np.array([1.0, -1.0]), 0.0, Relation.GE, 0.0)
+            rows = tuple(linf_epigraph(center)) + (target,)
+            problem = OptimizationProblem(b, Objective(c_t=-1.0), rows, 0.8, x0=center)
+        else:
+            problem = OptimizationProblem(b, Objective(c_y=rng.normal(size=2)))
+        bounds = propagate_symbolic(net, b)
+        if trial % 3 == 0:
+            bounds = tighten_lp(net, b, bounds, 5.0)
+        relaxation = encode_relaxation(net, problem, bounds)
+        undetermined = relaxation.phase == UNDETERMINED
+        n_rows = sum(layer.out_width for layer in net.layers) + net.num_relu_nodes
+        n_rows += net.output_dim + np.count_nonzero(undetermined) + len(problem.rows)
+        assert relaxation.lp.matrix.shape[0] == n_rows  # one triangle row per undetermined ReLU
+        for x in b.sample(rng, 40):
+            if not problem.rows_satisfied(net, x, tol=0.0):
+                continue
+            at_x = np.where(np.concatenate(activation_pattern(net, x)), ACTIVE, INACTIVE)
+            phase = np.where(undetermined & (rng.random(len(at_x)) < 0.7), at_x, relaxation.phase)
+            lp = build_relaxed_lp(relaxation, phase_state(net, phase))
+            assert _true_assignment_feasible(net, lp, relaxation.imap, x, t=problem.t_of(x))
+            checked += 1
+            phases_seen.update(phase[undetermined])
+    assert checked >= 150 and phases_seen == {ACTIVE, INACTIVE, UNDETERMINED}
+
+
+def test_one_relu_root_bound_is_the_triangle_value():
+    """Maximize z - c x over x in [l, u] with z = relu(x). The triangle row
+    z <= u (x - l) / (u - l) makes the root LP the convex hull, whose best
+    vertex gives max(-c l, (1 - c) u); without it, z >= 0, z >= x and
+    z <= u allow z = u at x = l, the bound u - c l."""
+    from reluopt import Activation, Layer, Network
+    from reluopt.bounds import propagate_symbolic
+
+    net = Network(
+        (
+            Layer(np.array([[1.0]]), np.zeros(1), Activation.RELU),
+            Layer(np.array([[1.0]]), np.zeros(1), Activation.IDENTITY),
+        )
+    )
+    l, u, c = -1.0, 2.0, 0.5
+    problem = OptimizationProblem(box([l], [u]), Objective(c_x=np.array([-c]), c_y=np.array([1.0])))
+    relaxation = encode_relaxation(net, problem, propagate_symbolic(net, problem.box))
+    res = solve_lp(relaxation.lp)
+    assert res.status == LPStatus.OPTIMAL
+    assert res.value == pytest.approx(max(-c * l, (1 - c) * u), abs=1e-9)
+    assert res.value < u - c * l - 1.0
 
 
 def test_output_rows_and_epigraph_variable(abs_net):

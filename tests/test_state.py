@@ -5,7 +5,7 @@ import pytest
 
 from reluopt import InconsistentState
 from reluopt.model import NodeId
-from reluopt.state import root_state
+from reluopt.state import ACTIVE, INACTIVE, phase_state, root_state
 
 from conftest import random_net
 
@@ -61,3 +61,14 @@ def test_fingerprint_text(net):
     assert state.fingerprint() == "A[0.2,0.10,1.2]N[0.0,0.11]"
     child = state.fix(NodeId(1, 0), active=False).fix(NodeId(0, 9), active=True)
     assert child.fingerprint() == "A[0.2,0.9,0.10,1.2]N[0.0,0.11,1.0]"
+
+
+def test_phase_state_copies_a_phase_vector(net):
+    phase = np.zeros(net.num_relu_nodes, np.int8)
+    phase[[3, 13]] = ACTIVE, INACTIVE
+    state = phase_state(net, phase)
+    phase[0] = ACTIVE  # the state keeps its own copy
+    assert state.active == {NodeId(0, 3)} and state.inactive == {NodeId(1, 1)}
+    assert not state.phase.flags.writeable
+    with pytest.raises(InconsistentState):
+        phase_state(net, phase[:-1])
