@@ -76,8 +76,12 @@ class BisectionConfig:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.gap <= 0:
+        if not self.gap > 0:
             raise ValueError("optimality gap must be positive")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be positive")
+        if not self.tighten_timeout >= 0:
+            raise ValueError("tighten_timeout must be nonnegative")
 
 
 def bisection_optimize(

@@ -23,9 +23,6 @@ log = logging.getLogger(__name__)
 SAFETY_MARGIN = 1e-7
 IMPROVEMENT_THRESHOLD = 1e-9
 POST_CONSISTENCY_EPS = 1e-9
-# Tightening keeps a pool point that misses a bound or phase by at most this:
-# the round-off in an LP optimum's values, not an infeasibility.
-POOL_ROUNDOFF = 1e-9
 # The counts `tighten_lp` accumulates.
 COUNTERS = ("simplex_iters", "tighten_lps", "tighten_skipped", "tighten_limit_hits")
 
@@ -202,47 +199,38 @@ def tighten_lp(
     deadline: Optional[float] = None,
     counters: Optional[dict] = None,
 ) -> BoundsMap:
-    """Progressive LP tightening: visit ReLU nodes in topological order and
-    solve up to two LPs per node (max and min of zhat) over the relaxation
-    under the current bounds. A bound is replaced only when the LP finishes
-    within its time limit and improves it by at least the improvement
-    threshold. The post-activation bounds then follow as post = max(0, pre):
-    with z >= 0 and z >= zhat as an undetermined node's only rows below z,
-    an LP over z could not do better. Improved bounds are visible to later
-    nodes immediately.
+    """Progressive LP tightening: visit ReLU nodes in topological order and,
+    for each node whose phase the seed leaves open, solve two LPs (max and
+    min of zhat) over the relaxation under the current bounds. A bound is
+    replaced only when the LP finishes within its time limit and improves it
+    by at least the improvement threshold. The post-activation bounds then
+    follow as post = max(0, pre): with z >= 0 and z >= zhat as an
+    undetermined node's only rows below z, an LP over z could not do better.
+    Improved bounds are visible to later nodes immediately.
 
-    The LPs relax each ReLU as B&B's root node does: the phases the bounds
-    fix (`phases`) are written into the LP by `build_relaxed_lp`, with a
-    triangle row for each ReLU they leave undetermined, and a node whose own
+    The LPs relax each ReLU as B&B's root node does: the phases the seed
+    fixes (`phases`) are written into the LP by `build_relaxed_lp`, with a
+    triangle row for each ReLU it leaves undetermined, and a node whose own
     LPs fix its phase gets that phase too, before later nodes are solved. A
     phase fixed in a later layer can cut an earlier node's LP as well,
-    through the column bounds of the layers after it. Every node is
-    tightened, fixed ones included: a fixed node's interval can still
-    narrow, and the nodes after it see the narrower one.
+    through the column bounds of the layers after it.
 
-    The bounds live in the vectors of that one LP, which every LP re-solves
-    in one live HiGHS model; only bounds and the cost change between them.
-    An LP whose bound a known feasible point already attains is not solved:
-    filtering, as in optimization-based bound tightening (Gleixner et al.
-    2017). The optimal points of the LPs solved so far stay in a pool while
-    they meet every bound and phase written since: after a node's bounds are
-    written, a point leaves when its zhat or z lies outside them, or, once
-    the node is active, when its z exceeds its zhat (an inactive node's z
-    bound is 0), each by more than the round-off `POOL_ROUNDOFF`. A max LP
-    is skipped when a pool point has zhat above hi - (SAFETY_MARGIN +
-    IMPROVEMENT_THRESHOLD): its optimum could not improve hi by the
-    threshold. The min side is symmetric. Each pool point is feasible in
-    every later LP, so a skip passes over only an LP that could not have
-    changed the bound, up to LP round-off; a skip never makes a bound
-    unsound.
+    A node whose phase the seed fixes is skipped and keeps the seed's
+    bounds. Its phase is written into every LP (z = zhat or z = 0), so the
+    node is linear there, and any bound its own LPs could return the LP
+    already implies. Narrowing its interval would therefore cut no later
+    tightening LP, each of which lies inside the one before, nor B&B's root
+    LP, which lies inside the last. Only a node's own LPs change its bounds,
+    so its phase when visited is the seed's.
 
-    Each LP's time limit is `per_query_timeout`, cut to the time left before
-    `deadline` (a `time.monotonic()` reading); once that is spent,
-    tightening stops and keeps the bounds found so far. `counters`, when
-    given, accumulates `simplex_iters`, `tighten_lps` (LPs solved),
-    `tighten_skipped` (LPs a pool point settled) and `tighten_limit_hits`
-    (LPs stopped by their time limit). Each node visited adds two to the
-    last three, unless one of its LPs fails numerically.
+    All LPs are re-solved in one live HiGHS model; only bounds and the cost
+    change between them. Each LP's time limit is `per_query_timeout`, cut
+    to the time left before `deadline` (a `time.monotonic()` reading); once
+    that is spent, tightening stops and keeps the bounds found so far.
+    `counters`, when given, accumulates `simplex_iters`, `tighten_lps` (LPs
+    solved), `tighten_skipped` (the two LPs of each node the seed fixes) and
+    `tighten_limit_hits` (LPs stopped by their time limit). Each node visited
+    adds two to the last three, unless one of its LPs fails numerically.
     """
     from .highs import LiveModel
     from .lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
@@ -273,20 +261,17 @@ def tighten_lp(
             relu_layers=seed.relu_layers,
         )
 
-    # The pool: the zhat and z values of the points kept, at the nodes still
-    # to visit; column 0 is the node being visited.
-    pool_zhat = pool_z = np.empty((0, len(relaxation.zhat)))
-    settled = SAFETY_MARGIN + IMPROVEMENT_THRESHOLD
-    nodes = zip(net.relu_node_ids(), relaxation.zhat, relaxation.z, relaxation.link_row)
-    for i, (node, zhat, z, link) in enumerate(nodes):
+    nodes = zip(
+        net.relu_node_ids(), relaxation.phase, relaxation.zhat, relaxation.z, relaxation.link_row
+    )
+    for node, phase, zhat, z, link in nodes:
+        if phase != UNDETERMINED:
+            counters["tighten_skipped"] += 2
+            continue
         obj = np.zeros(lp.n_vars)
         obj[zhat] = 1.0
         lo, hi = lower[zhat], upper[zhat]
         for maximize in (True, False):
-            reached = pool_zhat[:, 0]
-            if np.any(reached > hi - settled) if maximize else np.any(reached < lo + settled):
-                counters["tighten_skipped"] += 1
-                continue
             limit = per_query_timeout
             if deadline is not None:
                 limit = min(limit, deadline - time.monotonic())
@@ -313,8 +298,6 @@ def tighten_lp(
             counters["simplex_iters"] += res.iterations
             if res.status != LPStatus.OPTIMAL:
                 continue
-            pool_zhat = np.vstack([pool_zhat, res.assignment[relaxation.zhat[i:]]])
-            pool_z = np.vstack([pool_z, res.assignment[relaxation.z[i:]]])
             if maximize:
                 cand = res.value + SAFETY_MARGIN
                 if hi - cand >= IMPROVEMENT_THRESHOLD:
@@ -335,13 +318,5 @@ def tighten_lp(
             upper[z] = 0.0  # z = 0
         elif lo >= 0.0:
             row_upper[link] = 0.0  # z = zhat
-        # Only the pool points that meet this node's new bounds and phase stay.
-        at_zhat, at_z = pool_zhat[:, 0], pool_z[:, 0]
-        tol = POOL_ROUNDOFF
-        keep = (lo - tol <= at_zhat) & (at_zhat <= hi + tol)
-        keep &= (lower[z] - tol <= at_z) & (at_z <= upper[z] + tol)
-        if row_upper[link] == 0.0:
-            keep &= at_z <= at_zhat + tol
-        pool_zhat, pool_z = pool_zhat[keep, 1:], pool_z[keep, 1:]
 
     return current()

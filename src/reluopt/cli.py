@@ -133,9 +133,10 @@ def parse_problem(text: str, base_dir: str = ".") -> ProblemSpec:
             for rel in (Relation.GE, Relation.LE):
                 if rel.value in value:
                     lhs, _, rhs = value.partition(rel.value)
-                    target_rows.append(
-                        (_parse_vec("target_row", lhs), rel, float(rhs))
-                    )
+                    b = _parse_vec("target_row", rhs)
+                    if b.size != 1:
+                        raise SchemaError("target_row", "needs one number after the relation")
+                    target_rows.append((_parse_vec("target_row", lhs), rel, float(b[0])))
                     break
             else:
                 raise SchemaError("target_row", "needs a <= or >= relation")
@@ -190,11 +191,23 @@ def parse_problem(text: str, base_dir: str = ".") -> ProblemSpec:
     except ValueError as exc:
         raise SchemaError("<value>", str(exc)) from None
 
-    spec.timeout = float(take("timeout", default="120"))
-    spec.gap = float(take("gap", default="1e-4"))
-    spec.split = SplitStrategy(take("split", default="earliest"))
-    spec.order = NodeOrder(take("order", default="best_first"))
-    spec.tighten_timeout = float(take("tighten_timeout", default="0"))
+    # The solver settings, each parsed and then checked; NaN fails both checks.
+    anything = lambda v: True
+    for name, default, parse, holds, rule in (
+        ("timeout", "120", float, lambda v: v > 0, "must be positive"),
+        ("gap", "1e-4", float, lambda v: v > 0, "must be positive"),
+        ("split", "earliest", SplitStrategy, anything, ""),
+        ("order", "best_first", NodeOrder, anything, ""),
+        ("tighten_timeout", "0", float, lambda v: v >= 0, "must be nonnegative"),
+    ):
+        text = take(name, default=default)
+        try:
+            value = parse(text)
+        except ValueError:
+            raise SchemaError(name, f"bad value {text!r}") from None
+        if not holds(value):
+            raise SchemaError(name, rule)
+        setattr(spec, name, value)
     if pairs:
         raise SchemaError(next(iter(pairs)), "unknown field")
     return spec

@@ -99,8 +99,10 @@ class SearchConfig:
     stop_at_first_optimal: bool = False  # feasibility mode: exit on first witness
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise ValueError("timeout must be positive")
+        if not self.tighten_timeout >= 0:
+            raise ValueError("tighten_timeout must be nonnegative")
 
 
 def root_bounds(
@@ -245,8 +247,9 @@ def optimize(
     Every LP draws on `config.timeout`: tightening LPs and node LPs get at
     most the time left, and a node LP stopped by that limit ends the search
     as Timeout. `stats.extra` counts the simplex iterations of all LPs
-    (`simplex_iters`) and the tightening LPs solved (`tighten_lps`), settled
-    without a solve (`tighten_skipped`) and stopped by their time limit
+    (`simplex_iters`) and the tightening LPs solved (`tighten_lps`), skipped
+    because the back-substitution bounds already fix their ReLU's phase
+    (`tighten_skipped`) and stopped by their time limit
     (`tighten_limit_hits`). It also holds the global upper `bound`, the
     largest of the incumbent and the parent bounds of the nodes still open,
     and the `gap` from the incumbent up to it (inf without an incumbent).

@@ -139,7 +139,7 @@ def test_bisection_equals_search_within_the_gap_on_equal_root_bounds(tighten_tim
     "hidden, tighten_timeout",
     [
         ((6, 6), 0.0),  # about 20 decision calls when run to the gap
-        ((50, 50, 50, 50), 5.0),  # tightening alone takes seconds
+        ((50, 50, 50, 50), 5.0),  # unbudgeted, tightening alone takes ~9 s
     ],
 )
 def test_bisection_timeout_is_a_budget_for_the_whole_run(hidden, tighten_timeout):
@@ -173,6 +173,21 @@ def test_bisection_stops_when_a_witness_cannot_raise_the_bracket():
     assert r.value == pytest.approx(problem.objective_at(net, r.argopt))
     lo, hi = r.stats.extra["bracket"]
     assert lo <= exact.value + 1e-5 and exact.value - 1e-5 <= hi
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"gap": float("nan")},
+        {"timeout": 0.0},
+        {"timeout": float("nan")},
+        {"tighten_timeout": -1.0},
+        {"tighten_timeout": float("nan")},
+    ],
+)
+def test_bisection_config_rejects_a_nan_or_out_of_range_setting(setting):
+    with pytest.raises(ValueError):
+        BisectionConfig(**setting)
 
 
 def test_bisection_rejects_bad_gap():

@@ -9,7 +9,7 @@ from reluopt import (
     propagate_symbolic,
     tighten_lp,
 )
-from reluopt.bounds import phases
+from reluopt.bounds import BoundsMap, phases
 from reluopt.model import NodeId, forward_trace
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED
 
@@ -123,28 +123,36 @@ def test_tighten_strictly_improves_correlated_net():
     # z1 = relu(x), z2 = relu(1 - x): their sum is >= 1 everywhere, but
     # interval propagation sees each minimum as 0 independently. The LP pass
     # couples them through the shared input and must recover the true lower
-    # bound 1 on the second layer's pre-activation (exhaustive range check:
-    # min over x of max(0,x) + max(0,1-x) is 1, attained on [0,1]).
+    # bound -0.5 of z1 + z2 - 1.5, a ReLU the interval seed leaves open
+    # (exhaustive range check: min over x of max(0,x) + max(0,1-x) is 1,
+    # attained on [0,1]). relu(z1 + z2) is fixed active by its seed interval
+    # [0, 4]; its own min LP would find 1, but tightening skips it and it
+    # keeps the seed's interval.
     from reluopt import Activation, Layer, Network
 
     net = Network(
         (
             Layer(np.array([[1.0], [-1.0]]), np.array([0.0, 1.0]), Activation.RELU),
-            Layer(np.array([[1.0, 1.0]]), np.array([0.0]), Activation.RELU),
-            Layer(np.array([[1.0]]), np.array([0.0]), Activation.IDENTITY),
+            Layer(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([-1.5, 0.0]), Activation.RELU),
+            Layer(np.array([[1.0, 0.0]]), np.array([0.0]), Activation.IDENTITY),
         )
     )
     b = box([-1.0], [2.0])
     # sanity: the interval seed cannot see the coupling
     seed = propagate_interval(net, b)
-    assert seed.pre_lower[1][0] == pytest.approx(0.0)
+    assert seed.pre_lower[1][0] == pytest.approx(-1.5)
+    assert phases(seed)[2:].tolist() == [UNDETERMINED, ACTIVE]
     # brute-force range oracle over a dense input grid
     true_min = min(
         float(forward_trace(net, [x]).pre[1][0]) for x in np.linspace(-1.0, 2.0, 3001)
     )
-    assert true_min == pytest.approx(1.0, abs=1e-3)
-    tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
-    assert tight.pre_lower[1][0] == pytest.approx(1.0, abs=1e-6)
+    assert true_min == pytest.approx(-0.5, abs=1e-3)
+    counters = {}
+    tight = tighten_lp(net, b, seed, per_query_timeout=5.0, counters=counters)
+    assert tight.pre_lower[1][0] == pytest.approx(-0.5, abs=1e-6)
+    assert tight.pre(NodeId(1, 1)) == seed.pre(NodeId(1, 1)) == (0.0, 4.0)
+    assert tight.post(NodeId(1, 1)) == seed.post(NodeId(1, 1))
+    assert counters["tighten_skipped"] == 2
 
 
 def test_bounds_map_node_accessors(abs_net):
@@ -310,8 +318,7 @@ def _correlated_net():
 
 
 def test_symbolic_bounds_give_the_exact_lower_bound_on_the_correlated_net():
-    # The net of test_tighten_strictly_improves_correlated_net. On [-1, 2]
-    # both first-layer ReLUs have u > -l, so their lower slope is 1 and
+    # On [-1, 2] both first-layer ReLUs have u > -l, so their lower slope is 1 and
     # back-substitution sees z1 + z2 >= x + (1 - x) = 1.
     net = _correlated_net()
     bounds = propagate_symbolic(net, box([-1.0], [2.0]))
@@ -392,17 +399,20 @@ def test_tightening_writes_the_seeds_fixed_phases_into_its_lps():
 
 
 def test_tightening_lps_see_the_phases_the_seed_fixes_in_later_layers():
-    # Each tightened bound is at least as tight as the LP over the seed's
-    # relaxation with the seed's fixed phases written in. Those phases can
-    # cut the LP of an earlier node: a later active ReLU's z = zhat, under
-    # the column bounds of the layers after it, constrains the layers before.
+    # Each tightened bound of a ReLU the seed leaves open is at least as
+    # tight as the LP over the seed's relaxation with the seed's fixed
+    # phases written in. Those phases can cut the LP of an earlier node: a
+    # later active ReLU's z = zhat, under the column bounds of the layers
+    # after it, constrains the layers before. A ReLU the seed fixes keeps
+    # the seed's bounds.
     from reluopt.bounds import IMPROVEMENT_THRESHOLD, SAFETY_MARGIN
     from reluopt.lp import build_relaxed_lp, encode_relaxation, solve_lp
     from reluopt.problems import Objective, OptimizationProblem
-    from reluopt.state import root_state
+    from reluopt.state import phase_state
 
     rng = np.random.default_rng(233)
     slack = SAFETY_MARGIN + IMPROVEMENT_THRESHOLD + 1e-9
+    fixed = opened = 0
     for _ in range(6):
         net = random_net(rng, n_in=3, hidden=(8, 8, 8), n_out=1)
         lo = rng.uniform(-1.0, 0.6, 3)
@@ -410,44 +420,47 @@ def test_tightening_lps_see_the_phases_the_seed_fixes_in_later_layers():
         seed = propagate_symbolic(net, b)
         tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
         relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), seed)
-        fixed = fixed_by_bounds(seed)
-        lp = build_relaxed_lp(relaxation, root_state(net, fixed.active, fixed.inactive))
-        for i, (k, j) in enumerate(net.relu_node_ids()):
+        lp = build_relaxed_lp(relaxation, phase_state(net, relaxation.phase))
+        for i, node in enumerate(net.relu_node_ids()):
+            if relaxation.phase[i] != UNDETERMINED:
+                assert tight.pre(node) == seed.pre(node)
+                assert tight.post(node) == seed.post(node)
+                fixed += 1
+                continue
             obj = np.zeros(lp.n_vars)
             obj[relaxation.zhat[i]] = 1.0
             top = solve_lp(lp.with_objective(obj, maximize=True)).value
             bottom = solve_lp(lp.with_objective(obj, maximize=False)).value
-            layer = net.relu_layers[k]
-            assert tight.pre_upper[layer][j] <= top + slack
-            assert tight.pre_lower[layer][j] >= bottom - slack
+            lower, upper = tight.pre(node)
+            assert upper <= top + slack
+            assert lower >= bottom - slack
+            opened += 1
+    assert fixed > 0 and opened > 0
 
 
 # ---------------------------------------------------------------------------
-# Filtered tightening against the solve-every-LP reference
+# Tightening that skips fixed ReLUs against tightening every ReLU
 
 
 def _tighten_every_lp(net, b, seed):
-    """Progressive tightening as it ran before filtering: both LPs of every
-    ReLU are solved, with no time limit. Returns the pre and post bounds, as
-    `tighten_lp`'s BoundsMap holds them, and the number of LPs solved."""
+    """Progressive tightening that solves both LPs of every ReLU, fixed ones
+    included, with no time limit."""
     from reluopt.bounds import IMPROVEMENT_THRESHOLD, POST_CONSISTENCY_EPS, SAFETY_MARGIN
     from reluopt.highs import LiveModel
     from reluopt.lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
     from reluopt.problems import Objective, OptimizationProblem
-    from reluopt.state import root_state
+    from reluopt.state import phase_state
 
     relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), seed)
-    fixed = fixed_by_bounds(seed)
-    lp = build_relaxed_lp(relaxation, root_state(net, fixed.active, fixed.inactive))
+    lp = build_relaxed_lp(relaxation, phase_state(net, relaxation.phase))
     row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper
-    model, solved = LiveModel(), 0
+    model = LiveModel()
     for zhat, z, link in zip(relaxation.zhat, relaxation.z, relaxation.link_row):
         obj = np.zeros(lp.n_vars)
         obj[zhat] = 1.0
         lo, hi = lower[zhat], upper[zhat]
         for maximize in (True, False):
             res = solve_lp(lp.with_objective(obj, maximize=maximize), model=model)
-            solved += 1
             if res.status != LPStatus.OPTIMAL:
                 continue
             if maximize and hi - (res.value + SAFETY_MARGIN) >= IMPROVEMENT_THRESHOLD:
@@ -464,20 +477,49 @@ def _tighten_every_lp(net, b, seed):
         elif lo >= 0.0:
             row_upper[link] = 0.0
     imap = relaxation.imap
-    bounds = {
-        "pre_lower": [lower[c] for c in imap.pre],
-        "pre_upper": [upper[c] for c in imap.pre],
-        "post_lower": [lower[c] for c in imap.post],
-        "post_upper": [upper[c] for c in imap.post],
+    return BoundsMap(
+        input_lower=seed.input_lower,
+        input_upper=seed.input_upper,
+        pre_lower=tuple(lower[c] for c in imap.pre),
+        pre_upper=tuple(upper[c] for c in imap.pre),
+        post_lower=tuple(lower[c] for c in imap.post),
+        post_upper=tuple(upper[c] for c in imap.post),
+        relu_layers=seed.relu_layers,
+    )
+
+
+def _root_lp_range(net, b, bounds):
+    """The max and min of every ReLU's zhat over the root LP that B&B
+    encodes from `bounds`, one row per ReLU."""
+    from reluopt.highs import LiveModel
+    from reluopt.lp import build_relaxed_lp, encode_relaxation, solve_lp
+    from reluopt.problems import Objective, OptimizationProblem
+    from reluopt.state import phase_state
+
+    relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), bounds)
+    lp = build_relaxed_lp(relaxation, phase_state(net, relaxation.phase))
+    model, rows = LiveModel(), []
+    for zhat in relaxation.zhat:
+        obj = np.zeros(lp.n_vars)
+        obj[zhat] = 1.0
+        rows.append(
+            [solve_lp(lp.with_objective(obj, maximize=m), model=model).value for m in (True, False)]
+        )
+    return np.array(rows)
+
+
+def _relu_sides(net, bounds):
+    """Pre and post bounds of every ReLU in `relu_node_ids()` order."""
+    return {
+        side: np.concatenate([getattr(bounds, side)[k] for k in net.relu_layers])
+        for side in ("pre_lower", "pre_upper", "post_lower", "post_upper")
     }
-    return bounds, solved
 
 
-def _filter_cases():
+def _tightening_cases():
     """_symbolic_cases; seeded (8, 8, 8) nets on unit boxes and on boxes of
     width 0.4, where tightening fixes more phases; and two nets of random
-    shape on small boxes, where a node that tightening makes active cuts off
-    a pool point that meets its bounds."""
+    shape on small boxes."""
     yield from _symbolic_cases()
     for seed in range(8):
         rng = np.random.default_rng(seed)
@@ -493,24 +535,34 @@ def _filter_cases():
         yield net, box(lo, lo + rng.uniform(0.1, 1.0))
 
 
-def test_filtered_tightening_gives_the_bounds_of_solving_every_lp_with_fewer_lps():
+def test_skipping_fixed_relus_gives_the_root_lp_of_tightening_every_relu():
+    # Skipping the LPs of the ReLUs the seed fixes leaves their intervals
+    # wider than tightening them would, but fixes the same phases, gives the
+    # open ReLUs the same bounds, and gives B&B the same root LP.
     from reluopt.bounds import SAFETY_MARGIN
 
-    solved = reference_solved = 0
-    for net, b in _filter_cases():
+    skipped = 0
+    for net, b in _tightening_cases():
         seed = propagate_symbolic(net, b)
         counters = {}
         tight = tighten_lp(net, b, seed, per_query_timeout=5.0, counters=counters)
-        reference, n = _tighten_every_lp(net, b, seed)
-        for side, arrays in reference.items():
-            for k, expected in enumerate(arrays):
-                np.testing.assert_allclose(
-                    getattr(tight, side)[k], expected, rtol=0.0, atol=SAFETY_MARGIN
-                )
-        assert counters["tighten_lps"] <= n
-        solved += counters["tighten_lps"]
-        reference_solved += n
-    assert solved < reference_solved
+        reference = _tighten_every_lp(net, b, seed)
+        np.testing.assert_array_equal(phases(tight), phases(reference))
+        opened = phases(seed) == UNDETERMINED
+        ours, theirs = _relu_sides(net, tight), _relu_sides(net, reference)
+        for side in ours:
+            np.testing.assert_allclose(
+                ours[side][opened], theirs[side][opened], rtol=0.0, atol=SAFETY_MARGIN
+            )
+        np.testing.assert_allclose(
+            _root_lp_range(net, b, tight),
+            _root_lp_range(net, b, reference),
+            rtol=0.0,
+            atol=SAFETY_MARGIN,
+        )
+        assert counters["tighten_skipped"] == 2 * np.count_nonzero(~opened)
+        skipped += counters["tighten_skipped"]
+    assert skipped > 0
 
 
 def test_tightening_counts_each_lp_as_solved_skipped_or_stopped(monkeypatch):
@@ -524,17 +576,25 @@ def test_tightening_counts_each_lp_as_solved_skipped_or_stopped(monkeypatch):
         reluopt.lp, "solve_lp", lambda *args, **kw: calls.append(1) or original(*args, **kw)
     )
     rng = np.random.default_rng(241)
-    for timeout in (5.0, 1e-9):
+    # The unit boxes leave every ReLU of their nets open; the last, smaller
+    # box fixes some.
+    fixed_total = 0
+    for timeout, half_width in ((5.0, 1.0), (1e-9, 1.0), (5.0, 0.2)):
         net = random_net(rng, n_in=4, hidden=(12, 12), n_out=1)
-        b = box(-np.ones(4), np.ones(4))
+        b = box(-half_width * np.ones(4), half_width * np.ones(4))
+        seed = propagate_symbolic(net, b)
         counters, calls[:] = {}, []
-        tighten_lp(net, b, propagate_symbolic(net, b), timeout, counters=counters)
+        tighten_lp(net, b, seed, timeout, counters=counters)
         visited = (
             counters["tighten_lps"] + counters["tighten_skipped"] + counters["tighten_limit_hits"]
         )
         assert visited == 2 * net.num_relu_nodes
         assert counters["tighten_lps"] + counters["tighten_limit_hits"] == len(calls)
+        fixed = int(np.count_nonzero(phases(seed) != UNDETERMINED))
+        assert counters["tighten_skipped"] == 2 * fixed
+        fixed_total += fixed
         if timeout == 5.0:
-            assert counters["tighten_skipped"] > 0 and counters["tighten_limit_hits"] == 0
+            assert counters["tighten_limit_hits"] == 0
         else:
             assert counters["tighten_limit_hits"] > 0
+    assert fixed_total > 0

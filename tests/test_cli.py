@@ -85,6 +85,46 @@ def test_parse_rejects_bad_input():
             "kind: output_optimization\nnetwork: a.nnet\nobjective: 1\n"
             "objective: 2\ndirection: maximize\ninput_lower: 0\ninput_upper: 1\n"
         )  # duplicate key
+    for rhs in ("abc", "", "1,2"):
+        with pytest.raises(SchemaError):
+            parse_problem(
+                "kind: min_adversarial_linf\nnetwork: a.nnet\nx0: 0\nradius: 0.5\n"
+                f"target_row: 1,-1 >= {rhs}\n"
+            )
+
+
+_OUTPUT_PROBLEM = (
+    "kind: output_optimization\nnetwork: a.nnet\nobjective: 1\n"
+    "input_lower: 0\ninput_upper: 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "timeout: abc",
+        "gap: abc",
+        "tighten_timeout: abc",
+        "timeout: nan",
+        "timeout: 0",
+        "timeout: -1",
+        "gap: nan",
+        "gap: 0",
+        "gap: -1e-4",
+        "tighten_timeout: nan",
+        "tighten_timeout: -5",
+        "split: widest",
+        "order: random",
+    ],
+)
+def test_parse_rejects_bad_solver_settings(line):
+    with pytest.raises(SchemaError) as info:
+        parse_problem(_OUTPUT_PROBLEM + line + "\n")
+    assert info.value.field == line.partition(":")[0]
+
+
+def test_parse_accepts_a_zero_tightening_timeout():
+    assert parse_problem(_OUTPUT_PROBLEM + "tighten_timeout: 0\n").tighten_timeout == 0.0
 
 
 def test_comments_and_blank_lines_ignored():
@@ -281,6 +321,27 @@ def test_run_benchmark_error_record_does_not_abort(tmp_path):
     with open(out / "results.csv") as fh:
         errors = {row["problem_id"]: row["error"] for row in csv.DictReader(fh)}
     assert errors == {r.problem_id: "" if r.problem_id != "bad" else reason for r in records}
+
+
+def test_run_benchmark_bad_setting_becomes_error_records(tmp_path):
+    import re
+
+    qdir = tmp_path / "queries"
+    good = generate_queries("acas_out", seed=1, count=2, scale=4, out_dir=str(qdir))
+    bad = qdir / "bad.problem"
+    text = re.sub(r"^timeout: .*$", "timeout: abc", open(good[0]).read(), flags=re.M)
+    assert "timeout: abc" in text
+    bad.write_text(text)
+    solvers = ["branch_bound", "bisection"]
+    out = tmp_path / "out"
+    records = run_benchmark([str(bad)] + good, solvers, timeout=30.0, out_dir=str(out))
+    assert len(records) == 3 * len(solvers)
+    for rec in records:
+        if rec.problem_id == "bad":
+            assert rec.status == "Error"
+            assert rec.error == "SchemaError: timeout: bad value 'abc'"
+        else:
+            assert rec.status == "Optimal"
 
 
 def test_solver_error_is_per_record(tmp_path):
