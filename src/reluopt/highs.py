@@ -11,22 +11,63 @@ share its matrix. An LP that carries a starting basis (`LinearProgram.basis`)
 has it set when it is loaded, so the first solve of a live model starts from
 that basis instead of from HiGHS's slack basis.
 
-The binding is scipy's private `scipy.optimize._highspy._core`, shipped by
-the scipy releases `pyproject.toml` allows.
+The binding is scipy's private extension module `scipy.optimize._highspy._core`,
+shipped by the scipy releases `pyproject.toml` allows. It is loaded from its
+file (`_load_core`) rather than imported, because importing it by name first
+runs `scipy/optimize/__init__.py`, which loads most of scipy and takes longer
+than many whole solves.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.optimize._highspy import _core
 
 from .errors import NumericalFailure, Timeout
 
 if TYPE_CHECKING:
     from .lp import LinearProgram, LPResult
+
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_core():
+    """scipy's HiGHS extension module, loaded from its file under its real
+    name without running any scipy package `__init__`.
+
+    The module is registered in `sys.modules`, so a later `import
+    scipy.optimize` gets this same module object; one already there (scipy
+    imported first) is reused. pybind11 cannot register the binding's types
+    twice, so the file is never loaded a second time."""
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    scipy = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
+    if scipy is None:
+        raise ImportError("reluopt needs scipy, which is not installed", name="scipy")
+    where = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    finder = importlib.machinery.FileFinder(
+        where, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec(_CORE)
+    if spec is None:
+        raise ImportError(f"no HiGHS extension module _core in {where}", name=_CORE)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_CORE]
+        raise
+    return module
+
+
+_core = _load_core()
 
 # Deterministic, silent, single-threaded; presolve off so that the basis
 # left by one solve is the starting point of the next.

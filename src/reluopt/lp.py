@@ -1,12 +1,13 @@
 """Linear programs: representation, solving, and construction of the
 relaxed LP for a partial activation state.
 
-A `LinearProgram` is the form HiGHS takes: one sparse CSC matrix A and the
-vectors of row_lower <= A v <= row_upper, lower <= v <= upper, and the
-costs. The relaxed LP of a network has one matrix in every state: the affine
-chaining rows, one link row z - zhat >= 0 per ReLU, one triangle row
-z - s zhat <= -s l, s = u / (u - l), per ReLU whose root bounds [l, u]
-straddle zero, and the output rows. `encode_relaxation` builds it once per
+A `LinearProgram` is the form HiGHS takes: one sparse CSC matrix A (a
+`CSCMatrix`, three numpy arrays) and the vectors of row_lower <= A v <=
+row_upper, lower <= v <= upper, and the costs. The relaxed LP of a network
+has one matrix in every state: the affine chaining rows, one link row
+z - zhat >= 0 per ReLU, one triangle row z - s zhat <= -s l,
+s = u / (u - l), per ReLU whose root bounds [l, u] straddle zero, and the
+output rows. `encode_relaxation` builds it once per
 problem, column bounds included, as the root LP, and a state changes only
 vectors. An active ReLU's link row gets row upper bound 0 (z - zhat = 0) and
 its zhat lower bound 0; an inactive ReLU gets zhat <= 0 and z in [0, 0];
@@ -27,10 +28,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-# linprog is unused here but stays importable by this module's name:
-# perfbench's tracer wraps it.
-from scipy.optimize import linprog  # noqa: F401
-from scipy.sparse import coo_matrix, csc_matrix
 
 from . import highs
 from .errors import DimensionMismatch
@@ -42,6 +39,17 @@ from .state import ACTIVE, INACTIVE, UNDETERMINED, PartialActivationState
 if TYPE_CHECKING:
     from .bounds import BoundsMap
     from .problems import OptimizationProblem
+
+
+def __getattr__(name: str):
+    # `linprog` is unused here but stays readable by this module's name,
+    # because perfbench's tracer wraps it. It resolves only when read, so
+    # importing this module does not import scipy.optimize.
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LPStatus:
@@ -91,18 +99,57 @@ class RowView(Sequence):
         return LPRow(self._dense[i], Relation.LE, upper)
 
 
+@dataclass(frozen=True, eq=False)
+class CSCMatrix:
+    """A sparse matrix in the compressed sparse column form HiGHS takes:
+    column j holds `data[indptr[j]:indptr[j + 1]]` at rows
+    `indices[indptr[j]:indptr[j + 1]]`, sorted, with no zero entry. Indices
+    are int32. Compared by identity, as a live model compares matrices."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, shape: tuple[int, int]) -> "CSCMatrix":
+        """The matrix with entry `vals[i]` at `(rows[i], cols[i])`; each
+        position may appear once. Zero values are dropped."""
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        order = np.lexsort((rows, cols))
+        indptr = np.zeros(shape[1] + 1, np.int32)
+        np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
+        return cls(
+            (int(shape[0]), int(shape[1])),
+            indptr,
+            rows[order].astype(np.int32),
+            vals[order].astype(np.float64),
+        )
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        dense[self.indices, cols] = self.data
+        return dense
+
+    def __array__(self, dtype=None, copy=None):
+        return self.toarray() if dtype is None else self.toarray().astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """Maximize (or minimize) objective.v subject to
     row_lower <= matrix @ v <= row_upper and lower <= v <= upper.
 
-    `matrix` is a scipy.sparse CSC matrix. A row side may be infinite only
-    away from its row (-inf below, +inf above), and every row has a finite
-    side; no bound or cost is NaN. `basis`, when given, is a starting basis
+    `matrix` is a `CSCMatrix`, or any object with its `shape`, `indptr`,
+    `indices` and `data` (a scipy.sparse CSC matrix, say). A row side may
+    be infinite only away from its row (-inf below, +inf above), and every
+    row has a finite side; no bound or cost is NaN. `basis`, when given, is a starting basis
     for a live model's first solve: the status of every column and of every
     row, as `reluopt.highs` codes (AT_LOWER, BASIC, AT_UPPER)."""
 
-    matrix: csc_matrix
+    matrix: CSCMatrix
     row_lower: np.ndarray
     row_upper: np.ndarray
     lower: np.ndarray
@@ -131,9 +178,11 @@ class LinearProgram:
         """The LP with dense rows `(coeffs, relation, rhs)` over its variables."""
         lower, upper, objective = (np.asarray(v, dtype=float) for v in (lower, upper, objective))
         dense = np.array([coeffs for coeffs, _, _ in rows], dtype=np.float64)
+        dense = dense.reshape(len(rows), lower.shape[0])
         sides = np.array([row_sides(rel, float(rhs)) for _, rel, rhs in rows])
         row_lower, row_upper = sides.reshape(-1, 2).T.copy()
-        matrix = csc_matrix(dense.reshape(len(rows), lower.shape[0]))
+        nonzero = np.nonzero(dense)
+        matrix = CSCMatrix.from_triplets(*nonzero, dense[nonzero], dense.shape)
         return cls(matrix, row_lower, row_upper, lower, upper, objective, maximize)
 
     @property
@@ -300,8 +349,7 @@ def encode_relaxation(
 
     row_lower, row_upper = (np.concatenate(side).astype(np.float64) for side in zip(*sides))
     rows, cols, vals = (np.concatenate([e[i].ravel() for e in entries]) for i in range(3))
-    matrix = coo_matrix((vals, (rows, cols)), shape=(len(row_lower), imap.n_vars)).tocsc()
-    matrix.eliminate_zeros()
+    matrix = CSCMatrix.from_triplets(rows, cols, vals, (len(row_lower), imap.n_vars))
 
     objective = problem.objective
     obj = np.zeros(imap.n_vars)

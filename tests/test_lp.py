@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from scipy.sparse import csc_matrix
+from scipy.sparse import coo_matrix, csc_matrix
 
 from reluopt import (
     DimensionMismatch,
     Hyperrectangle,
+    Layer,
     LinearProgram,
     LPStatus,
+    Network,
     Objective,
     OptimizationProblem,
     Relation,
@@ -19,7 +21,7 @@ from reluopt import (
     solve_lp,
     split_assignment,
 )
-from reluopt.lp import encode_relaxation
+from reluopt.lp import CSCMatrix, encode_relaxation
 from reluopt.model import NodeId, activation_pattern, evaluate, forward_trace
 from reluopt.state import root_state
 
@@ -350,6 +352,84 @@ def test_rows_with_nonfinite_rhs_are_rejected(rhs):
     for relation in Relation:
         with pytest.raises(DimensionMismatch):
             LinearProgram.from_rows([(np.array([1.0]), relation, rhs)], [0.0], [1.0], [1.0])
+
+
+def _assert_canonical_csc(matrix):
+    """HiGHS's column-wise form: int32 indices, a column pointer that ends at
+    the entry count, rows in range and sorted within each column, no zeros."""
+    assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
+    assert matrix.indptr.shape == (matrix.shape[1] + 1,) and matrix.indptr[0] == 0
+    assert matrix.indptr[-1] == len(matrix.data) == len(matrix.indices)
+    assert (np.diff(matrix.indptr) >= 0).all()
+    assert ((matrix.indices >= 0) & (matrix.indices < matrix.shape[0])).all()
+    for j in range(matrix.shape[1]):
+        assert (np.diff(matrix.indices[matrix.indptr[j] : matrix.indptr[j + 1]]) > 0).all()
+    assert (matrix.data != 0.0).all()
+
+
+@pytest.mark.parametrize("min_adv", [False, True])
+def test_relaxation_matrix_is_the_scipy_assembly_of_its_triplets(min_adv, monkeypatch):
+    from reluopt.geometry import linf_epigraph
+
+    triplets = []
+    build = CSCMatrix.from_triplets.__func__
+
+    def recorded(cls, rows, cols, vals, shape):
+        triplets.append((rows, cols, vals, shape))
+        return build(cls, rows, cols, vals, shape)
+
+    monkeypatch.setattr(CSCMatrix, "from_triplets", classmethod(recorded))
+    rng = np.random.default_rng(77)
+    for _ in range(6):
+        net = random_net(rng, n_in=3, hidden=(5, 4), n_out=2)
+        # zero weights put explicit zeros into the triplets
+        layers = []
+        for layer in net.layers:
+            weights = np.where(rng.random(layer.weights.shape) < 0.3, 0.0, layer.weights)
+            layers.append(Layer(weights, layer.biases, layer.activation))
+        net = Network(tuple(layers))
+        center = rng.uniform(-1.0, 1.0, 3)
+        b = box(center - 0.8, center + 0.8)
+        if min_adv:
+            target = Row(None, np.array([1.0, -1.0]), 0.0, Relation.GE, 0.0)
+            problem = OptimizationProblem(b, Objective(c_t=-1.0), (*linf_epigraph(center), target), 0.8)
+        else:
+            problem = OptimizationProblem(b, Objective(c_y=rng.normal(size=2)))
+        triplets.clear()
+        matrix = encode_relaxation(net, problem, propagate_interval(net, b)).lp.matrix
+        ((rows, cols, vals, shape),) = triplets
+        assert (vals == 0.0).any()
+        reference = coo_matrix((vals, (rows, cols)), shape=shape)
+        assert matrix.shape == shape
+        np.testing.assert_array_equal(matrix.toarray(), reference.toarray())
+        np.testing.assert_array_equal(np.asarray(matrix), reference.toarray())
+        _assert_canonical_csc(matrix)
+        # entry for entry the matrix scipy's CSC conversion gives
+        reference = reference.tocsc()
+        reference.eliminate_zeros()
+        for field in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(matrix, field), getattr(reference, field))
+
+
+def test_from_rows_builds_the_csc_of_its_dense_rows():
+    rows = [
+        (np.array([0.0, 2.0, 0.0]), Relation.LE, 1.0),
+        (np.array([-1.0, 0.0, 0.0]), Relation.GE, -1.0),
+        (np.array([0.0, 3.0, 0.0]), Relation.LE, 2.0),
+    ]
+    lp = LinearProgram.from_rows(rows, np.zeros(3), np.ones(3), np.ones(3))
+    assert lp.matrix.shape == (3, 3)
+    np.testing.assert_array_equal(lp.matrix.toarray(), [coeffs for coeffs, _, _ in rows])
+    np.testing.assert_array_equal(lp.matrix.indptr, [0, 1, 3, 3])  # column 2 is all zero
+    np.testing.assert_array_equal(lp.matrix.indices, [1, 0, 2])
+    _assert_canonical_csc(lp.matrix)
+    assert solve_lp(lp).value == pytest.approx(1.0 + 0.5 + 1.0)
+
+    empty = LinearProgram.from_rows([], np.zeros(2), np.ones(2), np.array([1.0, -1.0]))
+    assert empty.matrix.shape == (0, 2) and empty.row_lower.shape == (0,)
+    np.testing.assert_array_equal(empty.matrix.indptr, [0, 0, 0])
+    _assert_canonical_csc(empty.matrix)
+    assert solve_lp(empty).value == pytest.approx(1.0)
 
 
 def test_node_lp_shares_the_relaxation_matrix_and_reads_as_rows(abs_net):
