@@ -261,13 +261,13 @@ def tighten_lp(
             relu_layers=seed.relu_layers,
         )
 
-    nodes = zip(
-        net.relu_node_ids(), relaxation.phase, relaxation.zhat, relaxation.z, relaxation.link_row
-    )
-    for node, phase, zhat, z, link in nodes:
+    links = iter(relaxation.link_row)  # one per ReLU the seed leaves open
+    nodes = zip(net.relu_node_ids(), relaxation.phase, relaxation.zhat, relaxation.z)
+    for node, phase, zhat, z in nodes:
         if phase != UNDETERMINED:
             counters["tighten_skipped"] += 2
             continue
+        link = next(links)
         obj = np.zeros(lp.n_vars)
         obj[zhat] = 1.0
         lo, hi = lower[zhat], upper[zhat]

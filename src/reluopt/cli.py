@@ -111,11 +111,19 @@ def serialize_problem(spec: ProblemSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_vec(field_name: str, text: str) -> np.ndarray:
+def _parse_vec(field_name: str, text: str, allow_inf: bool = False) -> np.ndarray:
+    """The comma-separated numbers of a field. NaN is refused always, and
+    +-inf unless `allow_inf`."""
     try:
-        return np.array([float(p) for p in text.split(",") if p.strip() != ""])
+        values = np.array([float(p) for p in text.split(",") if p.strip() != ""])
     except ValueError as exc:
         raise SchemaError(field_name, f"bad numeric list: {exc}") from None
+    if not np.isfinite(values).all():
+        if np.isnan(values).any():
+            raise SchemaError(field_name, "NaN value")
+        if not allow_inf:
+            raise SchemaError(field_name, "infinite value")
+    return values
 
 
 def parse_problem(text: str, base_dir: str = ".") -> ProblemSpec:
@@ -168,8 +176,10 @@ def parse_problem(text: str, base_dir: str = ".") -> ProblemSpec:
         if kind == "output_optimization":
             spec.objective = _parse_vec("objective", take("objective", required=True))
             spec.direction = Direction(take("direction", default="maximize"))
-            spec.input_lower = _parse_vec("input_lower", take("input_lower", required=True))
-            spec.input_upper = _parse_vec("input_upper", take("input_upper", required=True))
+            # An infinite box side parses; the solve reports it as an Error record.
+            lower, upper = take("input_lower", required=True), take("input_upper", required=True)
+            spec.input_lower = _parse_vec("input_lower", lower, allow_inf=True)
+            spec.input_upper = _parse_vec("input_upper", upper, allow_inf=True)
             if spec.input_lower.shape != spec.input_upper.shape:
                 raise SchemaError("input_upper", "length differs from input_lower")
         else:
@@ -177,13 +187,17 @@ def parse_problem(text: str, base_dir: str = ".") -> ProblemSpec:
             spec.radius = _parse_vec("radius", take("radius", required=True))
             if np.any(spec.radius < 0):
                 raise SchemaError("radius", "must be nonnegative")
+            # An infinite domain side is no limit.
             dl, du = take("domain_lower"), take("domain_upper")
-            spec.domain_lower = _parse_vec("domain_lower", dl) if dl else None
-            spec.domain_upper = _parse_vec("domain_upper", du) if du else None
+            spec.domain_lower = _parse_vec("domain_lower", dl, allow_inf=True) if dl else None
+            spec.domain_upper = _parse_vec("domain_upper", du, allow_inf=True) if du else None
             tl, trl = take("target_label"), take("true_label")
             spec.target_label = int(tl) if tl is not None else None
             spec.true_label = int(trl) if trl is not None else None
-            spec.margin = float(take("margin", default="0"))
+            margin = _parse_vec("margin", take("margin", default="0"))
+            if margin.size != 1:
+                raise SchemaError("margin", "needs one number")
+            spec.margin = float(margin[0])
             if not spec.target_rows and spec.target_label is None:
                 raise SchemaError("target_row", "min-adv needs target rows or a target label")
             if spec.target_label is not None and spec.true_label is None:

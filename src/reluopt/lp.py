@@ -4,21 +4,25 @@ relaxed LP for a partial activation state.
 A `LinearProgram` is the form HiGHS takes: one sparse CSC matrix A (a
 `CSCMatrix`, three numpy arrays) and the vectors of row_lower <= A v <=
 row_upper, lower <= v <= upper, and the costs. The relaxed LP of a network
-has one matrix in every state: the affine chaining rows, one link row
-z - zhat >= 0 per ReLU, one triangle row z - s zhat <= -s l,
-s = u / (u - l), per ReLU whose root bounds [l, u] straddle zero, and the
-output rows. `encode_relaxation` builds it once per
-problem, column bounds included, as the root LP, and a state changes only
-vectors. An active ReLU's link row gets row upper bound 0 (z - zhat = 0) and
-its zhat lower bound 0; an inactive ReLU gets zhat <= 0 and z in [0, 0];
-every ReLU has z >= 0 as its lower bound and z <= u as its upper bound.
-Undetermined ReLUs are thus relaxed to their convex hull over [l, u]: z >= 0,
-z >= zhat and the triangle face (Ehlers 2017). The triangle row holds in
-every phase (z = zhat <= u, or z = 0 with zhat >= l), so it never changes
-with the state, and fully fixed leaves are exact. LPs that share the matrix
-object are re-solved in one live HiGHS model (reluopt.highs) by bound and
-cost changes; the root LP carries a starting basis for that model's first
-solve, whose primal point is the forward pass at a box vertex.
+has one matrix in every state. Only the ReLUs whose root bounds [l, u]
+straddle zero (open ReLUs) get a z column of their own, with a link row
+z - zhat >= 0 and a triangle row z - s zhat <= -s l, s = u / (u - l). A
+ReLU the root bounds fix is linear, so its z is eliminated: an active
+ReLU's z is its zhat column, an inactive ReLU's z is one shared column
+fixed at 0, and an identity layer's z is its zhat column too. The other
+rows are the affine chaining rows and the output rows. `encode_relaxation`
+builds it once per problem, column bounds included, as the root LP, and a
+state changes only vectors. An active ReLU gets zhat >= 0 and, when open,
+its link row's upper bound 0 (z - zhat = 0); an inactive ReLU gets zhat
+<= 0 and z <= 0; every open z has z >= 0 as its lower bound and z <= u as
+its upper bound. Open ReLUs are thus relaxed to their convex hull over
+[l, u]: z >= 0, z >= zhat and the triangle face (Ehlers 2017). The triangle
+row holds in every phase (z = zhat <= u, or z = 0 with zhat >= l), so it
+never changes with the state, and fully fixed leaves are exact. LPs that
+share the matrix object are re-solved in one live HiGHS model
+(reluopt.highs) by bound and cost changes; the root LP carries a starting
+basis for that model's first solve, whose primal point is the forward pass
+at a box vertex.
 """
 
 from __future__ import annotations
@@ -239,12 +243,17 @@ def solve_lp(
 
 @dataclass(frozen=True)
 class VariableIndexMap:
-    """Column bookkeeping: x, then per network layer zhat and z, then t."""
+    """Column bookkeeping: x, then per network layer its zhat and the z of
+    each of its ReLUs that the root phases leave open, then t, then `zero`,
+    a column fixed at 0. `post` gives every layer's z: an open ReLU's own
+    column, an active ReLU's or an identity layer's zhat column (z = zhat),
+    and an inactive ReLU's `zero` (z = 0)."""
 
     x: np.ndarray
     pre: tuple[np.ndarray, ...]
     post: tuple[np.ndarray, ...]
     t: Optional[int]
+    zero: int
     n_vars: int
 
     @property
@@ -252,34 +261,45 @@ class VariableIndexMap:
         return self.post[-1]
 
 
-def _index_map(net: Network, use_t: bool) -> VariableIndexMap:
+def _index_map(net: Network, use_t: bool, phase: np.ndarray) -> VariableIndexMap:
+    """The columns of the relaxed LP whose root phases are `phase`, in
+    `net.relu_node_ids()` order."""
     n = net.input_dim
-    cursor = n
+    widths = [layer.out_width for layer in net.layers]
+    zero = n + sum(widths) + int(np.count_nonzero(phase == UNDETERMINED)) + int(use_t)
+    cursor, first = n, 0  # the next column; the index in `phase` of the next ReLU
     pre, post = [], []
-    for layer in net.layers:
-        pre.append(np.arange(cursor, cursor + layer.out_width))
-        cursor += layer.out_width
-        post.append(np.arange(cursor, cursor + layer.out_width))
-        cursor += layer.out_width
-    t = cursor if use_t else None
-    if use_t:
-        cursor += 1
+    for layer, width in zip(net.layers, widths):
+        columns = np.arange(cursor, cursor + width)
+        cursor += width
+        pre.append(columns)
+        if layer.activation is Activation.RELU:
+            layer_phase = phase[first : first + width]
+            first += width
+            columns = np.where(layer_phase == INACTIVE, zero, columns)
+            open_ = layer_phase == UNDETERMINED
+            columns[open_] = np.arange(cursor, cursor + np.count_nonzero(open_))
+            cursor += np.count_nonzero(open_)
+        post.append(columns)
     return VariableIndexMap(
         x=np.arange(n),
         pre=tuple(pre),
         post=tuple(post),
-        t=t,
-        n_vars=cursor,
+        t=cursor if use_t else None,
+        zero=zero,
+        n_vars=zero + 1,
     )
 
 
 @dataclass(frozen=True)
 class Relaxation:
-    """A problem's root LP: its relaxed LP with every ReLU undetermined,
-    column bounds included. Encode once per problem; `build_relaxed_lp`
-    derives every node LP from it, sharing its matrix. `link_row`, `zhat`
-    and `z` give each ReLU's link row and columns, and `phase` the phase its
-    bounds fix (`bounds.phases`), in `net.relu_node_ids()` order."""
+    """A problem's root LP: its relaxed LP with the phases its bounds fix
+    built in and every other ReLU undetermined, column bounds included.
+    Encode once per problem; `build_relaxed_lp` derives every node LP from
+    it, sharing its matrix. `zhat` and `z` give each ReLU's columns and
+    `phase` the phase its bounds fix (`bounds.phases`), in
+    `net.relu_node_ids()` order; `link_row` gives the link rows of the
+    ReLUs that `phase` leaves open, in the same order."""
 
     imap: VariableIndexMap
     lp: LinearProgram
@@ -293,11 +313,11 @@ def encode_relaxation(
     net: Network, problem: "OptimizationProblem", bounds: "BoundsMap"
 ) -> Relaxation:
     """The root LP of `problem` on `net`: x in the box, every zhat and z in
-    its `bounds`, z >= 0 for ReLUs, a triangle row for each ReLU the bounds
-    leave undetermined, t in [0, t_upper], and a starting basis
-    (`_starting_basis`)."""
-    imap = _index_map(net, problem.use_t)
+    its `bounds` (a z that is its zhat's column in both intervals), z >= 0
+    for ReLUs, a link row and a triangle row for each ReLU the bounds leave
+    open, t in [0, t_upper], and a starting basis (`_starting_basis`)."""
     phase = phases(bounds)
+    imap = _index_map(net, problem.use_t, phase)
     relu_columns = lambda arrays: np.concatenate([np.empty(0, np.intp), *arrays])
     zhat = relu_columns(imap.pre[k] for k in net.relu_layers)
     z = relu_columns(imap.post[k] for k in net.relu_layers)
@@ -316,31 +336,23 @@ def encode_relaxation(
         return rows[:, 0]
 
     # Affine chaining: pre_k - W_k . prev = b_k
-    equalities = []
+    affine = []
     for k, layer in enumerate(net.layers):
         prev = imap.x if k == 0 else imap.post[k - 1]
         pieces = (imap.pre[k][:, None], 1.0), (prev, -layer.weights)
-        equalities.append(add(layer.biases, layer.biases, *pieces))
+        affine.append(add(layer.biases, layer.biases, *pieces))
 
-    # Activation rows: a link row per ReLU, a triangle row per undetermined
-    # ReLU, then post = pre for identity layers.
-    links = []
-    for k in net.relu_layers:
-        zero = np.zeros(net.layers[k].out_width)
-        pieces = (imap.post[k][:, None], 1.0), (imap.pre[k][:, None], -1.0)
-        links.append(add(zero, zero + np.inf, *pieces))
+    # A link row z - zhat >= 0 and a triangle row z - s zhat <= -s l per open ReLU.
     free = phase == UNDETERMINED
+    z_free, zhat_free = z[free][:, None], zhat[free][:, None]
+    zeros = np.zeros(len(z_free))
+    link_row = add(zeros, zeros + np.inf, (z_free, 1.0), (zhat_free, -1.0))
     l, u = (
         np.concatenate([np.empty(0), *(side[k] for k in net.relu_layers)])[free]
         for side in (bounds.pre_lower, bounds.pre_upper)
     )
-    s = u / (u - l)  # z - s zhat <= -s l
-    add(np.full_like(s, -np.inf), -s * l, (z[free][:, None], 1.0), (zhat[free][:, None], -s[:, None]))
-    for k, layer in enumerate(net.layers):
-        if layer.activation is Activation.IDENTITY:
-            zero = np.zeros(layer.out_width)
-            pieces = (imap.post[k][:, None], 1.0), (imap.pre[k][:, None], -1.0)
-            equalities.append(add(zero, zero, *pieces))
+    s = u / (u - l)
+    add(np.full_like(s, -np.inf), -s * l, (z_free, 1.0), (zhat_free, -s[:, None]))
 
     for row in problem.rows:
         lower, upper = row_sides(row.relation, float(row.rhs))
@@ -349,7 +361,9 @@ def encode_relaxation(
 
     row_lower, row_upper = (np.concatenate(side).astype(np.float64) for side in zip(*sides))
     rows, cols, vals = (np.concatenate([e[i].ravel() for e in entries]) for i in range(3))
-    matrix = CSCMatrix.from_triplets(rows, cols, vals, (len(row_lower), imap.n_vars))
+    keep = cols != imap.zero  # z = 0 adds nothing to a row
+    shape = (len(row_lower), imap.n_vars)
+    matrix = CSCMatrix.from_triplets(rows[keep], cols[keep], vals[keep], shape)
 
     objective = problem.objective
     obj = np.zeros(imap.n_vars)
@@ -357,8 +371,8 @@ def encode_relaxation(
         if index is not None and c is not None:
             obj[index] = c
 
-    lower = np.empty(imap.n_vars)
-    upper = np.empty(imap.n_vars)
+    lower = np.full(imap.n_vars, -np.inf)
+    upper = np.full(imap.n_vars, np.inf)
     lower[imap.x] = problem.box.lower
     upper[imap.x] = problem.box.upper
     for k, layer in enumerate(net.layers):
@@ -367,15 +381,17 @@ def encode_relaxation(
         post_lower = bounds.post_lower[k]
         if layer.activation is Activation.RELU:
             post_lower = np.maximum(post_lower, 0.0)  # z >= 0
-        lower[imap.post[k]] = post_lower
-        upper[imap.post[k]] = bounds.post_upper[k]
+        # A z that is its zhat's column takes the intersection of both intervals.
+        post = imap.post[k]
+        lower[post] = np.maximum(lower[post], post_lower)
+        upper[post] = np.minimum(upper[post], bounds.post_upper[k])
     if imap.t is not None:
         lower[imap.t] = 0.0
         upper[imap.t] = problem.t_upper
+    lower[imap.zero] = upper[imap.zero] = 0.0
 
-    link_row = relu_columns(links)
-    equalities = np.concatenate(equalities)
-    basis = _starting_basis(net, problem, imap, phase, z, link_row, equalities, len(row_lower))
+    affine = np.concatenate(affine)
+    basis = _starting_basis(net, problem, imap, phase, z, link_row, affine, len(row_lower))
     return Relaxation(
         imap,
         LinearProgram(matrix, row_lower, row_upper, lower, upper, obj, basis=basis),
@@ -393,18 +409,18 @@ def _starting_basis(
     phase: np.ndarray,
     z: np.ndarray,
     link_row: np.ndarray,
-    equalities: np.ndarray,
+    affine: np.ndarray,
     n_rows: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The root LP's starting basis, whose primal point is the forward pass
     at a vertex of the box: the vertex the sign of the objective's gradient
     at the box center picks (the upper bound where it is positive).
 
-    x is nonbasic at that vertex and t at 0. Every zhat is basic in its
-    affine row (`equalities` holds the affine and identity rows), and every
-    identity output in its identity row. A ReLU's z is basic with its link
-    row at its bound z - zhat = 0 when the ReLU is fixed active or active at
-    the vertex; otherwise z is nonbasic at 0 and its link row is basic. The
+    x is nonbasic at that vertex, t and the zero column at 0. Every zhat is
+    basic in its affine row, so an active ReLU's or an identity layer's z,
+    which is its zhat column, is too. An open ReLU's z is basic with its
+    link row at its bound z - zhat = 0 when the ReLU is active at the
+    vertex; otherwise z is nonbasic at 0 and its link row is basic. The
     slacks of the triangle and problem rows are basic. In layer order the
     basis matrix is lower triangular with a unit diagonal, so it is
     nonsingular."""
@@ -416,27 +432,30 @@ def _starting_basis(
         grad += gradient(net, box.center, objective.c_y)
     pre = forward_trace(net, np.where(grad > 0.0, box.upper, box.lower)).pre
     zhat = np.concatenate([np.empty(0), *(pre[k] for k in net.relu_layers)])
-    z_basic = (phase == ACTIVE) | ((phase == UNDETERMINED) & (zhat > 0.0))
+    free = phase == UNDETERMINED
+    z_basic = (zhat > 0.0)[free]  # per open ReLU
 
     cols = np.full(imap.n_vars, highs.BASIC, np.int8)
     cols[imap.x] = np.where(grad > 0.0, highs.AT_UPPER, highs.AT_LOWER)
-    cols[z[~z_basic]] = highs.AT_LOWER
+    cols[z[free][~z_basic]] = highs.AT_LOWER
+    cols[imap.zero] = highs.AT_LOWER
     if imap.t is not None:
         cols[imap.t] = highs.AT_LOWER
     rows = np.full(n_rows, highs.BASIC, np.int8)
-    rows[equalities] = highs.AT_LOWER
+    rows[affine] = highs.AT_LOWER
     rows[link_row[z_basic]] = highs.AT_LOWER
     return cols, rows
 
 
 def build_relaxed_lp(relaxation: Relaxation, state: PartialActivationState) -> LinearProgram:
-    """The relaxed LP of `state`: the root LP with each active ReLU's link
-    row made an equality z - zhat = 0 and its zhat >= 0, and each inactive
-    ReLU's zhat and z at most 0. It shares the root LP's matrix."""
+    """The relaxed LP of `state`: the root LP with each active ReLU's zhat
+    >= 0 and, when the root leaves it open, its link row made an equality
+    z - zhat = 0, and each inactive ReLU's zhat and z at most 0. It shares
+    the root LP's matrix."""
     root = relaxation.lp
     row_upper, lower, upper = root.row_upper.copy(), root.lower.copy(), root.upper.copy()
     active = state.phase == ACTIVE
-    row_upper[relaxation.link_row[active]] = 0.0
+    row_upper[relaxation.link_row[active[relaxation.phase == UNDETERMINED]]] = 0.0
     zhat = relaxation.zhat[active]
     lower[zhat] = np.maximum(lower[zhat], 0.0)
     inactive = state.phase == INACTIVE

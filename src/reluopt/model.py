@@ -223,12 +223,17 @@ def load_nnet(path: str) -> Network:
     counts = _parse_floats(lineno, header)
     if counts.size < 4:
         raise ParseError(lineno, "header needs numLayers,inputSize,outputSize,maxLayerSize")
+    if not np.isfinite(counts).all():
+        raise ParseError(lineno, "NaN or infinite value")
     num_layers, input_size, output_size = int(counts[0]), int(counts[1]), int(counts[2])
     if num_layers < 1 or input_size < 1 or output_size < 1:
         raise ParseError(lineno, "layer counts and sizes must be positive")
 
     lineno, sizes_line = next_line("layer sizes")
-    sizes = _parse_floats(lineno, sizes_line, expect=num_layers + 1).astype(int)
+    sizes = _parse_floats(lineno, sizes_line, expect=num_layers + 1)
+    if not np.isfinite(sizes).all():
+        raise ParseError(lineno, "NaN or infinite value")
+    sizes = sizes.astype(int)
     if sizes[0] != input_size:
         raise ParseError(lineno, f"first layer size {sizes[0]} != inputSize {input_size}")
     if sizes[-1] != output_size:
@@ -257,6 +262,19 @@ def load_nnet(path: str) -> Network:
             biases.append(_parse_floats(lineno, line, expect=1)[0])
         activation = Activation.IDENTITY if k == num_layers - 1 else Activation.RELU
         layers.append(Layer(np.array(rows), np.array(biases), activation))
+
+    # NaN nowhere, and +-inf only in the input limits, which write_nnet
+    # writes for a network without normalization. One check covers the
+    # file; only a file that fails it is read again, to name the line.
+    limits = np.concatenate((input_mins, input_maxes))
+    values = [means, ranges, *(np.append(layer.weights, layer.biases) for layer in layers)]
+    if np.isnan(limits).any() or not np.isfinite(np.concatenate(values)).all():
+        for index, (lineno, line) in enumerate(_data_lines(path)):
+            if index == 2:  # the legacy flag, ignored
+                continue
+            v = _parse_floats(lineno, line)
+            if np.isnan(v).any() or (index > 4 and np.isinf(v).any()):
+                raise ParseError(lineno, "NaN or infinite value")
 
     return Network(
         tuple(layers),

@@ -44,7 +44,7 @@ from reluopt import (
     tighten_lp,
 )
 from reluopt.geometry import Hyperrectangle, linf_epigraph
-from reluopt.lp import LPStatus, _index_map, encode_relaxation
+from reluopt.lp import LPStatus, encode_relaxation
 from reluopt.model import Activation, NodeId, forward_trace
 from reluopt.state import root_state
 
@@ -335,7 +335,8 @@ def test_milp_export_fidelity():
             continue
         fixed = fixed_by_bounds(bounds)
         free = sorted(set(net.relu_node_ids()) - set(fixed.active) - set(fixed.inactive))
-        imap = _index_map(net, use_t=False)
+        relaxation = encode_relaxation(net, problem, bounds)
+        imap = relaxation.imap
 
         def var_vector(values):
             vec = np.zeros(imap.n_vars)
@@ -366,7 +367,7 @@ def test_milp_export_fidelity():
                 active=set(fixed.active) | {n for n, on in phases.items() if on},
                 inactive=set(fixed.inactive) | {n for n, on in phases.items() if not on},
             )
-            lp = build_relaxed_lp(encode_relaxation(net, problem, bounds), leaf)
+            lp = build_relaxed_lp(relaxation, leaf)
             deltas = {}
             for name in binaries:
                 k, j = map(int, name.split("_")[1:])

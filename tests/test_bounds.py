@@ -455,7 +455,9 @@ def _tighten_every_lp(net, b, seed):
     lp = build_relaxed_lp(relaxation, phase_state(net, relaxation.phase))
     row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper
     model = LiveModel()
-    for zhat, z, link in zip(relaxation.zhat, relaxation.z, relaxation.link_row):
+    links = iter(relaxation.link_row)  # one per ReLU the seed leaves open
+    for phase, zhat, z in zip(relaxation.phase, relaxation.zhat, relaxation.z):
+        link = next(links) if phase == UNDETERMINED else None  # a fixed ReLU has z = zhat or 0
         obj = np.zeros(lp.n_vars)
         obj[zhat] = 1.0
         lo, hi = lower[zhat], upper[zhat]
@@ -474,7 +476,7 @@ def _tighten_every_lp(net, b, seed):
             lower[z] = upper[z] = max(0.0, upper[z])
         if hi <= 0.0:
             upper[z] = 0.0
-        elif lo >= 0.0:
+        elif lo >= 0.0 and link is not None:
             row_upper[link] = 0.0
     imap = relaxation.imap
     return BoundsMap(

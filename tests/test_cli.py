@@ -123,6 +123,50 @@ def test_parse_rejects_bad_solver_settings(line):
     assert info.value.field == line.partition(":")[0]
 
 
+_MINADV_PROBLEM = (
+    "kind: min_adversarial_linf\nnetwork: a.nnet\nx0: 0,0\nradius: 0.5\n"
+    "domain_lower: -1,-1\ndomain_upper: 1,1\ntarget_label: 1\ntrue_label: 0\nmargin: 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "objective: nan",
+        "objective: 1,inf",
+        "input_lower: nan",
+        "input_upper: 1,nan",
+        "x0: 0,nan",
+        "x0: -inf,0",
+        "radius: nan",
+        "radius: inf",
+        "domain_lower: nan,-1",
+        "domain_upper: 1,nan",
+        "target_row: 1,nan >= 0",
+        "target_row: 1,-1 >= inf",
+        "margin: nan",
+        "margin: inf",
+    ],
+)
+def test_parse_rejects_nan_and_infinite_numbers(line):
+    """NaN in any numeric field, and +-inf outside the domain and input
+    bounds, fail with the field's name. An infinite input bound ends as an
+    Error record (test_nonfinite_input_box_is_an_error_record)."""
+    field = line.partition(":")[0]
+    base = _OUTPUT_PROBLEM if field in ("objective", "input_lower", "input_upper") else _MINADV_PROBLEM
+    kept = [kept for kept in base.splitlines() if kept.partition(":")[0] != field]
+    with pytest.raises(SchemaError) as info:
+        parse_problem("\n".join(kept + [line]) + "\n")
+    assert info.value.field == field
+
+
+def test_parse_accepts_infinite_domain_sides():
+    text = _MINADV_PROBLEM.replace("domain_lower: -1,-1", "domain_lower: -inf,0")
+    spec = parse_problem(text.replace("domain_upper: 1,1", "domain_upper: 1,inf"))
+    np.testing.assert_array_equal(spec.domain_lower, [-np.inf, 0.0])
+    np.testing.assert_array_equal(spec.domain_upper, [1.0, np.inf])
+
+
 def test_parse_accepts_a_zero_tightening_timeout():
     assert parse_problem(_OUTPUT_PROBLEM + "tighten_timeout: 0\n").tighten_timeout == 0.0
 

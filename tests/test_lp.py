@@ -207,9 +207,9 @@ def test_triangle_rows_hold_in_every_phase(min_adv):
             bounds = tighten_lp(net, b, bounds, 5.0)
         relaxation = encode_relaxation(net, problem, bounds)
         undetermined = relaxation.phase == UNDETERMINED
-        n_rows = sum(layer.out_width for layer in net.layers) + net.num_relu_nodes
-        n_rows += net.output_dim + np.count_nonzero(undetermined) + len(problem.rows)
-        assert relaxation.lp.matrix.shape[0] == n_rows  # one triangle row per undetermined ReLU
+        n_rows = sum(layer.out_width for layer in net.layers)
+        n_rows += 2 * np.count_nonzero(undetermined) + len(problem.rows)
+        assert relaxation.lp.matrix.shape[0] == n_rows  # a link and a triangle row per open ReLU
         for x in b.sample(rng, 40):
             if not problem.rows_satisfied(net, x, tol=0.0):
                 continue
@@ -220,6 +220,51 @@ def test_triangle_rows_hold_in_every_phase(min_adv):
             checked += 1
             phases_seen.update(phase[undetermined])
     assert checked >= 150 and phases_seen == {ACTIVE, INACTIVE, UNDETERMINED}
+
+
+@pytest.mark.parametrize("min_adv", [False, True])
+def test_relus_the_root_fixes_get_no_column_and_no_row(min_adv):
+    """Only a ReLU the root bounds leave open has a z column, a link row and
+    a triangle row of its own. An active ReLU's z and an identity layer's z
+    is its zhat column; an inactive ReLU's z is the one column fixed at 0."""
+    from reluopt.bounds import propagate_symbolic, tighten_lp
+    from reluopt.geometry import linf_epigraph
+    from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED
+
+    rng = np.random.default_rng(909 + min_adv)
+    seen = set()
+    for trial in range(12):
+        n_in = int(rng.integers(2, 4))
+        net = random_net(rng, n_in=n_in, hidden=(int(rng.integers(3, 7)), 4), n_out=2)
+        center = rng.uniform(-1.0, 1.0, n_in)
+        b = box(center - 0.8, center + 0.8)
+        if min_adv:  # maximize -t with epigraph and target rows
+            target = Row(None, np.array([1.0, -1.0]), 0.0, Relation.GE, 0.0)
+            rows = tuple(linf_epigraph(center)) + (target,)
+            problem = OptimizationProblem(b, Objective(c_t=-1.0), rows, 0.8, x0=center)
+        else:
+            problem = OptimizationProblem(b, Objective(c_y=rng.normal(size=2)))
+        bounds = propagate_symbolic(net, b)
+        if trial % 2:
+            bounds = tighten_lp(net, b, bounds, 5.0)
+        relaxation = encode_relaxation(net, problem, bounds)
+        imap, phase, lp = relaxation.imap, relaxation.phase, relaxation.lp
+        n_open = np.count_nonzero(phase == UNDETERMINED)
+        widths = sum(layer.out_width for layer in net.layers)
+        n_cols = n_in + widths + n_open + problem.use_t + 1
+        assert lp.matrix.shape == (widths + 2 * n_open + len(problem.rows), n_cols)
+
+        pre = np.concatenate([imap.pre[k] for k in net.relu_layers])
+        post = np.concatenate([imap.post[k] for k in net.relu_layers])
+        np.testing.assert_array_equal(post[phase == ACTIVE], pre[phase == ACTIVE])
+        np.testing.assert_array_equal(imap.y, imap.pre[-1])  # the identity output layer
+        assert (post[phase == INACTIVE] == imap.zero).all()
+        assert lp.lower[imap.zero] == lp.upper[imap.zero] == 0.0
+        t = [] if imap.t is None else [imap.t]
+        columns = np.concatenate([imap.x, *imap.pre, post[phase == UNDETERMINED], t, [imap.zero]])
+        np.testing.assert_array_equal(np.sort(columns), np.arange(n_cols))  # each once
+        seen.update(phase.tolist())
+    assert seen == {ACTIVE, INACTIVE, UNDETERMINED}
 
 
 def test_one_relu_root_bound_is_the_triangle_value():
@@ -452,6 +497,8 @@ def _reference_node_vectors(net, problem, bounds, state, relaxation):
     """The node LP's row upper bounds and column bounds, built node by node
     from the bounds map and the state's node sets: the reference that
     `build_relaxed_lp` must match bit for bit."""
+    from reluopt.state import UNDETERMINED
+
     imap = relaxation.imap
     lower = np.full(imap.n_vars, -np.inf)
     upper = np.full(imap.n_vars, np.inf)
@@ -463,22 +510,27 @@ def _reference_node_vectors(net, problem, bounds, state, relaxation):
         post_lower = bounds.post_lower[k]
         if k in net.relu_layers:
             post_lower = np.maximum(post_lower, 0.0)
-        lower[imap.post[k]] = post_lower
-        upper[imap.post[k]] = bounds.post_upper[k]
+        for j, post in enumerate(imap.post[k]):  # a z aliased to its zhat: both intervals
+            lower[post] = max(lower[post], post_lower[j])
+            upper[post] = min(upper[post], bounds.post_upper[k][j])
     if imap.t is not None:
         lower[imap.t] = 0.0
         upper[imap.t] = problem.t_upper
+    lower[imap.zero] = upper[imap.zero] = 0.0
 
     dense = relaxation.lp.matrix.toarray()
     row_upper = relaxation.lp.row_upper.copy()
+    nodes = net.relu_node_ids()
+    root_open = {nodes[i] for i in np.flatnonzero(relaxation.phase == UNDETERMINED)}
     for node in state.active | state.inactive:
         pre = int(imap.pre[net.relu_layers[node.layer]][node.node])
         post = int(imap.post[net.relu_layers[node.layer]][node.node])
         if node in state.active:
-            link = np.zeros(imap.n_vars)
-            link[[post, pre]] = 1.0, -1.0
-            (row,) = np.flatnonzero((dense == link).all(axis=1))  # z - zhat >= 0
-            row_upper[row] = 0.0
+            if node in root_open:  # a ReLU the root bounds fix has no link row
+                link = np.zeros(imap.n_vars)
+                link[[post, pre]] = 1.0, -1.0
+                (row,) = np.flatnonzero((dense == link).all(axis=1))  # z - zhat >= 0
+                row_upper[row] = 0.0
             lower[pre] = max(lower[pre], 0.0)
         else:
             upper[pre] = min(upper[pre], 0.0)

@@ -147,6 +147,38 @@ def test_nnet_parse_error_reports_line(tmp_path):
     assert err.value.line == 3
 
 
+# 1 -> 1, identity: header, sizes, flag, min, max, means, ranges, weight, bias
+_TINY_NNET = ["1,1,1,1,", "1,1,", "0,", "-1,", "1,", "0,0,", "1,1,", "2.5,", "0.5,"]
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        (1, "nan,1,1,1,"),  # header counts
+        (4, "nan,"),  # input minimums
+        (5, "nan,"),  # input maximums
+        (6, "0,nan,"),  # means
+        (7, "1,inf,"),  # ranges
+        (8, "nan,"),  # weight
+        (8, "inf,"),
+        (8, "-inf,"),
+        (9, "inf,"),  # bias
+        (9, "nan,"),
+    ],
+)
+def test_nnet_rejects_nan_and_infinite_values(tmp_path, line, bad):
+    """NaN anywhere and +-inf in a weight, bias, mean or range fail at their
+    line; input limits may be infinite, as write_nnet writes them for a
+    network without normalization."""
+    text = list(_TINY_NNET)
+    text[line - 1] = bad
+    path = tmp_path / "bad.nnet"
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_nnet(str(path))
+    assert err.value.line == line
+
+
 def test_nnet_truncated_file(tmp_path):
     path = tmp_path / "short.nnet"
     path.write_text("1,1,1,1,\n1,1,\n0,\n")
