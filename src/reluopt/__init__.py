@@ -5,7 +5,7 @@ with LP-relaxation bounding, plus reference baselines."""
 from .attacks import fgsm, pgd
 from .bounds import (
     BoundsMap,
-    fixed_by_bounds,
+    phases,
     propagate_interval,
     propagate_symbolic,
     tighten_lp,
@@ -61,7 +61,7 @@ from .search import (
     root_bounds,
     split,
 )
-from .state import PartialActivationState, root_state
+from .state import PartialActivationState, phase_state
 from .baselines import (
     BisectionConfig,
     Decision,

@@ -3,7 +3,9 @@ the brute-force activation-enumeration oracle, and big-M MILP export.
 
 Brute force (`_leaf_affine`) and the MILP export encode the network on
 their own instead of through `reluopt.lp.encode_relaxation`: they are the
-independent references that branch-and-bound is checked against."""
+independent references that branch-and-bound is checked against. They read
+the phases the bounds fix as `bounds.phases` gives them, one int8 per ReLU
+in `net.relu_node_ids()` order, as the search does."""
 
 from __future__ import annotations
 
@@ -14,12 +16,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundsMap, fixed_by_bounds, propagate_interval
+from .bounds import BoundsMap, phases, propagate_interval
 from .errors import NumericalFailure, Timeout, TooLarge, UnboundedNode
 from .geometry import Hyperrectangle
 from .lp import LPStatus, LinearProgram, solve_lp
 from .lpformat import MilpModel, MilpRow, MilpVar, write_lp_text
-from .model import Activation, Network, NodeId
+from .model import Activation, Network
 from .problems import Objective, OptimizationProblem, Relation, Row
 from .search import (
     SearchConfig,
@@ -29,6 +31,7 @@ from .search import (
     optimize,
     root_bounds,
 )
+from .state import ACTIVE, INACTIVE, UNDETERMINED
 
 _MAX_BRUTE_FORCE_NODES = 20
 
@@ -52,19 +55,23 @@ def verify_decision(
     bounds: Optional[BoundsMap] = None,
 ) -> Decision:
     """Does x in the box (with output_rows holding) imply the threshold row?
-    Decided by a feasibility search over the closed complement of the row."""
+    Decided by a feasibility search over the closed complement of the row.
+
+    The search has a zero objective, so every feasible LP bound is 0: once
+    a witness makes the incumbent 0, the search drops every open node
+    unsolved. A witness found as the budget ends comes back with a Timeout
+    status and still decides."""
     problem = OptimizationProblem(
         box=input_box,
         objective=Objective(),
         rows=tuple(output_rows) + (threshold_row.reversed(),),
     )
-    config = SearchConfig(timeout=timeout, stop_at_first_optimal=True)
-    result = optimize(net, problem, config, bounds=bounds)
+    result = optimize(net, problem, SearchConfig(timeout=timeout), bounds=bounds)
+    if result.argopt is not None:
+        return Decision(holds=False, witness=result.argopt)
     if result.status is Status.TIMEOUT:
         raise Timeout("decision procedure timed out")
-    if result.status is Status.INFEASIBLE:
-        return Decision(holds=True)
-    return Decision(holds=False, witness=result.argopt)
+    return Decision(holds=True)
 
 
 @dataclass(frozen=True)
@@ -114,8 +121,8 @@ def bisection_optimize(
     best_x: Optional[np.ndarray] = None
 
     def decide(d: float):
-        """Feasibility of (rows of problem) and objective >= d; None once
-        the budget is spent."""
+        """Feasibility of (rows of problem) and objective >= d, decided
+        as `verify_decision` decides; None once the budget is spent."""
         nonlocal best_value, best_x
         left = deadline - time.monotonic()
         if left <= 0.0:
@@ -128,15 +135,12 @@ def bisection_optimize(
             t_upper=problem.t_upper,
             x0=problem.x0,
         )
-        config = SearchConfig(timeout=left, stop_at_first_optimal=True)
-        result = optimize(net, feas, config, bounds=bounds)
+        result = optimize(net, feas, SearchConfig(timeout=left), bounds=bounds)
         stats.nodes_explored += result.stats.nodes_explored
         stats.lps_solved += result.stats.lps_solved
-        if result.status is Status.TIMEOUT:
-            return None
-        if result.status is Status.INFEASIBLE:
-            return False
         x = result.argopt
+        if x is None:
+            return None if result.status is Status.TIMEOUT else False
         value = problem.objective_at(net, x)
         if value > best_value:
             best_value, best_x = value, x
@@ -222,25 +226,25 @@ def bisection_optimize(
 # Brute-force activation enumeration oracle
 
 
-def _leaf_affine(net: Network, phases: dict[NodeId, bool]):
-    """Compose the network's affine pieces under a complete phase assignment.
+def _leaf_affine(net: Network, phase: np.ndarray):
+    """Compose the network's affine pieces under a complete phase vector
+    (ACTIVE or INACTIVE per ReLU, in `net.relu_node_ids()` order).
 
     Returns (M, q, region_rows) with y = Mx + q on the region, and
     region_rows a list of (coeffs, relation, rhs) over x enforcing the
-    phase signs.
+    phase signs, one per ReLU.
     """
     n = net.input_dim
     A = np.eye(n)
     c = np.zeros(n)
     region = []
-    relu_position = {k: i for i, k in enumerate(net.relu_layers)}
-    for k, layer in enumerate(net.layers):
+    layer_phases = iter(np.split(phase, np.cumsum(net.relu_layer_widths())[:-1]))
+    for layer in net.layers:
         A = layer.weights @ A
         c = layer.weights @ c + layer.biases
         if layer.activation is Activation.RELU:
-            i = relu_position[k]
-            for j in range(layer.out_width):
-                if phases[NodeId(i, j)]:
+            for j, node_phase in enumerate(next(layer_phases)):
+                if node_phase == ACTIVE:
                     # zhat_j(x) >= 0
                     region.append((-A[j].copy(), Relation.LE, float(c[j])))
                 else:
@@ -250,9 +254,9 @@ def _leaf_affine(net: Network, phases: dict[NodeId, bool]):
     return A, c, region
 
 
-def _leaf_lp(net: Network, problem: OptimizationProblem, phases) -> tuple[LinearProgram, float]:
-    """Exact LP over x (and t) for one complete activation pattern."""
-    M, q, region = _leaf_affine(net, phases)
+def _leaf_lp(net: Network, problem: OptimizationProblem, phase) -> tuple[LinearProgram, float]:
+    """Exact LP over x (and t) for one complete phase vector."""
+    M, q, region = _leaf_affine(net, phase)
     n = net.input_dim
     use_t = problem.use_t
     n_vars = n + (1 if use_t else 0)
@@ -297,26 +301,21 @@ def brute_force_optimize(
 ) -> SearchResult:
     """Enumerate every complete activation state not ruled out by interval
     bounds, solve the exact per-region LP in input space, and return the
-    best value. Independent of the branch-and-bound machinery."""
+    best value. Independent of the branch-and-bound machinery. The free
+    ReLUs are enumerated in node order, each active before inactive, and
+    the first of equal values is kept."""
     start = time.monotonic()
     stats = SearchStats()
-    bounds = propagate_interval(net, problem.box)
-    fixed = fixed_by_bounds(bounds)
-    free = sorted(
-        set(net.relu_node_ids()) - set(fixed.active) - set(fixed.inactive)
-    )
+    phase = phases(propagate_interval(net, problem.box))
+    free = np.flatnonzero(phase == UNDETERMINED)
     if len(free) > _MAX_BRUTE_FORCE_NODES:
         raise TooLarge(f"{len(free)} undetermined nodes exceeds the enumeration guard")
 
-    base = {node: True for node in fixed.active}
-    base.update({node: False for node in fixed.inactive})
-
     best_value = -np.inf
     best_x: Optional[np.ndarray] = None
-    for pattern in itertools.product((True, False), repeat=len(free)):
-        phases = dict(base)
-        phases.update(zip(free, pattern))
-        lp, constant = _leaf_lp(net, problem, phases)
+    for pattern in itertools.product((ACTIVE, INACTIVE), repeat=len(free)):
+        phase[free] = pattern
+        lp, constant = _leaf_lp(net, problem, phase)
         res = solve_lp(lp)
         stats.lps_solved += 1
         if res.status == LPStatus.UNBOUNDED:
@@ -346,7 +345,7 @@ def export_milp(
     """Exact mixed-integer encoding: one binary per ReLU not fixed by its
     bounds, big-M constants taken from the pre-activation bounds. Returns
     the model and its LP-format text."""
-    fixed = fixed_by_bounds(bounds)
+    phase = phases(bounds)
     n = net.input_dim
     use_t = problem.use_t
 
@@ -398,6 +397,7 @@ def export_milp(
             add(coeffs, Relation.EQ, float(layer.biases[r]))
 
     relu_position = {k: i for i, k in enumerate(net.relu_layers)}
+    layer_phases = np.split(phase, np.cumsum(net.relu_layer_widths())[:-1])
     binaries: list[MilpVar] = []
     for k, layer in enumerate(net.layers):
         if layer.activation is Activation.IDENTITY:
@@ -405,13 +405,12 @@ def export_milp(
                 add({name_post(k, j): 1.0, name_pre(k, j): -1.0}, Relation.EQ, 0.0)
             continue
         i = relu_position[k]
-        for j in range(layer.out_width):
-            node = NodeId(i, j)
+        for j, node_phase in enumerate(layer_phases[i]):
             pre, post = name_pre(k, j), name_post(k, j)
-            if node in fixed.active:
+            if node_phase == ACTIVE:
                 add({post: 1.0, pre: -1.0}, Relation.EQ, 0.0)
                 add({pre: 1.0}, Relation.GE, 0.0)
-            elif node in fixed.inactive:
+            elif node_phase == INACTIVE:
                 add({post: 1.0}, Relation.EQ, 0.0)
                 add({pre: 1.0}, Relation.LE, 0.0)
             else:

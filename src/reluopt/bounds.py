@@ -30,7 +30,7 @@ COUNTERS = ("simplex_iters", "tighten_lps", "tighten_skipped", "tighten_limit_hi
 @dataclass(frozen=True)
 class BoundsMap:
     """Pre/post activation intervals for every layer, plus the input box.
-    ReLU-node accessors index through the network's ReLU layer list."""
+    `relu_layers` lists the indices of the ReLU layers among all layers."""
 
     input_lower: np.ndarray
     input_upper: np.ndarray
@@ -39,14 +39,6 @@ class BoundsMap:
     post_lower: tuple[np.ndarray, ...]
     post_upper: tuple[np.ndarray, ...]
     relu_layers: tuple[int, ...]
-
-    def pre(self, node: NodeId) -> tuple[float, float]:
-        k = self.relu_layers[node.layer]
-        return float(self.pre_lower[k][node.node]), float(self.pre_upper[k][node.node])
-
-    def post(self, node: NodeId) -> tuple[float, float]:
-        k = self.relu_layers[node.layer]
-        return float(self.post_lower[k][node.node]), float(self.post_upper[k][node.node])
 
 
 @dataclass(frozen=True)
@@ -184,7 +176,8 @@ def phases(b: BoundsMap) -> np.ndarray:
 
 
 def fixed_by_bounds(b: BoundsMap) -> FixedByBounds:
-    """The nodes `phases` fixes, as NodeId sets."""
+    """The nodes `phases` fixes, as NodeId sets. No caller in the package:
+    it stays for perfbench's tracer, which wraps it by name in `search`."""
     phase = phases(b)
     nodes = [NodeId(i, j) for i, k in enumerate(b.relu_layers) for j in range(len(b.pre_lower[k]))]
     by_phase = lambda value: frozenset(nodes[i] for i in np.flatnonzero(phase == value))

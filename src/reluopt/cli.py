@@ -28,7 +28,7 @@ from .problems import Direction, Objective, OptimizationProblem, Relation, Row
 from .search import NodeOrder, SearchConfig, SplitStrategy, Status, optimize
 
 KINDS = ("output_optimization", "min_adversarial_linf")
-SOLVERS = ("branch_bound", "bisection", "brute_force", "fgsm", "pgd", "milp_export")
+SOLVERS = ("branch_bound", "bisection", "brute_force", "fgsm", "pgd")
 EXACT_SOLVERS = ("branch_bound", "bisection", "brute_force")
 APPROX_SOLVERS = ("fgsm", "pgd")
 
@@ -269,8 +269,14 @@ def canonicalize(spec: ProblemSpec, net: Network) -> CanonicalQuery:
     x0 = np.asarray(spec.x0, dtype=np.float64)
     if x0.shape != (net.input_dim,):
         raise SchemaError("x0", f"length must equal input dim {net.input_dim}")
-    radius = np.broadcast_to(spec.radius, x0.shape).astype(np.float64)
+    radius = np.asarray(spec.radius, dtype=np.float64)
+    if radius.shape not in ((), (1,), x0.shape):
+        raise SchemaError("radius", f"needs one value or {net.input_dim}, one per input")
     lower, upper = x0 - radius, x0 + radius
+    for name in ("domain_lower", "domain_upper"):
+        side = getattr(spec, name)
+        if side is not None and np.shape(side) != x0.shape:
+            raise SchemaError(name, f"length must equal input dim {net.input_dim}")
     if spec.domain_lower is not None:
         lower = np.maximum(lower, spec.domain_lower)
     if spec.domain_upper is not None:
@@ -284,7 +290,13 @@ def canonicalize(spec: ProblemSpec, net: Network) -> CanonicalQuery:
         if np.asarray(a).shape != (net.output_dim,):
             raise SchemaError("target_row", f"length must equal output dim {net.output_dim}")
         rows.append(Row(a_x=None, a_y=a, a_t=0.0, relation=rel, rhs=b))
+    for name in ("target_label", "true_label"):
+        label = getattr(spec, name)
+        if label is not None and not 0 <= label < net.output_dim:
+            raise SchemaError(name, f"must be an output index in [0, {net.output_dim})")
     if spec.target_label is not None:
+        if spec.target_label == spec.true_label:
+            raise SchemaError("target_label", "must differ from true_label")
         a = np.zeros(net.output_dim)
         a[spec.target_label] += 1.0
         a[spec.true_label] -= 1.0
@@ -512,8 +524,6 @@ def _run_solver(spec, net, query, solver, timeout, trace) -> ResultRecord:
         result = baselines.bisection_optimize(net, problem, cfg)
     elif solver == "brute_force":
         result = baselines.brute_force_optimize(net, problem)
-    elif solver == "milp_export":
-        raise SchemaError("solver", "milp_export is handled by the export-milp command")
     else:
         raise SchemaError("solver", f"unknown solver {solver}")
 

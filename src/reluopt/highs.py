@@ -9,7 +9,9 @@ basis (Huangfu & Hall 2018) instead of from scratch. An LP with another
 matrix object is loaded afresh; LPs built from one `reluopt.lp.Relaxation`
 share its matrix. An LP that carries a starting basis (`LinearProgram.basis`)
 has it set when it is loaded, so the first solve of a live model starts from
-that basis instead of from HiGHS's slack basis.
+that basis instead of from HiGHS's slack basis. A solve answers with an
+`LPResult`; it and `LPStatus` are defined here and re-exported by
+`reluopt.lp`.
 
 The binding is scipy's private extension module `scipy.optimize._highspy._core`,
 shipped by the scipy releases `pyproject.toml` allows. It is loaded from its
@@ -25,6 +27,7 @@ import importlib.util
 import math
 import os
 import sys
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import NumericalFailure, Timeout
 
 if TYPE_CHECKING:
-    from .lp import LinearProgram, LPResult
+    from .lp import LinearProgram
 
 _CORE = "scipy.optimize._highspy._core"
 
@@ -92,6 +95,24 @@ _DECIDED = (
 )
 
 
+class LPStatus:
+    OPTIMAL = "optimal"
+    INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
+
+
+@dataclass(frozen=True)
+class LPResult:
+    status: str
+    value: Optional[float] = None
+    assignment: Optional[np.ndarray] = None
+    iterations: int = 0  # simplex iterations the solve took
+
+
+def _sense(lp: "LinearProgram"):
+    return _core.ObjSense.kMaximize if lp.maximize else _core.ObjSense.kMinimize
+
+
 class LiveModel:
     """A HiGHS instance that follows the LPs given to `solve`."""
 
@@ -102,21 +123,15 @@ class LiveModel:
         self._matrix = None
 
     def _load(self, lp: "LinearProgram") -> None:
-        n_rows, n_cols = lp.matrix.shape
-        model = _core.HighsLp()
-        model.num_col_, model.num_row_ = n_cols, n_rows
-        model.col_cost_ = lp.objective
-        model.col_lower_ = lp.lower
-        model.col_upper_ = lp.upper
-        model.row_lower_ = lp.row_lower
-        model.row_upper_ = lp.row_upper
-        a = model.a_matrix_
-        a.format_ = _core.MatrixFormat.kColwise
-        a.num_col_, a.num_row_ = n_cols, n_rows
-        a.start_ = lp.matrix.indptr
-        a.index_ = lp.matrix.indices
-        a.value_ = lp.matrix.data
-        if self._highs.passModel(model) == _core.HighsStatus.kError:
+        a = lp.matrix
+        n_rows, n_cols = a.shape
+        status = self._highs.passModel(
+            n_cols, n_rows, len(a.data), _core.MatrixFormat.kColwise, _sense(lp), 0.0,
+            lp.objective, lp.lower, lp.upper, lp.row_lower, lp.row_upper,
+            a.indptr[:-1], a.indices, a.data,
+            np.zeros(n_cols, np.int32),  # all continuous: HiGHS refuses an empty vector
+        )
+        if status == _core.HighsStatus.kError:
             raise NumericalFailure("HiGHS rejected the LP")
         if lp.basis is not None:
             # The basis sets where the solve starts, never what it returns.
@@ -132,7 +147,6 @@ class LiveModel:
         matrix, self._matrix = self._matrix, None  # None until the sync succeeds
         if lp.matrix is not matrix:
             self._load(lp)
-            self._maximize = None
         else:
             rows = (lp.row_lower != self._row_lower) | (lp.row_upper != self._row_upper)
             for i in np.flatnonzero(rows):
@@ -145,9 +159,8 @@ class LiveModel:
             cols = np.flatnonzero(lp.objective != self._cost)
             if cols.size:
                 self._highs.changeColsCost(cols.size, cols.astype(np.int32), lp.objective[cols])
-        if lp.maximize != self._maximize:
-            sense = _core.ObjSense.kMaximize if lp.maximize else _core.ObjSense.kMinimize
-            self._highs.changeObjectiveSense(sense)
+            if lp.maximize != self._maximize:
+                self._highs.changeObjectiveSense(_sense(lp))
         # Copies: a vector changed in place after this solve still differs.
         self._row_lower, self._row_upper = lp.row_lower.copy(), lp.row_upper.copy()
         self._lower, self._upper, self._cost = lp.lower.copy(), lp.upper.copy(), lp.objective.copy()
@@ -166,8 +179,6 @@ class LiveModel:
         example unbounded-or-infeasible) gets one cold re-solve; if that
         decides nothing either, NumericalFailure. Raises Timeout when the
         time limit stops the solve."""
-        from .lp import LPResult, LPStatus
-
         self._sync(lp)
         # HiGHS measures its time limit on a clock that runs through every
         # solve of this instance, so the limit is set past its reading now.

@@ -36,7 +36,8 @@ import numpy as np
 from . import highs
 from .errors import DimensionMismatch
 from .bounds import phases
-from .model import Activation, Network, NodeId, forward_trace, gradient
+from .highs import LPResult, LPStatus  # noqa: F401  (re-exported)
+from .model import Activation, Network, forward_trace, gradient
 from .problems import Relation
 from .state import ACTIVE, INACTIVE, UNDETERMINED, PartialActivationState
 
@@ -54,12 +55,6 @@ def __getattr__(name: str):
 
         return linprog
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class LPStatus:
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 def row_sides(relation: Relation, rhs: float) -> tuple[float, float]:
@@ -212,14 +207,6 @@ class LinearProgram:
         lp = object.__new__(type(self))
         lp.__dict__.update(self.__dict__, **fields)
         return lp
-
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str
-    value: Optional[float] = None
-    assignment: Optional[np.ndarray] = None
-    iterations: int = 0  # simplex iterations the solve took
 
 
 def solve_lp(
@@ -465,26 +452,16 @@ def build_relaxed_lp(relaxation: Relaxation, state: PartialActivationState) -> L
 
 
 def split_assignment(net: Network, imap: VariableIndexMap, vec: np.ndarray):
-    """Per-ReLU-layer (pre, post) views of a full LP assignment vector."""
+    """Per-ReLU-layer (pre, post) views of a full LP assignment vector. No
+    caller in the package: perfbench's tracer wraps it by name in `search`."""
     pre = [vec[imap.pre[k]] for k in net.relu_layers]
     post = [vec[imap.post[k]] for k in net.relu_layers]
     return pre, post
 
 
-def check_relu_consistency(
-    net: Network,
-    pre: Sequence[np.ndarray],
-    post: Sequence[np.ndarray],
-    tol: float,
-) -> list[tuple[NodeId, float]]:
-    """Nodes where |z - max(0, zhat)| > tol, worst first."""
-    violations = []
-    for i, k in enumerate(net.relu_layers):
-        width = net.layers[k].out_width
-        if len(pre[i]) != width or len(post[i]) != width:
-            raise DimensionMismatch(f"assignment does not cover ReLU layer {i}")
-        gap = np.abs(post[i] - np.maximum(0.0, pre[i]))
-        for j in np.nonzero(gap > tol)[0]:
-            violations.append((NodeId(i, int(j)), float(gap[j])))
-    violations.sort(key=lambda item: (-item[1], item[0]))
-    return violations
+def check_relu_consistency(relaxation: Relaxation, vec: np.ndarray, at=slice(None)) -> np.ndarray:
+    """|z - max(0, zhat)| at the LP point `vec` for each ReLU, in
+    `net.relu_node_ids()` order: 0 where the point satisfies the ReLU
+    exactly. `at` (a position, positions or a slice) selects the ReLUs."""
+    zhat = vec[relaxation.zhat[at]]
+    return np.abs(vec[relaxation.z[at]] - np.maximum(0.0, zhat))

@@ -12,8 +12,10 @@ from typing import Callable, Optional, TextIO
 
 import numpy as np
 
-# fixed_by_bounds and propagate_interval are unused here but stay importable
-# by this module's name: perfbench's tracer wraps them, as it wraps tighten_lp.
+# fixed_by_bounds, propagate_interval and split_assignment have no caller in
+# the package but stay importable by this module's name: perfbench's tracer
+# wraps them here, as it wraps tighten_lp. They go when the tracer stops
+# looking them up.
 from .bounds import (  # noqa: F401
     COUNTERS,
     BoundsMap,
@@ -32,7 +34,7 @@ from .lp import (
     check_relu_consistency,
     encode_relaxation,
     solve_lp,
-    split_assignment,
+    split_assignment,  # noqa: F401
 )
 from .model import Network
 from .problems import OptimizationProblem
@@ -96,7 +98,6 @@ class SearchConfig:
     node_order: NodeOrder = NodeOrder.BEST_FIRST
     timeout: float = 120.0
     tighten_timeout: float = 0.0  # seconds per preprocessing LP; 0 disables
-    stop_at_first_optimal: bool = False  # feasibility mode: exit on first witness
 
     def __post_init__(self):
         if not self.timeout > 0:
@@ -141,7 +142,6 @@ def optimum_for_region(
     are re-solved in. Raises Timeout when `time_limit` stops the LP."""
     if relaxation is None:
         relaxation = encode_relaxation(net, problem, bounds)
-    imap = relaxation.imap
     lp = build_relaxed_lp(relaxation, state)
     res = solve_lp(lp, time_limit=time_limit, model=model)
     its = res.iterations
@@ -153,9 +153,8 @@ def optimum_for_region(
     if res.status == LPStatus.UNBOUNDED:
         # No assignment to check; force a split.
         return RegionOutcome(RegionStatus.UNKNOWN, lp_bound=bound, iterations=its)
-    pre, post = split_assignment(net, imap, res.assignment)
-    if not check_relu_consistency(net, pre, post, CONSISTENCY_TOL):
-        x = np.clip(res.assignment[imap.x], problem.box.lower, problem.box.upper)
+    if (check_relu_consistency(relaxation, res.assignment) <= CONSISTENCY_TOL).all():
+        x = np.clip(res.assignment[relaxation.imap.x], problem.box.lower, problem.box.upper)
         value = problem.objective_at(net, x)
         return RegionOutcome(
             RegionStatus.OPTIMAL, lp_bound=bound, value=value, assignment=x, iterations=its
@@ -192,9 +191,7 @@ def split_index(
         return undetermined[0]
     if relaxation is None:
         raise ValueError("LargestViolation needs the relaxation")
-    zhat = lp_assignment[relaxation.zhat[undetermined]]
-    z = lp_assignment[relaxation.z[undetermined]]
-    violation = np.abs(z - np.maximum(0.0, zhat))
+    violation = check_relu_consistency(relaxation, lp_assignment, at=undetermined)
     best = int(np.argmax(violation))  # the first of equal maxima
     return undetermined[best] if violation[best] > 0.0 else undetermined[0]
 
@@ -213,10 +210,9 @@ def _parent_answers(
     answer comes from its own LP."""
     if parent is None or parent.lp_assignment is None:
         return False
-    zhat = parent.lp_assignment[relaxation.zhat[fixed]]
-    z = parent.lp_assignment[relaxation.z[fixed]]
-    if abs(z - max(0.0, zhat)) > CONSISTENCY_TOL:
+    if check_relu_consistency(relaxation, parent.lp_assignment, at=fixed) > CONSISTENCY_TOL:
         return False
+    zhat = parent.lp_assignment[relaxation.zhat[fixed]]
     if not (zhat >= 0.0 if state.phase[fixed] == ACTIVE else zhat <= 0.0):
         return False
     return UNDETERMINED in state.phase
@@ -352,8 +348,6 @@ def optimize(
             if outcome.value > incumbent:
                 incumbent = outcome.value
                 argopt = outcome.assignment
-                if config.stop_at_first_optimal:
-                    break
             continue
         i = split_index(state, config.split_strategy, outcome.lp_assignment, relaxation)
         push(state.fix_at(i, active=False), outcome, i)

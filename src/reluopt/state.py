@@ -1,8 +1,11 @@
-"""Partial activation states over the ReLU nodes of a network."""
+"""Partial activation states over the ReLU nodes of a network.
+
+A state is one int8 phase vector in `net.relu_node_ids()` order: ACTIVE
+(1), INACTIVE (-1) or UNDETERMINED (0) per ReLU. That vector is the only
+form of a phase in the package; a ReLU is named by its position in it."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,41 +19,15 @@ ACTIVE, INACTIVE, UNDETERMINED = 1, -1, 0
 @dataclass(frozen=True, eq=False)
 class PartialActivationState:
     """The phase of every ReLU node, in `net.relu_node_ids()` order: 1
-    active, -1 inactive, 0 undetermined. Every node has exactly one phase,
-    so the three sets partition the nodes by construction. `phase` is
-    read-only; `fix` returns a new state."""
+    active, -1 inactive, 0 undetermined. `phase` is read-only; `fix_at`
+    returns a new state. `nodes` names the positions, for `fingerprint`."""
 
     phase: np.ndarray  # int8
     nodes: tuple[NodeId, ...]  # the network's ReLU nodes, sorted
 
-    def _nodes(self, phase: int) -> list[NodeId]:
-        """The nodes in `phase`, in order."""
-        return [self.nodes[i] for i in np.flatnonzero(self.phase == phase)]
-
-    @property
-    def active(self) -> frozenset[NodeId]:
-        return frozenset(self._nodes(ACTIVE))
-
-    @property
-    def inactive(self) -> frozenset[NodeId]:
-        return frozenset(self._nodes(INACTIVE))
-
-    @property
-    def undetermined(self) -> frozenset[NodeId]:
-        return frozenset(self._nodes(UNDETERMINED))
-
-    def _index(self, node: NodeId) -> int:
-        """The position of `node` in `phase`."""
-        i = bisect_left(self.nodes, node)
-        if i == len(self.nodes) or self.nodes[i] != node:
-            raise InconsistentState(f"node {node} is not a ReLU node of the network")
-        return i
-
-    def fix(self, node: NodeId, active: bool) -> "PartialActivationState":
-        return self.fix_at(self._index(node), active)
-
     def fix_at(self, i: int, active: bool) -> "PartialActivationState":
-        """`fix` of the node at position `i` of `phase`."""
+        """This state with the undetermined node at position `i` of `phase`
+        made active or inactive."""
         if self.phase[i] != UNDETERMINED:
             raise InconsistentState(f"node {self.nodes[i]} is not undetermined")
         phase = self.phase.copy()
@@ -59,30 +36,21 @@ class PartialActivationState:
         return PartialActivationState(phase, self.nodes)
 
     def fingerprint(self) -> str:
-        """Stable textual identity, used for trace records."""
-        fmt = lambda phase: ",".join(f"{i}.{j}" for i, j in self._nodes(phase))
+        """Stable textual identity, used for trace records: the active and
+        the inactive nodes as `layer.node`, in order."""
+        named = lambda value: (self.nodes[i] for i in np.flatnonzero(self.phase == value))
+        fmt = lambda value: ",".join(f"{i}.{j}" for i, j in named(value))
         return f"A[{fmt(ACTIVE)}]N[{fmt(INACTIVE)}]"
 
 
-def phase_state(net: Network, phase: np.ndarray) -> PartialActivationState:
-    """The state with a copy of `phase`, one phase per ReLU node in
-    `net.relu_node_ids()` order."""
-    phase = np.array(phase, dtype=np.int8)
-    if phase.shape != (net.num_relu_nodes,):
-        raise InconsistentState(f"{phase.size} phases for {net.num_relu_nodes} ReLU nodes")
+def phase_state(net: Network, phase) -> PartialActivationState:
+    """The state with a copy of `phase`, one phase (1, -1 or 0) per ReLU
+    node in `net.relu_node_ids()` order."""
+    values = np.asarray(phase)
+    if values.shape != (net.num_relu_nodes,):
+        raise InconsistentState(f"{values.size} phases for {net.num_relu_nodes} ReLU nodes")
+    if not np.isin(values, (ACTIVE, INACTIVE, UNDETERMINED)).all():
+        raise InconsistentState("a phase must be 1 (active), -1 (inactive) or 0 (undetermined)")
+    phase = values.astype(np.int8)  # a copy
     phase.flags.writeable = False
     return PartialActivationState(phase, tuple(net.relu_node_ids()))
-
-
-def root_state(net: Network, active=(), inactive=()) -> PartialActivationState:
-    """State with the given nodes fixed and everything else undetermined."""
-    phase = np.zeros(net.num_relu_nodes, np.int8)
-    state = PartialActivationState(phase, tuple(net.relu_node_ids()))
-    for value, nodes in ((ACTIVE, set(active)), (INACTIVE, set(inactive))):
-        for node in nodes:
-            i = state._index(node)
-            if phase[i] != UNDETERMINED:
-                raise InconsistentState(f"node {node} is both active and inactive")
-            phase[i] = value
-    phase.flags.writeable = False
-    return state

@@ -30,23 +30,23 @@ from reluopt import (
     evaluate,
     export_milp,
     fgsm,
-    fixed_by_bounds,
     gradient,
     milp_to_lp,
     optimize,
     optimum_for_region,
     parse_lp_text,
     pgd,
+    phase_state,
+    phases,
     propagate_interval,
     solve_lp,
     split,
-    split_assignment,
     tighten_lp,
 )
 from reluopt.geometry import Hyperrectangle, linf_epigraph
 from reluopt.lp import LPStatus, encode_relaxation
 from reluopt.model import Activation, NodeId, forward_trace
-from reluopt.state import root_state
+from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED
 
 from conftest import box, fd_gradient, kink_free, random_net
 
@@ -234,13 +234,13 @@ def test_relaxation_invariants():
         bounds = propagate_interval(net, b)
         problem = OptimizationProblem(box=b, objective=Objective(c_y=np.array([1.0])))
         # random partial state: fix a random prefix of nodes at random phases
-        nodes = net.relu_node_ids()
-        n_fix = int(rng.integers(0, len(nodes)))
-        active = {n for n in nodes[:n_fix] if rng.random() < 0.5}
-        inactive = set(nodes[:n_fix]) - active
-        state = root_state(net, active=active, inactive=inactive)
+        n_nodes = net.num_relu_nodes
+        n_fix = int(rng.integers(0, n_nodes))
+        phase = np.zeros(n_nodes)
+        phase[:n_fix] = np.where(rng.random(n_fix) < 0.5, ACTIVE, INACTIVE)
+        state = phase_state(net, phase)
         parent = optimum_for_region(net, problem, state, bounds, -np.inf)
-        if parent.lp_bound == -np.inf or not state.undetermined:
+        if parent.lp_bound == -np.inf or UNDETERMINED not in state.phase:
             continue
         first, second = split(state, SplitStrategy.EARLIEST_UNFIXED)
         for child in (first, second):
@@ -249,14 +249,11 @@ def test_relaxation_invariants():
                 assert out.lp_bound <= parent.lp_bound + 1e-6
             pairs += 1
         # fully fixed feasible leaf: LP assignment must be ReLU-consistent
-        leaf_active = {n for n in nodes if rng.random() < 0.5}
-        leaf = root_state(net, active=leaf_active, inactive=set(nodes) - leaf_active)
+        leaf = phase_state(net, np.where(rng.random(n_nodes) < 0.5, ACTIVE, INACTIVE))
         relaxation = encode_relaxation(net, problem, bounds)
-        lp, imap = build_relaxed_lp(relaxation, leaf), relaxation.imap
-        res = solve_lp(lp)
+        res = solve_lp(build_relaxed_lp(relaxation, leaf))
         if res.status == LPStatus.OPTIMAL:
-            pre, post = split_assignment(net, imap, res.assignment)
-            assert check_relu_consistency(net, pre, post, 1e-6) == []
+            assert (check_relu_consistency(relaxation, res.assignment) <= 1e-6).all()
             leaves_checked += 1
     assert pairs >= 1000 and leaves_checked > 50
 
@@ -333,8 +330,8 @@ def test_milp_export_fidelity():
         binaries = model.binaries()
         if len(binaries) > 6:
             continue
-        fixed = fixed_by_bounds(bounds)
-        free = sorted(set(net.relu_node_ids()) - set(fixed.active) - set(fixed.inactive))
+        phase = phases(bounds)
+        free = np.flatnonzero(phase == UNDETERMINED)
         relaxation = encode_relaxation(net, problem, bounds)
         imap = relaxation.imap
 
@@ -360,19 +357,15 @@ def test_milp_export_fidelity():
                     return False
             return True
 
-        for pattern in itertools.product((True, False), repeat=len(free)):
-            phases = dict(zip(free, pattern))
-            leaf = root_state(
-                net,
-                active=set(fixed.active) | {n for n, on in phases.items() if on},
-                inactive=set(fixed.inactive) | {n for n, on in phases.items() if not on},
-            )
-            lp = build_relaxed_lp(relaxation, leaf)
+        nodes = net.relu_node_ids()
+        for pattern in itertools.product((ACTIVE, INACTIVE), repeat=len(free)):
+            phase[free] = pattern
+            lp = build_relaxed_lp(relaxation, phase_state(net, phase))
             deltas = {}
             for name in binaries:
                 k, j = map(int, name.split("_")[1:])
-                i = net.relu_layers.index(k)
-                deltas[name] = 1.0 if phases.get(NodeId(i, j), True) else 0.0
+                i = nodes.index(NodeId(net.relu_layers.index(k), j))
+                deltas[name] = 1.0 if phase[i] == ACTIVE else 0.0
             samples = []
             for _s in range(180):
                 x = b.sample(rng, 1)[0]

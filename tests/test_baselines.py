@@ -215,6 +215,42 @@ def test_verify_decision(abs_net):
     assert abs(evaluate(abs_net, d.witness)[0]) >= 0.5 - 1e-6
 
 
+def test_a_witness_found_as_the_budget_ends_still_decides(abs_net, monkeypatch):
+    """A decision search whose budget runs out right after it finds its
+    witness returns Timeout with that witness, and both callers take it as
+    a witness."""
+    import time
+    from dataclasses import replace
+
+    import reluopt.baselines as baselines
+    from reluopt import RegionOutcome, RegionStatus, SearchConfig
+
+    witness = np.array([0.75])
+
+    def evaluator(state, incumbent):
+        if not state.phase.any():  # the root: split it
+            return RegionOutcome(RegionStatus.UNKNOWN, lp_bound=0.0)
+        time.sleep(0.3)  # the budget ends as the witness is found
+        return RegionOutcome(RegionStatus.OPTIMAL, lp_bound=0.0, value=0.0, assignment=witness)
+
+    search = baselines.optimize
+
+    def scripted(net, problem, config, bounds=None):
+        config = replace(config, timeout=0.2)
+        return search(net, problem, config, bounds=bounds, region_evaluator=evaluator)
+
+    b = box([-1.0], [1.0])
+    result = scripted(abs_net, OptimizationProblem(b, Objective()), SearchConfig())
+    assert result.status is Status.TIMEOUT and result.argopt is witness
+
+    monkeypatch.setattr(baselines, "optimize", scripted)
+    d = verify_decision(abs_net, b, (), Row(None, np.array([1.0]), 0.0, Relation.LE, 0.5))
+    assert not d.holds and d.witness is witness
+    problem = output_max_problem(abs_net, [1.0], [-1.0], [1.0])
+    r = bisection_optimize(abs_net, problem, BisectionConfig(gap=0.5, bracket=(0.0, 1.0)))
+    assert r.status is Status.OPTIMAL and r.argopt is witness and r.value == 0.75
+
+
 # ---------------------------------------------------------------------------
 # Attacks
 

@@ -4,13 +4,12 @@ import pytest
 from reluopt import (
     DimensionMismatch,
     Hyperrectangle,
-    fixed_by_bounds,
     propagate_interval,
     propagate_symbolic,
     tighten_lp,
 )
-from reluopt.bounds import BoundsMap, phases
-from reluopt.model import NodeId, forward_trace
+from reluopt.bounds import BoundsMap, fixed_by_bounds, phases
+from reluopt.model import forward_trace
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED
 
 from conftest import box, random_net
@@ -24,6 +23,18 @@ def _assert_sound(net, bounds, b, rng, samples=500, tol=1e-9):
             assert np.all(trace.pre[k] <= bounds.pre_upper[k] + tol)
             assert np.all(trace.post[k] >= bounds.post_lower[k] - tol)
             assert np.all(trace.post[k] <= bounds.post_upper[k] + tol)
+
+
+def _pre(bounds, i, j):
+    """The pre-activation interval of ReLU node (i, j)."""
+    k = bounds.relu_layers[i]
+    return float(bounds.pre_lower[k][j]), float(bounds.pre_upper[k][j])
+
+
+def _post(bounds, i, j):
+    """The post-activation interval of ReLU node (i, j)."""
+    k = bounds.relu_layers[i]
+    return float(bounds.post_lower[k][j]), float(bounds.post_upper[k][j])
 
 
 def test_interval_bounds_are_sound():
@@ -54,9 +65,7 @@ def test_dimension_mismatch():
 
 def test_fixed_by_bounds_agrees_with_samples(abs_net):
     b = box([0.5], [2.0])  # node 0 always active, node 1 always inactive
-    fixed = fixed_by_bounds(propagate_interval(abs_net, b))
-    assert NodeId(0, 0) in fixed.active
-    assert NodeId(0, 1) in fixed.inactive
+    assert phases(propagate_interval(abs_net, b)).tolist() == [ACTIVE, INACTIVE]
 
 
 def test_fixed_by_bounds_zero_interval_is_inactive():
@@ -70,9 +79,6 @@ def test_fixed_by_bounds_zero_interval_is_inactive():
         )
     )
     bounds = propagate_interval(net, box([-1.0], [1.0]))
-    fixed = fixed_by_bounds(bounds)
-    assert NodeId(0, 0) in fixed.inactive
-    assert NodeId(0, 0) not in fixed.active
     assert phases(bounds).tolist() == [INACTIVE]
 
 
@@ -86,8 +92,9 @@ def test_phases_follow_the_intervals_in_node_order():
         phase = phases(bounds)
         assert phase.dtype == np.int8 and phase.shape == (net.num_relu_nodes,)
         for node, got in zip(net.relu_node_ids(), phase):
-            lo, hi = bounds.pre(node)
+            lo, hi = _pre(bounds, *node)
             assert got == (INACTIVE if hi <= 0.0 else ACTIVE if lo >= 0.0 else UNDETERMINED)
+        # fixed_by_bounds, kept for perfbench's tracer, gives the same phases.
         fixed = fixed_by_bounds(bounds)
         nodes = np.array(net.relu_node_ids())
         assert {tuple(n) for n in nodes[phase == ACTIVE]} == set(fixed.active)
@@ -150,17 +157,17 @@ def test_tighten_strictly_improves_correlated_net():
     counters = {}
     tight = tighten_lp(net, b, seed, per_query_timeout=5.0, counters=counters)
     assert tight.pre_lower[1][0] == pytest.approx(-0.5, abs=1e-6)
-    assert tight.pre(NodeId(1, 1)) == seed.pre(NodeId(1, 1)) == (0.0, 4.0)
-    assert tight.post(NodeId(1, 1)) == seed.post(NodeId(1, 1))
+    assert _pre(tight, 1, 1) == _pre(seed, 1, 1) == (0.0, 4.0)
+    assert _post(tight, 1, 1) == _post(seed, 1, 1)
     assert counters["tighten_skipped"] == 2
 
 
 def test_bounds_map_node_accessors(abs_net):
     b = box([-2.0], [3.0])
     bounds = propagate_interval(abs_net, b)
-    lo, hi = bounds.pre(NodeId(0, 0))
+    lo, hi = _pre(bounds, 0, 0)
     assert (lo, hi) == (-2.0, 3.0)
-    lo, hi = bounds.post(NodeId(0, 1))
+    lo, hi = _post(bounds, 0, 1)
     assert (lo, hi) == (0.0, 2.0)
 
 
@@ -264,8 +271,7 @@ def _symbolic_cases():
 
 
 def _undetermined(net, bounds):
-    fixed = fixed_by_bounds(bounds)
-    return net.num_relu_nodes - len(fixed.active) - len(fixed.inactive)
+    return int(np.count_nonzero(phases(bounds) == UNDETERMINED))
 
 
 def test_symbolic_bounds_are_sound_on_ten_thousand_samples():
@@ -324,7 +330,7 @@ def test_symbolic_bounds_give_the_exact_lower_bound_on_the_correlated_net():
     bounds = propagate_symbolic(net, box([-1.0], [2.0]))
     assert bounds.pre_lower[1][0] == pytest.approx(1.0, abs=1e-6)
     assert bounds.pre_lower[1][0] <= 1.0
-    assert NodeId(1, 0) in fixed_by_bounds(bounds).active
+    assert phases(bounds)[2] == ACTIVE  # node (1, 0), after the two of layer 0
 
 
 def test_symbolic_bounds_check_the_box_dimension():
@@ -374,7 +380,7 @@ def test_tightening_applies_the_phase_a_node_lp_fixes_before_later_nodes():
     tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
     assert tight.pre_lower[1][0] == pytest.approx(0.5, abs=1e-6)
     assert tight.pre_upper[2][0] == pytest.approx(-0.1, abs=1e-6)
-    assert NodeId(2, 0) in fixed_by_bounds(tight).inactive
+    assert phases(tight)[-1] == INACTIVE  # node (2, 0)
     _assert_sound(net, tight, b, np.random.default_rng(229), samples=500, tol=1e-7)
 
 
@@ -423,15 +429,15 @@ def test_tightening_lps_see_the_phases_the_seed_fixes_in_later_layers():
         lp = build_relaxed_lp(relaxation, phase_state(net, relaxation.phase))
         for i, node in enumerate(net.relu_node_ids()):
             if relaxation.phase[i] != UNDETERMINED:
-                assert tight.pre(node) == seed.pre(node)
-                assert tight.post(node) == seed.post(node)
+                assert _pre(tight, *node) == _pre(seed, *node)
+                assert _post(tight, *node) == _post(seed, *node)
                 fixed += 1
                 continue
             obj = np.zeros(lp.n_vars)
             obj[relaxation.zhat[i]] = 1.0
             top = solve_lp(lp.with_objective(obj, maximize=True)).value
             bottom = solve_lp(lp.with_objective(obj, maximize=False)).value
-            lower, upper = tight.pre(node)
+            lower, upper = _pre(tight, *node)
             assert upper <= top + slack
             assert lower >= bottom - slack
             opened += 1

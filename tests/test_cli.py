@@ -396,6 +396,72 @@ def test_solver_error_is_per_record(tmp_path):
     assert rec.status == "Error"
 
 
+def _edit(text, key, value):
+    """`text` with the line of `key` set to `value`, or with that line added."""
+    import re
+
+    line = f"{key}: {value}"
+    edited, found = re.subn(rf"^{key}: .*$", line, text, flags=re.M)
+    return edited if found else text + line + "\n"
+
+
+# Edits of a generated acas_in problem (3 inputs, 5 outputs, true label 2,
+# target label 3), each with the field its Error record names.
+MALFORMED_MIN_ADV = [
+    ("radius", "0.5,0.5", "radius"),
+    ("radius", "0.5,0.5,0.5,0.5", "radius"),
+    ("domain_lower", "0,0", "domain_lower"),
+    ("domain_upper", "1,1,1,1", "domain_upper"),
+    ("target_label", "9", "target_label"),
+    ("target_label", "5", "target_label"),
+    ("target_label", "-1", "target_label"),
+    ("true_label", "-2", "true_label"),
+    ("target_label", "2", "target_label"),  # the true label
+]
+
+
+@pytest.mark.parametrize("key, value, field", MALFORMED_MIN_ADV)
+def test_malformed_min_adv_problem_is_an_error_record(tmp_path, key, value, field):
+    (path,) = generate_queries("acas_in", seed=1, count=1, scale=4, out_dir=str(tmp_path))
+    text = open(path).read()
+    assert "true_label: 2\n" in text and "target_label: 3\n" in text
+    with open(path, "w") as fh:
+        fh.write(_edit(text, key, value))
+    rec = solve_spec(load_problem(path))
+    assert rec.status == "Error"
+    assert rec.error.startswith(f"SchemaError: {field}: ")
+
+
+def test_run_benchmark_writes_a_record_for_a_malformed_min_adv_file(tmp_path):
+    good, other = generate_queries("acas_in", seed=1, count=2, scale=4, out_dir=str(tmp_path))
+    bad = tmp_path / "bad.problem"
+    text = _edit(open(other).read(), "radius", "0.5,0.5")
+    bad.write_text(_edit(text, "problem_id", "bad"))
+    out = tmp_path / "out"
+    records = run_benchmark([good, str(bad)], ["branch_bound"], timeout=30.0, out_dir=str(out))
+    with open(out / "results.csv") as fh:
+        rows = {row["problem_id"]: row for row in csv.DictReader(fh)}
+    assert {r.problem_id: r.status for r in records} == {
+        "acas_in_s1_000": "Optimal",
+        "bad": "Error",
+    }
+    assert rows["acas_in_s1_000"]["status"] == "Optimal"
+    assert rows["bad"]["status"] == "Error"
+    assert rows["bad"]["error"].startswith("SchemaError: radius: ")
+
+
+def test_milp_export_is_no_solver(tmp_path, capsys):
+    (path,) = generate_queries("acas_out", seed=1, count=1, scale=4, out_dir=str(tmp_path))
+    text = _edit(open(path).read(), "solver", "milp_export")
+    with pytest.raises(SchemaError, match="solver"):
+        parse_problem(text)
+    with pytest.raises(SystemExit):
+        main(["solve", path, "--solver", "milp_export"])
+    with pytest.raises(SystemExit):
+        main(["bench", str(tmp_path), "--solvers", "milp_export"])
+    assert "milp_export" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 

@@ -21,7 +21,7 @@ from reluopt import highs
 from reluopt.geometry import linf_epigraph
 from reluopt.lp import encode_relaxation
 from reluopt.model import forward_trace
-from reluopt.state import root_state
+from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, phase_state
 
 from conftest import box, fd_gradient, random_net
 
@@ -46,14 +46,12 @@ def _relaxation(net, problem):
 
 
 def _random_state(rng, net):
-    active, inactive = set(), set()
-    for node in net.relu_node_ids():
-        u = rng.random()
-        if u < 0.3:
-            active.add(node)
-        elif u < 0.6:
-            inactive.add(node)
-    return root_state(net, active=active, inactive=inactive)
+    u = rng.random(net.num_relu_nodes)
+    return phase_state(net, np.where(u < 0.3, ACTIVE, np.where(u < 0.6, INACTIVE, UNDETERMINED)))
+
+
+def _root(net):
+    return phase_state(net, np.zeros(net.num_relu_nodes))
 
 
 def test_live_model_matches_cold_solves():
@@ -92,7 +90,7 @@ def test_node_lps_of_one_problem_load_the_model_once(monkeypatch):
         solve_lp(lp, model=model)
     assert len(loads) == 1
     # an LP with other rows is loaded afresh
-    other = build_relaxed_lp(_relaxation(net, problem), root_state(net))
+    other = build_relaxed_lp(_relaxation(net, problem), _root(net))
     solve_lp(other, model=model)
     assert len(loads) == 2
 
@@ -100,7 +98,7 @@ def test_node_lps_of_one_problem_load_the_model_once(monkeypatch):
 def test_undecided_status_gets_one_cold_resolve(monkeypatch):
     rng = np.random.default_rng(11)
     net, problem = _random_problem(rng, min_adv=False)
-    lp = build_relaxed_lp(_relaxation(net, problem), root_state(net))
+    lp = build_relaxed_lp(_relaxation(net, problem), _root(net))
     reference = solve_lp(lp).status
     undecided = highs._core.HighsModelStatus.kUnboundedOrInfeasible
     run = highs.LiveModel._run

@@ -19,11 +19,10 @@ from reluopt import (
     check_relu_consistency,
     propagate_interval,
     solve_lp,
-    split_assignment,
 )
 from reluopt.lp import CSCMatrix, encode_relaxation
-from reluopt.model import NodeId, activation_pattern, evaluate, forward_trace
-from reluopt.state import root_state
+from reluopt.model import activation_pattern, evaluate, forward_trace
+from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, phase_state
 
 from conftest import box, lp_oracle, random_net
 
@@ -41,6 +40,11 @@ def _random_lp(rng, n, n_rows):
         rows.append((a, rel, b))
     objective = rng.normal(size=n)
     return lower, upper, rows, objective
+
+
+def _root(net):
+    """The state with every ReLU undetermined."""
+    return phase_state(net, np.zeros(net.num_relu_nodes))
 
 
 def _relaxed_lp(net, state, b, output_rows=(), objective=Objective(), t_upper=np.inf):
@@ -97,7 +101,7 @@ def test_solve_lp_time_limit_raises_timeout():
     rng = np.random.default_rng(3)
     net = random_net(rng, n_in=4, hidden=(30, 30), n_out=1)
     b = box(-np.ones(4), np.ones(4))
-    lp, _ = _relaxed_lp(net, root_state(net), b, objective=Objective(c_y=np.array([1.0])))
+    lp, _ = _relaxed_lp(net, _root(net), b, objective=Objective(c_y=np.array([1.0])))
     with pytest.raises(Timeout):
         solve_lp(lp, time_limit=1e-9)
     assert solve_lp(lp, time_limit=60.0).status == LPStatus.OPTIMAL
@@ -136,7 +140,7 @@ def test_root_relaxation_contains_all_true_points():
     for _ in range(10):
         net = random_net(rng, n_in=2, hidden=(4,), n_out=1)
         b = box([-1.5, -1.5], [1.5, 1.5])
-        lp, imap = _relaxed_lp(net, root_state(net), b)
+        lp, imap = _relaxed_lp(net, _root(net), b)
         for x in b.sample(rng, 50):
             assert _true_assignment_feasible(net, lp, imap, x)
 
@@ -146,7 +150,7 @@ def test_root_relaxation_upper_bounds_true_max():
     for _ in range(10):
         net = random_net(rng, n_in=2, hidden=(5,), n_out=1)
         b = box([-1.0, -1.0], [1.0, 1.0])
-        lp, _ = _relaxed_lp(net, root_state(net), b, objective=Objective(c_y=np.array([1.0])))
+        lp, _ = _relaxed_lp(net, _root(net), b, objective=Objective(c_y=np.array([1.0])))
         res = solve_lp(lp)
         assert res.status == LPStatus.OPTIMAL
         sampled = max(float(evaluate(net, x)[0]) for x in b.sample(rng, 300))
@@ -162,17 +166,14 @@ def test_leaf_lp_is_exact_and_consistent():
         b = box([-1.0, -1.0], [1.0, 1.0])
         x = b.sample(rng, 1)[0]
         masks = activation_pattern(net, x)
-        active, inactive = set(), set()
-        for i, mask in enumerate(masks):
-            for j, on in enumerate(mask):
-                (active if on else inactive).add(NodeId(i, j))
-        state = root_state(net, active=active, inactive=inactive)
-        lp, imap = _relaxed_lp(net, state, b, objective=Objective(c_y=np.array([1.0])))
+        state = phase_state(net, np.where(np.concatenate(masks), ACTIVE, INACTIVE))
+        problem = OptimizationProblem(b, Objective(c_y=np.array([1.0])))
+        relaxation = encode_relaxation(net, problem, propagate_interval(net, b))
+        lp, imap = build_relaxed_lp(relaxation, state), relaxation.imap
         assert _true_assignment_feasible(net, lp, imap, x)
         res = solve_lp(lp)
         assert res.status == LPStatus.OPTIMAL
-        pre, post = split_assignment(net, imap, res.assignment)
-        assert check_relu_consistency(net, pre, post, 1e-6) == []
+        assert (check_relu_consistency(relaxation, res.assignment) <= 1e-6).all()
         # exactness: the LP value is attained by the network itself
         x_opt = res.assignment[imap.x]
         assert float(evaluate(net, x_opt)[0]) == pytest.approx(res.value, abs=1e-6)
@@ -299,7 +300,7 @@ def test_output_rows_and_epigraph_variable(abs_net):
         Row(a_x=None, a_y=np.array([1.0]), a_t=0.0, relation=Relation.GE, rhs=1.0),
     )
     # fully fixed on the positive branch: x >= 0 region
-    state = root_state(abs_net, active={NodeId(0, 0)}, inactive={NodeId(0, 1)})
+    state = phase_state(abs_net, [ACTIVE, INACTIVE])
     lp, imap = _relaxed_lp(
         abs_net, state, b, output_rows=rows, objective=Objective(c_t=-1.0), t_upper=2.0
     )
@@ -312,7 +313,7 @@ def test_output_rows_and_epigraph_variable(abs_net):
 def test_infeasible_state_gives_infeasible_lp(abs_net):
     # both nodes inactive forces x <= 0 and -x <= 0 and y = 0; ask y >= 1.
     b = box([-2.0], [2.0])
-    state = root_state(abs_net, inactive={NodeId(0, 0), NodeId(0, 1)})
+    state = phase_state(abs_net, [INACTIVE, INACTIVE])
     lp, _ = _relaxed_lp(
         abs_net,
         state,
@@ -323,12 +324,18 @@ def test_infeasible_state_gives_infeasible_lp(abs_net):
     assert solve_lp(lp).status == LPStatus.INFEASIBLE
 
 
-def test_check_relu_consistency_ordering(abs_net):
-    pre = [np.array([2.0, -1.0])]
-    post = [np.array([2.5, 1.0])]  # violations 0.5 and 1.0
-    violations = check_relu_consistency(abs_net, pre, post, 1e-6)
-    assert [v[0] for v in violations] == [NodeId(0, 1), NodeId(0, 0)]
-    assert violations[0][1] == pytest.approx(1.0)
+def test_check_relu_consistency_gives_each_relus_gap_in_node_order(abs_net):
+    b = box([-2.0], [2.0])  # both ReLUs open: each z has a column of its own
+    problem = OptimizationProblem(b, Objective())
+    relaxation = encode_relaxation(abs_net, problem, propagate_interval(abs_net, b))
+    vec = np.zeros(relaxation.imap.n_vars)
+    vec[relaxation.zhat] = [2.0, -1.0]
+    vec[relaxation.z] = [2.5, 1.0]  # violations 0.5 and 1.0
+    np.testing.assert_allclose(check_relu_consistency(relaxation, vec), [0.5, 1.0])
+    assert check_relu_consistency(relaxation, vec, at=1) == pytest.approx(1.0)
+    np.testing.assert_allclose(check_relu_consistency(relaxation, vec, at=[1, 0]), [1.0, 0.5])
+    vec[relaxation.z] = [2.0, 0.0]  # z = max(0, zhat) at both
+    assert check_relu_consistency(relaxation, vec).tolist() == [0.0, 0.0]
 
 
 def test_row_using_t_without_t_variable_raises(abs_net):
@@ -336,7 +343,7 @@ def test_row_using_t_without_t_variable_raises(abs_net):
     # a_t present forces the t variable to exist; this is the supported path
     lp, imap = _relaxed_lp(
         abs_net,
-        root_state(abs_net),
+        _root(abs_net),
         b,
         output_rows=(Row(np.array([1.0]), None, -1.0, Relation.LE, 0.0),),
     )
@@ -383,7 +390,7 @@ def test_node_lps_are_checked_once_per_problem(abs_net, monkeypatch):
     problem = OptimizationProblem(b, Objective())
     relaxation = encode_relaxation(abs_net, problem, propagate_interval(abs_net, b))
     assert len(checks) == 1
-    lp = build_relaxed_lp(relaxation, root_state(abs_net, inactive={NodeId(0, 1)}))
+    lp = build_relaxed_lp(relaxation, phase_state(abs_net, [UNDETERMINED, INACTIVE]))
     cost = lp.with_objective(np.ones(lp.n_vars), maximize=False)
     assert len(checks) == 1
     assert cost.matrix is lp.matrix and not cost.maximize and cost.upper is lp.upper
@@ -481,7 +488,7 @@ def test_node_lp_shares_the_relaxation_matrix_and_reads_as_rows(abs_net):
     b = box([-2.0], [2.0])
     problem = OptimizationProblem(b, Objective())
     relaxation = encode_relaxation(abs_net, problem, propagate_interval(abs_net, b))
-    state = root_state(abs_net, active={NodeId(0, 0)})
+    state = phase_state(abs_net, [ACTIVE, UNDETERMINED])
     lp = build_relaxed_lp(relaxation, state)
     assert lp.matrix is relaxation.lp.matrix
     rows = list(lp.rows)
@@ -495,10 +502,8 @@ def test_node_lp_shares_the_relaxation_matrix_and_reads_as_rows(abs_net):
 
 def _reference_node_vectors(net, problem, bounds, state, relaxation):
     """The node LP's row upper bounds and column bounds, built node by node
-    from the bounds map and the state's node sets: the reference that
+    from the bounds map and the state's phase vector: the reference that
     `build_relaxed_lp` must match bit for bit."""
-    from reluopt.state import UNDETERMINED
-
     imap = relaxation.imap
     lower = np.full(imap.n_vars, -np.inf)
     upper = np.full(imap.n_vars, np.inf)
@@ -520,13 +525,13 @@ def _reference_node_vectors(net, problem, bounds, state, relaxation):
 
     dense = relaxation.lp.matrix.toarray()
     row_upper = relaxation.lp.row_upper.copy()
-    nodes = net.relu_node_ids()
-    root_open = {nodes[i] for i in np.flatnonzero(relaxation.phase == UNDETERMINED)}
-    for node in state.active | state.inactive:
+    for i, node in enumerate(net.relu_node_ids()):
+        if state.phase[i] == UNDETERMINED:
+            continue
         pre = int(imap.pre[net.relu_layers[node.layer]][node.node])
         post = int(imap.post[net.relu_layers[node.layer]][node.node])
-        if node in state.active:
-            if node in root_open:  # a ReLU the root bounds fix has no link row
+        if state.phase[i] == ACTIVE:
+            if relaxation.phase[i] == UNDETERMINED:  # a ReLU the root bounds fix has no link row
                 link = np.zeros(imap.n_vars)
                 link[[post, pre]] = 1.0, -1.0
                 (row,) = np.flatnonzero((dense == link).all(axis=1))  # z - zhat >= 0
@@ -560,11 +565,10 @@ def test_node_lp_vectors_match_the_node_by_node_reference():
             bounds = tighten_lp(net, b, bounds, 5.0)
         relaxation = encode_relaxation(net, problem, bounds)
         for _ in range(10):
-            active, inactive = set(), set()
-            for node in net.relu_node_ids():
-                u = rng.random()
-                (active if u < 0.3 else inactive if u < 0.6 else set()).add(node)
-            state = root_state(net, active=active, inactive=inactive)
+            u = rng.random(net.num_relu_nodes)
+            state = phase_state(
+                net, np.where(u < 0.3, ACTIVE, np.where(u < 0.6, INACTIVE, UNDETERMINED))
+            )
             lp = build_relaxed_lp(relaxation, state)
             assert lp.matrix is relaxation.lp.matrix
             assert lp.row_lower is relaxation.lp.row_lower

@@ -27,7 +27,7 @@ from reluopt import (
 from reluopt.bounds import phases
 from reluopt.geometry import linf_epigraph
 from reluopt.model import NodeId, evaluate
-from reluopt.state import UNDETERMINED, root_state
+from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, phase_state
 
 from conftest import box, output_max_problem, random_net, sample_max
 
@@ -125,7 +125,7 @@ def test_region_statuses(abs_net):
     b = box([-2.0], [3.0])
     bounds = propagate_interval(abs_net, b)
     problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
-    root = root_state(abs_net)
+    root = phase_state(abs_net, [UNDETERMINED, UNDETERMINED])
     # Unknown at the root of a genuinely two-phase problem
     out = optimum_for_region(abs_net, problem, root, bounds, -np.inf)
     assert out.lp_bound >= 3.0 - 1e-9
@@ -133,7 +133,7 @@ def test_region_statuses(abs_net):
     out2 = optimum_for_region(abs_net, problem, root, bounds, out.lp_bound)
     assert out2.status is RegionStatus.WORSE_THAN_OPT
     # fully fixed consistent leaf -> Optimal with true value
-    leaf = root_state(abs_net, active={NodeId(0, 0)}, inactive={NodeId(0, 1)})
+    leaf = phase_state(abs_net, [ACTIVE, INACTIVE])
     out3 = optimum_for_region(abs_net, problem, leaf, bounds, -np.inf)
     assert out3.status is RegionStatus.OPTIMAL
     assert out3.value == pytest.approx(3.0, abs=1e-6)
@@ -150,11 +150,11 @@ def test_region_statuses(abs_net):
 
 
 def test_split_earliest(abs_net):
-    state = root_state(abs_net)
+    state = phase_state(abs_net, [UNDETERMINED, UNDETERMINED])
     first, second = split(state, SplitStrategy.EARLIEST_UNFIXED)
-    assert NodeId(0, 0) in first.active
-    assert NodeId(0, 0) in second.inactive
-    leaf = root_state(abs_net, active={NodeId(0, 0), NodeId(0, 1)})
+    assert first.phase[0] == ACTIVE
+    assert second.phase[0] == INACTIVE
+    leaf = phase_state(abs_net, [ACTIVE, ACTIVE])
     with pytest.raises(NoUndetermined):
         split(leaf, SplitStrategy.EARLIEST_UNFIXED)
 
@@ -168,11 +168,11 @@ def test_split_largest_violation(abs_net):
     # node (0,1): zhat = -1 but z = 2 -> violation 2; node (0,0) consistent.
     vec[relaxation.zhat[1]] = -1.0
     vec[relaxation.z[1]] = 2.0
-    state = root_state(abs_net)
+    state = phase_state(abs_net, [UNDETERMINED, UNDETERMINED])
     first, _ = split(
         state, SplitStrategy.LARGEST_VIOLATION, lp_assignment=vec, relaxation=relaxation
     )
-    assert NodeId(0, 1) in first.active
+    assert first.phase[1] == ACTIVE
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +281,8 @@ def test_child_bound_never_exceeds_parent_bound():
         b = box([-1.0, -1.0], [1.0, 1.0])
         bounds = propagate_interval(net, b)
         problem = output_max_problem(net, [1.0], [-1.0, -1.0], [1.0, 1.0])
-        state = root_state(net)
-        while state.undetermined:
+        state = phase_state(net, np.zeros(net.num_relu_nodes))
+        while UNDETERMINED in state.phase:
             parent = optimum_for_region(net, problem, state, bounds, -np.inf)
             if parent.status is not RegionStatus.UNKNOWN:
                 break
@@ -463,11 +463,11 @@ def test_reused_child_is_traced_with_its_parent_bound(order):
             assert len(parents) == 1
             assert record["status"] == parents[0]["status"] == "unknown"
             assert record["lp_bound"] == parents[0]["lp_bound"]
-            state = root_state(
-                net,
-                active={node for letter, node in fixed if letter == "A"},
-                inactive={node for letter, node in fixed if letter == "N"},
-            )
+            nodes = net.relu_node_ids()
+            phase = np.zeros(len(nodes))
+            for letter, node in fixed:
+                phase[nodes.index(node)] = ACTIVE if letter == "A" else INACTIVE
+            state = phase_state(net, phase)
             own = optimum_for_region(net, problem, state, bounds, -np.inf)
             assert own.lp_bound == pytest.approx(record["lp_bound"], abs=1e-6)
             reused += 1
