@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import BoundsMap, phases, propagate_interval
 from .errors import NumericalFailure, Timeout, TooLarge, UnboundedNode
 from .geometry import Hyperrectangle
-from .lp import LPStatus, LinearProgram, solve_lp
+from .lp import LPStatus, LinearProgram, encode_relaxation, solve_lp
 from .lpformat import MilpModel, MilpRow, MilpVar, write_lp_text
 from .model import Activation, Network
 from .problems import Objective, OptimizationProblem, Relation, Row
@@ -44,6 +44,26 @@ _MAX_BRUTE_FORCE_NODES = 20
 class Decision:
     holds: bool
     witness: Optional[np.ndarray] = None
+    stats: SearchStats = field(default_factory=SearchStats)
+
+
+def _decide(
+    net: Network, problem: OptimizationProblem, timeout: float, bounds: Optional[BoundsMap]
+) -> Optional[Decision]:
+    """Do `problem.rows` hold nowhere in the box? Decided by a feasibility
+    search: `optimize` with a zero objective. Every feasible LP bound is
+    then 0, so once a witness makes the incumbent 0 the search drops every
+    open node unsolved. A witness found as the budget ends comes back with a
+    Timeout status and still decides; None when the budget ends without
+    one."""
+    result = optimize(
+        net, replace(problem, objective=Objective()), SearchConfig(timeout=timeout), bounds=bounds
+    )
+    if result.argopt is not None:
+        return Decision(holds=False, witness=result.argopt, stats=result.stats)
+    if result.status is Status.TIMEOUT:
+        return None
+    return Decision(holds=True, stats=result.stats)
 
 
 def verify_decision(
@@ -55,32 +75,24 @@ def verify_decision(
     bounds: Optional[BoundsMap] = None,
 ) -> Decision:
     """Does x in the box (with output_rows holding) imply the threshold row?
-    Decided by a feasibility search over the closed complement of the row.
-
-    The search has a zero objective, so every feasible LP bound is 0: once
-    a witness makes the incumbent 0, the search drops every open node
-    unsolved. A witness found as the budget ends comes back with a Timeout
-    status and still decides."""
+    Decided by a feasibility search over the closed complement of the row
+    (`_decide`); raises Timeout when the search ends without deciding."""
     problem = OptimizationProblem(
         box=input_box,
         objective=Objective(),
         rows=tuple(output_rows) + (threshold_row.reversed(),),
     )
-    result = optimize(net, problem, SearchConfig(timeout=timeout), bounds=bounds)
-    if result.argopt is not None:
-        return Decision(holds=False, witness=result.argopt)
-    if result.status is Status.TIMEOUT:
+    decision = _decide(net, problem, timeout, bounds)
+    if decision is None:
         raise Timeout("decision procedure timed out")
-    return Decision(holds=True)
+    return decision
 
 
 @dataclass(frozen=True)
 class BisectionConfig:
     gap: float = 1e-4
-    bracket: Optional[tuple[float, float]] = None  # None = doubling policy
     timeout: float = 60.0  # seconds for the whole run
     tighten_timeout: float = 0.0
-    max_iterations: int = 200
 
     def __post_init__(self):
         if not self.gap > 0:
@@ -99,127 +111,85 @@ def bisection_optimize(
     """Maximize by bisection over yes/no feasibility queries 'is there a
     feasible point with objective >= d?'.
 
-    Output-optimization problems bracket by doubling an upper bound from the
-    value at the box center. Epigraph (minimum-perturbation) problems start
-    in the middle of [-t_upper, 0] and declare Infeasible if no witness is
-    found before the bracket collapses to within the gap of the boundary.
+    The bracket [lo, hi] comes from one rule. A feasibility search over the
+    problem's rows alone decides feasibility exactly: without a witness the
+    problem is Infeasible, and a witness's true value is `lo`. The maximum
+    of the root LP (`encode_relaxation`), which bounds every feasible value
+    from above, is `hi`; an unbounded root LP raises ValueError. Each
+    decision at the midpoint then halves the bracket, until it is within
+    `cfg.gap`. A decision whose witness does not raise `lo` ends the run as
+    Optimal: the bracket is then within the decision procedure's tolerance.
 
-    Every decision call searches from the bounds branch-and-bound starts
-    from (`root_bounds`), computed once. `cfg.timeout` is a budget for the
-    whole run: bound tightening and each decision call get the time left,
+    Every decision searches from the bounds branch-and-bound starts from
+    (`root_bounds`), computed once. `cfg.timeout` is a budget for the whole
+    run: bound tightening, the root LP and each decision get the time left,
     and a run that spends it returns Timeout with its bracket and
-    incumbent. A decision whose witness does not raise the lower end of the
-    bracket ends the run as Optimal: the bracket is then within the
-    decision procedure's tolerance.
+    incumbent. `stats.extra` holds the `bracket`, its upper end as the
+    `bound` (-inf when Infeasible) and the `gap` hi - lo (inf without an
+    incumbent), and the stats sum the nodes and LPs of every decision that
+    ended.
     """
     start = time.monotonic()
     deadline = start + cfg.timeout
     stats = SearchStats()
     bounds = root_bounds(net, problem.box, cfg.tighten_timeout, deadline)
-
-    best_value = -np.inf
+    lo, hi = -np.inf, np.inf
     best_x: Optional[np.ndarray] = None
 
-    def decide(d: float):
-        """Feasibility of (rows of problem) and objective >= d, decided
-        as `verify_decision` decides; None once the budget is spent."""
-        nonlocal best_value, best_x
+    def decide(rows: tuple[Row, ...]) -> Optional[Decision]:
         left = deadline - time.monotonic()
         if left <= 0.0:
             return None
-        obj = problem.objective
-        feas = OptimizationProblem(
-            box=problem.box,
-            objective=Objective(),
-            rows=problem.rows + (Row(obj.c_x, obj.c_y, obj.c_t, Relation.GE, d),),
-            t_upper=problem.t_upper,
-            x0=problem.x0,
-        )
-        result = optimize(net, feas, SearchConfig(timeout=left), bounds=bounds)
-        stats.nodes_explored += result.stats.nodes_explored
-        stats.lps_solved += result.stats.lps_solved
-        x = result.argopt
-        if x is None:
-            return None if result.status is Status.TIMEOUT else False
-        value = problem.objective_at(net, x)
-        if value > best_value:
-            best_value, best_x = value, x
-        return True
+        decision = _decide(net, replace(problem, rows=rows), left, bounds)
+        if decision is not None:
+            stats.nodes_explored += decision.stats.nodes_explored
+            stats.lps_solved += decision.stats.lps_solved
+        return decision
 
-    def finish(status: Status, lo: float, hi: float) -> SearchResult:
+    def finish(status: Status) -> SearchResult:
         stats.wall_seconds = time.monotonic() - start
         stats.extra["bracket"] = (lo, hi)
-        value = best_value if best_x is not None else None
-        if status is Status.INFEASIBLE:
-            value = None
+        stats.extra["bound"] = hi
+        stats.extra["gap"] = hi - lo if best_x is not None else np.inf
+        value = lo if best_x is not None else None
         return SearchResult(status, value=value, argopt=best_x, stats=stats)
 
-    min_perturbation = problem.use_t and problem.objective.c_t != 0.0
+    decision = decide(problem.rows)
+    if decision is None:
+        return finish(Status.TIMEOUT)
+    if decision.holds:
+        hi = -np.inf
+        return finish(Status.INFEASIBLE)
+    best_x = decision.witness
+    lo = problem.objective_at(net, best_x)
 
-    if cfg.bracket is not None:
-        lo, hi = cfg.bracket
-        if lo > hi:
-            raise ValueError("bracket lower bound exceeds upper bound")
-    elif min_perturbation:
-        if not np.isfinite(problem.t_upper):
-            raise ValueError("epigraph bisection needs a finite t_upper")
-        lo, hi = -problem.t_upper, 0.0
-    else:
-        center = problem.box.center
-        v0 = problem.objective_at(net, center)
-        scale = max(1.0, 2.0 * abs(v0))
-        if problem.rows_satisfied(net, center):
-            best_value, best_x = v0, center
-            lo = v0
-        else:
-            # Double downward until some feasible level is found.
-            lo = None
-            d = -scale
-            for _ in range(cfg.max_iterations):
-                answer = decide(d)
-                if answer is None:
-                    return finish(Status.TIMEOUT, d, scale)
-                if answer:
-                    lo = best_value
-                    break
-                d *= 2.0
-            if lo is None:
-                return finish(Status.INFEASIBLE, d, scale)
-        hi = max(scale, lo + 1.0)
-        # Double until the verifier certifies the upper bound.
-        for _ in range(cfg.max_iterations):
-            answer = decide(hi)
-            if answer is None:
-                return finish(Status.TIMEOUT, lo, hi)
-            if not answer:
-                break
-            lo = max(lo, best_value)
-            hi *= 2.0
-        else:
-            raise NumericalFailure("bracketing did not terminate")
+    try:
+        root = solve_lp(
+            encode_relaxation(net, problem, bounds).lp, time_limit=deadline - time.monotonic()
+        )
+    except Timeout:
+        return finish(Status.TIMEOUT)
+    if root.status != LPStatus.OPTIMAL:
+        raise ValueError(f"bisection needs a root LP with a finite maximum, not {root.status}")
+    hi = max(lo, root.value)
 
-    for _ in range(cfg.max_iterations):
-        if hi - lo <= cfg.gap:
-            break
+    obj = problem.objective
+    while hi - lo > cfg.gap:
         mid = 0.5 * (lo + hi)
-        answer = decide(mid)
-        if answer is None:
-            return finish(Status.TIMEOUT, lo, hi)
-        if not answer:
+        decision = decide(problem.rows + (Row(obj.c_x, obj.c_y, obj.c_t, Relation.GE, mid),))
+        if decision is None:
+            return finish(Status.TIMEOUT)
+        if decision.holds:
             hi = mid
-        elif best_value > lo:
-            lo = best_value
-        else:
+            continue
+        value = problem.objective_at(net, decision.witness)
+        if value <= lo:
             # The witness meets objective >= mid only within the decision
             # procedure's tolerance, so the bracket is as narrow as it can
             # resolve: the incumbent is optimal.
             break
-    else:
-        raise NumericalFailure("bisection did not converge within iteration cap")
-
-    if best_x is None:
-        return finish(Status.INFEASIBLE, lo, hi)
-    return finish(Status.OPTIMAL, lo, hi)
+        lo, best_x = value, decision.witness
+    return finish(Status.OPTIMAL)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,14 @@ def _parse_vec(field_name: str, text: str, allow_inf: bool = False) -> np.ndarra
     return values
 
 
+def _parse_as(name: str, parse, text: str):
+    """`parse(text)`; a ValueError becomes a SchemaError naming the key."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise SchemaError(name, f"bad value {text!r}") from None
+
+
 def parse_problem(text: str, base_dir: str = ".") -> ProblemSpec:
     pairs: dict[str, str] = {}
     target_rows: list[tuple[np.ndarray, Relation, float]] = []
@@ -172,38 +180,35 @@ def parse_problem(text: str, base_dir: str = ".") -> ProblemSpec:
     spec.problem_id = take("problem_id", default="")
     spec.target_rows = target_rows
 
-    try:
-        if kind == "output_optimization":
-            spec.objective = _parse_vec("objective", take("objective", required=True))
-            spec.direction = Direction(take("direction", default="maximize"))
-            # An infinite box side parses; the solve reports it as an Error record.
-            lower, upper = take("input_lower", required=True), take("input_upper", required=True)
-            spec.input_lower = _parse_vec("input_lower", lower, allow_inf=True)
-            spec.input_upper = _parse_vec("input_upper", upper, allow_inf=True)
-            if spec.input_lower.shape != spec.input_upper.shape:
-                raise SchemaError("input_upper", "length differs from input_lower")
-        else:
-            spec.x0 = _parse_vec("x0", take("x0", required=True))
-            spec.radius = _parse_vec("radius", take("radius", required=True))
-            if np.any(spec.radius < 0):
-                raise SchemaError("radius", "must be nonnegative")
-            # An infinite domain side is no limit.
-            dl, du = take("domain_lower"), take("domain_upper")
-            spec.domain_lower = _parse_vec("domain_lower", dl, allow_inf=True) if dl else None
-            spec.domain_upper = _parse_vec("domain_upper", du, allow_inf=True) if du else None
-            tl, trl = take("target_label"), take("true_label")
-            spec.target_label = int(tl) if tl is not None else None
-            spec.true_label = int(trl) if trl is not None else None
-            margin = _parse_vec("margin", take("margin", default="0"))
-            if margin.size != 1:
-                raise SchemaError("margin", "needs one number")
-            spec.margin = float(margin[0])
-            if not spec.target_rows and spec.target_label is None:
-                raise SchemaError("target_row", "min-adv needs target rows or a target label")
-            if spec.target_label is not None and spec.true_label is None:
-                raise SchemaError("true_label", "required with target_label")
-    except ValueError as exc:
-        raise SchemaError("<value>", str(exc)) from None
+    if kind == "output_optimization":
+        spec.objective = _parse_vec("objective", take("objective", required=True))
+        spec.direction = _parse_as("direction", Direction, take("direction", default="maximize"))
+        # An infinite box side parses; the solve reports it as an Error record.
+        lower, upper = take("input_lower", required=True), take("input_upper", required=True)
+        spec.input_lower = _parse_vec("input_lower", lower, allow_inf=True)
+        spec.input_upper = _parse_vec("input_upper", upper, allow_inf=True)
+        if spec.input_lower.shape != spec.input_upper.shape:
+            raise SchemaError("input_upper", "length differs from input_lower")
+    else:
+        spec.x0 = _parse_vec("x0", take("x0", required=True))
+        spec.radius = _parse_vec("radius", take("radius", required=True))
+        if np.any(spec.radius < 0):
+            raise SchemaError("radius", "must be nonnegative")
+        # An infinite domain side is no limit.
+        dl, du = take("domain_lower"), take("domain_upper")
+        spec.domain_lower = _parse_vec("domain_lower", dl, allow_inf=True) if dl else None
+        spec.domain_upper = _parse_vec("domain_upper", du, allow_inf=True) if du else None
+        for name in ("target_label", "true_label"):
+            label = take(name)
+            setattr(spec, name, None if label is None else _parse_as(name, int, label))
+        margin = _parse_vec("margin", take("margin", default="0"))
+        if margin.size != 1:
+            raise SchemaError("margin", "needs one number")
+        spec.margin = float(margin[0])
+        if not spec.target_rows and spec.target_label is None:
+            raise SchemaError("target_row", "min-adv needs target rows or a target label")
+        if spec.target_label is not None and spec.true_label is None:
+            raise SchemaError("true_label", "required with target_label")
 
     # The solver settings, each parsed and then checked; NaN fails both checks.
     anything = lambda v: True
@@ -214,11 +219,7 @@ def parse_problem(text: str, base_dir: str = ".") -> ProblemSpec:
         ("order", "best_first", NodeOrder, anything, ""),
         ("tighten_timeout", "0", float, lambda v: v >= 0, "must be nonnegative"),
     ):
-        text = take(name, default=default)
-        try:
-            value = parse(text)
-        except ValueError:
-            raise SchemaError(name, f"bad value {text!r}") from None
+        value = _parse_as(name, parse, take(name, default=default))
         if not holds(value):
             raise SchemaError(name, rule)
         setattr(spec, name, value)
@@ -452,8 +453,8 @@ class ResultRecord:
     lps: int
     argopt_path: str = ""
     error: str = ""  # "<exception class>: <message>" of an Error record
-    # branch_bound: the global bound on the optimum, under the report sign,
-    # and the gap between it and the incumbent's value
+    # branch_bound and bisection: the global bound on the optimum, under the
+    # report sign, and the gap between it and the incumbent's value
     bound: Optional[float] = None
     gap: Optional[float] = None
 

@@ -166,13 +166,82 @@ def test_bisection_stops_when_a_witness_cannot_raise_the_bracket():
     net = random_net(rng, n_in=3, hidden=(8, 8), n_out=2)
     problem = output_max_problem(net, np.array([1.0, -1.0]), -np.ones(3), np.ones(3))
     exact = optimize(net, problem)
-    cfg = BisectionConfig(gap=1e-9, bracket=(2.4537, 2.4538), timeout=30.0)
+    cfg = BisectionConfig(gap=1e-9, timeout=30.0)
     r = bisection_optimize(net, problem, cfg)
     assert r.status is Status.OPTIMAL
     assert r.value == pytest.approx(exact.value, abs=1e-5)
     assert r.value == pytest.approx(problem.objective_at(net, r.argopt))
     lo, hi = r.stats.extra["bracket"]
     assert lo <= exact.value + 1e-5 and exact.value - 1e-5 <= hi
+
+
+@pytest.mark.parametrize("threshold", [2.999975, 2.99995])
+def test_bisection_finds_a_minimum_perturbation_within_the_gap_of_t_upper(abs_net, threshold):
+    # The least |x| with |x| >= threshold lies within the gap of t_upper = 3.
+    rows = tuple(linf_epigraph(np.array([0.0]))) + (
+        Row(None, np.array([1.0]), 0.0, Relation.GE, threshold),
+    )
+    problem = OptimizationProblem(
+        box=box([-3.0], [3.0]),
+        objective=Objective(c_t=-1.0),
+        rows=rows,
+        t_upper=3.0,
+        x0=np.array([0.0]),
+    )
+    cfg = BisectionConfig(gap=1e-4)
+    exact = optimize(abs_net, problem)
+    r = bisection_optimize(abs_net, problem, cfg)
+    assert exact.status is r.status is Status.OPTIMAL
+    assert exact.value - cfg.gap - 1e-6 <= r.value <= exact.value + 1e-6
+
+
+def test_bisection_rejects_a_root_lp_without_a_finite_maximum(abs_net):
+    # Maximizing t with no t_upper: every feasible value is unbounded above.
+    problem = OptimizationProblem(
+        box=box([-1.0], [1.0]),
+        objective=Objective(c_t=1.0),
+        rows=tuple(linf_epigraph(np.array([0.0]))),
+        x0=np.array([0.0]),
+    )
+    with pytest.raises(ValueError, match="finite maximum"):
+        bisection_optimize(abs_net, problem)
+
+
+@pytest.mark.parametrize(
+    "seed, radius, status",
+    [
+        (2, 0.4, Status.OPTIMAL),
+        (3, 0.35, Status.OPTIMAL),
+        (2, 0.3, Status.INFEASIBLE),  # 95 nodes decide it
+        (3, 0.3, Status.INFEASIBLE),
+    ],
+)
+def test_bisection_equals_search_on_min_adversarial_problems(monkeypatch, seed, radius, status):
+    """Feasible: the same status and the value within the gap. Infeasible:
+    decided by the one feasibility search over the rows."""
+    import reluopt.baselines as baselines
+
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, n_in=3, hidden=(6, 5), n_out=2)
+    x0 = rng.uniform(-0.5, 0.5, 3)
+    true = int(np.argmax(evaluate(net, x0)))
+    target = np.zeros(2)
+    target[1 - true], target[true] = 1.0, -1.0
+    rows = tuple(linf_epigraph(x0)) + (Row(None, target, 0.0, Relation.GE, 0.0),)
+    problem = OptimizationProblem(box(x0 - radius, x0 + radius), Objective(c_t=-1.0), rows, radius, x0)
+    exact = optimize(net, problem)
+    searches = []
+    monkeypatch.setattr(
+        baselines, "optimize", lambda *args, **kw: searches.append(1) or optimize(*args, **kw)
+    )
+    cfg = BisectionConfig(gap=1e-4)
+    r = bisection_optimize(net, problem, cfg)
+    assert exact.status is r.status is status
+    if status is Status.OPTIMAL:
+        assert exact.value - cfg.gap - 1e-6 <= r.value <= exact.value + 1e-6
+        assert r.value == pytest.approx(problem.objective_at(net, r.argopt))
+    else:
+        assert len(searches) == 1 and r.value is None and r.argopt is None
 
 
 @pytest.mark.parametrize(
@@ -247,7 +316,7 @@ def test_a_witness_found_as_the_budget_ends_still_decides(abs_net, monkeypatch):
     d = verify_decision(abs_net, b, (), Row(None, np.array([1.0]), 0.0, Relation.LE, 0.5))
     assert not d.holds and d.witness is witness
     problem = output_max_problem(abs_net, [1.0], [-1.0], [1.0])
-    r = bisection_optimize(abs_net, problem, BisectionConfig(gap=0.5, bracket=(0.0, 1.0)))
+    r = bisection_optimize(abs_net, problem, BisectionConfig(gap=0.5))
     assert r.status is Status.OPTIMAL and r.argopt is witness and r.value == 0.75
 
 

@@ -115,6 +115,7 @@ _OUTPUT_PROBLEM = (
         "tighten_timeout: -5",
         "split: widest",
         "order: random",
+        "direction: sideways",
     ],
 )
 def test_parse_rejects_bad_solver_settings(line):
@@ -146,12 +147,16 @@ _MINADV_PROBLEM = (
         "target_row: 1,-1 >= inf",
         "margin: nan",
         "margin: inf",
+        "target_label: 1.5",
+        "target_label: nan",
+        "true_label: x",
     ],
 )
 def test_parse_rejects_nan_and_infinite_numbers(line):
-    """NaN in any numeric field, and +-inf outside the domain and input
-    bounds, fail with the field's name. An infinite input bound ends as an
-    Error record (test_nonfinite_input_box_is_an_error_record)."""
+    """NaN in any numeric field, +-inf outside the domain and input bounds,
+    and a label that is no integer fail with the field's name. An infinite
+    input bound ends as an Error record
+    (test_nonfinite_input_box_is_an_error_record)."""
     field = line.partition(":")[0]
     base = _OUTPUT_PROBLEM if field in ("objective", "input_lower", "input_upper") else _MINADV_PROBLEM
     kept = [kept for kept in base.splitlines() if kept.partition(":")[0] != field]
@@ -347,6 +352,26 @@ def test_run_benchmark_two_solvers_agree(tmp_path):
     records = run_benchmark(paths, ["branch_bound", "bisection"], timeout=30.0, out_dir=str(out))
     assert [r.status for r in records] == ["Optimal", "Optimal"]
     assert abs(records[0].value - records[1].value) < 1e-4
+
+
+@pytest.mark.parametrize("family, sign", [("acas_out", 1.0), ("acas_in", -1.0)])
+def test_bisection_records_report_a_bound_and_a_gap(tmp_path, family, sign):
+    """The bound is on the optimum under the report sign: above a maximum
+    (acas_out), below a minimum (acas_in). An Infeasible record has bound
+    -inf before the sign and gap inf, as branch_bound's has."""
+    statuses = set()
+    for path in generate_queries(family, seed=3, count=4, scale=4, out_dir=str(tmp_path)):
+        spec = load_problem(path)
+        exact = solve_spec(spec, solver="branch_bound")
+        rec = solve_spec(spec, solver="bisection")
+        assert rec.status == exact.status
+        statuses.add(rec.status)
+        if rec.status == "Optimal":
+            assert 0.0 <= rec.gap <= spec.gap
+            assert sign * rec.bound >= sign * exact.value - 1e-6
+        else:
+            assert (rec.bound, rec.gap) == (exact.bound, exact.gap) == (-sign * np.inf, np.inf)
+    assert "Optimal" in statuses and (family == "acas_out" or "Infeasible" in statuses)
 
 
 def test_run_benchmark_error_record_does_not_abort(tmp_path):
