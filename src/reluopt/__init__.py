@@ -33,7 +33,7 @@ from .lp import (
     solve_lp,
     split_assignment,
 )
-from .lpformat import MilpModel, MilpRow, MilpVar, parse_lp_text, write_lp_text
+from .lpformat import MilpModel, write_lp_text
 from .model import (
     Activation,
     Layer,

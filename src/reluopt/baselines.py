@@ -19,8 +19,8 @@ import numpy as np
 from .bounds import BoundsMap, phases, propagate_interval
 from .errors import NumericalFailure, Timeout, TooLarge, UnboundedNode
 from .geometry import Hyperrectangle
-from .lp import LPStatus, LinearProgram, encode_relaxation, solve_lp
-from .lpformat import MilpModel, MilpRow, MilpVar, write_lp_text
+from .lp import CSCMatrix, LPStatus, LinearProgram, encode_relaxation, row_sides, solve_lp
+from .lpformat import MilpModel, write_lp_text
 from .model import Activation, Network
 from .problems import Objective, OptimizationProblem, Relation, Row
 from .search import (
@@ -42,27 +42,27 @@ _MAX_BRUTE_FORCE_NODES = 20
 
 @dataclass(frozen=True)
 class Decision:
-    holds: bool
+    holds: Optional[bool]  # None: the budget ended without deciding
     witness: Optional[np.ndarray] = None
     stats: SearchStats = field(default_factory=SearchStats)
 
 
 def _decide(
     net: Network, problem: OptimizationProblem, timeout: float, bounds: Optional[BoundsMap]
-) -> Optional[Decision]:
+) -> Decision:
     """Do `problem.rows` hold nowhere in the box? Decided by a feasibility
     search: `optimize` with a zero objective. Every feasible LP bound is
     then 0, so once a witness makes the incumbent 0 the search drops every
     open node unsolved. A witness found as the budget ends comes back with a
-    Timeout status and still decides; None when the budget ends without
-    one."""
+    Timeout status and still decides; when the budget ends without one,
+    `holds` is None. The search's stats come with every outcome."""
     result = optimize(
         net, replace(problem, objective=Objective()), SearchConfig(timeout=timeout), bounds=bounds
     )
     if result.argopt is not None:
         return Decision(holds=False, witness=result.argopt, stats=result.stats)
     if result.status is Status.TIMEOUT:
-        return None
+        return Decision(holds=None, stats=result.stats)
     return Decision(holds=True, stats=result.stats)
 
 
@@ -83,7 +83,7 @@ def verify_decision(
         rows=tuple(output_rows) + (threshold_row.reversed(),),
     )
     decision = _decide(net, problem, timeout, bounds)
-    if decision is None:
+    if decision.holds is None:
         raise Timeout("decision procedure timed out")
     return decision
 
@@ -126,8 +126,8 @@ def bisection_optimize(
     and a run that spends it returns Timeout with its bracket and
     incumbent. `stats.extra` holds the `bracket`, its upper end as the
     `bound` (-inf when Infeasible) and the `gap` hi - lo (inf without an
-    incumbent), and the stats sum the nodes and LPs of every decision that
-    ended.
+    incumbent), and the stats sum the nodes and LPs of every decision,
+    the one the budget stopped included.
     """
     start = time.monotonic()
     deadline = start + cfg.timeout
@@ -136,14 +136,13 @@ def bisection_optimize(
     lo, hi = -np.inf, np.inf
     best_x: Optional[np.ndarray] = None
 
-    def decide(rows: tuple[Row, ...]) -> Optional[Decision]:
+    def decide(rows: tuple[Row, ...]) -> Decision:
         left = deadline - time.monotonic()
         if left <= 0.0:
-            return None
+            return Decision(holds=None)
         decision = _decide(net, replace(problem, rows=rows), left, bounds)
-        if decision is not None:
-            stats.nodes_explored += decision.stats.nodes_explored
-            stats.lps_solved += decision.stats.lps_solved
+        stats.nodes_explored += decision.stats.nodes_explored
+        stats.lps_solved += decision.stats.lps_solved
         return decision
 
     def finish(status: Status) -> SearchResult:
@@ -155,7 +154,7 @@ def bisection_optimize(
         return SearchResult(status, value=value, argopt=best_x, stats=stats)
 
     decision = decide(problem.rows)
-    if decision is None:
+    if decision.holds is None:
         return finish(Status.TIMEOUT)
     if decision.holds:
         hi = -np.inf
@@ -177,7 +176,7 @@ def bisection_optimize(
     while hi - lo > cfg.gap:
         mid = 0.5 * (lo + hi)
         decision = decide(problem.rows + (Row(obj.c_x, obj.c_y, obj.c_t, Relation.GE, mid),))
-        if decision is None:
+        if decision.holds is None:
             return finish(Status.TIMEOUT)
         if decision.holds:
             hi = mid
@@ -314,113 +313,103 @@ def export_milp(
 ) -> tuple[MilpModel, str]:
     """Exact mixed-integer encoding: one binary per ReLU not fixed by its
     bounds, big-M constants taken from the pre-activation bounds. Returns
-    the model and its LP-format text."""
+    the model and its LP-format text.
+
+    Columns: x, then per layer and node its zhat and z, then t, then the
+    binaries delta in node order. Rows: the affine rows of every layer,
+    then per layer and node its activation rows, then the problem's rows."""
     phase = phases(bounds)
     n = net.input_dim
-    use_t = problem.use_t
-
-    variables: list[MilpVar] = []
-    rows: list[MilpRow] = []
-    name_pre = lambda k, j: f"zhat_{k}_{j}"
-    name_post = lambda k, j: f"z_{k}_{j}"
-    x_names = [f"x{i}" for i in range(n)]
-
-    for i, name in enumerate(x_names):
-        variables.append(MilpVar(name, float(problem.box.lower[i]), float(problem.box.upper[i])))
+    names = [f"x{i}" for i in range(n)]
+    lower, upper = [problem.box.lower], [problem.box.upper]
+    pre = []  # per layer, the zhat columns; z is the column after each
     for k, layer in enumerate(net.layers):
-        for j in range(layer.out_width):
-            variables.append(
-                MilpVar(
-                    name_pre(k, j),
-                    float(bounds.pre_lower[k][j]),
-                    float(bounds.pre_upper[k][j]),
-                )
-            )
-            variables.append(
-                MilpVar(
-                    name_post(k, j),
-                    float(bounds.post_lower[k][j]),
-                    float(bounds.post_upper[k][j]),
-                )
-            )
-    if use_t:
-        variables.append(MilpVar("t", 0.0, float(problem.t_upper)))
+        pre.append(len(names) + 2 * np.arange(layer.out_width))
+        names += [name for j in range(layer.out_width) for name in (f"zhat_{k}_{j}", f"z_{k}_{j}")]
+        lower.append(np.column_stack((bounds.pre_lower[k], bounds.post_lower[k])).ravel())
+        upper.append(np.column_stack((bounds.pre_upper[k], bounds.post_upper[k])).ravel())
+    post = [cols + 1 for cols in pre]
+    t = len(names)
+    if problem.use_t:
+        names.append("t")
+        lower.append([0.0])
+        upper.append([problem.t_upper])
+    n_continuous = len(names)
 
-    row_counter = 0
+    entries: list[tuple[int, int, float]] = []  # (row, column, coefficient)
+    sides: list[tuple[float, float]] = []  # (lower, upper) of each row
 
-    def add(coeffs: dict[str, float], relation: Relation, rhs: float):
-        nonlocal row_counter
-        rows.append(MilpRow(f"c{row_counter}", coeffs, relation, float(rhs)))
-        row_counter += 1
+    def add(terms, relation: Relation, rhs: float):
+        entries.extend((len(sides), col, c) for col, c in terms)
+        sides.append(row_sides(relation, rhs))
 
-    # Affine chaining
+    # Affine chaining, one block per layer: zhat_k - W_k z_{k-1} = b_k
     for k, layer in enumerate(net.layers):
-        prev = x_names if k == 0 else [
-            name_post(k - 1, j) for j in range(net.layers[k - 1].out_width)
-        ]
-        for r in range(layer.out_width):
-            coeffs = {name_pre(k, r): 1.0}
-            for col, name in enumerate(prev):
-                w = float(layer.weights[r, col])
-                if w != 0.0:
-                    coeffs[name] = coeffs.get(name, 0.0) - w
-            add(coeffs, Relation.EQ, float(layer.biases[r]))
+        prev = np.arange(n) if k == 0 else post[k - 1]
+        r, c = np.nonzero(layer.weights)
+        rows = len(sides) + np.concatenate((np.arange(layer.out_width), r))
+        cols = np.concatenate((pre[k], prev[c]))
+        vals = np.concatenate((np.ones(layer.out_width), -layer.weights[r, c]))
+        entries.extend(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+        sides.extend((b, b) for b in layer.biases.tolist())
 
-    relu_position = {k: i for i, k in enumerate(net.relu_layers)}
     layer_phases = np.split(phase, np.cumsum(net.relu_layer_widths())[:-1])
-    binaries: list[MilpVar] = []
     for k, layer in enumerate(net.layers):
+        zhat, z = pre[k].tolist(), post[k].tolist()
         if layer.activation is Activation.IDENTITY:
             for j in range(layer.out_width):
-                add({name_post(k, j): 1.0, name_pre(k, j): -1.0}, Relation.EQ, 0.0)
+                add(((z[j], 1.0), (zhat[j], -1.0)), Relation.EQ, 0.0)
             continue
-        i = relu_position[k]
+        i = net.relu_layers.index(k)
         for j, node_phase in enumerate(layer_phases[i]):
-            pre, post = name_pre(k, j), name_post(k, j)
             if node_phase == ACTIVE:
-                add({post: 1.0, pre: -1.0}, Relation.EQ, 0.0)
-                add({pre: 1.0}, Relation.GE, 0.0)
+                add(((z[j], 1.0), (zhat[j], -1.0)), Relation.EQ, 0.0)
+                add(((zhat[j], 1.0),), Relation.GE, 0.0)
             elif node_phase == INACTIVE:
-                add({post: 1.0}, Relation.EQ, 0.0)
-                add({pre: 1.0}, Relation.LE, 0.0)
+                add(((z[j], 1.0),), Relation.EQ, 0.0)
+                add(((zhat[j], 1.0),), Relation.LE, 0.0)
             else:
                 lo = float(bounds.pre_lower[k][j])
                 hi = float(bounds.pre_upper[k][j])
                 if not (np.isfinite(lo) and np.isfinite(hi)):
                     raise UnboundedNode(i, j)
-                delta = f"delta_{k}_{j}"
-                binaries.append(MilpVar(delta, 0.0, 1.0, binary=True))
-                add({post: 1.0}, Relation.GE, 0.0)
-                add({post: 1.0, pre: -1.0}, Relation.GE, 0.0)
+                delta = len(names)
+                names.append(f"delta_{k}_{j}")
+                add(((z[j], 1.0),), Relation.GE, 0.0)
+                add(((z[j], 1.0), (zhat[j], -1.0)), Relation.GE, 0.0)
                 # z <= zhat - lo * (1 - delta)
-                add({post: 1.0, pre: -1.0, delta: -lo}, Relation.LE, -lo)
+                add(((z[j], 1.0), (zhat[j], -1.0), (delta, -lo)), Relation.LE, -lo)
                 # z <= hi * delta
-                add({post: 1.0, delta: -hi}, Relation.LE, 0.0)
+                add(((z[j], 1.0), (delta, -hi)), Relation.LE, 0.0)
 
-    K = len(net.layers) - 1
-    y_names = [name_post(K, j) for j in range(net.output_dim)]
-
-    def named(c_x, c_y, c_t) -> dict[str, float]:
-        """The nonzero coefficients of x, y and t, by variable name."""
-        coeffs: dict[str, float] = {}
-        for names, values in ((x_names, c_x), (y_names, c_y)):
+    def terms(c_x, c_y, c_t) -> list[tuple[int, float]]:
+        """The nonzero coefficients of x, y and t, by column."""
+        out = []
+        for cols, values in ((np.arange(n), c_x), (post[-1], c_y)):
             if values is not None:
-                coeffs.update((name, float(v)) for name, v in zip(names, values) if v != 0.0)
-        if c_t:
-            coeffs["t"] = float(c_t)
-        return coeffs
+                nz = np.flatnonzero(values)
+                out += zip(cols[nz].tolist(), np.asarray(values, dtype=float)[nz].tolist())
+        return out + [(t, float(c_t))] if c_t else out
 
     for row in problem.rows:
-        add(named(row.a_x, row.a_y, row.a_t), row.relation, float(row.rhs))
+        add(terms(row.a_x, row.a_y, row.a_t), row.relation, float(row.rhs))
     o = problem.objective
-    objective = named(o.c_x, o.c_y, o.c_t) or {"x0": 0.0}
+    objective = np.zeros(len(names))
+    for col, c in terms(o.c_x, o.c_y, o.c_t):
+        objective[col] = c
 
-    model = MilpModel(
-        variables=tuple(variables + binaries),
-        rows=tuple(rows),
-        objective=objective,
-        maximize=True,
+    rows, cols, vals = (np.array(v) for v in zip(*entries))
+    row_lower, row_upper = np.array(sides).T.copy()
+    n_binary = len(names) - n_continuous
+    lp = LinearProgram(
+        CSCMatrix.from_triplets(rows, cols, vals, (len(sides), len(names))),
+        row_lower,
+        row_upper,
+        np.concatenate(lower + [np.zeros(n_binary)], dtype=float),
+        np.concatenate(upper + [np.ones(n_binary)], dtype=float),
+        objective,
     )
+    model = MilpModel(lp, tuple(names), np.arange(len(names)) >= n_continuous)
     return model, write_lp_text(model)
 
 
@@ -429,21 +418,13 @@ def milp_to_lp(
     binary_values: Optional[dict[str, float]] = None,
 ) -> tuple[LinearProgram, dict[str, int]]:
     """Continuous relaxation of a MILP (binaries relaxed to [0, 1]), with
-    optional fixing of binaries to concrete values."""
-    index = {v.name: i for i, v in enumerate(model.variables)}
-    n = len(model.variables)
-    lower = np.array([v.lower for v in model.variables])
-    upper = np.array([v.upper for v in model.variables])
+    optional fixing of binaries to concrete values, and the column index of
+    each name."""
+    index = {name: i for i, name in enumerate(model.names)}
+    lp = model.lp
     if binary_values:
-        for name, value in binary_values.items():
-            lower[index[name]] = upper[index[name]] = float(value)
-    rows = []
-    for row in model.rows:
-        coeffs = np.zeros(n)
-        for name, c in row.coeffs.items():
-            coeffs[index[name]] = c
-        rows.append((coeffs, row.relation, row.rhs))
-    obj = np.zeros(n)
-    for name, c in model.objective.items():
-        obj[index[name]] = c
-    return LinearProgram.from_rows(rows, lower, upper, obj, model.maximize), index
+        cols = [index[name] for name in binary_values]
+        lower, upper = lp.lower.copy(), lp.upper.copy()
+        lower[cols] = upper[cols] = np.array(list(binary_values.values()), dtype=float)
+        lp = replace(lp, lower=lower, upper=upper)
+    return lp, index

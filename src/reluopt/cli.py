@@ -665,7 +665,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_milp.add_argument("-o", "--output", required=True)
 
     args = parser.parse_args(argv)
+    try:
+        return _run_command(parser, args)
+    except ReluOptError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Run the parsed command; a ReluOptError it raises goes to `main`."""
     if args.command == "solve":
         spec = load_problem(args.spec)
         trace = open(args.trace, "w") if args.trace else None
@@ -677,6 +685,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"problem: {rec.problem_id}")
         print(f"solver:  {rec.solver}")
         print(f"status:  {rec.status}")
+        if rec.error:
+            print(f"error: {rec.error}")
         if rec.value is not None:
             print(f"value:   {rec.value:.12g}")
         if rec.argopt is not None:

@@ -1,205 +1,94 @@
 """Mixed-integer model container and LP file format serialization.
 
+A `MilpModel` is the form HiGHS takes: a `LinearProgram` with its binaries
+relaxed to [0, 1], one name per column and a mask of the binary columns.
 The written files follow the industry LP format subset documented in the
-README: Maximize/Minimize, Subject To, Bounds, Binary, End. Infinite bounds
-use the tokens -infinity / +infinity; variables absent from Bounds default
-to [0, +infinity).
+README: Maximize/Minimize, Subject To, Bounds, Binary, End. Rows are named
+c0, c1, ... in row order and list their terms in column order. Infinite
+bounds use the tokens -infinity / +infinity.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
-from .problems import Relation
-
-
-@dataclass(frozen=True)
-class MilpVar:
-    name: str
-    lower: float
-    upper: float
-    binary: bool = False
-
-
-@dataclass(frozen=True)
-class MilpRow:
-    name: str
-    coeffs: dict[str, float]
-    relation: Relation
-    rhs: float
+from .lp import LinearProgram
 
 
 @dataclass(frozen=True)
 class MilpModel:
-    variables: tuple[MilpVar, ...]
-    rows: tuple[MilpRow, ...]
-    objective: dict[str, float]
-    maximize: bool = True
-
-    def var(self, name: str) -> MilpVar:
-        return next(v for v in self.variables if v.name == name)
+    lp: LinearProgram
+    names: tuple[str, ...]  # one per column
+    binary: np.ndarray  # bool, one per column
 
     def binaries(self) -> list[str]:
-        return [v.name for v in self.variables if v.binary]
+        return [self.names[i] for i in np.flatnonzero(self.binary)]
 
-    def row_satisfied(self, row: MilpRow, values: dict[str, float], tol: float) -> bool:
-        lhs = sum(c * values[name] for name, c in row.coeffs.items())
-        if row.relation is Relation.LE:
-            return lhs <= row.rhs + tol
-        if row.relation is Relation.GE:
-            return lhs >= row.rhs - tol
-        return abs(lhs - row.rhs) <= tol
-
-    def feasible(self, values: dict[str, float], tol: float = 1e-9) -> bool:
-        for v in self.variables:
-            val = values[v.name]
-            if val < v.lower - tol or val > v.upper + tol:
-                return False
-        return all(self.row_satisfied(r, values, tol) for r in self.rows)
+    def feasible(self, values: np.ndarray, tol: float = 1e-9) -> bool:
+        """Do the column values meet every column bound and row within `tol`?
+        Binaries are checked against [0, 1] only."""
+        lp = self.lp
+        if np.any(values < lp.lower - tol) or np.any(values > lp.upper + tol):
+            return False
+        lhs = lp.matrix.toarray() @ values
+        return bool(np.all(lhs >= lp.row_lower - tol) and np.all(lhs <= lp.row_upper + tol))
 
 
-def _fmt_terms(coeffs: dict[str, float]) -> str:
-    parts = []
-    for name, c in coeffs.items():
-        if c == 0.0:
-            continue
-        sign = "-" if c < 0 else "+"
-        parts.append(f"{sign} {abs(c):.17g} {name}")
-    if not parts:
-        return "0 " + next(iter(coeffs), "x0")
-    text = " ".join(parts)
+def _terms(names, cols: list[int], coeffs: list[float]) -> list[str]:
+    """`+ c name` or `- |c| name` for each column and its nonzero coefficient."""
+    return [f"{'-' if c < 0 else '+'} {abs(c):.17g} {names[j]}" for j, c in zip(cols, coeffs)]
+
+
+def _fmt_sum(terms: list[str], empty: str) -> str:
+    """The terms as one sum; `0 <empty>` when there is none."""
+    if not terms:
+        return f"0 {empty}"
+    text = " ".join(terms)
     return text[2:] if text.startswith("+ ") else text
 
 
 def _fmt_bound(v: float) -> str:
-    if v == np.inf:
-        return "+infinity"
-    if v == -np.inf:
-        return "-infinity"
-    return f"{v:.17g}"
+    return "+infinity" if v == np.inf else "-infinity" if v == -np.inf else f"{v:.17g}"
+
+
+def _fmt_side(lower: float, upper: float) -> str:
+    if lower == upper:
+        return f"= {lower:.17g}"
+    if upper == np.inf:
+        return f">= {lower:.17g}"
+    if lower == -np.inf:
+        return f"<= {upper:.17g}"
+    raise ValueError("a row bounded on both sides has no single relation")
 
 
 def write_lp_text(model: MilpModel) -> str:
-    lines = ["Maximize" if model.maximize else "Minimize"]
-    lines.append(f" obj: {_fmt_terms(model.objective)}")
+    lp, names = model.lp, model.names
+    a = lp.matrix
+    # The CSC entries go column by column, so a stable sort by row lists
+    # each row's terms in column order.
+    order = np.argsort(a.indices, kind="stable")
+    cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))[order]
+    terms = _terms(names, cols.tolist(), a.data[order].tolist())
+    ends = np.cumsum(np.bincount(a.indices, minlength=a.shape[0])).tolist()
+    obj = np.flatnonzero(lp.objective)
+
+    lines = ["Maximize" if lp.maximize else "Minimize"]
+    objective = _terms(names, obj.tolist(), lp.objective[obj].tolist())
+    lines.append(f" obj: {_fmt_sum(objective, names[0])}")
     lines.append("Subject To")
-    for row in model.rows:
-        lines.append(f" {row.name}: {_fmt_terms(row.coeffs)} {row.relation.value} {row.rhs:.17g}")
+    sides = zip([0] + ends, ends, lp.row_lower.tolist(), lp.row_upper.tolist())
+    for i, (start, end, lower, upper) in enumerate(sides):
+        lines.append(f" c{i}: {_fmt_sum(terms[start:end], names[0])} {_fmt_side(lower, upper)}")
     lines.append("Bounds")
-    for v in model.variables:
-        if v.binary:
-            continue
-        lines.append(f" {_fmt_bound(v.lower)} <= {v.name} <= {_fmt_bound(v.upper)}")
+    bounds = zip(names, model.binary.tolist(), lp.lower.tolist(), lp.upper.tolist())
+    for name, binary, lower, upper in bounds:
+        if not binary:
+            lines.append(f" {_fmt_bound(lower)} <= {name} <= {_fmt_bound(upper)}")
     binaries = model.binaries()
     if binaries:
         lines.append("Binary")
-        for name in binaries:
-            lines.append(f" {name}")
+        lines.extend(f" {name}" for name in binaries)
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-_TERM_RE = re.compile(r"([+-]?)\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?\s*([A-Za-z_][\w]*)")
-_SECTION_NAMES = {"maximize", "minimize", "subject to", "bounds", "binary", "end"}
-
-
-def _parse_terms(lineno: int, text: str) -> dict[str, float]:
-    coeffs: dict[str, float] = {}
-    pos = 0
-    text = text.strip()
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if m is None:
-            raise ParseError(lineno, f"cannot parse term at: {text[pos:]!r}")
-        sign, coef, name = m.groups()
-        value = float(coef) if coef else 1.0
-        if sign == "-":
-            value = -value
-        coeffs[name] = coeffs.get(name, 0.0) + value
-        pos = m.end()
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-    return coeffs
-
-
-def _parse_value(lineno: int, token: str) -> float:
-    token = token.strip().lower()
-    if token in ("+infinity", "infinity", "inf", "+inf"):
-        return np.inf
-    if token in ("-infinity", "-inf"):
-        return -np.inf
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(lineno, f"bad numeric bound {token!r}") from None
-
-
-def parse_lp_text(text: str) -> MilpModel:
-    """Parse the LP format subset produced by write_lp_text."""
-    maximize = True
-    objective: dict[str, float] = {}
-    rows: list[MilpRow] = []
-    bounds: dict[str, tuple[float, float]] = {}
-    binaries: list[str] = []
-    order: list[str] = []
-
-    def note_vars(coeffs):
-        for name in coeffs:
-            if name not in order:
-                order.append(name)
-
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        lowered = line.lower()
-        if lowered in _SECTION_NAMES:
-            section = lowered
-            continue
-        if section in ("maximize", "minimize"):
-            maximize = section == "maximize"
-            body = line.split(":", 1)[1] if ":" in line else line
-            objective.update(_parse_terms(lineno, body))
-            note_vars(objective)
-        elif section == "subject to":
-            name, _, body = line.partition(":")
-            if not body:
-                raise ParseError(lineno, "constraint must be 'name: terms rel rhs'")
-            m = re.search(r"(<=|>=|=)\s*([^<>=]+)$", body)
-            if m is None:
-                raise ParseError(lineno, "constraint missing relation")
-            relation = Relation(m.group(1))
-            rhs = _parse_value(lineno, m.group(2))
-            coeffs = _parse_terms(lineno, body[: m.start()])
-            note_vars(coeffs)
-            rows.append(MilpRow(name.strip(), coeffs, relation, rhs))
-        elif section == "bounds":
-            m = re.match(r"^(\S+)\s*<=\s*([A-Za-z_][\w]*)\s*<=\s*(\S+)$", line)
-            if m is None:
-                raise ParseError(lineno, f"cannot parse bound line: {line!r}")
-            lo = _parse_value(lineno, m.group(1))
-            hi = _parse_value(lineno, m.group(3))
-            name = m.group(2)
-            bounds[name] = (lo, hi)
-            if name not in order:
-                order.append(name)
-        elif section == "binary":
-            binaries.append(line)
-            if line not in order:
-                order.append(line)
-        else:
-            raise ParseError(lineno, f"content outside any section: {line!r}")
-
-    variables = []
-    for name in order:
-        if name in binaries:
-            variables.append(MilpVar(name, 0.0, 1.0, binary=True))
-        else:
-            lo, hi = bounds.get(name, (0.0, np.inf))
-            variables.append(MilpVar(name, lo, hi))
-    return MilpModel(tuple(variables), tuple(rows), objective, maximize)

@@ -7,6 +7,9 @@ and LPs are checked by brute-force vertex enumeration.
 
 import itertools
 import math
+import os
+import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +145,52 @@ def lp_oracle(lower, upper, rows, objective, maximize=True, tol=1e-8):
                 v = float(objective @ x)
                 best = max(best, v) if maximize else min(best, v)
     return "optimal", best
+
+
+# ---------------------------------------------------------------------------
+# LP files read by HiGHS's own reader
+
+
+def read_lp_with_highs(text, names=None):
+    """The LP that HiGHS's LP-file reader (`_Highs.readModel`) makes of
+    `text`, as dense arrays: `matrix` (rows by columns), `row_names`,
+    `row_lower`/`row_upper`, `lower`/`upper`, `cost`, `integer` (a bool
+    mask) and `maximize`. Its columns come in `names` order when given
+    (each name must be a column the reader made), else in the reader's."""
+    from reluopt.highs import _core
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.lp")
+        with open(path, "w") as fh:
+            fh.write(text)
+        h = _core._Highs()
+        h.setOptionValue("output_flag", False)
+        assert h.readModel(path) == _core.HighsStatus.kOk
+    lp = h.getLp()
+    a = lp.a_matrix_
+    if a.format_ != _core.MatrixFormat.kColwise:
+        raise AssertionError("HiGHS read the matrix row-wise")
+    matrix = np.zeros((lp.num_row_, lp.num_col_))
+    start = np.asarray(a.start_)
+    cols = np.repeat(np.arange(lp.num_col_), np.diff(start))
+    matrix[np.asarray(a.index_, dtype=int), cols] = a.value_
+    integer = np.array([v == _core.HighsVarType.kInteger for v in lp.integrality_], dtype=bool)
+    if integer.size == 0:
+        integer = np.zeros(lp.num_col_, dtype=bool)
+    read_names = list(lp.col_names_)
+    order = [read_names.index(name) for name in names] if names is not None else slice(None)
+    return SimpleNamespace(
+        names=list(names) if names is not None else read_names,
+        matrix=matrix[:, order],
+        row_names=list(lp.row_names_),
+        row_lower=np.asarray(lp.row_lower_),
+        row_upper=np.asarray(lp.row_upper_),
+        lower=np.asarray(lp.col_lower_)[order],
+        upper=np.asarray(lp.col_upper_)[order],
+        cost=np.asarray(lp.col_cost_)[order],
+        integer=integer[order],
+        maximize=lp.sense_ == _core.ObjSense.kMaximize,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from reluopt import (
     milp_to_lp,
     optimize,
     optimum_for_region,
-    parse_lp_text,
     pgd,
     phase_state,
     phases,
@@ -48,7 +47,7 @@ from reluopt.lp import LPStatus, encode_relaxation
 from reluopt.model import Activation, NodeId, forward_trace
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED
 
-from conftest import box, fd_gradient, kink_free, random_net
+from conftest import box, fd_gradient, kink_free, random_net, read_lp_with_highs
 
 
 def acceptance(n, name):
@@ -325,8 +324,8 @@ def test_milp_export_fidelity():
         problem = OptimizationProblem(box=b, objective=Objective(c_y=np.array([1.0])))
         bounds = propagate_interval(net, b)
         model, text = export_milp(net, problem, bounds)
-        reparsed = parse_lp_text(text)  # files re-parse under the grammar
-        assert len(reparsed.rows) == len(model.rows)
+        reread = read_lp_with_highs(text, model.names)  # HiGHS reads the file back
+        assert len(reread.row_names) == len(model.lp.rows)
         binaries = model.binaries()
         if len(binaries) > 6:
             continue
@@ -379,7 +378,7 @@ def test_milp_export_fidelity():
                 values.update(deltas)
                 samples.append(values)
             for values in samples:
-                in_milp = model.feasible(values, tol=1e-7)
+                in_milp = model.feasible(np.array([values[n] for n in model.names]), tol=1e-7)
                 in_lp = lp_feasible(lp, var_vector(values))
                 assert in_milp == in_lp, (values, deltas)
 

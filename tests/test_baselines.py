@@ -16,7 +16,6 @@ from reluopt import (
     fgsm,
     milp_to_lp,
     optimize,
-    parse_lp_text,
     pgd,
     propagate_interval,
     propagate_symbolic,
@@ -27,7 +26,14 @@ from reluopt.geometry import linf_epigraph
 from reluopt.lp import LPStatus
 from reluopt.model import evaluate
 
-from conftest import box, output_max_problem, random_net, random_suite_net, sample_max
+from conftest import (
+    box,
+    output_max_problem,
+    random_net,
+    random_suite_net,
+    read_lp_with_highs,
+    sample_max,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +326,36 @@ def test_a_witness_found_as_the_budget_ends_still_decides(abs_net, monkeypatch):
     assert r.status is Status.OPTIMAL and r.argopt is witness and r.value == 0.75
 
 
+def test_an_undecided_search_counts_in_the_bisection_stats(abs_net, monkeypatch):
+    """A decision search that the budget stops without a witness leaves the
+    bisection Timeout with its nodes and LPs summed in, and makes
+    verify_decision raise Timeout."""
+    import reluopt.baselines as baselines
+    from reluopt import SearchResult, SearchStats, Timeout
+
+    witness = np.array([0.0])
+    calls = []
+
+    def scripted(net, problem, config, bounds=None):
+        calls.append(problem)
+        if len(calls) == 1:  # the feasibility search finds a witness
+            stats = SearchStats(nodes_explored=3, lps_solved=2)
+            return SearchResult(Status.OPTIMAL, value=0.0, argopt=witness, stats=stats)
+        stats = SearchStats(nodes_explored=7, lps_solved=5)  # then the budget ends
+        return SearchResult(Status.TIMEOUT, stats=stats)
+
+    monkeypatch.setattr(baselines, "optimize", scripted)
+    problem = output_max_problem(abs_net, [1.0], [-1.0], [1.0])
+    r = bisection_optimize(abs_net, problem)
+    assert len(calls) == 2
+    assert r.status is Status.TIMEOUT and r.argopt is witness and r.value == 0.0
+    assert (r.stats.nodes_explored, r.stats.lps_solved) == (3 + 7, 2 + 5)
+    assert r.stats.extra["bracket"] == (0.0, pytest.approx(1.0))
+    with pytest.raises(Timeout):
+        row = Row(None, np.array([1.0]), 0.0, Relation.LE, 0.5)
+        verify_decision(abs_net, box([-1.0], [1.0]), (), row)
+
+
 # ---------------------------------------------------------------------------
 # Attacks
 
@@ -372,19 +408,46 @@ def _milp_setup(net, problem):
 def test_milp_text_round_trips(abs_net):
     problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
     _, model, text = _milp_setup(abs_net, problem)
-    parsed = parse_lp_text(text)
-    assert parsed.maximize == model.maximize
-    assert parsed.objective == pytest.approx(model.objective)
-    assert len(parsed.rows) == len(model.rows)
-    for a, b in zip(parsed.rows, model.rows):
-        assert a.relation is b.relation
-        assert a.rhs == pytest.approx(b.rhs)
-        assert a.coeffs == pytest.approx(b.coeffs)
-    assert set(parsed.binaries()) == set(model.binaries())
-    for v in model.variables:
-        if not v.binary:
-            pv = parsed.var(v.name)
-            assert (pv.lower, pv.upper) == pytest.approx((v.lower, v.upper))
+    read = read_lp_with_highs(text, model.names)
+    lp = model.lp
+    assert read.maximize == lp.maximize
+    assert read.cost == pytest.approx(lp.objective)
+    assert read.row_names == [f"c{i}" for i in range(len(lp.rows))]
+    assert read.row_lower == pytest.approx(lp.row_lower)
+    assert read.row_upper == pytest.approx(lp.row_upper)
+    assert read.matrix == pytest.approx(lp.matrix.toarray())
+    assert set(np.array(read.names)[read.integer]) == set(model.binaries())
+    continuous = ~model.binary
+    assert read.lower[continuous] == pytest.approx(lp.lower[continuous])
+    assert read.upper[continuous] == pytest.approx(lp.upper[continuous])
+
+
+@pytest.mark.parametrize("family", ["acas_out", "acas_in", "taxi_out", "mnist_in"])
+def test_highs_reads_the_exported_milp(family, tmp_path):
+    """HiGHS's own LP-file reader loads the written text to exactly the
+    arrays of `milp_to_lp(model)`, under interval and symbolic big-M
+    constants, its columns matched by name."""
+    from reluopt.cli import canonicalize, generate_queries, load_problem
+    from reluopt.model import load_nnet
+
+    (path,) = generate_queries(family, seed=2, count=1, scale=16, out_dir=str(tmp_path))
+    spec = load_problem(path)
+    net = load_nnet(spec.network_path())
+    (problem,) = canonicalize(spec, net).subproblems
+    for propagate in (propagate_interval, propagate_symbolic):
+        model, text = export_milp(net, problem, propagate(net, problem.box))
+        lp, index = milp_to_lp(model)
+        assert list(index) == list(model.names)
+        read = read_lp_with_highs(text, model.names)
+        assert read.maximize == lp.maximize
+        np.testing.assert_array_equal(read.matrix, lp.matrix.toarray())
+        np.testing.assert_array_equal(read.row_lower, lp.row_lower)
+        np.testing.assert_array_equal(read.row_upper, lp.row_upper)
+        np.testing.assert_array_equal(read.lower, lp.lower)
+        np.testing.assert_array_equal(read.upper, lp.upper)
+        np.testing.assert_array_equal(read.cost, lp.objective)
+        np.testing.assert_array_equal(read.integer, model.binary)
+        assert model.binary.any()
 
 
 def test_milp_binary_enumeration_matches_exact_optimum():
@@ -435,7 +498,7 @@ def test_milp_true_pattern_is_feasible(abs_net):
     for name in model.binaries():
         k, j = map(int, name.split("_")[1:])
         values[name] = 1.0 if trace.pre[k][j] >= 0 else 0.0
-    assert model.feasible(values, tol=1e-9)
+    assert model.feasible(np.array([values[name] for name in model.names]), tol=1e-9)
 
 
 def test_milp_unbounded_node_raises():

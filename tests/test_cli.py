@@ -19,7 +19,7 @@ from reluopt.cli import (
 )
 from reluopt.problems import Direction
 
-from conftest import random_net
+from conftest import random_net, read_lp_with_highs
 
 
 def _write_net(tmp_path, rng=None, **kw):
@@ -524,16 +524,44 @@ def test_main_generate_and_bench(tmp_path, capsys):
 
 
 def test_main_export_milp(tmp_path, capsys):
-    from reluopt import parse_lp_text
-
     qdir = tmp_path / "g"
     paths = generate_queries("acas_out", seed=13, count=1, scale=4, out_dir=str(qdir))
     target = tmp_path / "model.lp"
     rc = main(["export-milp", paths[0], "-o", str(target)])
     assert rc == 0
-    model = parse_lp_text(target.read_text())
+    model = read_lp_with_highs(target.read_text())
     assert model.maximize
-    assert len(model.rows) > 0
+    assert len(model.row_names) > 0
+
+
+def _acas_in_with(tmp_path, key, value):
+    """A generated acas_in problem file with one key's value replaced."""
+    (path,) = generate_queries("acas_in", seed=1, count=1, scale=4, out_dir=str(tmp_path / "g"))
+    with open(path) as fh:
+        lines = [f"{key}: {value}\n" if line.startswith(f"{key}:") else line for line in fh]
+    bad = tmp_path / "g" / f"bad_{key}.problem"
+    bad.write_text("".join(lines))
+    return str(bad)
+
+
+def test_main_reports_an_error_in_one_line(tmp_path, capsys):
+    # A radius of the wrong length fails in canonicalize: solve prints the
+    # Error record's reason, export-milp reports it on stderr.
+    bad_radius = _acas_in_with(tmp_path, "radius", "0.5,0.5")
+    reason = "SchemaError: radius: needs one value or 3, one per input"
+    assert main(["solve", bad_radius]) == 1
+    out, err = capsys.readouterr()
+    assert "status:  Error\n" in out and f"\nerror: {reason}\n" in out and err == ""
+    target = tmp_path / "model.lp"
+    assert main(["export-milp", bad_radius, "-o", str(target)]) == 1
+    assert capsys.readouterr() == ("", f"error: {reason}\n")
+    assert not target.exists()
+    # A NaN in x0 fails in load_problem, under both commands.
+    bad_x0 = _acas_in_with(tmp_path, "x0", "1,nan,2")
+    for argv in (["solve", bad_x0], ["export-milp", bad_x0, "-o", str(target)]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: SchemaError: x0: NaN value\n")
+    assert not target.exists()
 
 
 def test_nonfinite_input_box_is_an_error_record(tmp_path):
@@ -599,7 +627,7 @@ def test_timed_out_run_keeps_its_incumbent(tmp_path, monkeypatch):
 
 
 def test_export_milp_takes_big_m_constants_from_symbolic_bounds(tmp_path):
-    from reluopt import parse_lp_text, propagate_symbolic
+    from reluopt import propagate_symbolic
     from reluopt.baselines import export_milp
 
     qdir = tmp_path / "g"
@@ -611,8 +639,8 @@ def test_export_milp_takes_big_m_constants_from_symbolic_bounds(tmp_path):
     problem = canonicalize(spec, net).subproblems[0]
     _, expected = export_milp(net, problem, propagate_symbolic(net, problem.box))
     assert target.read_text() == expected
-    written = parse_lp_text(expected)
-    for name in written.binaries():
+    written = read_lp_with_highs(expected)
+    for name in np.array(written.names)[written.integer]:
         k, j = map(int, name.split("_")[1:])
-        zhat = written.var(f"zhat_{k}_{j}")
-        assert zhat.lower < 0.0 < zhat.upper
+        zhat = written.names.index(f"zhat_{k}_{j}")
+        assert written.lower[zhat] < 0.0 < written.upper[zhat]

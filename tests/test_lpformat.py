@@ -3,41 +3,48 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reluopt import MilpModel, MilpRow, MilpVar, ParseError, Relation, parse_lp_text, write_lp_text
+from reluopt import LinearProgram, MilpModel, Relation, write_lp_text
+
+from conftest import read_lp_with_highs
+
+NAMES = ("x0", "x1", "z", "d0")
+
+
+def _milp(names, rows, lower, upper, objective, binary=(), maximize=True):
+    """A MilpModel from dense rows `(coeffs, relation, rhs)` over `names`."""
+    lp = LinearProgram.from_rows(rows, lower, upper, objective, maximize)
+    return MilpModel(lp, tuple(names), np.isin(names, binary))
 
 
 def _model():
-    return MilpModel(
-        variables=(
-            MilpVar("x0", -2.0, 3.0),
-            MilpVar("x1", -np.inf, np.inf),
-            MilpVar("z", 0.0, np.inf),
-            MilpVar("d0", 0.0, 1.0, binary=True),
-        ),
+    return _milp(
+        NAMES,
         rows=(
-            MilpRow("c0", {"x0": 1.0, "x1": -2.5}, Relation.LE, 1.0),
-            MilpRow("c1", {"z": 1.0, "d0": -4.0}, Relation.LE, 0.0),
-            MilpRow("c2", {"x0": 1.0, "z": 1.0}, Relation.EQ, 0.5),
-            MilpRow("c3", {"x1": 1.0}, Relation.GE, -3.0),
+            ([1.0, -2.5, 0.0, 0.0], Relation.LE, 1.0),
+            ([0.0, 0.0, 1.0, -4.0], Relation.LE, 0.0),
+            ([1.0, 0.0, 1.0, 0.0], Relation.EQ, 0.5),
+            ([0.0, 1.0, 0.0, 0.0], Relation.GE, -3.0),
         ),
-        objective={"x0": 1.0, "z": -0.75},
-        maximize=True,
+        lower=[-2.0, -np.inf, 0.0, 0.0],
+        upper=[3.0, np.inf, np.inf, 1.0],
+        objective=[1.0, 0.0, -0.75, 0.0],
+        binary=("d0",),
     )
 
 
 def test_round_trip():
     model = _model()
-    parsed = parse_lp_text(write_lp_text(model))
-    assert parsed.maximize == model.maximize
-    assert parsed.objective == pytest.approx(model.objective)
-    assert parsed.binaries() == model.binaries()
-    assert len(parsed.rows) == len(model.rows)
-    for a, b in zip(parsed.rows, model.rows):
-        assert (a.name, a.relation, a.rhs) == (b.name, b.relation, b.rhs)
-        assert a.coeffs == pytest.approx(b.coeffs)
-    for v in model.variables:
-        pv = parsed.var(v.name)
-        assert (pv.lower, pv.upper, pv.binary) == (v.lower, v.upper, v.binary)
+    read = read_lp_with_highs(write_lp_text(model), model.names)
+    lp = model.lp
+    assert read.maximize == lp.maximize
+    assert read.cost == pytest.approx(lp.objective)
+    assert [n for n, b in zip(read.names, read.integer) if b] == model.binaries()
+    assert read.row_names == ["c0", "c1", "c2", "c3"]
+    np.testing.assert_array_equal(read.row_lower, lp.row_lower)
+    np.testing.assert_array_equal(read.row_upper, lp.row_upper)
+    assert read.matrix == pytest.approx(lp.matrix.toarray())
+    np.testing.assert_array_equal(read.lower, lp.lower)
+    np.testing.assert_array_equal(read.upper, lp.upper)
 
 
 def test_sections_in_text():
@@ -45,45 +52,22 @@ def test_sections_in_text():
     for section in ("Maximize", "Subject To", "Bounds", "Binary", "End"):
         assert section in text
     assert "-infinity <= x1 <= +infinity" in text
+    assert " c0: 1 x0 - 2.5 x1 <= 1\n" in text
 
 
 def test_minimize_direction():
-    model = MilpModel(
-        variables=(MilpVar("a", 0.0, 1.0),),
-        rows=(),
-        objective={"a": 1.0},
-        maximize=False,
-    )
+    model = _milp(("a",), rows=(), lower=[0.0], upper=[1.0], objective=[1.0], maximize=False)
     text = write_lp_text(model)
     assert text.startswith("Minimize")
-    assert not parse_lp_text(text).maximize
-
-
-def test_default_bounds_when_missing():
-    text = "Maximize\n obj: 1 w\nSubject To\n r0: 1 w <= 5\nEnd\n"
-    model = parse_lp_text(text)
-    v = model.var("w")
-    assert (v.lower, v.upper) == (0.0, np.inf)
-
-
-def test_parse_error_reports_line():
-    text = "Maximize\n obj: 1 x\nSubject To\n r0: 1 x ???\nEnd\n"
-    with pytest.raises(ParseError) as err:
-        parse_lp_text(text)
-    assert err.value.line == 4
-
-
-def test_content_outside_section_rejected():
-    with pytest.raises(ParseError):
-        parse_lp_text("1 x <= 2\n")
+    assert not read_lp_with_highs(text).maximize
 
 
 def test_feasibility_helper():
     model = _model()
     ok = {"x0": 0.5, "x1": 0.0, "z": 0.0, "d0": 0.0}
-    assert model.feasible(ok)
+    assert model.feasible(np.array([ok[n] for n in NAMES]))
     bad = dict(ok, z=5.0, d0=1.0)  # violates c2
-    assert not model.feasible(bad)
+    assert not model.feasible(np.array([bad[n] for n in NAMES]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -100,18 +84,21 @@ def test_feasibility_helper():
 )
 def test_row_coefficients_survive_round_trip(coeffs, rhs, relation):
     assume(any(c != 0.0 for c in coeffs))  # an all-zero row has no terms to keep
-    row = MilpRow("r", {f"v{i}": c for i, c in enumerate(coeffs)}, relation, rhs)
-    model = MilpModel(
-        variables=tuple(MilpVar(f"v{i}", -np.inf, np.inf) for i in range(len(coeffs))),
-        rows=(row,),
-        objective={"v0": 1.0},
-    )
-    parsed = parse_lp_text(write_lp_text(model))
-    back = parsed.rows[0]
-    assert back.relation is relation
-    assert back.rhs == pytest.approx(rhs, abs=1e-12)
-    for name, c in row.coeffs.items():
+    names = [f"v{i}" for i in range(len(coeffs))]
+    objective = np.zeros(len(coeffs))
+    objective[0] = 1.0
+    free = np.full(len(coeffs), np.inf)
+    model = _milp(names, ((coeffs, relation, rhs),), -free, free, objective)
+    text = write_lp_text(model)
+    read = read_lp_with_highs(text)
+    (row,) = model.lp.rows
+    assert row.relation is relation
+    side = read.row_upper[0] if relation is Relation.LE else read.row_lower[0]
+    assert side == pytest.approx(rhs, abs=1e-12)
+    if relation is Relation.EQ:
+        assert read.row_upper[0] == read.row_lower[0]
+    for name, c in zip(names, coeffs):
         if c != 0.0:
-            assert back.coeffs[name] == pytest.approx(c)
+            assert read.matrix[0, read.names.index(name)] == pytest.approx(c)
         else:
-            assert name not in back.coeffs  # zero terms are dropped on write
+            assert f" {name} " not in text.split("\n")[3]  # zero terms are dropped on write
