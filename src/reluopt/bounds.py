@@ -112,10 +112,10 @@ def _relaxation(layer: Layer, zl: np.ndarray, zu: np.ndarray):
         return ones, ones, np.zeros(layer.out_width)
     phase = _phase(zl, zu)
     active, free = phase == ACTIVE, phase == UNDETERMINED
-    slope = np.where(active, 1.0, 0.0)
+    slope = active.astype(np.float64)
     slope[free] = zu[free] / (zu[free] - zl[free])
     intercept = np.where(free, -slope * zl, 0.0)
-    lower_slope = np.where(active | (free & (zu > -zl)), 1.0, 0.0)
+    lower_slope = (active | (free & (zu > -zl))).astype(np.float64)
     return lower_slope, slope, intercept
 
 
@@ -124,21 +124,20 @@ def _back_substitute(layers, relaxations, k: int, x_lo: np.ndarray, x_hi: np.nda
     relaxation of every earlier layer back to the input, then bound the
     resulting linear function of x over the box. To bound a side, a
     coefficient that pushes that way takes a layer's upper relaxation and one
-    that pushes the other way its lower relaxation."""
-    sides = []
-    for upper in (False, True):
-        a, c = layers[k].weights, layers[k].biases.copy()
-        for j in range(k - 1, -1, -1):
-            lower_slope, upper_slope, upper_intercept = relaxations[j]
-            pos, neg = np.maximum(a, 0.0), np.minimum(a, 0.0)
-            up, down = (pos, neg) if upper else (neg, pos)
-            c += up @ upper_intercept
-            a = up * upper_slope + down * lower_slope
-            c += a @ layers[j].biases
-            a = a @ layers[j].weights
-        toward, away = (x_hi, x_lo) if upper else (x_lo, x_hi)
-        sides.append(c + np.maximum(a, 0.0) @ toward + np.minimum(a, 0.0) @ away)
-    return sides
+    that pushes the other way its lower relaxation. Both sides take one
+    pass: the rows are stacked under their negations, whose upper bounds are
+    minus the lower bounds."""
+    weights, biases = layers[k].weights, layers[k].biases
+    a, c = np.concatenate((-weights, weights)), np.concatenate((-biases, biases))
+    for j in range(k - 1, -1, -1):
+        lower_slope, upper_slope, upper_intercept = relaxations[j]
+        pos, neg = np.maximum(a, 0.0), np.minimum(a, 0.0)
+        c += pos @ upper_intercept
+        a = pos * upper_slope + neg * lower_slope
+        c += a @ layers[j].biases
+        a = a @ layers[j].weights
+    upper = c + np.maximum(a, 0.0) @ x_hi + np.minimum(a, 0.0) @ x_lo
+    return -upper[: len(biases)], upper[len(biases) :]
 
 
 def propagate_symbolic(net: Network, input_box: Hyperrectangle) -> BoundsMap:
@@ -227,7 +226,7 @@ def tighten_lp(
     """
     from .highs import LiveModel
     from .lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
-    from .state import phase_state
+    from .state import PartialActivationState
 
     if per_query_timeout <= 0.0:
         return seed
@@ -237,7 +236,7 @@ def tighten_lp(
         counters.setdefault(name, 0)
 
     relaxation = encode_relaxation(net, OptimizationProblem(input_box, Objective()), seed)
-    lp = build_relaxed_lp(relaxation, phase_state(net, relaxation.phase))
+    lp = build_relaxed_lp(relaxation, PartialActivationState(relaxation.phase, net))
     imap = relaxation.imap
     # The bounds and phases, tightened in place: the build made these copies.
     row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper
@@ -254,13 +253,11 @@ def tighten_lp(
             relu_layers=seed.relu_layers,
         )
 
-    links = iter(relaxation.link_row)  # one per ReLU the seed leaves open
-    nodes = zip(net.relu_node_ids(), relaxation.phase, relaxation.zhat, relaxation.z)
-    for node, phase, zhat, z in nodes:
+    columns = relaxation.zhat, relaxation.z, relaxation.link
+    for node, phase, zhat, z, link in zip(net.relu_node_ids(), relaxation.phase, *columns):
         if phase != UNDETERMINED:
             counters["tighten_skipped"] += 2
             continue
-        link = next(links)
         obj = np.zeros(lp.n_vars)
         obj[zhat] = 1.0
         lo, hi = lower[zhat], upper[zhat]

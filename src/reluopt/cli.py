@@ -480,9 +480,9 @@ def solve_spec(
 ) -> ResultRecord:
     solver = solver or spec.solver
     timeout = timeout if timeout is not None else spec.timeout
-    net = load_nnet(spec.network_path())
     start = time.monotonic()
     try:
+        net = _load_network(spec)
         query = canonicalize(spec, net)
         start = time.monotonic()  # wall time counts the solve alone
         record = _run_solver(spec, net, query, solver, timeout, trace)
@@ -490,6 +490,15 @@ def solve_spec(
         record = _error_record(spec.problem_id, solver, exc)
     record.wall_s = time.monotonic() - start
     return record
+
+
+def _load_network(spec: ProblemSpec) -> Network:
+    """The spec's network; an unreadable file is a SchemaError on `network`."""
+    path = spec.network_path()
+    try:
+        return load_nnet(path)
+    except OSError as exc:
+        raise SchemaError("network", f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _run_solver(spec, net, query, solver, timeout, trace) -> ResultRecord:
@@ -718,7 +727,7 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
     if args.command == "export-milp":
         spec = load_problem(args.spec)
-        net = load_nnet(spec.network_path())
+        net = _load_network(spec)
         (problem,) = canonicalize(spec, net).subproblems
         _, text = baselines.export_milp(net, problem, propagate_symbolic(net, problem.box))
         with open(args.output, "w") as fh:

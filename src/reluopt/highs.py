@@ -9,9 +9,10 @@ basis (Huangfu & Hall 2018) instead of from scratch. An LP with another
 matrix object is loaded afresh; LPs built from one `reluopt.lp.Relaxation`
 share its matrix. An LP that carries a starting basis (`LinearProgram.basis`)
 has it set when it is loaded, so the first solve of a live model starts from
-that basis instead of from HiGHS's slack basis. A solve answers with an
-`LPResult`; it and `LPStatus` are defined here and re-exported by
-`reluopt.lp`.
+that basis instead of from HiGHS's slack basis. `solve_phase` changes only
+the ReLUs whose phase differs from the last phase solved. A solve answers
+with an `LPResult`; it and `LPStatus` are defined here and re-exported by
+`reluopt.lp`. HiGHS instances are reused: loading clears their solver state.
 
 The binding is scipy's private extension module `scipy.optimize._highspy._core`,
 shipped by the scipy releases `pyproject.toml` allows. It is loaded from its
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import NumericalFailure, Timeout
 
 if TYPE_CHECKING:
-    from .lp import LinearProgram
+    from .lp import LinearProgram, Relaxation
 
 _CORE = "scipy.optimize._highspy._core"
 
@@ -113,14 +114,27 @@ def _sense(lp: "LinearProgram"):
     return _core.ObjSense.kMaximize if lp.maximize else _core.ObjSense.kMinimize
 
 
+_FREE: list = []  # idle HiGHS instances, options reset
+
+
 class LiveModel:
-    """A HiGHS instance that follows the LPs given to `solve`."""
+    """A HiGHS instance that follows the LPs given to `solve` or `solve_phase`."""
 
     def __init__(self):
-        self._highs = _core._Highs()
+        self._highs = _FREE.pop() if _FREE else _core._Highs()
         for name, value in OPTIONS:
             self._highs.setOptionValue(name, value)
-        self._matrix = None
+        self._matrix = self._relaxation = self._phase = None
+
+    def release(self) -> None:
+        """Put the HiGHS instance, options reset, on the free list for the next
+        `LiveModel`; collection does the same. This model cannot solve after."""
+        if self._highs is not None:
+            self._highs.resetOptions()
+            _FREE.append(self._highs)
+            self._highs = None
+
+    __del__ = release
 
     def _load(self, lp: "LinearProgram") -> None:
         a = lp.matrix
@@ -136,8 +150,8 @@ class LiveModel:
         if lp.basis is not None:
             # The basis sets where the solve starts, never what it returns.
             basis = _core.HighsBasis()
-            basis.col_status = [_STATUS[code] for code in lp.basis[0]]
-            basis.row_status = [_STATUS[code] for code in lp.basis[1]]
+            basis.col_status = [_STATUS[code] for code in lp.basis[0].tolist()]
+            basis.row_status = [_STATUS[code] for code in lp.basis[1].tolist()]
             basis.valid = True
             self._highs.setBasis(basis)
 
@@ -145,6 +159,7 @@ class LiveModel:
         """Make the loaded model equal `lp`: load `lp` when its matrix is
         another object than the last LP's, and otherwise change what differs."""
         matrix, self._matrix = self._matrix, None  # None until the sync succeeds
+        self._relaxation = None  # `solve_phase` loads its relaxation afresh
         if lp.matrix is not matrix:
             self._load(lp)
         else:
@@ -166,6 +181,29 @@ class LiveModel:
         self._lower, self._upper, self._cost = lp.lower.copy(), lp.upper.copy(), lp.objective.copy()
         self._matrix, self._maximize = lp.matrix, lp.maximize
 
+    def _sync_phase(self, relaxation: "Relaxation", phase: np.ndarray) -> None:
+        """Make the model the node LP of `phase`: load the root LP (of the root
+        phases) unless loaded, then change each bound whose `by_phase` differs."""
+        loaded, last = self._relaxation, self._phase
+        self._relaxation = self._matrix = None  # None until the sync succeeds
+        if relaxation is not loaded:
+            self._load(relaxation.lp)
+            last = relaxation.phase
+            self._by_phase = relaxation.by_phase.tolist()
+            self._columns = relaxation.zhat.tolist(), relaxation.z.tolist()
+        table, (zhat, z), changes = self._by_phase, self._columns, []
+        for i in (phase != last).nonzero()[0].tolist():
+            new, old = table[phase[i]][i], table[last[i]][i]
+            if new[4] != old[4]:
+                row = int(relaxation.link[i])
+                self._highs.changeRowBounds(row, relaxation.lp.row_lower[row], new[4])
+            for column, at in ((zhat[i], 0), (z[i], 2)):
+                if new[at : at + 2] != old[at : at + 2]:
+                    changes.append((column, new[at], new[at + 1]))
+        if changes:
+            self._highs.changeColsBounds(len(changes), *map(list, zip(*changes)))
+        self._relaxation, self._phase = relaxation, np.array(phase, np.int8)
+
     def _run(self, stop_at: float):
         self._highs.setOptionValue("time_limit", stop_at)
         self._highs.run()
@@ -180,6 +218,14 @@ class LiveModel:
         decides nothing either, NumericalFailure. Raises Timeout when the
         time limit stops the solve."""
         self._sync(lp)
+        return self._solve(lp.objective, time_limit)
+
+    def solve_phase(self, relaxation: "Relaxation", phase, time_limit=None) -> "LPResult":
+        """Solve the LP `lp.build_relaxed_lp` would build for `phase`, as `solve`."""
+        self._sync_phase(relaxation, phase)
+        return self._solve(relaxation.lp.objective, time_limit)
+
+    def _solve(self, objective: np.ndarray, time_limit: Optional[float]) -> "LPResult":
         # HiGHS measures its time limit on a clock that runs through every
         # solve of this instance, so the limit is set past its reading now.
         stop_at = math.inf
@@ -192,7 +238,7 @@ class LiveModel:
             iterations += cold
         if status == _core.HighsModelStatus.kOptimal:
             x = np.asarray(self._highs.getSolution().col_value, dtype=np.float64)
-            return LPResult(LPStatus.OPTIMAL, float(lp.objective @ x), x, iterations)
+            return LPResult(LPStatus.OPTIMAL, float(objective @ x), x, iterations)
         if status in (_core.HighsModelStatus.kInfeasible, _core.HighsModelStatus.kModelError):
             return LPResult(LPStatus.INFEASIBLE, iterations=iterations)
         if status == _core.HighsModelStatus.kUnbounded:
@@ -200,4 +246,3 @@ class LiveModel:
         if status == _core.HighsModelStatus.kTimeLimit:
             raise Timeout("LP stopped at its time limit")
         raise NumericalFailure(f"LP backend failed: {self._highs.modelStatusToString(status)}")
-

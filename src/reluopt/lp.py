@@ -12,13 +12,11 @@ ReLU's z is its zhat column, an inactive ReLU's z is one shared column
 fixed at 0, and an identity layer's z is its zhat column too. The other
 rows are the affine chaining rows and the output rows. `encode_relaxation`
 builds it once per problem, column bounds included, as the root LP, and a
-state changes only vectors. An active ReLU gets zhat >= 0 and, when open,
-its link row's upper bound 0 (z - zhat = 0); an inactive ReLU gets zhat
-<= 0 and z <= 0; every open z has z >= 0 as its lower bound and z <= u as
-its upper bound. Open ReLUs are thus relaxed to their convex hull over
-[l, u]: z >= 0, z >= zhat and the triangle face (Ehlers 2017). The triangle
-row holds in every phase (z = zhat <= u, or z = 0 with zhat >= l), so it
-never changes with the state, and fully fixed leaves are exact. LPs that
+state changes only bounds, each ReLU's by one rule (`_phase_bounds`). With
+z in [0, u], open ReLUs are relaxed to their convex hull over [l, u]:
+z >= 0, z >= zhat and the triangle face (Ehlers 2017). The triangle row
+holds in every phase (z = zhat <= u, or z = 0 with zhat >= l), so it never
+changes with the state, and fully fixed leaves are exact. LPs that
 share the matrix object are re-solved in one live HiGHS model
 (reluopt.highs) by bound and cost changes; the root LP carries a starting
 basis for that model's first solve, whose primal point is the forward pass
@@ -116,7 +114,7 @@ class CSCMatrix:
         position may appear once. Zero values are dropped."""
         keep = vals != 0.0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        order = np.lexsort((rows, cols))
+        order = np.argsort(cols * shape[0] + rows)  # column-major; positions are unique
         indptr = np.zeros(shape[1] + 1, np.int32)
         np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
         return cls(
@@ -282,18 +280,19 @@ def _index_map(net: Network, use_t: bool, phase: np.ndarray) -> VariableIndexMap
 class Relaxation:
     """A problem's root LP: its relaxed LP with the phases its bounds fix
     built in and every other ReLU undetermined, column bounds included.
-    Encode once per problem; `build_relaxed_lp` derives every node LP from
-    it, sharing its matrix. `zhat` and `z` give each ReLU's columns and
-    `phase` the phase its bounds fix (`bounds.phases`), in
-    `net.relu_node_ids()` order; `link_row` gives the link rows of the
-    ReLUs that `phase` leaves open, in the same order."""
+    Encode once per problem; every node LP shares its matrix. `zhat` and `z`
+    give each ReLU's columns, `link` its link row (-1 where its bounds fix
+    it), `phase` (read-only) the phase its bounds fix (`bounds.phases`) and
+    `by_phase` its bounds in each phase (`_phase_bounds`), in
+    `net.relu_node_ids()` order."""
 
     imap: VariableIndexMap
     lp: LinearProgram
-    link_row: np.ndarray
+    link: np.ndarray
     zhat: np.ndarray
     z: np.ndarray
     phase: np.ndarray
+    by_phase: np.ndarray
 
 
 def encode_relaxation(
@@ -304,6 +303,7 @@ def encode_relaxation(
     for ReLUs, a link row and a triangle row for each ReLU the bounds leave
     open, t in [0, t_upper], and a starting basis (`_starting_basis`)."""
     phase = phases(bounds)
+    phase.flags.writeable = False
     imap = _index_map(net, problem.use_t, phase)
     relu_columns = lambda arrays: np.concatenate([np.empty(0, np.intp), *arrays])
     zhat = relu_columns(imap.pre[k] for k in net.relu_layers)
@@ -317,8 +317,9 @@ def encode_relaxation(
         start = sum(len(block_lower) for block_lower, _ in sides)
         rows = np.arange(start, start + len(lower))[:, None]
         for columns, coeffs in pieces:
-            zero = 0 * (rows + columns)  # broadcasts as np.broadcast_arrays does, but cheaply
-            entries.append((rows + zero, columns + zero, coeffs + zero))
+            triplets = np.empty((3, *np.broadcast(rows, columns).shape))  # indices exact as floats
+            triplets[0], triplets[1], triplets[2] = rows, columns, coeffs
+            entries.append(triplets.reshape(3, -1))
         sides.append((lower, upper))
         return rows[:, 0]
 
@@ -333,7 +334,8 @@ def encode_relaxation(
     free = phase == UNDETERMINED
     z_free, zhat_free = z[free][:, None], zhat[free][:, None]
     zeros = np.zeros(len(z_free))
-    link_row = add(zeros, zeros + np.inf, (z_free, 1.0), (zhat_free, -1.0))
+    link = np.full(len(phase), -1)
+    link[free] = add(zeros, zeros + np.inf, (z_free, 1.0), (zhat_free, -1.0))
     l, u = (
         np.concatenate([np.empty(0), *(side[k] for k in net.relu_layers)])[free]
         for side in (bounds.pre_lower, bounds.pre_upper)
@@ -341,16 +343,22 @@ def encode_relaxation(
     s = u / (u - l)
     add(np.full_like(s, -np.inf), -s * l, (z_free, 1.0), (zhat_free, -s[:, None]))
 
-    for row in problem.rows:
-        lower, upper = row_sides(row.relation, float(row.rhs))
-        pieces = ((imap.x, row.a_x), (imap.y, row.a_y), (imap.t, row.a_t))
-        add([lower], [upper], *((c, a) for c, a in pieces if c is not None and a is not None))
+    # The problem rows, as one block of dense coefficients.
+    if problem.rows:
+        coeffs = np.zeros((len(problem.rows), imap.n_vars))
+        for i, row in enumerate(problem.rows):
+            for columns, a in ((imap.x, row.a_x), (imap.y, row.a_y), (imap.t, row.a_t)):
+                if columns is not None and a is not None:
+                    coeffs[i, columns] = a
+        lower, upper = np.array([row_sides(r.relation, float(r.rhs)) for r in problem.rows]).T
+        add(lower, upper, (np.arange(imap.n_vars), coeffs))
 
     row_lower, row_upper = (np.concatenate(side).astype(np.float64) for side in zip(*sides))
-    rows, cols, vals = (np.concatenate([e[i].ravel() for e in entries]) for i in range(3))
+    rows, cols, vals = np.concatenate(entries, axis=1)
     keep = cols != imap.zero  # z = 0 adds nothing to a row
     shape = (len(row_lower), imap.n_vars)
-    matrix = CSCMatrix.from_triplets(rows[keep], cols[keep], vals[keep], shape)
+    rows, cols = rows[keep].astype(np.intp), cols[keep].astype(np.intp)
+    matrix = CSCMatrix.from_triplets(rows, cols, vals[keep], shape)
 
     objective = problem.objective
     obj = np.zeros(imap.n_vars)
@@ -378,15 +386,30 @@ def encode_relaxation(
     lower[imap.zero] = upper[imap.zero] = 0.0
 
     affine = np.concatenate(affine)
-    basis = _starting_basis(net, problem, imap, phase, z, link_row, affine, len(row_lower))
+    basis = _starting_basis(net, problem, imap, phase, z, link[free], affine, len(row_lower))
     return Relaxation(
         imap,
         LinearProgram(matrix, row_lower, row_upper, lower, upper, obj, basis=basis),
-        link_row=link_row,
+        link=link,
         zhat=zhat,
         z=z,
         phase=phase,
+        by_phase=_phase_bounds(lower, upper, zhat, z, free),
     )
+
+
+def _phase_bounds(lower, upper, zhat, z, free) -> np.ndarray:
+    """The one rule that makes a phase LP bounds: `[p, i]` is ReLU i's zhat
+    lower, zhat upper, z lower, z upper and link-row upper bound in phase p
+    (0, ACTIVE or INACTIVE as an index). Active adds zhat >= 0 and, when
+    `free` (open at the root), z = zhat; inactive zhat <= 0 and, when free, z <= 0."""
+    root = np.array((lower[zhat], upper[zhat], lower[z], upper[z], np.full(len(z), np.inf))).T
+    table = np.array((root, root, root))
+    table[ACTIVE, :, 0] = np.maximum(root[:, 0], 0.0)
+    table[ACTIVE, free, 4] = 0.0
+    table[INACTIVE, :, 1] = np.minimum(root[:, 1], 0.0)
+    table[INACTIVE, free, 3] = np.minimum(root[free, 3], 0.0)
+    return table
 
 
 def _starting_basis(
@@ -435,19 +458,17 @@ def _starting_basis(
 
 
 def build_relaxed_lp(relaxation: Relaxation, state: PartialActivationState) -> LinearProgram:
-    """The relaxed LP of `state`: the root LP with each active ReLU's zhat
-    >= 0 and, when the root leaves it open, its link row made an equality
-    z - zhat = 0, and each inactive ReLU's zhat and z at most 0. It shares
-    the root LP's matrix."""
+    """The relaxed LP of `state`: the root LP with each ReLU's bounds in its
+    phase, as `Relaxation.by_phase` gives them. It shares the root LP's
+    matrix."""
     root = relaxation.lp
     row_upper, lower, upper = root.row_upper.copy(), root.lower.copy(), root.upper.copy()
-    active = state.phase == ACTIVE
-    row_upper[relaxation.link_row[active[relaxation.phase == UNDETERMINED]]] = 0.0
-    zhat = relaxation.zhat[active]
-    lower[zhat] = np.maximum(lower[zhat], 0.0)
-    inactive = state.phase == INACTIVE
-    for columns in (relaxation.zhat[inactive], relaxation.z[inactive]):
-        upper[columns] = np.minimum(upper[columns], 0.0)
+    b = relaxation.by_phase[state.phase, np.arange(len(state.phase))]
+    # z first: a z that is its zhat's column takes the zhat entries.
+    lower[relaxation.z], upper[relaxation.z] = b[:, 2], b[:, 3]
+    lower[relaxation.zhat], upper[relaxation.zhat] = b[:, 0], b[:, 1]
+    own = relaxation.link >= 0
+    row_upper[relaxation.link[own]] = b[own, 4]
     return root._derive(row_upper=row_upper, lower=lower, upper=upper)
 
 

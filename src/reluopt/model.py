@@ -233,7 +233,9 @@ def load_nnet(path: str) -> Network:
     sizes = _parse_floats(lineno, sizes_line, expect=num_layers + 1)
     if not np.isfinite(sizes).all():
         raise ParseError(lineno, "NaN or infinite value")
-    sizes = sizes.astype(int)
+    sizes = sizes.astype(int).tolist()
+    if min(sizes) < 1:
+        raise ParseError(lineno, "layer sizes must be positive")
     if sizes[0] != input_size:
         raise ParseError(lineno, f"first layer size {sizes[0]} != inputSize {input_size}")
     if sizes[-1] != output_size:
@@ -241,34 +243,37 @@ def load_nnet(path: str) -> Network:
 
     next_line("legacy flag")  # ignored
 
-    lineno, line = next_line("input minimums")
-    input_mins = _parse_floats(lineno, line, expect=input_size)
-    lineno, line = next_line("input maximums")
-    input_maxes = _parse_floats(lineno, line, expect=input_size)
-    lineno, line = next_line("means")
-    means = _parse_floats(lineno, line, expect=input_size + 1)
-    lineno, line = next_line("ranges")
-    ranges = _parse_floats(lineno, line, expect=input_size + 1)
+    n = input_size
+    sized = (("input minimums", n), ("input maximums", n), ("means", n + 1), ("ranges", n + 1))
+    input_mins, input_maxes, means, ranges = (
+        _parse_floats(*next_line(what), expect=size) for what, size in sized
+    )
 
-    layers = []
+    # The weight and bias lines, converted with one call when every line has
+    # its count of values; otherwise line by line, which names a bad line.
+    expect = [c for k in range(num_layers) for c in [sizes[k]] * sizes[k + 1] + [1] * sizes[k + 1]]
+    block = [line for _, line in zip(expect, lines)]
+    if len(block) < len(expect):
+        raise ParseError(0, f"unexpected end of file, expected {len(expect)} weight and bias lines")
+    texts = [line.rstrip(",") for _, line in block]
+    try:
+        if [text.count(",") + 1 for text in texts] != expect:
+            raise ValueError
+        values = np.array(list(map(float, ",".join(texts).split(","))))
+    except ValueError:
+        values = np.concatenate([_parse_floats(*line, expect=c) for line, c in zip(block, expect)])
+    layers, at = [], 0
     for k in range(num_layers):
-        rows = []
-        for _ in range(sizes[k + 1]):
-            lineno, line = next_line(f"layer {k} weight row")
-            rows.append(_parse_floats(lineno, line, expect=sizes[k]))
-        biases = []
-        for _ in range(sizes[k + 1]):
-            lineno, line = next_line(f"layer {k} bias")
-            biases.append(_parse_floats(lineno, line, expect=1)[0])
+        weights = values[at : at + sizes[k] * sizes[k + 1]].reshape(sizes[k + 1], sizes[k])
+        at += weights.size + sizes[k + 1]
         activation = Activation.IDENTITY if k == num_layers - 1 else Activation.RELU
-        layers.append(Layer(np.array(rows), np.array(biases), activation))
+        layers.append(Layer(weights, values[at - sizes[k + 1] : at], activation))
 
     # NaN nowhere, and +-inf only in the input limits, which write_nnet
     # writes for a network without normalization. One check covers the
     # file; only a file that fails it is read again, to name the line.
     limits = np.concatenate((input_mins, input_maxes))
-    values = [means, ranges, *(np.append(layer.weights, layer.biases) for layer in layers)]
-    if np.isnan(limits).any() or not np.isfinite(np.concatenate(values)).all():
+    if np.isnan(limits).any() or not np.isfinite(np.concatenate((means, ranges, values))).all():
         for index, (lineno, line) in enumerate(_data_lines(path)):
             if index == 2:  # the legacy flag, ignored
                 continue
@@ -286,31 +291,17 @@ def write_nnet(net: Network, path: str, comment: str = "") -> None:
     """Serialize a network in the NNet text format, 17 significant digits."""
 
     def fmt(values: Sequence[float]) -> str:
-        return ",".join(f"{v:.17g}" for v in values) + ","
+        return ",".join([f"{v:.17g}" for v in values]) + ",\n"
 
     n = net.input_dim
     sizes = [n] + [layer.out_width for layer in net.layers]
-    nz = net.normalization
-    if nz is None:
-        nz = Normalization(
-            np.full(n, -np.inf),
-            np.full(n, np.inf),
-            np.zeros(n + 1),
-            np.ones(n + 1),
-        )
+    limits = np.full(n, np.inf)
+    nz = net.normalization or Normalization(-limits, limits, np.zeros(n + 1), np.ones(n + 1))
+    lines = [f"// {line}\n" for line in comment.splitlines()]
+    lines += [fmt([len(net.layers), n, net.output_dim, max(sizes)]), fmt(sizes), "0,\n"]
+    lines += [fmt(v.tolist()) for v in (nz.input_mins, nz.input_maxes, nz.means, nz.ranges)]
+    for layer in net.layers:
+        lines += [fmt(row) for row in layer.weights.tolist()]
+        lines += [fmt([b]) for b in layer.biases.tolist()]
     with open(path, "w") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"// {line}\n")
-        fh.write(fmt([len(net.layers), n, net.output_dim, max(sizes)]) + "\n")
-        fh.write(fmt(sizes) + "\n")
-        fh.write("0,\n")
-        fh.write(fmt(nz.input_mins) + "\n")
-        fh.write(fmt(nz.input_maxes) + "\n")
-        fh.write(fmt(nz.means) + "\n")
-        fh.write(fmt(nz.ranges) + "\n")
-        for layer in net.layers:
-            for row in layer.weights:
-                fh.write(fmt(row) + "\n")
-            for b in layer.biases:
-                fh.write(fmt([b]) + "\n")
+        fh.write("".join(lines))

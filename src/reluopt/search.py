@@ -12,8 +12,9 @@ from typing import Callable, Optional, TextIO
 
 import numpy as np
 
-# fixed_by_bounds, propagate_interval and split_assignment have no caller in
-# the package but stay importable by this module's name: perfbench's tracer
+# fixed_by_bounds, propagate_interval, split_assignment, build_relaxed_lp and
+# solve_lp have no caller in this module (node LPs go through
+# `LiveModel.solve_phase`) but stay importable by its name: perfbench's tracer
 # wraps them here, as it wraps tighten_lp. They go when the tracer stops
 # looking them up.
 from .bounds import (  # noqa: F401
@@ -27,18 +28,18 @@ from .bounds import (  # noqa: F401
 from .errors import NoUndetermined, Timeout
 from .geometry import Hyperrectangle
 from .highs import LiveModel
-from .lp import (
+from .lp import (  # noqa: F401
     LPStatus,
     Relaxation,
     build_relaxed_lp,
     check_relu_consistency,
     encode_relaxation,
     solve_lp,
-    split_assignment,  # noqa: F401
+    split_assignment,
 )
 from .model import Network
 from .problems import OptimizationProblem
-from .state import ACTIVE, UNDETERMINED, PartialActivationState, phase_state
+from .state import ACTIVE, UNDETERMINED, PartialActivationState
 
 CONSISTENCY_TOL = 1e-6
 
@@ -72,6 +73,7 @@ class RegionOutcome:
     value: Optional[float] = None
     assignment: Optional[np.ndarray] = None  # input vector (Optimal only)
     lp_assignment: Optional[np.ndarray] = None  # full LP vector (Unknown only)
+    gaps: Optional[np.ndarray] = None  # |z - max(0, zhat)| per ReLU there (Unknown only)
     iterations: int = 0  # simplex iterations of the region's LP
 
 
@@ -135,15 +137,15 @@ def optimum_for_region(
     """Solve the relaxed LP for the region. Infeasible regions and regions
     whose LP bound cannot beat the incumbent report WorseThanOpt; a
     consistent LP optimum, its x clipped into the box, is the region
-    optimum; otherwise Unknown.
+    optimum; otherwise Unknown, with the LP point and its `gaps`.
 
     `relaxation` is the problem's `encode_relaxation(net, problem, bounds)`,
     encoded here when not given, and `model` the live HiGHS model its LPs
-    are re-solved in. Raises Timeout when `time_limit` stops the LP."""
+    are re-solved in, a new one when not given. Raises Timeout when
+    `time_limit` stops the LP."""
     if relaxation is None:
         relaxation = encode_relaxation(net, problem, bounds)
-    lp = build_relaxed_lp(relaxation, state)
-    res = solve_lp(lp, time_limit=time_limit, model=model)
+    res = (model or LiveModel()).solve_phase(relaxation, state.phase, time_limit)
     its = res.iterations
     if res.status == LPStatus.INFEASIBLE:
         return RegionOutcome(RegionStatus.WORSE_THAN_OPT, lp_bound=-np.inf, iterations=its)
@@ -153,14 +155,15 @@ def optimum_for_region(
     if res.status == LPStatus.UNBOUNDED:
         # No assignment to check; force a split.
         return RegionOutcome(RegionStatus.UNKNOWN, lp_bound=bound, iterations=its)
-    if (check_relu_consistency(relaxation, res.assignment) <= CONSISTENCY_TOL).all():
+    gaps = check_relu_consistency(relaxation, res.assignment)
+    if (gaps <= CONSISTENCY_TOL).all():
         x = np.clip(res.assignment[relaxation.imap.x], problem.box.lower, problem.box.upper)
         value = problem.objective_at(net, x)
         return RegionOutcome(
             RegionStatus.OPTIMAL, lp_bound=bound, value=value, assignment=x, iterations=its
         )
     return RegionOutcome(
-        RegionStatus.UNKNOWN, lp_bound=bound, lp_assignment=res.assignment, iterations=its
+        RegionStatus.UNKNOWN, bound, lp_assignment=res.assignment, gaps=gaps, iterations=its
     )
 
 
@@ -204,13 +207,13 @@ def _parent_answers(
 ) -> bool:
     """Whether `parent`, the Unknown outcome of the state that the split of
     node `fixed` made `state` from, answers for `state`: its LP optimum
-    satisfies the phase `state` gives that node. The child's region is then
-    a subset of the parent's that holds the parent's optimizer, so the
-    parent's outcome is its own. A leaf is never answered this way: its
-    answer comes from its own LP."""
-    if parent is None or parent.lp_assignment is None:
+    satisfies the phase `state` gives that node (read from its `gaps`; an
+    outcome without them answers for no child). The child's region is then a
+    subset of the parent's that holds the parent's optimizer, so the parent's
+    outcome is its own. A leaf is never answered this way."""
+    if parent is None or parent.gaps is None:
         return False
-    if check_relu_consistency(relaxation, parent.lp_assignment, at=fixed) > CONSISTENCY_TOL:
+    if parent.gaps[fixed] > CONSISTENCY_TOL:
         return False
     zhat = parent.lp_assignment[relaxation.zhat[fixed]]
     if not (zhat >= 0.0 if state.phase[fixed] == ACTIVE else zhat <= 0.0):
@@ -246,9 +249,11 @@ def optimize(
     (`simplex_iters`) and the tightening LPs solved (`tighten_lps`), skipped
     because the back-substitution bounds already fix their ReLU's phase
     (`tighten_skipped`) and stopped by their time limit
-    (`tighten_limit_hits`). It also holds the global upper `bound`, the
-    largest of the incumbent and the parent bounds of the nodes still open,
-    and the `gap` from the incumbent up to it (inf without an incumbent).
+    (`tighten_limit_hits`), and the seconds spent on the root bounds
+    (`bounds_s`), the root LP (`encode_s`) and node evaluation (`lp_s`). It
+    also holds the global upper `bound`, the largest of the incumbent and
+    the parent bounds of the nodes still open, and the `gap` from the
+    incumbent up to it (inf without an incumbent).
     A result with an argopt re-checks it by a forward pass: `max_violation`
     is the most it leaves the box or fails a row by (0 when it holds).
 
@@ -256,10 +261,12 @@ def optimize(
     """
     start = time.monotonic()
     deadline = start + config.timeout
-    stats = SearchStats(extra=dict.fromkeys(COUNTERS, 0))
+    stats = SearchStats(extra={**dict.fromkeys(COUNTERS, 0), "lp_s": 0.0})
 
+    clock = time.perf_counter()
     if bounds is None:
         bounds = root_bounds(net, problem.box, config.tighten_timeout, deadline, stats.extra)
+    stats.extra["bounds_s"] = time.perf_counter() - clock
 
     incumbent = -np.inf
     argopt: Optional[np.ndarray] = None
@@ -267,21 +274,15 @@ def optimize(
     # One encoding and one live model per call, so a problem's node
     # sequence never depends on problems solved before it. The root state
     # fixes the phases the bounds fix.
+    clock = time.perf_counter()
     relaxation = encode_relaxation(net, problem, bounds)
-    root = phase_state(net, relaxation.phase)
+    stats.extra["encode_s"] = time.perf_counter() - clock
+    root = PartialActivationState(relaxation.phase, net)
     model = LiveModel()
 
     def evaluate_region(st: PartialActivationState, inc: float) -> RegionOutcome:
-        return optimum_for_region(
-            net,
-            problem,
-            st,
-            bounds,
-            inc,
-            relaxation=relaxation,
-            model=model,
-            time_limit=deadline - time.monotonic(),
-        )
+        limit = deadline - time.monotonic()
+        return optimum_for_region(net, problem, st, bounds, inc, relaxation, model, limit)
 
     evaluator = region_evaluator or evaluate_region
 
@@ -322,26 +323,22 @@ def optimize(
         if _parent_answers(state, parent, fixed, relaxation):
             outcome = parent
         else:
+            clock = time.perf_counter()
             try:
                 outcome = evaluator(state, incumbent)
             except Timeout:
                 frontier.append(entry)  # still open: its bound counts
                 timed_out = True
                 break
+            finally:
+                stats.extra["lp_s"] += time.perf_counter() - clock
             stats.lps_solved += 1
             stats.extra["simplex_iters"] += outcome.iterations
         stats.nodes_explored += 1
         if trace is not None:
-            trace.write(
-                json.dumps(
-                    {
-                        "state": state.fingerprint(),
-                        "lp_bound": None if not np.isfinite(outcome.lp_bound) else outcome.lp_bound,
-                        "status": outcome.status.value,
-                    }
-                )
-                + "\n"
-            )
+            bound = outcome.lp_bound if np.isfinite(outcome.lp_bound) else None
+            record = {"state": state.fingerprint(), "lp_bound": bound}
+            trace.write(json.dumps({**record, "status": outcome.status.value}) + "\n")
         if outcome.status is RegionStatus.WORSE_THAN_OPT:
             continue
         if outcome.status is RegionStatus.OPTIMAL:
@@ -353,6 +350,7 @@ def optimize(
         push(state.fix_at(i, active=False), outcome, i)
         push(state.fix_at(i, active=True), outcome, i)
 
+    model.release()
     stats.wall_seconds = time.monotonic() - start
     # The global bound: nothing open can beat the largest parent bound left.
     global_bound = max([incumbent] + [-neg_bound for neg_bound, *_ in frontier])
@@ -361,12 +359,8 @@ def optimize(
     if argopt is not None:
         stats.extra["max_violation"] = problem.violation(net, argopt)
     if timed_out:
-        return SearchResult(
-            Status.TIMEOUT,
-            value=None if argopt is None else incumbent,
-            argopt=argopt,
-            stats=stats,
-        )
+        value = None if argopt is None else incumbent
+        return SearchResult(Status.TIMEOUT, value=value, argopt=argopt, stats=stats)
     if argopt is None and not np.isfinite(incumbent):
         return SearchResult(Status.INFEASIBLE, stats=stats)
     return SearchResult(Status.OPTIMAL, value=incumbent, argopt=argopt, stats=stats)

@@ -11,35 +11,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentState
-from .model import Network, NodeId
+from .model import Network
 
 ACTIVE, INACTIVE, UNDETERMINED = 1, -1, 0
 
 
 @dataclass(frozen=True, eq=False)
 class PartialActivationState:
-    """The phase of every ReLU node, in `net.relu_node_ids()` order: 1
-    active, -1 inactive, 0 undetermined. `phase` is read-only; `fix_at`
-    returns a new state. `nodes` names the positions, for `fingerprint`."""
+    """The phase of every ReLU node of `net`, in `net.relu_node_ids()`
+    order: 1 active, -1 inactive, 0 undetermined. `phase` is read-only;
+    `fix_at` returns a new state; `phase_state` checks a new phase vector."""
 
-    phase: np.ndarray  # int8
-    nodes: tuple[NodeId, ...]  # the network's ReLU nodes, sorted
+    phase: np.ndarray  # int8, read-only
+    net: Network
 
     def fix_at(self, i: int, active: bool) -> "PartialActivationState":
         """This state with the undetermined node at position `i` of `phase`
         made active or inactive."""
         if self.phase[i] != UNDETERMINED:
-            raise InconsistentState(f"node {self.nodes[i]} is not undetermined")
+            raise InconsistentState(f"node {self.net.relu_node_ids()[i]} is not undetermined")
         phase = self.phase.copy()
         phase[i] = ACTIVE if active else INACTIVE
         phase.flags.writeable = False
-        return PartialActivationState(phase, self.nodes)
+        return PartialActivationState(phase, self.net)
 
     def fingerprint(self) -> str:
         """Stable textual identity, used for trace records: the active and
         the inactive nodes as `layer.node`, in order."""
-        named = lambda value: (self.nodes[i] for i in np.flatnonzero(self.phase == value))
-        fmt = lambda value: ",".join(f"{i}.{j}" for i, j in named(value))
+        nodes = self.net.relu_node_ids()
+        fmt = lambda value: ",".join("%d.%d" % nodes[i] for i in (self.phase == value).nonzero()[0])
         return f"A[{fmt(ACTIVE)}]N[{fmt(INACTIVE)}]"
 
 
@@ -53,4 +53,4 @@ def phase_state(net: Network, phase) -> PartialActivationState:
         raise InconsistentState("a phase must be 1 (active), -1 (inactive) or 0 (undetermined)")
     phase = values.astype(np.int8)  # a copy
     phase.flags.writeable = False
-    return PartialActivationState(phase, tuple(net.relu_node_ids()))
+    return PartialActivationState(phase, net)

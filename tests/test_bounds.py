@@ -461,9 +461,8 @@ def _tighten_every_lp(net, b, seed):
     lp = build_relaxed_lp(relaxation, phase_state(net, relaxation.phase))
     row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper
     model = LiveModel()
-    links = iter(relaxation.link_row)  # one per ReLU the seed leaves open
-    for phase, zhat, z in zip(relaxation.phase, relaxation.zhat, relaxation.z):
-        link = next(links) if phase == UNDETERMINED else None  # a fixed ReLU has z = zhat or 0
+    for zhat, z, link in zip(relaxation.zhat, relaxation.z, relaxation.link):
+        link = link if link >= 0 else None  # a fixed ReLU has z = zhat or 0 and no link row
         obj = np.zeros(lp.n_vars)
         obj[zhat] = 1.0
         lo, hi = lower[zhat], upper[zhat]

@@ -644,3 +644,36 @@ def test_export_milp_takes_big_m_constants_from_symbolic_bounds(tmp_path):
         k, j = map(int, name.split("_")[1:])
         zhat = written.names.index(f"zhat_{k}_{j}")
         assert written.lower[zhat] < 0.0 < written.upper[zhat]
+
+
+def test_unreadable_network_is_an_error_record_and_bench_goes_on(tmp_path, capsys):
+    """A `.nnet` that does not parse is a ParseError record and a missing
+    one a SchemaError record on `network`; bench writes both and solves the
+    rest, and solve and export-milp report the reason."""
+    qdir = tmp_path / "queries"
+    paths = generate_queries("acas_out", seed=3, count=3, scale=4, out_dir=str(qdir))
+    garbage, missing, good = paths
+    with open(load_problem(garbage).network_path(), "w") as fh:
+        fh.write("garbage\n")
+    os.remove(load_problem(missing).network_path())
+
+    rec = solve_spec(load_problem(garbage))
+    assert (rec.status, rec.error) == ("Error", "ParseError: line 1: bad numeric literal: "
+                                       "could not convert string to float: 'garbage'")
+    rec = solve_spec(load_problem(missing))
+    assert rec.status == "Error"
+    assert rec.error.startswith("SchemaError: network: cannot read ")
+    assert rec.error.endswith("No such file or directory")
+
+    out = tmp_path / "out"
+    records = run_benchmark([garbage, missing, good], ["branch_bound"], 30.0, str(out))
+    with open(out / "results.csv") as fh:
+        rows = {row["problem_id"]: row for row in csv.DictReader(fh)}
+    assert [rows[r.problem_id]["status"] for r in records] == ["Error", "Error", "Optimal"]
+    assert rows[records[0].problem_id]["error"].startswith("ParseError: line 1:")
+    assert rows[records[1].problem_id]["error"].startswith("SchemaError: network: cannot read ")
+
+    assert main(["solve", missing]) == 1
+    assert "\nerror: SchemaError: network: cannot read " in capsys.readouterr().out
+    assert main(["export-milp", missing, "-o", str(tmp_path / "model.lp")]) == 1
+    assert capsys.readouterr().err.startswith("error: SchemaError: network: cannot read ")

@@ -192,3 +192,95 @@ def test_starting_basis_point_is_the_forward_pass_at_the_gradient_vertex():
             np.testing.assert_allclose(point[imap.post[k]], trace.post[k], atol=1e-12)
         if imap.t is not None:
             assert point[imap.t] == 0.0
+
+
+def test_phase_sync_along_random_walks_matches_cold_solves():
+    """One live model follows random walks of phase vectors: each step sets
+    a few ReLUs to a random phase, undetermined included, so ReLUs return to
+    undetermined, and now and then it also moves ReLUs the root bounds fix.
+    Every `solve_phase` answer matches a cold solve of `build_relaxed_lp`'s
+    LP for the same phases."""
+    rng = np.random.default_rng(31337)
+    compared = {LPStatus.OPTIMAL: 0, LPStatus.INFEASIBLE: 0}
+    returned = 0
+    for trial in range(16):
+        net, problem = _random_problem(rng, min_adv=trial % 2 == 1)
+        propagate = propagate_symbolic if trial % 4 < 2 else propagate_interval
+        relaxation = encode_relaxation(net, problem, propagate(net, problem.box))
+        open_ = np.flatnonzero(relaxation.phase == UNDETERMINED)
+        model, phase = highs.LiveModel(), relaxation.phase.copy()
+        for step in range(25):
+            pool = np.arange(net.num_relu_nodes) if step % 6 == 5 or not open_.size else open_
+            picked = rng.choice(pool, size=min(len(pool), int(rng.integers(1, 4))), replace=False)
+            before = phase[picked].copy()
+            phase[picked] = rng.integers(-1, 2, size=len(picked))
+            back = (before != UNDETERMINED) & (phase[picked] == UNDETERMINED)
+            returned += int(np.count_nonzero(back))
+            live = model.solve_phase(relaxation, phase)
+            cold = solve_lp(build_relaxed_lp(relaxation, phase_state(net, phase)))
+            assert live.status == cold.status
+            if cold.status == LPStatus.OPTIMAL:
+                assert live.value == pytest.approx(cold.value, abs=1e-7 * max(1.0, abs(cold.value)))
+            compared[cold.status] = compared.get(cold.status, 0) + 1
+    assert compared[LPStatus.OPTIMAL] >= 100 and compared[LPStatus.INFEASIBLE] >= 50
+    assert returned >= 50
+
+
+def test_phase_sync_changes_only_the_relus_whose_phase_changed(monkeypatch):
+    """After its first solve, a live model changes the bounds of the ReLUs
+    whose phase changed and nothing else, and reloads only for another
+    relaxation."""
+    rng = np.random.default_rng(5)
+    net, problem = _random_problem(rng, min_adv=True)
+    relaxation = _relaxation(net, problem)
+    i = int(np.flatnonzero(relaxation.phase == UNDETERMINED)[0])
+    model = highs.LiveModel()
+    model.solve_phase(relaxation, relaxation.phase)
+    calls = []
+
+    def record(name):
+        original = getattr(highs._core._Highs, name)
+        return lambda instance, *args: (calls.append((name, args)), original(instance, *args))[1]
+
+    for name in ("changeColsBounds", "changeRowBounds"):
+        monkeypatch.setattr(highs._core._Highs, name, record(name))
+    monkeypatch.setattr(highs.LiveModel, "_load", lambda self, lp: calls.append(("_load", lp)))
+
+    phase = relaxation.phase.copy()
+    phase[i] = INACTIVE  # zhat <= 0 and z <= 0: one call for both columns
+    model.solve_phase(relaxation, phase)
+    assert [name for name, _ in calls] == ["changeColsBounds"]
+    _, columns, _, upper = calls[0][1]
+    assert sorted(columns) == sorted([relaxation.zhat[i], relaxation.z[i]]) and upper == [0.0, 0.0]
+
+    calls.clear()
+    model.solve_phase(relaxation, phase)  # nothing changed
+    assert calls == []
+
+    phase[i] = ACTIVE  # the link row becomes z - zhat = 0, then both columns change
+    model.solve_phase(relaxation, phase)
+    assert [name for name, _ in calls] == ["changeRowBounds", "changeColsBounds"]
+    assert calls[0][1][0] == relaxation.link[i] and calls[0][1][2] == 0.0
+
+    calls.clear()
+    model.solve_phase(_relaxation(net, problem), phase)
+    assert calls[0][0] == "_load"
+
+
+def test_released_instance_is_reused_with_its_options_reset():
+    model = highs.LiveModel()
+    instance = model._highs
+    default = highs._core._Highs().getOptionValue("simplex_iteration_limit")
+    instance.setOptionValue("simplex_iteration_limit", 0)
+    model.release()
+    model.release()  # a second release gives nothing back
+    assert model._highs is None
+    assert highs._FREE.count(instance) == 1
+    again = highs.LiveModel()
+    assert again._highs is instance
+    assert instance.getOptionValue("simplex_iteration_limit") == default
+    assert [instance.getOptionValue(name)[1] for name, _ in highs.OPTIONS] == [
+        value for _, value in highs.OPTIONS
+    ]
+    del again  # collection releases it too
+    assert instance in highs._FREE

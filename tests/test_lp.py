@@ -495,9 +495,9 @@ def test_node_lp_shares_the_relaxation_matrix_and_reads_as_rows(abs_net):
     assert len(rows) == len(lp.rows) == lp.matrix.shape[0]
     np.testing.assert_array_equal([row.coeffs for row in rows], lp.matrix.toarray())
     # the active node's link row z - zhat is an equality, the other's an inequality
-    links = {rows[row].relation for row in relaxation.link_row}
+    links = {rows[row].relation for row in relaxation.link}
     assert links == {Relation.EQ, Relation.GE}
-    assert rows[relaxation.link_row[0]].relation is Relation.EQ
+    assert rows[relaxation.link[0]].relation is Relation.EQ
 
 
 def _reference_node_vectors(net, problem, bounds, state, relaxation):

@@ -201,3 +201,29 @@ def test_normalization_only_applied_on_request(tmp_path):
 def test_normalize_without_metadata_raises(abs_net):
     with pytest.raises(DimensionMismatch):
         evaluate(abs_net, [1.0], normalize=True)
+
+
+def test_nnet_weight_lines_parse_line_by_line_when_irregular(tmp_path):
+    """Weight and bias lines with blank or spaced values load as they did
+    line by line, and a weight line with a wrong count fails at its line."""
+    text = list(_TINY_NNET)
+    text[7], text[8] = " 2.5 , ,", "0.5,,"
+    path = tmp_path / "spaced.nnet"
+    path.write_text("\n".join(text) + "\n")
+    net = load_nnet(str(path))
+    assert net.layers[0].weights.tolist() == [[2.5]] and net.layers[0].biases.tolist() == [0.5]
+    text[7] = "2.5,1.0,"
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_nnet(str(path))
+    assert err.value.line == 8 and "expected 1 values, found 2" in str(err.value)
+
+
+def test_nnet_layer_sizes_must_be_positive(tmp_path):
+    text = list(_TINY_NNET)
+    text[0], text[1] = "2,1,1,1,", "1,0,1,"
+    path = tmp_path / "empty_layer.nnet"
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_nnet(str(path))
+    assert err.value.line == 2

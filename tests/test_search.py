@@ -666,3 +666,111 @@ def test_every_argopt_is_rechecked_by_a_forward_pass(abs_net):
     unreachable = (Row(None, np.array([1.0]), 0.0, Relation.GE, 10.0),)
     infeasible = OptimizationProblem(problem.box, problem.objective, unreachable)
     assert "max_violation" not in optimize(abs_net, infeasible).stats.extra
+
+
+# ---------------------------------------------------------------------------
+# Reused HiGHS instances, consistency gaps and stage times
+
+
+def _order_cases():
+    """Output-maximization and min-adversarial problems on 2x8 nets, big
+    enough for searches of tens of nodes."""
+    rng = np.random.default_rng(3100)
+    for trial in range(8):
+        net = random_net(rng, n_in=3, hidden=(8, 8), n_out=2)
+        if trial % 2:
+            yield net, _min_adv_problem(net, rng)
+        else:
+            yield net, output_max_problem(net, rng.normal(size=2), -np.ones(3), np.ones(3))
+
+
+def _solve_all(cases):
+    """(nodes, simplex iterations, value) per case, solved in the order given."""
+    out = []
+    for net, problem in cases:
+        stats = (result := optimize(net, problem)).stats
+        out.append((stats.nodes_explored, stats.extra["simplex_iters"], result.value))
+    return out
+
+
+def test_problems_solve_alike_in_any_order_and_on_reused_or_new_instances(monkeypatch):
+    """A problem's search does not depend on the problems solved before it:
+    forward, reversed, and with every HiGHS instance new, each problem gets
+    the same nodes, simplex iterations and value."""
+    from reluopt import highs
+
+    cases = list(_order_cases())
+    monkeypatch.setattr(highs, "_FREE", [])
+    forward = _solve_all(cases)
+    assert len(highs._FREE) >= 1  # the instances were reused
+    assert _solve_all(cases[::-1])[::-1] == forward
+
+    class Discard(list):
+        def append(self, instance):
+            pass
+
+    monkeypatch.setattr(highs, "_FREE", Discard())
+    assert _solve_all(cases) == forward
+    assert sum(nodes for nodes, _, _ in forward) >= 100
+
+
+def test_unknown_outcome_carries_its_consistency_gaps():
+    from reluopt.lp import check_relu_consistency, encode_relaxation
+
+    unknown = 0
+    for net, problem in _order_cases():
+        bounds = propagate_interval(net, problem.box)
+        relaxation = encode_relaxation(net, problem, bounds)
+        root = phase_state(net, relaxation.phase)
+        out = optimum_for_region(net, problem, root, bounds, -np.inf, relaxation)
+        if out.status is RegionStatus.UNKNOWN:
+            gaps = check_relu_consistency(relaxation, out.lp_assignment)
+            np.testing.assert_array_equal(out.gaps, gaps)
+            unknown += 1
+        else:
+            assert out.gaps is None
+    assert unknown >= 4
+
+
+@pytest.mark.parametrize("order", list(NodeOrder))
+def test_outcome_without_gaps_answers_for_no_child(order):
+    """A parent's outcome answers for a child only through its gaps: an
+    evaluator whose Unknown outcomes carry the LP point but no gaps gets
+    every node, and the search finds the same optimum."""
+    import dataclasses
+
+    config = SearchConfig(node_order=order)
+    for net, problem in _reuse_nets():
+        bounds = propagate_interval(net, problem.box)
+
+        def evaluator(state, incumbent):
+            out = optimum_for_region(net, problem, state, bounds, incumbent)
+            return dataclasses.replace(out, gaps=None)
+
+        plain = optimize(net, problem, config, bounds=bounds)
+        stripped = optimize(net, problem, config, bounds=bounds, region_evaluator=evaluator)
+        assert stripped.stats.lps_solved == stripped.stats.nodes_explored
+        assert stripped.value == pytest.approx(plain.value, abs=1e-9)
+
+
+def test_root_state_fingerprint_is_that_of_its_phase_vector():
+    """The root state is built from the relaxation's phases without
+    `phase_state`; its trace fingerprint is the one `phase_state` gives."""
+    for net, problem in _root_bound_cases():
+        bounds = propagate_symbolic(net, problem.box)
+        trace = io.StringIO()
+        optimize(net, problem, bounds=bounds, trace=trace)
+        first = json.loads(trace.getvalue().splitlines()[0])["state"]
+        assert first == phase_state(net, phases(bounds)).fingerprint()
+
+
+def test_stage_times_are_counted(abs_net):
+    problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
+    for config in (SearchConfig(), SearchConfig(tighten_timeout=1.0)):
+        result = optimize(abs_net, problem, config)
+        extra = result.stats.extra
+        stages = [extra["bounds_s"], extra["encode_s"], extra["lp_s"]]
+        assert all(seconds > 0.0 for seconds in stages)
+        assert sum(stages) <= result.stats.wall_seconds
+    given = optimize(abs_net, problem, bounds=propagate_interval(abs_net, problem.box))
+    assert given.stats.extra["bounds_s"] < given.stats.wall_seconds

@@ -83,3 +83,19 @@ def test_phase_state_copies_a_phase_vector(net):
     assert not state.phase.flags.writeable
     with pytest.raises(InconsistentState):
         phase_state(net, phase[:-1])
+
+
+def test_a_state_built_without_phase_state_fingerprints_alike(net):
+    """Search builds its root state straight from a read-only phase vector;
+    it names its nodes as a checked state does."""
+    from reluopt.state import PartialActivationState
+
+    phase = np.zeros(net.num_relu_nodes, np.int8)
+    phase[[2, 10, 14]], phase[[0, 11]] = ACTIVE, INACTIVE
+    phase.flags.writeable = False
+    state = PartialActivationState(phase, net)
+    expected = "A[0.2,0.10,1.2]N[0.0,0.11]"
+    assert state.fingerprint() == phase_state(net, phase).fingerprint() == expected
+    assert state.fix_at(12, active=False).fingerprint() == "A[0.2,0.10,1.2]N[0.0,0.11,1.0]"
+    with pytest.raises(InconsistentState, match=r"NodeId\(layer=0, node=2\)"):
+        state.fix_at(2, active=False)
