@@ -12,7 +12,8 @@ has it set when it is loaded, so the first solve of a live model starts from
 that basis instead of from HiGHS's slack basis. `solve_phase` changes only
 the ReLUs whose phase differs from the last phase solved. A solve answers
 with an `LPResult`; it and `LPStatus` are defined here and re-exported by
-`reluopt.lp`. HiGHS instances are reused: loading clears their solver state.
+`reluopt.lp`. A released model's HiGHS instance serves the next `LiveModel`;
+loading clears its solver state.
 
 The binding is scipy's private extension module `scipy.optimize._highspy._core`,
 shipped by the scipy releases `pyproject.toml` allows. It is loaded from its
@@ -128,13 +129,12 @@ class LiveModel:
 
     def release(self) -> None:
         """Put the HiGHS instance, options reset, on the free list for the next
-        `LiveModel`; collection does the same. This model cannot solve after."""
+        `LiveModel`. This model cannot solve after; an unreleased one's
+        instance goes with it."""
         if self._highs is not None:
             self._highs.resetOptions()
             _FREE.append(self._highs)
             self._highs = None
-
-    __del__ = release
 
     def _load(self, lp: "LinearProgram") -> None:
         a = lp.matrix

@@ -282,5 +282,3 @@ def test_released_instance_is_reused_with_its_options_reset():
     assert [instance.getOptionValue(name)[1] for name, _ in highs.OPTIONS] == [
         value for _, value in highs.OPTIONS
     ]
-    del again  # collection releases it too
-    assert instance in highs._FREE
