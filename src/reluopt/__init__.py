@@ -61,7 +61,7 @@ from .search import (
     root_bounds,
     split,
 )
-from .state import PartialActivationState, phase_state
+from .state import fingerprint, phase_state
 from .baselines import (
     BisectionConfig,
     Decision,

@@ -215,10 +215,11 @@ def tighten_lp(
     LP, which lies inside the last. Only a node's own LPs change its bounds,
     so its phase when visited is the seed's.
 
-    All LPs are re-solved in one live HiGHS model; only bounds and the cost
-    change between them. Each LP's time limit is `per_query_timeout`, cut
-    to the time left before `deadline` (a `time.monotonic()` reading); once
-    that is spent, tightening stops and keeps the bounds found so far.
+    All LPs are re-solved in one live HiGHS model, released on return; only
+    bounds and the cost change between them. Each LP's time limit is
+    `per_query_timeout`, cut to the time left before `deadline` (a
+    `time.monotonic()` reading); once that is spent, tightening stops and
+    keeps the bounds found so far.
     `counters`, when given, accumulates `simplex_iters`, `tighten_lps` (LPs
     solved), `tighten_skipped` (the two LPs of each node the seed fixes) and
     `tighten_limit_hits` (LPs stopped by their time limit). Each node visited
@@ -226,7 +227,6 @@ def tighten_lp(
     """
     from .highs import LiveModel
     from .lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
-    from .state import PartialActivationState
 
     if per_query_timeout <= 0.0:
         return seed
@@ -236,11 +236,10 @@ def tighten_lp(
         counters.setdefault(name, 0)
 
     relaxation = encode_relaxation(net, OptimizationProblem(input_box, Objective()), seed)
-    lp = build_relaxed_lp(relaxation, PartialActivationState(relaxation.phase, net))
+    lp = build_relaxed_lp(relaxation, relaxation.phase)
     imap = relaxation.imap
     # The bounds and phases, tightened in place: the build made these copies.
     row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper
-    model = LiveModel()
 
     def current() -> BoundsMap:
         return BoundsMap(
@@ -253,60 +252,63 @@ def tighten_lp(
             relu_layers=seed.relu_layers,
         )
 
-    columns = relaxation.zhat, relaxation.z, relaxation.link
-    for node, phase, zhat, z, link in zip(net.relu_node_ids(), relaxation.phase, *columns):
-        if phase != UNDETERMINED:
-            counters["tighten_skipped"] += 2
-            continue
-        obj = np.zeros(lp.n_vars)
-        obj[zhat] = 1.0
-        lo, hi = lower[zhat], upper[zhat]
-        for maximize in (True, False):
-            limit = per_query_timeout
-            if deadline is not None:
-                limit = min(limit, deadline - time.monotonic())
-                if limit <= 0.0:
-                    log.warning(
-                        "bound tightening stopped at node %s: the search budget is spent",
-                        tuple(node),
+    with LiveModel() as model:
+        columns = relaxation.zhat, relaxation.z, relaxation.link
+        for node, phase, zhat, z, link in zip(net.relu_node_ids(), relaxation.phase, *columns):
+            if phase != UNDETERMINED:
+                counters["tighten_skipped"] += 2
+                continue
+            obj = np.zeros(lp.n_vars)
+            obj[zhat] = 1.0
+            lo, hi = lower[zhat], upper[zhat]
+            for maximize in (True, False):
+                limit = per_query_timeout
+                if deadline is not None:
+                    limit = min(limit, deadline - time.monotonic())
+                    if limit <= 0.0:
+                        log.warning(
+                            "bound tightening stopped at node %s: the search budget is spent",
+                            tuple(node),
+                        )
+                        return current()
+                try:
+                    res = solve_lp(
+                        lp.with_objective(obj, maximize=maximize), time_limit=limit, model=model
                     )
-                    return current()
-            try:
-                res = solve_lp(
-                    lp.with_objective(obj, maximize=maximize), time_limit=limit, model=model
-                )
-            except Timeout:
-                counters["tighten_limit_hits"] += 1
-                log.warning(
-                    "bound kept at node %s: LP stopped at its %.3g s time limit", tuple(node), limit
-                )
-                continue
-            except NumericalFailure as exc:
-                log.debug("bound kept at node %s: %s", tuple(node), exc)
-                continue
-            counters["tighten_lps"] += 1
-            counters["simplex_iters"] += res.iterations
-            if res.status != LPStatus.OPTIMAL:
-                continue
-            if maximize:
-                cand = res.value + SAFETY_MARGIN
-                if hi - cand >= IMPROVEMENT_THRESHOLD:
-                    hi = cand
-            else:
-                cand = res.value - SAFETY_MARGIN
-                if cand - lo >= IMPROVEMENT_THRESHOLD:
-                    lo = cand
-        # Both LPs of a node see the same bounds; later nodes see the new ones,
-        # with the post bounds kept consistent: post = max(0, pre).
-        lower[zhat], upper[zhat] = lo, hi
-        lower[z] = max(lower[z], max(0.0, lo) - POST_CONSISTENCY_EPS, 0.0)
-        upper[z] = min(upper[z], max(0.0, hi) + POST_CONSISTENCY_EPS)
-        if lower[z] > upper[z]:  # numerically crossed, keep sound order
-            lower[z] = upper[z] = max(0.0, upper[z])
-        # The phase the bounds fix, as build_relaxed_lp writes it.
-        if hi <= 0.0:
-            upper[z] = 0.0  # z = 0
-        elif lo >= 0.0:
-            row_upper[link] = 0.0  # z = zhat
+                except Timeout:
+                    counters["tighten_limit_hits"] += 1
+                    log.warning(
+                        "bound kept at node %s: LP stopped at its %.3g s time limit",
+                        tuple(node),
+                        limit,
+                    )
+                    continue
+                except NumericalFailure as exc:
+                    log.debug("bound kept at node %s: %s", tuple(node), exc)
+                    continue
+                counters["tighten_lps"] += 1
+                counters["simplex_iters"] += res.iterations
+                if res.status != LPStatus.OPTIMAL:
+                    continue
+                if maximize:
+                    cand = res.value + SAFETY_MARGIN
+                    if hi - cand >= IMPROVEMENT_THRESHOLD:
+                        hi = cand
+                else:
+                    cand = res.value - SAFETY_MARGIN
+                    if cand - lo >= IMPROVEMENT_THRESHOLD:
+                        lo = cand
+            # Both LPs of a node see the same bounds; later nodes see the new ones,
+            # with the post bounds kept consistent: post = max(0, pre).
+            lower[zhat], upper[zhat] = lo, hi
+            lower[z] = max(lower[z], max(0.0, lo) - POST_CONSISTENCY_EPS, 0.0)
+            upper[z] = min(upper[z], max(0.0, hi) + POST_CONSISTENCY_EPS)
+            if lower[z] > upper[z]:  # numerically crossed, keep sound order
+                lower[z] = upper[z] = max(0.0, upper[z])
+            # The phase the bounds fix, as build_relaxed_lp writes it.
+            if hi <= 0.0:
+                upper[z] = 0.0  # z = 0
+            elif lo >= 0.0:
+                row_upper[link] = 0.0  # z = zhat
 
     return current()

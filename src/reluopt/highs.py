@@ -130,11 +130,17 @@ class LiveModel:
     def release(self) -> None:
         """Put the HiGHS instance, options reset, on the free list for the next
         `LiveModel`. This model cannot solve after; an unreleased one's
-        instance goes with it."""
+        instance goes with it. `with LiveModel() as model:` releases on exit."""
         if self._highs is not None:
             self._highs.resetOptions()
             _FREE.append(self._highs)
             self._highs = None
+
+    def __enter__(self) -> "LiveModel":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
 
     def _load(self, lp: "LinearProgram") -> None:
         a = lp.matrix

@@ -37,7 +37,7 @@ from .bounds import phases
 from .highs import LPResult, LPStatus  # noqa: F401  (re-exported)
 from .model import Activation, Network, forward_trace, gradient
 from .problems import Relation
-from .state import ACTIVE, INACTIVE, UNDETERMINED, PartialActivationState
+from .state import ACTIVE, INACTIVE, UNDETERMINED
 
 if TYPE_CHECKING:
     from .bounds import BoundsMap
@@ -215,11 +215,14 @@ def solve_lp(
     """Solve with the deterministic single-threaded HiGHS backend.
 
     A live `model` is synced to `lp` and re-solved warm from its last basis;
-    without one, `lp` is solved cold in a fresh model. Raises Timeout when
-    `time_limit` stops the solve and NumericalFailure when the backend gives
-    up otherwise, rather than returning a possibly-wrong answer.
+    without one, `lp` is solved cold in a fresh model, released after. Raises
+    Timeout when `time_limit` stops the solve and NumericalFailure when the
+    backend gives up otherwise, rather than returning a possibly-wrong answer.
     """
-    return (model or highs.LiveModel()).solve(lp, time_limit)
+    if model is not None:
+        return model.solve(lp, time_limit)
+    with highs.LiveModel() as model:
+        return model.solve(lp, time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +460,13 @@ def _starting_basis(
     return cols, rows
 
 
-def build_relaxed_lp(relaxation: Relaxation, state: PartialActivationState) -> LinearProgram:
-    """The relaxed LP of `state`: the root LP with each ReLU's bounds in its
-    phase, as `Relaxation.by_phase` gives them. It shares the root LP's
-    matrix."""
+def build_relaxed_lp(relaxation: Relaxation, phase: np.ndarray) -> LinearProgram:
+    """The relaxed LP of the phase vector `phase`: the root LP with each
+    ReLU's bounds in its phase, as `Relaxation.by_phase` gives them. It
+    shares the root LP's matrix."""
     root = relaxation.lp
     row_upper, lower, upper = root.row_upper.copy(), root.lower.copy(), root.upper.copy()
-    b = relaxation.by_phase[state.phase, np.arange(len(state.phase))]
+    b = relaxation.by_phase[phase, np.arange(len(phase))]
     # z first: a z that is its zhat's column takes the zhat entries.
     lower[relaxation.z], upper[relaxation.z] = b[:, 2], b[:, 3]
     lower[relaxation.zhat], upper[relaxation.zhat] = b[:, 0], b[:, 1]
@@ -480,9 +483,8 @@ def split_assignment(net: Network, imap: VariableIndexMap, vec: np.ndarray):
     return pre, post
 
 
-def check_relu_consistency(relaxation: Relaxation, vec: np.ndarray, at=slice(None)) -> np.ndarray:
+def check_relu_consistency(relaxation: Relaxation, vec: np.ndarray) -> np.ndarray:
     """|z - max(0, zhat)| at the LP point `vec` for each ReLU, in
     `net.relu_node_ids()` order: 0 where the point satisfies the ReLU
-    exactly. `at` (a position, positions or a slice) selects the ReLUs."""
-    zhat = vec[relaxation.zhat[at]]
-    return np.abs(vec[relaxation.z[at]] - np.maximum(0.0, zhat))
+    exactly."""
+    return np.abs(vec[relaxation.z] - np.maximum(0.0, vec[relaxation.zhat]))

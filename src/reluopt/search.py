@@ -1,5 +1,6 @@
 """Branch-and-bound over partial activation states with LP-relaxation
-bounding and incumbent pruning."""
+bounding and incumbent pruning. A node is its state: one read-only int8
+phase vector (`reluopt.state`)."""
 
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .lp import (  # noqa: F401
 )
 from .model import Network
 from .problems import OptimizationProblem
-from .state import ACTIVE, UNDETERMINED, PartialActivationState
+from .state import ACTIVE, INACTIVE, UNDETERMINED, fingerprint
 
 CONSISTENCY_TOL = 1e-6
 
@@ -127,25 +128,30 @@ def root_bounds(
 def optimum_for_region(
     net: Network,
     problem: OptimizationProblem,
-    state: PartialActivationState,
+    phase: np.ndarray,
     bounds: BoundsMap,
     incumbent: float,
     relaxation: Optional[Relaxation] = None,
     model: Optional[LiveModel] = None,
     time_limit: Optional[float] = None,
 ) -> RegionOutcome:
-    """Solve the relaxed LP for the region. Infeasible regions and regions
-    whose LP bound cannot beat the incumbent report WorseThanOpt; a
-    consistent LP optimum, its x clipped into the box, is the region
-    optimum; otherwise Unknown, with the LP point and its `gaps`.
+    """Solve the relaxed LP for the region of the phase vector `phase`.
+    Infeasible regions and regions whose LP bound cannot beat the incumbent
+    report WorseThanOpt; a consistent LP optimum, its x clipped into the
+    box, is the region optimum; otherwise Unknown, with the LP point and its
+    `gaps`.
 
     `relaxation` is the problem's `encode_relaxation(net, problem, bounds)`,
     encoded here when not given, and `model` the live HiGHS model its LPs
-    are re-solved in, a new one when not given. Raises Timeout when
-    `time_limit` stops the LP."""
+    are re-solved in, a new one, released after, when not given. Raises
+    Timeout when `time_limit` stops the LP."""
     if relaxation is None:
         relaxation = encode_relaxation(net, problem, bounds)
-    res = (model or LiveModel()).solve_phase(relaxation, state.phase, time_limit)
+    if model is None:
+        with LiveModel() as model:
+            res = model.solve_phase(relaxation, phase, time_limit)
+    else:
+        res = model.solve_phase(relaxation, phase, time_limit)
     its = res.iterations
     if res.status == LPStatus.INFEASIBLE:
         return RegionOutcome(RegionStatus.WORSE_THAN_OPT, lp_bound=-np.inf, iterations=its)
@@ -168,46 +174,36 @@ def optimum_for_region(
 
 
 def split(
-    state: PartialActivationState,
-    strategy: SplitStrategy,
-    lp_assignment: Optional[np.ndarray] = None,
-    relaxation: Optional[Relaxation] = None,
-) -> tuple[PartialActivationState, PartialActivationState]:
-    """Fix one undetermined node: first child active, second inactive."""
-    i = split_index(state, strategy, lp_assignment, relaxation)
-    return state.fix_at(i, active=True), state.fix_at(i, active=False)
+    phase: np.ndarray, strategy: SplitStrategy, gaps: Optional[np.ndarray] = None
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Fix one undetermined node of the phase vector `phase`: its position
+    `i`, then the read-only children with it active and with it inactive.
 
-
-def split_index(
-    state: PartialActivationState,
-    strategy: SplitStrategy,
-    lp_assignment: Optional[np.ndarray] = None,
-    relaxation: Optional[Relaxation] = None,
-) -> int:
-    """The phase index `split` fixes. Largest violation picks the earliest
-    node with the largest |z - max(0, zhat)| at the LP point, and the
-    earliest node when none is violated."""
-    undetermined = np.flatnonzero(state.phase == UNDETERMINED)
+    Largest violation reads `gaps`, an Unknown outcome's |z - max(0, zhat)|
+    per ReLU, and picks the earliest undetermined node with the largest gap;
+    the earliest undetermined node when none has a gap, or without `gaps`.
+    Raises NoUndetermined when no node is undetermined."""
+    undetermined = np.flatnonzero(phase == UNDETERMINED)
     if not undetermined.size:
         raise NoUndetermined("state has no undetermined node to split")
-    if strategy is SplitStrategy.EARLIEST_UNFIXED or lp_assignment is None:
-        return undetermined[0]
-    if relaxation is None:
-        raise ValueError("LargestViolation needs the relaxation")
-    violation = check_relu_consistency(relaxation, lp_assignment, at=undetermined)
-    best = int(np.argmax(violation))  # the first of equal maxima
-    return undetermined[best] if violation[best] > 0.0 else undetermined[0]
+    i = undetermined[0]
+    if strategy is SplitStrategy.LARGEST_VIOLATION and gaps is not None:
+        i = undetermined[np.argmax(gaps[undetermined])]  # the first of equal maxima
+    active, inactive = phase.copy(), phase.copy()
+    active[i], inactive[i] = ACTIVE, INACTIVE
+    active.flags.writeable = inactive.flags.writeable = False
+    return int(i), active, inactive
 
 
 def _parent_answers(
-    state: PartialActivationState,
+    phase: np.ndarray,
     parent: Optional[RegionOutcome],
     fixed: int,
     relaxation: Relaxation,
 ) -> bool:
     """Whether `parent`, the Unknown outcome of the state that the split of
-    node `fixed` made `state` from, answers for `state`: its LP optimum
-    satisfies the phase `state` gives that node (read from its `gaps`; an
+    node `fixed` made `phase` from, answers for `phase`: its LP optimum
+    satisfies the phase that `phase` gives that node (read from its `gaps`; an
     outcome without them answers for no child). The child's region is then a
     subset of the parent's that holds the parent's optimizer, so the parent's
     outcome is its own. A leaf is never answered this way."""
@@ -216,9 +212,9 @@ def _parent_answers(
     if parent.gaps[fixed] > CONSISTENCY_TOL:
         return False
     zhat = parent.lp_assignment[relaxation.zhat[fixed]]
-    if not (zhat >= 0.0 if state.phase[fixed] == ACTIVE else zhat <= 0.0):
+    if not (zhat >= 0.0 if phase[fixed] == ACTIVE else zhat <= 0.0):
         return False
-    return UNDETERMINED in state.phase
+    return UNDETERMINED in phase
 
 
 def optimize(
@@ -231,9 +227,11 @@ def optimize(
 ) -> SearchResult:
     """Branch-and-bound global maximization over the canonical problem.
 
-    `region_evaluator` defaults to optimum_for_region and exists so search
+    A node is its read-only phase vector. `region_evaluator(phase,
+    incumbent)` defaults to optimum_for_region and exists so search
     behavior (pruning, incumbents, ordering) can be exercised with scripted
-    region outcomes.
+    region outcomes. An Unknown node is split by `split`, which reads its
+    outcome's `gaps` under largest violation.
 
     A node's LP is solved only when its parent's cannot answer for it. A
     popped node whose parent bound is at most the incumbent is dropped
@@ -272,85 +270,83 @@ def optimize(
     argopt: Optional[np.ndarray] = None
 
     # One encoding and one live model per call, so a problem's node
-    # sequence never depends on problems solved before it. The root state
-    # fixes the phases the bounds fix.
+    # sequence never depends on problems solved before it. The root is the
+    # relaxation's read-only phase vector: the phases the bounds fix.
     clock = time.perf_counter()
     relaxation = encode_relaxation(net, problem, bounds)
     stats.extra["encode_s"] = time.perf_counter() - clock
-    root = PartialActivationState(relaxation.phase, net)
-    model = LiveModel()
 
-    def evaluate_region(st: PartialActivationState, inc: float) -> RegionOutcome:
+    def evaluate_region(phase: np.ndarray, inc: float) -> RegionOutcome:
         limit = deadline - time.monotonic()
-        return optimum_for_region(net, problem, st, bounds, inc, relaxation, model, limit)
+        return optimum_for_region(net, problem, phase, bounds, inc, relaxation, model, limit)
 
     evaluator = region_evaluator or evaluate_region
 
-    # Frontier entries: (-parent bound, tiebreak counter, state, parent's
-    # Unknown outcome or None at the root, index the split fixed). Best-first
-    # pops the largest parent bound (children can only be worse); depth-first
-    # is LIFO.
+    # Frontier entries: (-parent bound, tiebreak counter, phase vector,
+    # parent's Unknown outcome or None at the root, index the split fixed).
+    # Best-first pops the largest parent bound (children can only be worse);
+    # depth-first is LIFO.
     best_first = config.node_order is NodeOrder.BEST_FIRST
     counter = 0
     frontier: list = []
 
-    def push(state: PartialActivationState, parent: Optional[RegionOutcome], fixed: int):
+    def push(phase: np.ndarray, parent: Optional[RegionOutcome], fixed: int):
         nonlocal counter
         bound = np.inf if parent is None else parent.lp_bound
-        entry = (-bound, counter, state, parent, fixed)
+        entry = (-bound, counter, phase, parent, fixed)
         if best_first:
             heapq.heappush(frontier, entry)
         else:
             frontier.append(entry)
         counter += 1
 
-    push(root, None, -1)
+    push(relaxation.phase, None, -1)
     timed_out = False
 
-    while frontier:
-        if time.monotonic() - start > config.timeout:
-            timed_out = True
-            break
-        stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-        entry = heapq.heappop(frontier) if best_first else frontier.pop()
-        neg_bound, _, state, parent, fixed = entry
-        if -neg_bound <= incumbent:
-            # Already beaten: no LP, not a node. Best-first pops the largest
-            # parent bound, so every node left is beaten too.
-            if best_first:
-                break
-            continue
-        if _parent_answers(state, parent, fixed, relaxation):
-            outcome = parent
-        else:
-            clock = time.perf_counter()
-            try:
-                outcome = evaluator(state, incumbent)
-            except Timeout:
-                frontier.append(entry)  # still open: its bound counts
+    with LiveModel() as model:
+        while frontier:
+            if time.monotonic() - start > config.timeout:
                 timed_out = True
                 break
-            finally:
-                stats.extra["lp_s"] += time.perf_counter() - clock
-            stats.lps_solved += 1
-            stats.extra["simplex_iters"] += outcome.iterations
-        stats.nodes_explored += 1
-        if trace is not None:
-            bound = outcome.lp_bound if np.isfinite(outcome.lp_bound) else None
-            record = {"state": state.fingerprint(), "lp_bound": bound}
-            trace.write(json.dumps({**record, "status": outcome.status.value}) + "\n")
-        if outcome.status is RegionStatus.WORSE_THAN_OPT:
-            continue
-        if outcome.status is RegionStatus.OPTIMAL:
-            if outcome.value > incumbent:
-                incumbent = outcome.value
-                argopt = outcome.assignment
-            continue
-        i = split_index(state, config.split_strategy, outcome.lp_assignment, relaxation)
-        push(state.fix_at(i, active=False), outcome, i)
-        push(state.fix_at(i, active=True), outcome, i)
+            stats.peak_frontier = max(stats.peak_frontier, len(frontier))
+            entry = heapq.heappop(frontier) if best_first else frontier.pop()
+            neg_bound, _, phase, parent, fixed = entry
+            if -neg_bound <= incumbent:
+                # Already beaten: no LP, not a node. Best-first pops the largest
+                # parent bound, so every node left is beaten too.
+                if best_first:
+                    break
+                continue
+            if _parent_answers(phase, parent, fixed, relaxation):
+                outcome = parent
+            else:
+                clock = time.perf_counter()
+                try:
+                    outcome = evaluator(phase, incumbent)
+                except Timeout:
+                    frontier.append(entry)  # still open: its bound counts
+                    timed_out = True
+                    break
+                finally:
+                    stats.extra["lp_s"] += time.perf_counter() - clock
+                stats.lps_solved += 1
+                stats.extra["simplex_iters"] += outcome.iterations
+            stats.nodes_explored += 1
+            if trace is not None:
+                bound = outcome.lp_bound if np.isfinite(outcome.lp_bound) else None
+                record = {"state": fingerprint(net, phase), "lp_bound": bound}
+                trace.write(json.dumps({**record, "status": outcome.status.value}) + "\n")
+            if outcome.status is RegionStatus.WORSE_THAN_OPT:
+                continue
+            if outcome.status is RegionStatus.OPTIMAL:
+                if outcome.value > incumbent:
+                    incumbent = outcome.value
+                    argopt = outcome.assignment
+                continue
+            i, active, inactive = split(phase, config.split_strategy, outcome.gaps)
+            push(inactive, outcome, i)
+            push(active, outcome, i)
 
-    model.release()
     stats.wall_seconds = time.monotonic() - start
     # The global bound: nothing open can beat the largest parent bound left.
     global_bound = max([incumbent] + [-neg_bound for neg_bound, *_ in frontier])

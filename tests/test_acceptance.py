@@ -30,6 +30,7 @@ from reluopt import (
     evaluate,
     export_milp,
     fgsm,
+    fingerprint,
     gradient,
     milp_to_lp,
     optimize,
@@ -135,9 +136,9 @@ def test_reference_tree_pruning(abs_net):
     }
     visits = []
 
-    def evaluator(state, incumbent):
-        visits.append((state.fingerprint(), incumbent))
-        entry = script[state.fingerprint()]
+    def evaluator(phase, incumbent):
+        visits.append((fingerprint(abs_net, phase), incumbent))
+        entry = script[fingerprint(abs_net, phase)]
         if entry[0] == "infeasible":
             return RegionOutcome(RegionStatus.WORSE_THAN_OPT, lp_bound=-np.inf)
         bound = entry[1]
@@ -239,9 +240,9 @@ def test_relaxation_invariants():
         phase[:n_fix] = np.where(rng.random(n_fix) < 0.5, ACTIVE, INACTIVE)
         state = phase_state(net, phase)
         parent = optimum_for_region(net, problem, state, bounds, -np.inf)
-        if parent.lp_bound == -np.inf or UNDETERMINED not in state.phase:
+        if parent.lp_bound == -np.inf or UNDETERMINED not in state:
             continue
-        first, second = split(state, SplitStrategy.EARLIEST_UNFIXED)
+        _, first, second = split(state, SplitStrategy.EARLIEST_UNFIXED)
         for child in (first, second):
             out = optimum_for_region(net, problem, child, bounds, -np.inf)
             if out.lp_bound != -np.inf:

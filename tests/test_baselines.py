@@ -302,8 +302,8 @@ def test_a_witness_found_as_the_budget_ends_still_decides(abs_net, monkeypatch):
 
     witness = np.array([0.75])
 
-    def evaluator(state, incumbent):
-        if not state.phase.any():  # the root: split it
+    def evaluator(phase, incumbent):
+        if not phase.any():  # the root: split it
             return RegionOutcome(RegionStatus.UNKNOWN, lp_bound=0.0)
         time.sleep(0.3)  # the budget ends as the witness is found
         return RegionOutcome(RegionStatus.OPTIMAL, lp_bound=0.0, value=0.0, assignment=witness)

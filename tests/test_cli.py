@@ -1,5 +1,7 @@
 import csv
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -493,13 +495,21 @@ def test_milp_export_is_no_solver(tmp_path, capsys):
 
 def test_main_solve_and_trace(tmp_path, capsys):
     qdir = tmp_path / "queries"
-    paths = generate_queries("acas_out", seed=11, count=1, scale=4, out_dir=str(qdir))
+    # Scale 16 gives a search of many nodes, some answered by their parent's LP.
+    paths = generate_queries("acas_out", seed=11, count=1, scale=16, out_dir=str(qdir))
     trace = tmp_path / "trace.jsonl"
     rc = main(["solve", paths[0], "--trace", str(trace)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "status:  Optimal" in out
-    assert trace.read_text().count("\n") >= 1
+    # One record per node solve reports, each naming its state's fixed nodes.
+    (nodes,) = re.findall(r"\bnodes: (\d+)", out)
+    (lps,) = re.findall(r"\blps: (\d+)", out)
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(records) == int(nodes) > int(lps)
+    node_list = r"(\d+\.\d+(,\d+\.\d+)*)?"
+    for record in records:
+        assert re.fullmatch(rf"A\[{node_list}\]N\[{node_list}\]", record["state"])
 
 
 def test_main_generate_and_bench(tmp_path, capsys):

@@ -282,3 +282,50 @@ def test_released_instance_is_reused_with_its_options_reset():
     assert [instance.getOptionValue(name)[1] for name, _ in highs.OPTIONS] == [
         value for _, value in highs.OPTIONS
     ]
+
+
+def test_solves_give_back_every_instance_they_take(monkeypatch):
+    """Brute force (a cold `solve_lp` per leaf), bisection (a cold root LP
+    between searches), a search that tightens its bounds first, and a search
+    whose node LP raises each build at most one HiGHS instance and leave it
+    on the free list."""
+    from reluopt import (
+        BisectionConfig,
+        SearchConfig,
+        bisection_optimize,
+        brute_force_optimize,
+        optimize,
+        phases,
+    )
+
+    from conftest import output_max_problem
+
+    net = random_net(np.random.default_rng(3), n_in=2, hidden=(8,), n_out=1)
+    problem = output_max_problem(net, [1.0], [-1.0, -1.0], [1.0, 1.0])
+    assert np.count_nonzero(phases(propagate_interval(net, problem.box)) == UNDETERMINED) >= 6
+    built = []
+    make = highs._core._Highs
+    monkeypatch.setattr(highs._core, "_Highs", lambda: built.append(1) or make())
+
+    def failing(phase, incumbent):
+        raise NumericalFailure("a node LP failed")
+
+    def failed_search():
+        with pytest.raises(NumericalFailure):
+            optimize(net, problem, region_evaluator=failing)
+
+    results = []
+    for solve in (
+        lambda: results.append(brute_force_optimize(net, problem)),
+        lambda: results.append(bisection_optimize(net, problem, BisectionConfig(gap=1e-3))),
+        lambda: results.append(optimize(net, problem, SearchConfig(tighten_timeout=1.0))),
+        failed_search,
+    ):
+        monkeypatch.setattr(highs, "_FREE", [])
+        built.clear()
+        solve()
+        assert len(built) == len(highs._FREE) == 1
+    brute, bisection, tightened = results
+    assert tightened.stats.extra["tighten_lps"] > 0
+    assert bisection.value == pytest.approx(brute.value, abs=1e-3)
+    assert tightened.value == pytest.approx(brute.value, abs=1e-6)

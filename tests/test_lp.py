@@ -332,8 +332,6 @@ def test_check_relu_consistency_gives_each_relus_gap_in_node_order(abs_net):
     vec[relaxation.zhat] = [2.0, -1.0]
     vec[relaxation.z] = [2.5, 1.0]  # violations 0.5 and 1.0
     np.testing.assert_allclose(check_relu_consistency(relaxation, vec), [0.5, 1.0])
-    assert check_relu_consistency(relaxation, vec, at=1) == pytest.approx(1.0)
-    np.testing.assert_allclose(check_relu_consistency(relaxation, vec, at=[1, 0]), [1.0, 0.5])
     vec[relaxation.z] = [2.0, 0.0]  # z = max(0, zhat) at both
     assert check_relu_consistency(relaxation, vec).tolist() == [0.0, 0.0]
 
@@ -526,11 +524,11 @@ def _reference_node_vectors(net, problem, bounds, state, relaxation):
     dense = relaxation.lp.matrix.toarray()
     row_upper = relaxation.lp.row_upper.copy()
     for i, node in enumerate(net.relu_node_ids()):
-        if state.phase[i] == UNDETERMINED:
+        if state[i] == UNDETERMINED:
             continue
         pre = int(imap.pre[net.relu_layers[node.layer]][node.node])
         post = int(imap.post[net.relu_layers[node.layer]][node.node])
-        if state.phase[i] == ACTIVE:
+        if state[i] == ACTIVE:
             if relaxation.phase[i] == UNDETERMINED:  # a ReLU the root bounds fix has no link row
                 link = np.zeros(imap.n_vars)
                 link[[post, pre]] = 1.0, -1.0

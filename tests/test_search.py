@@ -27,7 +27,7 @@ from reluopt import (
 from reluopt.bounds import phases
 from reluopt.geometry import linf_epigraph
 from reluopt.model import NodeId, evaluate
-from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, phase_state
+from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, fingerprint, phase_state
 
 from conftest import box, output_max_problem, random_net, sample_max
 
@@ -37,15 +37,15 @@ from conftest import box, output_max_problem, random_net, sample_max
 # and infeasible, grandchildren 9 (consistent) and 7 (prunable).
 
 
-def scripted_evaluator(script):
-    """Evaluator driven by a fingerprint -> outcome table, applying the same
-    pruning rule as the real region evaluation: a region whose bound cannot
-    beat the incumbent is WorseThanOpt."""
+def scripted_evaluator(net, script):
+    """Evaluator driven by a fingerprint -> outcome table over the nodes of
+    `net`, applying the same pruning rule as the real region evaluation: a
+    region whose bound cannot beat the incumbent is WorseThanOpt."""
     visits = []
 
-    def evaluate_region(state, incumbent):
-        visits.append((state.fingerprint(), incumbent))
-        entry = script[state.fingerprint()]
+    def evaluate_region(phase, incumbent):
+        visits.append((fingerprint(net, phase), incumbent))
+        entry = script[fingerprint(net, phase)]
         if entry[0] == "infeasible":
             return RegionOutcome(RegionStatus.WORSE_THAN_OPT, lp_bound=-np.inf)
         bound = entry[1]
@@ -73,7 +73,7 @@ def test_scripted_tree_prunes_seven_against_incumbent_nine(abs_net):
         "A[0.0]N[0.1]": ("optimal", 9.0, 9.0),
         "A[0.0,0.1]N[]": ("unknown", 7.0),
     }
-    evaluator, visits = scripted_evaluator(script)
+    evaluator, visits = scripted_evaluator(abs_net, script)
     problem = output_max_problem(abs_net, [1.0], [-1.0], [1.0])
     trace = io.StringIO()
     result = optimize(
@@ -108,7 +108,7 @@ def test_scripted_tree_tie_is_pruned(abs_net):
         "A[0.0]N[0.1]": ("optimal", 9.0, 9.0),
         "A[0.0,0.1]N[]": ("unknown", 9.0),
     }
-    evaluator, visits = scripted_evaluator(script)
+    evaluator, visits = scripted_evaluator(abs_net, script)
     problem = output_max_problem(abs_net, [1.0], [-1.0], [1.0])
     result = optimize(
         abs_net, problem, SearchConfig(timeout=10.0), region_evaluator=evaluator
@@ -151,16 +151,17 @@ def test_region_statuses(abs_net):
 
 def test_split_earliest(abs_net):
     state = phase_state(abs_net, [UNDETERMINED, UNDETERMINED])
-    first, second = split(state, SplitStrategy.EARLIEST_UNFIXED)
-    assert first.phase[0] == ACTIVE
-    assert second.phase[0] == INACTIVE
+    i, first, second = split(state, SplitStrategy.EARLIEST_UNFIXED)
+    assert i == 0
+    assert first[0] == ACTIVE
+    assert second[0] == INACTIVE
     leaf = phase_state(abs_net, [ACTIVE, ACTIVE])
     with pytest.raises(NoUndetermined):
         split(leaf, SplitStrategy.EARLIEST_UNFIXED)
 
 
 def test_split_largest_violation(abs_net):
-    from reluopt.lp import encode_relaxation
+    from reluopt.lp import check_relu_consistency, encode_relaxation
 
     problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
     relaxation = encode_relaxation(abs_net, problem, propagate_interval(abs_net, problem.box))
@@ -169,10 +170,48 @@ def test_split_largest_violation(abs_net):
     vec[relaxation.zhat[1]] = -1.0
     vec[relaxation.z[1]] = 2.0
     state = phase_state(abs_net, [UNDETERMINED, UNDETERMINED])
-    first, _ = split(
-        state, SplitStrategy.LARGEST_VIOLATION, lp_assignment=vec, relaxation=relaxation
-    )
-    assert first.phase[1] == ACTIVE
+    gaps = check_relu_consistency(relaxation, vec)
+    i, first, _ = split(state, SplitStrategy.LARGEST_VIOLATION, gaps)
+    assert i == 1
+    assert first[1] == ACTIVE
+
+
+def test_largest_violation_splits_at_the_largest_gap_of_an_undetermined_relu():
+    """At LP optima of partial states of random nets, largest violation
+    fixes the undetermined ReLU with the largest `check_relu_consistency`
+    gap: the earliest of equal gaps, the earliest undetermined ReLU when
+    every gap is 0, and never a fixed ReLU, whatever its gap."""
+    from reluopt.highs import LiveModel
+    from reluopt.lp import LPStatus, check_relu_consistency, encode_relaxation
+
+    rng = np.random.default_rng(29)
+    checked = ties = 0
+    for _ in range(30):
+        net = random_net(rng, n_in=3, hidden=(6, 6), n_out=1)
+        problem = output_max_problem(net, rng.normal(size=1), -np.ones(3), np.ones(3))
+        relaxation = encode_relaxation(net, problem, propagate_interval(net, problem.box))
+        with LiveModel() as model:
+            for _ in range(5):
+                phase = relaxation.phase.copy()
+                pick = (phase == UNDETERMINED) & (rng.random(len(phase)) < 0.3)
+                phase[pick] = rng.choice((ACTIVE, INACTIVE), size=int(pick.sum()))
+                res = model.solve_phase(relaxation, phase)
+                undetermined = np.flatnonzero(phase == UNDETERMINED).tolist()
+                if res.status != LPStatus.OPTIMAL or not undetermined:
+                    continue
+                gaps = check_relu_consistency(relaxation, res.assignment)
+                louder = np.where(phase == UNDETERMINED, gaps, gaps + 10.0)
+                for g in (gaps, np.round(gaps, 1), louder, np.zeros_like(gaps)):
+                    top = max(g[j] for j in undetermined)
+                    expected = min(j for j in undetermined if g[j] == top)
+                    ties += top > 0.0 and sum(g[j] == top for j in undetermined) > 1
+                    i, active, inactive = split(phase, SplitStrategy.LARGEST_VIOLATION, g)
+                    assert i == expected
+                    for child, value in ((active, ACTIVE), (inactive, INACTIVE)):
+                        assert np.flatnonzero(child != phase).tolist() == [i]
+                        assert child[i] == value and not child.flags.writeable
+                    checked += 1
+    assert checked >= 200 and ties >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +321,11 @@ def test_child_bound_never_exceeds_parent_bound():
         bounds = propagate_interval(net, b)
         problem = output_max_problem(net, [1.0], [-1.0, -1.0], [1.0, 1.0])
         state = phase_state(net, np.zeros(net.num_relu_nodes))
-        while UNDETERMINED in state.phase:
+        while UNDETERMINED in state:
             parent = optimum_for_region(net, problem, state, bounds, -np.inf)
             if parent.status is not RegionStatus.UNKNOWN:
                 break
-            first, second = split(state, SplitStrategy.EARLIEST_UNFIXED)
+            _, first, second = split(state, SplitStrategy.EARLIEST_UNFIXED)
             for child in (first, second):
                 out = optimum_for_region(net, problem, child, bounds, -np.inf)
                 if out.lp_bound != -np.inf:
@@ -443,9 +482,9 @@ def test_reused_child_is_traced_with_its_parent_bound(order):
         bounds = propagate_interval(net, problem.box)
         solved = []
 
-        def evaluator(state, incumbent):
-            solved.append(state.fingerprint())
-            return optimum_for_region(net, problem, state, bounds, incumbent)
+        def evaluator(phase, incumbent):
+            solved.append(fingerprint(net, phase))
+            return optimum_for_region(net, problem, phase, bounds, incumbent)
 
         trace = io.StringIO()
         result = optimize(
@@ -485,7 +524,7 @@ def test_node_whose_parent_bound_is_beaten_reaches_no_evaluator(abs_net, order):
         "A[0.0]N[0.1]": ("optimal", 19.0, 19.0),
         "A[0.0,0.1]N[]": ("optimal", 19.0, 19.0),
     }
-    evaluator, visits = scripted_evaluator(script)
+    evaluator, visits = scripted_evaluator(abs_net, script)
     problem = output_max_problem(abs_net, [1.0], [-1.0], [1.0])
     trace = io.StringIO()
     result = optimize(
@@ -546,7 +585,7 @@ def test_optimal_closes_the_gap_and_infeasible_has_no_bound(abs_net, order):
         "A[0.0]N[0.1]": ("optimal", 9.0, 9.0),
         "A[0.0,0.1]N[]": ("optimal", 7.0, 7.0),
     }
-    evaluator, _ = scripted_evaluator(script)
+    evaluator, _ = scripted_evaluator(abs_net, script)
     problem = output_max_problem(abs_net, [1.0], [-1.0], [1.0])
     config = SearchConfig(timeout=10.0, node_order=order)
     result = optimize(abs_net, problem, config, region_evaluator=evaluator)
@@ -761,7 +800,7 @@ def test_root_state_fingerprint_is_that_of_its_phase_vector():
         trace = io.StringIO()
         optimize(net, problem, bounds=bounds, trace=trace)
         first = json.loads(trace.getvalue().splitlines()[0])["state"]
-        assert first == phase_state(net, phases(bounds)).fingerprint()
+        assert first == fingerprint(net, phase_state(net, phases(bounds)))
 
 
 def test_stage_times_are_counted(abs_net):

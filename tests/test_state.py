@@ -1,10 +1,10 @@
-"""Partial activation states: one phase per ReLU node."""
+"""Partial activation states: one read-only phase per ReLU node."""
 
 import numpy as np
 import pytest
 
-from reluopt import InconsistentState
-from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, phase_state
+from reluopt import InconsistentState, NoUndetermined, SplitStrategy, split
+from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, fingerprint, phase_state
 
 from conftest import random_net
 
@@ -22,6 +22,16 @@ def _state(net, active=(), inactive=()):
     phase[list(active)] = ACTIVE
     phase[list(inactive)] = INACTIVE
     return phase_state(net, phase)
+
+
+def _fix(phase, i, active):
+    """The child of `phase` that `split` makes with node `i` active or
+    inactive, picked by a gap at `i` alone."""
+    gaps = np.zeros(len(phase))
+    gaps[i] = 1.0
+    fixed, on, off = split(phase, SplitStrategy.LARGEST_VIOLATION, gaps)
+    assert fixed == i
+    return on if active else off
 
 
 @pytest.mark.parametrize(
@@ -43,35 +53,41 @@ def test_phase_state_rejects_a_wrong_length_or_value(net, phase):
         phase_state(net, np.array(phase))
 
 
-def test_fix_rejects_a_fixed_node(net):
+def test_split_fixes_only_undetermined_nodes(net):
     state = _state(net, active={3}, inactive={13})
-    for i in (3, 13):
-        for active in (True, False):
-            with pytest.raises(InconsistentState):
-                state.fix_at(i, active)
-    child = state.fix_at(4, active=False)
-    with pytest.raises(InconsistentState):
-        child.fix_at(4, active=True)
-    assert state.phase[4] == UNDETERMINED  # the parent is unchanged
+    gaps = np.zeros(net.num_relu_nodes)
+    gaps[[3, 13]] = 5.0  # the largest gaps sit at fixed nodes
+    gaps[4] = 1.0
+    i, on, off = split(state, SplitStrategy.LARGEST_VIOLATION, gaps)
+    assert i == 4
+    assert (on[4], off[4]) == (ACTIVE, INACTIVE)
+    for child in (on, off):
+        assert np.flatnonzero(child != state).tolist() == [4]
+        assert not child.flags.writeable
+    assert state[4] == UNDETERMINED  # the parent is unchanged
+    leaf = _state(net, active=range(0, 15, 2), inactive=range(1, 15, 2))
+    for strategy in SplitStrategy:
+        with pytest.raises(NoUndetermined):
+            split(leaf, strategy, gaps)
 
 
 def test_phases_partition_the_nodes(net):
-    state = _state(net, active={2}, inactive={12}).fix_at(5, True)
-    assert np.flatnonzero(state.phase == ACTIVE).tolist() == [2, 5]
-    assert np.flatnonzero(state.phase == INACTIVE).tolist() == [12]
+    state = _fix(_state(net, active={2}, inactive={12}), 5, True)
+    assert np.flatnonzero(state == ACTIVE).tolist() == [2, 5]
+    assert np.flatnonzero(state == INACTIVE).tolist() == [12]
     undetermined = set(range(net.num_relu_nodes)) - {2, 5, 12}
-    assert set(np.flatnonzero(state.phase == UNDETERMINED).tolist()) == undetermined
+    assert set(np.flatnonzero(state == UNDETERMINED).tolist()) == undetermined
     with pytest.raises(ValueError):
-        state.phase[0] = 1  # read-only
+        state[0] = 1  # read-only
 
 
 def test_fingerprint_text(net):
     # Trace records and the scripted search tests key on this exact text.
-    assert _state(net).fingerprint() == "A[]N[]"
+    assert fingerprint(net, _state(net)) == "A[]N[]"
     state = _state(net, active={10, 14, 2}, inactive={11, 0})
-    assert state.fingerprint() == "A[0.2,0.10,1.2]N[0.0,0.11]"
-    child = state.fix_at(12, active=False).fix_at(9, active=True)
-    assert child.fingerprint() == "A[0.2,0.9,0.10,1.2]N[0.0,0.11,1.0]"
+    assert fingerprint(net, state) == "A[0.2,0.10,1.2]N[0.0,0.11]"
+    child = _fix(_fix(state, 12, False), 9, True)
+    assert fingerprint(net, child) == "A[0.2,0.9,0.10,1.2]N[0.0,0.11,1.0]"
 
 
 def test_phase_state_copies_a_phase_vector(net):
@@ -79,23 +95,19 @@ def test_phase_state_copies_a_phase_vector(net):
     phase[[3, 13]] = ACTIVE, INACTIVE
     state = phase_state(net, phase)
     phase[0] = ACTIVE  # the state keeps its own copy
-    assert state.phase.tolist() == [0, 0, 0, 1] + [0] * 9 + [-1, 0]
-    assert not state.phase.flags.writeable
+    assert state.tolist() == [0, 0, 0, 1] + [0] * 9 + [-1, 0]
+    assert state.dtype == np.int8
+    assert not state.flags.writeable
     with pytest.raises(InconsistentState):
         phase_state(net, phase[:-1])
 
 
 def test_a_state_built_without_phase_state_fingerprints_alike(net):
-    """Search builds its root state straight from a read-only phase vector;
+    """Search takes its root state straight from a read-only phase vector;
     it names its nodes as a checked state does."""
-    from reluopt.state import PartialActivationState
-
     phase = np.zeros(net.num_relu_nodes, np.int8)
     phase[[2, 10, 14]], phase[[0, 11]] = ACTIVE, INACTIVE
     phase.flags.writeable = False
-    state = PartialActivationState(phase, net)
     expected = "A[0.2,0.10,1.2]N[0.0,0.11]"
-    assert state.fingerprint() == phase_state(net, phase).fingerprint() == expected
-    assert state.fix_at(12, active=False).fingerprint() == "A[0.2,0.10,1.2]N[0.0,0.11,1.0]"
-    with pytest.raises(InconsistentState, match=r"NodeId\(layer=0, node=2\)"):
-        state.fix_at(2, active=False)
+    assert fingerprint(net, phase) == fingerprint(net, phase_state(net, phase)) == expected
+    assert fingerprint(net, _fix(phase, 12, False)) == "A[0.2,0.10,1.2]N[0.0,0.11,1.0]"
