@@ -24,7 +24,13 @@ SAFETY_MARGIN = 1e-7
 IMPROVEMENT_THRESHOLD = 1e-9
 POST_CONSISTENCY_EPS = 1e-9
 # The counts `tighten_lp` accumulates.
-COUNTERS = ("simplex_iters", "tighten_lps", "tighten_skipped", "tighten_limit_hits")
+COUNTERS = (
+    "simplex_iters",
+    "tighten_lps",
+    "tighten_skipped",
+    "tighten_limit_hits",
+    "tighten_exact",
+)
 
 
 @dataclass(frozen=True)
@@ -183,6 +189,26 @@ def fixed_by_bounds(b: BoundsMap) -> FixedByBounds:
     return FixedByBounds(by_phase(ACTIVE), by_phase(INACTIVE))
 
 
+def _narrowed(lo, hi, post_lo, post_hi, top, bottom):
+    """Tightening's one rule for ReLUs whose zhat, under bounds [lo, hi] and
+    post bounds [post_lo, post_hi], ranges up to `top` and down to `bottom`
+    (an LP optimum or its closed form; hi or lo where no LP gave one). A
+    side moves to that value widened by SAFETY_MARGIN when that improves it
+    by at least IMPROVEMENT_THRESHOLD. The post bounds then follow as
+    max(0, pre): with z >= 0 and z >= zhat as an undetermined ReLU's only
+    rows below z, an LP over z could not do better; and hi <= 0 fixes
+    z <= 0. Returns the new (lo, hi, post_lo, post_hi)."""
+    top, bottom = top + SAFETY_MARGIN, bottom - SAFETY_MARGIN
+    hi = np.where(hi - top >= IMPROVEMENT_THRESHOLD, top, hi)
+    lo = np.where(bottom - lo >= IMPROVEMENT_THRESHOLD, bottom, lo)
+    post_lo = np.maximum(post_lo, np.maximum(lo - POST_CONSISTENCY_EPS, 0.0))
+    post_hi = np.minimum(post_hi, np.maximum(0.0, hi) + POST_CONSISTENCY_EPS)
+    crossed = post_lo > post_hi  # numerically crossed: keep a sound order
+    post_lo = np.where(crossed, np.maximum(0.0, post_hi), post_lo)
+    post_hi = np.where(crossed, post_lo, post_hi)
+    return lo, hi, post_lo, np.where(hi <= 0.0, 0.0, post_hi)
+
+
 def tighten_lp(
     net: Network,
     input_box: Hyperrectangle,
@@ -191,39 +217,48 @@ def tighten_lp(
     deadline: Optional[float] = None,
     counters: Optional[dict] = None,
 ) -> BoundsMap:
-    """Progressive LP tightening: visit ReLU nodes in topological order and,
-    for each node whose phase the seed leaves open, solve two LPs (max and
-    min of zhat) over the relaxation under the current bounds. A bound is
-    replaced only when the LP finishes within its time limit and improves it
-    by at least the improvement threshold. The post-activation bounds then
-    follow as post = max(0, pre): with z >= 0 and z >= zhat as an
-    undetermined node's only rows below z, an LP over z could not do better.
-    Improved bounds are visible to later nodes immediately.
+    """Progressive LP tightening: visit the ReLUs whose phase the seed
+    leaves open in topological order and, for each, find the max and the
+    min of its zhat over the relaxation under the current bounds. A bound
+    is replaced only when that value is known (an LP finished within its
+    time limit) and improves it by at least the improvement threshold
+    (`_narrowed`). A ReLU whose new bounds fix its phase gets that phase,
+    and later ReLUs see the new bounds and phases.
 
     The LPs relax each ReLU as B&B's root node does: the phases the seed
     fixes (`phases`) are written into the LP by `build_relaxed_lp`, with a
-    triangle row for each ReLU it leaves undetermined, and a node whose own
-    LPs fix its phase gets that phase too, before later nodes are solved. A
-    phase fixed in a later layer can cut an earlier node's LP as well,
-    through the column bounds of the layers after it.
+    triangle row for each ReLU it leaves undetermined. A phase fixed in a
+    later layer can cut an earlier ReLU's LP as well, through the column
+    bounds of the layers after it.
 
-    A node whose phase the seed fixes is skipped and keeps the seed's
+    A ReLU is given its range in closed form, with no LP, when every ReLU
+    of the layers before it is fixed, by the seed or by tightening so far.
+    Its zhat is then an affine function of x, and the bounds are sound, so
+    the forward pass at any x of the box is a point of the LP: the LP
+    optimum is the exact range of that function over the box.
+    `_interval_step` gives it for the first layer and `_back_substitute`,
+    with the exact slopes of the fixed layers, after that; `_narrowed`
+    applies it as it applies an LP optimum. When no ReLU is left that needs
+    an LP, no relaxation is encoded and no live model is taken.
+
+    A ReLU whose phase the seed fixes is skipped and keeps the seed's
     bounds. Its phase is written into every LP (z = zhat or z = 0), so the
-    node is linear there, and any bound its own LPs could return the LP
+    ReLU is linear there, and any bound its own LPs could return the LP
     already implies. Narrowing its interval would therefore cut no later
     tightening LP, each of which lies inside the one before, nor B&B's root
-    LP, which lies inside the last. Only a node's own LPs change its bounds,
-    so its phase when visited is the seed's.
+    LP, which lies inside the last.
 
     All LPs are re-solved in one live HiGHS model, released on return; only
     bounds and the cost change between them. Each LP's time limit is
     `per_query_timeout`, cut to the time left before `deadline` (a
-    `time.monotonic()` reading); once that is spent, tightening stops and
-    keeps the bounds found so far.
+    `time.monotonic()` reading); once that is spent, tightening stops before
+    the next ReLU or LP and keeps the bounds found so far.
     `counters`, when given, accumulates `simplex_iters`, `tighten_lps` (LPs
-    solved), `tighten_skipped` (the two LPs of each node the seed fixes) and
-    `tighten_limit_hits` (LPs stopped by their time limit). Each node visited
-    adds two to the last three, unless one of its LPs fails numerically.
+    solved), `tighten_skipped` (the two LPs of each ReLU the seed fixes),
+    `tighten_limit_hits` (LPs stopped by their time limit) and, once a ReLU
+    is given its range in closed form, `tighten_exact` (two per such ReLU).
+    Each ReLU visited adds two to the last four together, unless one of its
+    LPs fails numerically.
     """
     from .highs import LiveModel
     from .lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
@@ -232,45 +267,101 @@ def tighten_lp(
         return seed
     if counters is None:
         counters = {}
+    # `tighten_exact` is set when first counted, so a call that visits no
+    # ReLU reports the LP counts alone.
     for name in COUNTERS:
-        counters.setdefault(name, 0)
+        if name != "tighten_exact":
+            counters.setdefault(name, 0)
 
-    relaxation = encode_relaxation(net, OptimizationProblem(input_box, Objective()), seed)
-    lp = build_relaxed_lp(relaxation, relaxation.phase)
-    imap = relaxation.imap
-    # The bounds and phases, tightened in place: the build made these copies.
-    row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper
+    # The bounds of every ReLU in `relu_node_ids()` order, tightened in place.
+    relu_side = lambda side: np.concatenate([np.empty(0), *(side[k] for k in seed.relu_layers)])
+    lo, hi, post_lo, post_hi = (
+        relu_side(s) for s in (seed.pre_lower, seed.pre_upper, seed.post_lower, seed.post_upper)
+    )
+    fixed = phases(seed) != UNDETERMINED
+    node = lambda i: tuple(net.relu_node_ids()[i])  # for log lines only
+    ends = np.cumsum([len(seed.pre_lower[k]) for k in seed.relu_layers], dtype=int)
+    span = {k: slice(end - len(seed.pre_lower[k]), end) for k, end in zip(seed.relu_layers, ends)}
 
-    def current() -> BoundsMap:
+    def time_left() -> float:
+        if deadline is None:
+            return per_query_timeout
+        return min(per_query_timeout, deadline - time.monotonic())
+
+    def finish(i: int) -> BoundsMap:
+        """The bounds tightened so far, with tightening ended before ReLU
+        `i`: early, by the budget, unless `i` is past the last ReLU."""
+        if i < len(fixed):
+            log.warning(
+                "bound tightening stopped at node %s: the search budget is spent", node(i)
+            )
+        counters["tighten_skipped"] += 2 * int(np.count_nonzero(fixed[:i]))
+        sides = lambda values, seed_sides: tuple(
+            values[span[k]] if k in span else side for k, side in enumerate(seed_sides)
+        )
+
         return BoundsMap(
             input_lower=seed.input_lower,
             input_upper=seed.input_upper,
-            pre_lower=tuple(lower[columns] for columns in imap.pre),
-            pre_upper=tuple(upper[columns] for columns in imap.pre),
-            post_lower=tuple(lower[columns] for columns in imap.post),
-            post_upper=tuple(upper[columns] for columns in imap.post),
+            pre_lower=sides(lo, seed.pre_lower),
+            pre_upper=sides(hi, seed.pre_upper),
+            post_lower=sides(post_lo, seed.post_lower),
+            post_upper=sides(post_hi, seed.post_upper),
             relu_layers=seed.relu_layers,
         )
 
+    # Closed form, layer by layer while every ReLU before the layer is fixed.
+    x_lo, x_hi = input_box.lower, input_box.upper
+    relaxations, first = [], 0  # the exact relaxations so far; the first ReLU after them
+    for k, layer in enumerate(net.layers):
+        layer_lo = layer_hi = None
+        if k in span:
+            visit = span[k].start + np.flatnonzero(~fixed[span[k]])
+            if visit.size:
+                if time_left() <= 0.0:
+                    return finish(int(visit[0]))
+                if k:
+                    bottom, top = _back_substitute(net.layers, relaxations, k, x_lo, x_hi)
+                else:
+                    bottom, top = _interval_step(layer, x_lo, x_hi)
+                at = visit - span[k].start
+                lo[visit], hi[visit], post_lo[visit], post_hi[visit] = _narrowed(
+                    lo[visit], hi[visit], post_lo[visit], post_hi[visit], top[at], bottom[at]
+                )
+                counters["tighten_exact"] = counters.get("tighten_exact", 0) + 2 * visit.size
+            first = span[k].stop
+            layer_lo, layer_hi = lo[span[k]], hi[span[k]]
+            if (_phase(layer_lo, layer_hi) == UNDETERMINED).any():
+                break
+        relaxations.append(_relaxation(layer, layer_lo, layer_hi))
+    visit = first + np.flatnonzero(~fixed[first:])
+    if not visit.size:
+        return finish(len(fixed))
+
+    # One LP each way for every other open ReLU, in the seed's relaxation
+    # with the bounds and phases found so far written in.
+    relaxation = encode_relaxation(net, OptimizationProblem(input_box, Objective()), seed)
+    lp = build_relaxed_lp(relaxation, relaxation.phase)
+    row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper  # copies the build made
+
+    def write(i) -> None:
+        """Write the bounds of the seed's open ReLUs `i` into the LP, with
+        the phase they fix as `build_relaxed_lp` writes it: z = 0 through
+        the post bounds, z = zhat through the link row."""
+        zhat, z = relaxation.zhat[i], relaxation.z[i]
+        lower[zhat], upper[zhat], lower[z], upper[z] = lo[i], hi[i], post_lo[i], post_hi[i]
+        row_upper[relaxation.link[i][(lo[i] >= 0.0) & (hi[i] > 0.0)]] = 0.0
+
+    write(np.flatnonzero(~fixed[:first]))
     with LiveModel() as model:
-        columns = relaxation.zhat, relaxation.z, relaxation.link
-        for node, phase, zhat, z, link in zip(net.relu_node_ids(), relaxation.phase, *columns):
-            if phase != UNDETERMINED:
-                counters["tighten_skipped"] += 2
-                continue
+        for i in visit:
             obj = np.zeros(lp.n_vars)
-            obj[zhat] = 1.0
-            lo, hi = lower[zhat], upper[zhat]
+            obj[relaxation.zhat[i]] = 1.0
+            top, bottom = hi[i], lo[i]
             for maximize in (True, False):
-                limit = per_query_timeout
-                if deadline is not None:
-                    limit = min(limit, deadline - time.monotonic())
-                    if limit <= 0.0:
-                        log.warning(
-                            "bound tightening stopped at node %s: the search budget is spent",
-                            tuple(node),
-                        )
-                        return current()
+                limit = time_left()
+                if limit <= 0.0:
+                    return finish(int(i))
                 try:
                     res = solve_lp(
                         lp.with_objective(obj, maximize=maximize), time_limit=limit, model=model
@@ -279,36 +370,20 @@ def tighten_lp(
                     counters["tighten_limit_hits"] += 1
                     log.warning(
                         "bound kept at node %s: LP stopped at its %.3g s time limit",
-                        tuple(node),
+                        node(i),
                         limit,
                     )
                     continue
                 except NumericalFailure as exc:
-                    log.debug("bound kept at node %s: %s", tuple(node), exc)
+                    log.debug("bound kept at node %s: %s", node(i), exc)
                     continue
                 counters["tighten_lps"] += 1
                 counters["simplex_iters"] += res.iterations
-                if res.status != LPStatus.OPTIMAL:
-                    continue
-                if maximize:
-                    cand = res.value + SAFETY_MARGIN
-                    if hi - cand >= IMPROVEMENT_THRESHOLD:
-                        hi = cand
-                else:
-                    cand = res.value - SAFETY_MARGIN
-                    if cand - lo >= IMPROVEMENT_THRESHOLD:
-                        lo = cand
-            # Both LPs of a node see the same bounds; later nodes see the new ones,
-            # with the post bounds kept consistent: post = max(0, pre).
-            lower[zhat], upper[zhat] = lo, hi
-            lower[z] = max(lower[z], max(0.0, lo) - POST_CONSISTENCY_EPS, 0.0)
-            upper[z] = min(upper[z], max(0.0, hi) + POST_CONSISTENCY_EPS)
-            if lower[z] > upper[z]:  # numerically crossed, keep sound order
-                lower[z] = upper[z] = max(0.0, upper[z])
-            # The phase the bounds fix, as build_relaxed_lp writes it.
-            if hi <= 0.0:
-                upper[z] = 0.0  # z = 0
-            elif lo >= 0.0:
-                row_upper[link] = 0.0  # z = zhat
-
-    return current()
+                if res.status == LPStatus.OPTIMAL:
+                    top, bottom = (res.value, bottom) if maximize else (top, res.value)
+            # Both LPs of a ReLU see the same bounds; later ReLUs see the new ones.
+            lo[i], hi[i], post_lo[i], post_hi[i] = _narrowed(
+                lo[i], hi[i], post_lo[i], post_hi[i], top, bottom
+            )
+            write([i])
+    return finish(len(fixed))

@@ -15,6 +15,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .model import evaluate
+
 if TYPE_CHECKING:
     from .geometry import Hyperrectangle
 
@@ -128,28 +130,27 @@ class OptimizationProblem:
             return 0.0
         return float(np.max(np.abs(np.asarray(x, dtype=np.float64) - self.x0)))
 
-    def objective_at(self, net, x) -> float:
-        """True objective value at input x (y recomputed by forward pass)."""
-        from .model import evaluate
+    def objective_at(self, net, x, y=None) -> float:
+        """True objective value at input x, with its output y from a forward
+        pass (run here when y is not given)."""
+        y = evaluate(net, x) if y is None else y
+        return self.objective.value(x, y, self.t_of(x))
 
-        return self.objective.value(x, evaluate(net, x), self.t_of(x))
-
-    def row_violation(self, net, x) -> float:
-        """The most that input x fails a row by, with y recomputed by forward
-        pass; 0 when every row holds, NaN when a row evaluates to NaN."""
-        from .model import evaluate
-
+    def row_violation(self, net, x, y=None) -> float:
+        """The most that input x fails a row by, with its output y from a
+        forward pass (run here when y is not given); 0 when every row holds,
+        NaN when a row evaluates to NaN."""
         x = np.asarray(x, dtype=np.float64)
-        y = evaluate(net, x)
+        y = evaluate(net, x) if y is None else y
         t = self.t_of(x)
         return float(np.max([0.0, *(r.violation(x, y, t) for r in self.rows)]))
 
-    def violation(self, net, x) -> float:
+    def violation(self, net, x, y=None) -> float:
         """The most that input x leaves the box or fails a row by; 0 when x
-        is feasible."""
+        is feasible; `y` as for `row_violation`."""
         x = np.asarray(x, dtype=np.float64)
         outside = np.maximum(self.box.lower - x, x - self.box.upper)
-        return float(np.max([self.row_violation(net, x), *outside]))
+        return float(np.max([self.row_violation(net, x, y), *outside]))
 
     def rows_satisfied(self, net, x, tol: float = 1e-6) -> bool:
         return self.row_violation(net, x) <= tol

@@ -38,7 +38,7 @@ from .lp import (  # noqa: F401
     solve_lp,
     split_assignment,
 )
-from .model import Network
+from .model import Network, evaluate
 from .problems import OptimizationProblem
 from .state import ACTIVE, INACTIVE, UNDETERMINED, fingerprint
 
@@ -73,6 +73,7 @@ class RegionOutcome:
     lp_bound: float
     value: Optional[float] = None
     assignment: Optional[np.ndarray] = None  # input vector (Optimal only)
+    output: Optional[np.ndarray] = None  # the network's output there (Optimal only)
     lp_assignment: Optional[np.ndarray] = None  # full LP vector (Unknown only)
     gaps: Optional[np.ndarray] = None  # |z - max(0, zhat)| per ReLU there (Unknown only)
     iterations: int = 0  # simplex iterations of the region's LP
@@ -138,8 +139,8 @@ def optimum_for_region(
     """Solve the relaxed LP for the region of the phase vector `phase`.
     Infeasible regions and regions whose LP bound cannot beat the incumbent
     report WorseThanOpt; a consistent LP optimum, its x clipped into the
-    box, is the region optimum; otherwise Unknown, with the LP point and its
-    `gaps`.
+    box, is the region optimum, valued at the output of one forward pass
+    there (`output`); otherwise Unknown, with the LP point and its `gaps`.
 
     `relaxation` is the problem's `encode_relaxation(net, problem, bounds)`,
     encoded here when not given, and `model` the live HiGHS model its LPs
@@ -164,9 +165,14 @@ def optimum_for_region(
     gaps = check_relu_consistency(relaxation, res.assignment)
     if (gaps <= CONSISTENCY_TOL).all():
         x = np.clip(res.assignment[relaxation.imap.x], problem.box.lower, problem.box.upper)
-        value = problem.objective_at(net, x)
+        y = evaluate(net, x)
         return RegionOutcome(
-            RegionStatus.OPTIMAL, lp_bound=bound, value=value, assignment=x, iterations=its
+            RegionStatus.OPTIMAL,
+            lp_bound=bound,
+            value=problem.objective_at(net, x, y),
+            assignment=x,
+            output=y,
+            iterations=its,
         )
     return RegionOutcome(
         RegionStatus.UNKNOWN, bound, lp_assignment=res.assignment, gaps=gaps, iterations=its
@@ -246,14 +252,17 @@ def optimize(
     as Timeout. `stats.extra` counts the simplex iterations of all LPs
     (`simplex_iters`) and the tightening LPs solved (`tighten_lps`), skipped
     because the back-substitution bounds already fix their ReLU's phase
-    (`tighten_skipped`) and stopped by their time limit
+    (`tighten_skipped`), not needed because the ReLU's range has a closed
+    form (`tighten_exact`) and stopped by their time limit
     (`tighten_limit_hits`), and the seconds spent on the root bounds
     (`bounds_s`), the root LP (`encode_s`) and node evaluation (`lp_s`). It
     also holds the global upper `bound`, the largest of the incumbent and
     the parent bounds of the nodes still open, and the `gap` from the
     incumbent up to it (inf without an incumbent).
     A result with an argopt re-checks it by a forward pass: `max_violation`
-    is the most it leaves the box or fails a row by (0 when it holds).
+    is the most it leaves the box or fails a row by (0 when it holds), read
+    from the output its leaf was valued at (a forward pass here when the
+    outcome carries none).
 
     `bounds` defaults to `root_bounds` under `config.tighten_timeout`.
     """
@@ -268,6 +277,7 @@ def optimize(
 
     incumbent = -np.inf
     argopt: Optional[np.ndarray] = None
+    output: Optional[np.ndarray] = None  # the network's output at argopt, when known
 
     # One encoding and one live model per call, so a problem's node
     # sequence never depends on problems solved before it. The root is the
@@ -341,7 +351,7 @@ def optimize(
             if outcome.status is RegionStatus.OPTIMAL:
                 if outcome.value > incumbent:
                     incumbent = outcome.value
-                    argopt = outcome.assignment
+                    argopt, output = outcome.assignment, outcome.output
                 continue
             i, active, inactive = split(phase, config.split_strategy, outcome.gaps)
             push(inactive, outcome, i)
@@ -353,7 +363,7 @@ def optimize(
     stats.extra["bound"] = global_bound
     stats.extra["gap"] = global_bound - incumbent if argopt is not None else np.inf
     if argopt is not None:
-        stats.extra["max_violation"] = problem.violation(net, argopt)
+        stats.extra["max_violation"] = problem.violation(net, argopt, output)
     if timed_out:
         value = None if argopt is None else incumbent
         return SearchResult(Status.TIMEOUT, value=value, argopt=argopt, stats=stats)

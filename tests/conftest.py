@@ -197,6 +197,27 @@ def read_lp_with_highs(text, names=None):
 # Network factories
 
 
+def closed_form_relus(net, seed, tight):
+    """The ReLUs to which tightening from `seed` to `tight` (with no time
+    limit reached) gives their range in closed form, as a mask in
+    `relu_node_ids()` order: the ones the seed leaves open in every layer
+    up to and including the first layer in which `tight` leaves one open.
+    Every ReLU before such a layer is fixed."""
+    from reluopt.bounds import phases
+    from reluopt.state import UNDETERMINED
+
+    before, after = phases(seed), phases(tight)
+    mask = np.zeros(len(before), bool)
+    first = 0
+    for width in net.relu_layer_widths():
+        layer = slice(first, first + width)
+        mask[layer] = before[layer] == UNDETERMINED
+        if (after[layer] == UNDETERMINED).any():
+            break
+        first += width
+    return mask
+
+
 def random_net(rng, n_in=2, hidden=(4,), n_out=1, weight_scale=1.0):
     layers = []
     widths = [n_in, *hidden, n_out]

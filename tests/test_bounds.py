@@ -12,7 +12,7 @@ from reluopt.bounds import BoundsMap, fixed_by_bounds, phases
 from reluopt.model import forward_trace
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED
 
-from conftest import box, random_net
+from conftest import box, closed_form_relus, random_net
 
 
 def _assert_sound(net, bounds, b, rng, samples=500, tol=1e-9):
@@ -160,6 +160,10 @@ def test_tighten_strictly_improves_correlated_net():
     assert _pre(tight, 1, 1) == _pre(seed, 1, 1) == (0.0, 4.0)
     assert _post(tight, 1, 1) == _post(seed, 1, 1)
     assert counters["tighten_skipped"] == 2
+    # The first layer's two ReLUs get their range in closed form; the open
+    # ReLU behind them needs its two LPs.
+    assert counters["tighten_exact"] == 4
+    assert counters["tighten_lps"] == 2
 
 
 def test_bounds_map_node_accessors(abs_net):
@@ -568,6 +572,13 @@ def test_skipping_fixed_relus_gives_the_root_lp_of_tightening_every_relu():
             atol=SAFETY_MARGIN,
         )
         assert counters["tighten_skipped"] == 2 * np.count_nonzero(~opened)
+        exact = 2 * np.count_nonzero(closed_form_relus(net, seed, tight))
+        assert counters.get("tighten_exact", 0) == exact
+        assert counters["tighten_limit_hits"] == 0
+        assert (
+            counters["tighten_lps"] + counters["tighten_skipped"] + exact
+            == 2 * net.num_relu_nodes
+        )
         skipped += counters["tighten_skipped"]
     assert skipped > 0
 
@@ -591,9 +602,14 @@ def test_tightening_counts_each_lp_as_solved_skipped_or_stopped(monkeypatch):
         b = box(-half_width * np.ones(4), half_width * np.ones(4))
         seed = propagate_symbolic(net, b)
         counters, calls[:] = {}, []
-        tighten_lp(net, b, seed, timeout, counters=counters)
+        tight = tighten_lp(net, b, seed, timeout, counters=counters)
+        exact = counters["tighten_exact"]
+        assert exact == 2 * np.count_nonzero(closed_form_relus(net, seed, tight)) > 0
         visited = (
-            counters["tighten_lps"] + counters["tighten_skipped"] + counters["tighten_limit_hits"]
+            counters["tighten_lps"]
+            + counters["tighten_skipped"]
+            + exact
+            + counters["tighten_limit_hits"]
         )
         assert visited == 2 * net.num_relu_nodes
         assert counters["tighten_lps"] + counters["tighten_limit_hits"] == len(calls)
@@ -605,3 +621,121 @@ def test_tightening_counts_each_lp_as_solved_skipped_or_stopped(monkeypatch):
         else:
             assert counters["tighten_limit_hits"] > 0
     assert fixed_total > 0
+
+
+# ---------------------------------------------------------------------------
+# Closed-form ranges of ReLUs behind no open ReLU
+
+
+def _affine_range(net, b, phase, k):
+    """The range over box b of layer k's pre-activation, with every ReLU
+    before layer k in its phase in `phase`: composed as one affine map of x
+    and bounded at the box's corners."""
+    a, c = np.eye(net.input_dim), np.zeros(net.input_dim)
+    first = 0
+    for j, layer in enumerate(net.layers[: k + 1]):
+        a, c = layer.weights @ a, layer.weights @ c + layer.biases
+        if j < k and j in net.relu_layers:
+            on = (phase[first : first + layer.out_width] == ACTIVE).astype(float)
+            first += layer.out_width
+            a, c = on[:, None] * a, on * c
+    pos, neg = np.maximum(a, 0.0), np.minimum(a, 0.0)
+    return c + pos @ b.lower + neg @ b.upper, c + pos @ b.upper + neg @ b.lower
+
+
+def _layer_closing_net():
+    """x in [1, 2]. The first layer's two ReLUs, both x, are active on the
+    box. The second layer's first ReLU has pre-activation z0 - z1 + 0.5 =
+    0.5, which interval bounds see as [-0.5, 1.5], and its second ReLU is
+    z0 = x again. The third layer's ReLU has pre-activation a - x + 1 =
+    1.5 - x, in [-0.5, 0.5]."""
+    from reluopt import Activation, Layer, Network
+
+    return Network(
+        (
+            Layer(np.array([[1.0], [1.0]]), np.zeros(2), Activation.RELU),
+            Layer(np.array([[1.0, -1.0], [1.0, 0.0]]), np.array([0.5, 0.0]), Activation.RELU),
+            Layer(np.array([[1.0, -1.0]]), np.array([1.0]), Activation.RELU),
+            Layer(np.array([[1.0]]), np.zeros(1), Activation.IDENTITY),
+        )
+    )
+
+
+def test_closed_form_ranges_are_the_lp_optima():
+    # Tightening gives a ReLU its range in closed form when every ReLU
+    # before its layer is fixed. Here both LPs of each such ReLU are solved
+    # over the bounds tightening had when it reached the layer (tightened
+    # before it, the seed's from it on), and each optimum is the range of
+    # the affine map the fixed layers make. Tightening applied that range
+    # as it applies an LP optimum.
+    from reluopt.bounds import IMPROVEMENT_THRESHOLD, SAFETY_MARGIN
+    from reluopt.lp import build_relaxed_lp, encode_relaxation, solve_lp
+    from reluopt.problems import Objective, OptimizationProblem
+
+    nets = [(_layer_closing_net(), box([1.0], [2.0]))] + list(_tightening_cases())
+    solved = closed_behind_closed = 0
+    for net, b in nets:
+        for seed in (propagate_interval(net, b), propagate_symbolic(net, b)):
+            counters = {}
+            tight = tighten_lp(net, b, seed, per_query_timeout=5.0, counters=counters)
+            closed = closed_form_relus(net, seed, tight)
+            assert counters.get("tighten_exact", 0) == 2 * np.count_nonzero(closed)
+            phase = phases(tight)
+            first = 0
+            for k in net.relu_layers:
+                layer = np.arange(first, first + net.layers[k].out_width)
+                first += len(layer)
+                if not closed[layer].any():
+                    continue
+                closed_behind_closed += bool(
+                    (phases(seed)[: layer[0]] == UNDETERMINED).any()
+                )
+                sides = [
+                    tuple(t[:k]) + tuple(s[k:])
+                    for t, s in zip(
+                        (tight.pre_lower, tight.pre_upper, tight.post_lower, tight.post_upper),
+                        (seed.pre_lower, seed.pre_upper, seed.post_lower, seed.post_upper),
+                    )
+                ]
+                current = BoundsMap(seed.input_lower, seed.input_upper, *sides, seed.relu_layers)
+                relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), current)
+                lp = build_relaxed_lp(relaxation, relaxation.phase)
+                bottom, top = _affine_range(net, b, phase, k)
+                for j in np.flatnonzero(closed[layer]):
+                    obj = np.zeros(lp.n_vars)
+                    obj[relaxation.zhat[layer[j]]] = 1.0
+                    high = solve_lp(lp.with_objective(obj, maximize=True)).value
+                    low = solve_lp(lp.with_objective(obj, maximize=False)).value
+                    assert high == pytest.approx(top[j], rel=0.0, abs=1e-9)
+                    assert low == pytest.approx(bottom[j], rel=0.0, abs=1e-9)
+                    hi, lo = seed.pre_upper[k][j], seed.pre_lower[k][j]
+                    if hi - (top[j] + SAFETY_MARGIN) >= IMPROVEMENT_THRESHOLD:
+                        hi = top[j] + SAFETY_MARGIN
+                    if bottom[j] - SAFETY_MARGIN - lo >= IMPROVEMENT_THRESHOLD:
+                        lo = bottom[j] - SAFETY_MARGIN
+                    assert tight.pre_upper[k][j] == pytest.approx(hi, rel=0.0, abs=1e-12)
+                    assert tight.pre_lower[k][j] == pytest.approx(lo, rel=0.0, abs=1e-12)
+                    solved += 1
+    assert solved > 0 and closed_behind_closed > 0
+
+
+def test_tightening_closes_a_layer_and_gives_the_next_its_range_without_an_lp(monkeypatch):
+    import reluopt.lp
+
+    monkeypatch.setattr(reluopt.lp, "encode_relaxation", None)  # no LP may be set up
+    net, b = _layer_closing_net(), box([1.0], [2.0])
+    seed = propagate_interval(net, b)
+    assert phases(seed).tolist() == [ACTIVE, ACTIVE, UNDETERMINED, ACTIVE, UNDETERMINED]
+    counters = {}
+    tight = tighten_lp(net, b, seed, per_query_timeout=5.0, counters=counters)
+    assert counters == {
+        "simplex_iters": 0,
+        "tighten_lps": 0,
+        "tighten_skipped": 6,
+        "tighten_exact": 4,
+        "tighten_limit_hits": 0,
+    }
+    assert phases(tight).tolist() == [ACTIVE, ACTIVE, ACTIVE, ACTIVE, UNDETERMINED]
+    assert _pre(tight, 1, 0) == pytest.approx((0.5, 0.5), abs=2e-7)
+    assert _pre(tight, 2, 0) == pytest.approx((-0.5, 0.5), abs=2e-7)
+    _assert_sound(net, tight, b, np.random.default_rng(5), samples=200, tol=0.0)

@@ -288,7 +288,7 @@ def test_solves_give_back_every_instance_they_take(monkeypatch):
     """Brute force (a cold `solve_lp` per leaf), bisection (a cold root LP
     between searches), a search that tightens its bounds first, and a search
     whose node LP raises each build at most one HiGHS instance and leave it
-    on the free list."""
+    on the free list. Tightening that needs no LP builds none."""
     from reluopt import (
         BisectionConfig,
         SearchConfig,
@@ -296,6 +296,7 @@ def test_solves_give_back_every_instance_they_take(monkeypatch):
         brute_force_optimize,
         optimize,
         phases,
+        root_bounds,
     )
 
     from conftest import output_max_problem
@@ -303,6 +304,9 @@ def test_solves_give_back_every_instance_they_take(monkeypatch):
     net = random_net(np.random.default_rng(3), n_in=2, hidden=(8,), n_out=1)
     problem = output_max_problem(net, [1.0], [-1.0, -1.0], [1.0, 1.0])
     assert np.count_nonzero(phases(propagate_interval(net, problem.box)) == UNDETERMINED) >= 6
+    # Tightening solves LPs only for an open ReLU behind an open ReLU.
+    deep = random_net(np.random.default_rng(3), n_in=2, hidden=(6, 6), n_out=1)
+    deep_problem = output_max_problem(deep, [1.0], [-1.0, -1.0], [1.0, 1.0])
     built = []
     make = highs._core._Highs
     monkeypatch.setattr(highs._core, "_Highs", lambda: built.append(1) or make())
@@ -319,13 +323,24 @@ def test_solves_give_back_every_instance_they_take(monkeypatch):
         lambda: results.append(brute_force_optimize(net, problem)),
         lambda: results.append(bisection_optimize(net, problem, BisectionConfig(gap=1e-3))),
         lambda: results.append(optimize(net, problem, SearchConfig(tighten_timeout=1.0))),
+        lambda: results.append(optimize(deep, deep_problem, SearchConfig(tighten_timeout=1.0))),
         failed_search,
     ):
         monkeypatch.setattr(highs, "_FREE", [])
         built.clear()
         solve()
         assert len(built) == len(highs._FREE) == 1
-    brute, bisection, tightened = results
-    assert tightened.stats.extra["tighten_lps"] > 0
+    brute, bisection, tightened, deep_tightened = results
+    assert deep_tightened.stats.extra["tighten_lps"] > 0
     assert bisection.value == pytest.approx(brute.value, abs=1e-3)
     assert tightened.value == pytest.approx(brute.value, abs=1e-6)
+    deep_brute = brute_force_optimize(deep, deep_problem)
+    assert deep_tightened.value == pytest.approx(deep_brute.value, abs=1e-6)
+
+    # One hidden layer: every open ReLU gets its range in closed form.
+    monkeypatch.setattr(highs, "_FREE", [])
+    built.clear()
+    counters = {}
+    root_bounds(net, problem.box, tighten_timeout=1.0, counters=counters)
+    assert counters["tighten_lps"] == 0 and counters["tighten_exact"] > 0
+    assert built == highs._FREE == []

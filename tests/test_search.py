@@ -29,7 +29,7 @@ from reluopt.geometry import linf_epigraph
 from reluopt.model import NodeId, evaluate
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, fingerprint, phase_state
 
-from conftest import box, output_max_problem, random_net, sample_max
+from conftest import box, closed_form_relus, output_max_problem, random_net, sample_max
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +415,18 @@ def test_search_counts_the_tightening_lps_solved_and_skipped():
     problem = output_max_problem(net, [1.0], [-1.0, -1.0], [1.0, 1.0])
     plain = optimize(net, problem).stats.extra
     assert plain["tighten_lps"] == plain["tighten_skipped"] == plain["tighten_limit_hits"] == 0
+    assert plain["tighten_exact"] == 0
     tightened = optimize(net, problem, SearchConfig(tighten_timeout=5.0)).stats.extra
-    fixed = np.count_nonzero(phases(propagate_symbolic(net, problem.box)) != UNDETERMINED)
+    seed = propagate_symbolic(net, problem.box)
+    fixed = np.count_nonzero(phases(seed) != UNDETERMINED)
+    closed = closed_form_relus(net, seed, root_bounds(net, problem.box, tighten_timeout=5.0))
     assert tightened["tighten_lps"] > 0 and fixed > 0
     assert tightened["tighten_skipped"] == 2 * fixed
-    assert tightened["tighten_lps"] + tightened["tighten_skipped"] == 2 * net.num_relu_nodes
+    assert tightened["tighten_exact"] == 2 * np.count_nonzero(closed) > 0
+    assert (
+        tightened["tighten_lps"] + tightened["tighten_skipped"] + tightened["tighten_exact"]
+        == 2 * net.num_relu_nodes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -813,3 +820,28 @@ def test_stage_times_are_counted(abs_net):
         assert sum(stages) <= result.stats.wall_seconds
     given = optimize(abs_net, problem, bounds=propagate_interval(abs_net, problem.box))
     assert given.stats.extra["bounds_s"] < given.stats.wall_seconds
+
+
+def test_a_leaf_is_valued_and_rechecked_by_one_forward_pass(monkeypatch):
+    # The argopt's max_violation is read from the output its leaf was valued
+    # at: a search runs one forward pass per Optimal leaf and no other.
+    import reluopt.model
+    import reluopt.problems
+    import reluopt.search
+
+    rng = np.random.default_rng(17)
+    net = random_net(rng, n_in=2, hidden=(6, 6), n_out=1)
+    rows = (Row(np.array([1.0, 1.0]), None, 0.0, Relation.LE, 0.5),)
+    problem = OptimizationProblem(box([-1.0, -1.0], [1.0, 1.0]), Objective(c_y=[1.0]), rows)
+    passes = []
+    original = reluopt.model.evaluate
+    counted = lambda *args, **kw: passes.append(1) or original(*args, **kw)
+    for module in (reluopt.model, reluopt.problems, reluopt.search):
+        monkeypatch.setattr(module, "evaluate", counted, raising=False)
+    sink = io.StringIO()
+    result = optimize(net, problem, trace=sink)
+    leaves = [json.loads(line)["status"] for line in sink.getvalue().splitlines()].count("optimal")
+    assert result.status is Status.OPTIMAL and leaves > 0
+    assert len(passes) == leaves
+    assert result.stats.extra["max_violation"] == problem.violation(net, result.argopt)
+    assert result.value == problem.objective_at(net, result.argopt)
