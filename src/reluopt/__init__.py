@@ -54,7 +54,6 @@ from .search import (
     SearchConfig,
     SearchResult,
     SearchStats,
-    SplitStrategy,
     Status,
     optimize,
     optimum_for_region,

@@ -255,23 +255,20 @@ def tighten_lp(
     the next ReLU or LP and keeps the bounds found so far.
     `counters`, when given, accumulates `simplex_iters`, `tighten_lps` (LPs
     solved), `tighten_skipped` (the two LPs of each ReLU the seed fixes),
-    `tighten_limit_hits` (LPs stopped by their time limit) and, once a ReLU
-    is given its range in closed form, `tighten_exact` (two per such ReLU).
-    Each ReLU visited adds two to the last four together, unless one of its
-    LPs fails numerically.
+    `tighten_limit_hits` (LPs stopped by their time limit) and `tighten_exact`
+    (two per ReLU given its range in closed form), every one of them set when
+    the call starts. Each ReLU visited adds two to the last four together,
+    unless one of its LPs fails numerically.
     """
     from .highs import LiveModel
     from .lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
 
-    if per_query_timeout <= 0.0:
-        return seed
     if counters is None:
         counters = {}
-    # `tighten_exact` is set when first counted, so a call that visits no
-    # ReLU reports the LP counts alone.
     for name in COUNTERS:
-        if name != "tighten_exact":
-            counters.setdefault(name, 0)
+        counters.setdefault(name, 0)
+    if per_query_timeout <= 0.0:
+        return seed
 
     # The bounds of every ReLU in `relu_node_ids()` order, tightened in place.
     relu_side = lambda side: np.concatenate([np.empty(0), *(side[k] for k in seed.relu_layers)])
@@ -328,7 +325,7 @@ def tighten_lp(
                 lo[visit], hi[visit], post_lo[visit], post_hi[visit] = _narrowed(
                     lo[visit], hi[visit], post_lo[visit], post_hi[visit], top[at], bottom[at]
                 )
-                counters["tighten_exact"] = counters.get("tighten_exact", 0) + 2 * visit.size
+                counters["tighten_exact"] += 2 * visit.size
             first = span[k].stop
             layer_lo, layer_hi = lo[span[k]], hi[span[k]]
             if (_phase(layer_lo, layer_hi) == UNDETERMINED).any():

@@ -25,7 +25,7 @@ from .errors import EmptyDomain, ReluOptError, SchemaError
 from .geometry import Hyperrectangle, linf_epigraph
 from .model import Activation, Layer, Network, evaluate, load_nnet, write_nnet
 from .problems import Direction, Objective, OptimizationProblem, Relation, Row
-from .search import NodeOrder, SearchConfig, SplitStrategy, Status, optimize
+from .search import NodeOrder, SearchConfig, Status, optimize
 
 KINDS = ("output_optimization", "min_adversarial_linf")
 SOLVERS = ("branch_bound", "bisection", "brute_force", "fgsm", "pgd")
@@ -61,7 +61,6 @@ class ProblemSpec:
     # solver configuration
     timeout: float = 120.0
     gap: float = 1e-4
-    split: SplitStrategy = SplitStrategy.EARLIEST_UNFIXED
     order: NodeOrder = NodeOrder.BEST_FIRST
     tighten_timeout: float = 0.0
     base_dir: str = "."
@@ -105,7 +104,6 @@ def serialize_problem(spec: ProblemSpec) -> str:
             lines.append(f"margin: {spec.margin:.17g}")
     lines.append(f"timeout: {spec.timeout:.17g}")
     lines.append(f"gap: {spec.gap:.17g}")
-    lines.append(f"split: {spec.split.value}")
     lines.append(f"order: {spec.order.value}")
     lines.append(f"tighten_timeout: {spec.tighten_timeout:.17g}")
     return "\n".join(lines) + "\n"
@@ -215,7 +213,6 @@ def parse_problem(text: str, base_dir: str = ".") -> ProblemSpec:
     for name, default, parse, holds, rule in (
         ("timeout", "120", float, lambda v: v > 0, "must be positive"),
         ("gap", "1e-4", float, lambda v: v > 0, "must be positive"),
-        ("split", "earliest", SplitStrategy, anything, ""),
         ("order", "best_first", NodeOrder, anything, ""),
         ("tighten_timeout", "0", float, lambda v: v >= 0, "must be nonnegative"),
     ):
@@ -519,10 +516,7 @@ def _run_solver(spec, net, query, solver, timeout, trace) -> ResultRecord:
 
     if solver == "branch_bound":
         config = SearchConfig(
-            split_strategy=spec.split,
-            node_order=spec.order,
-            timeout=timeout,
-            tighten_timeout=spec.tighten_timeout,
+            node_order=spec.order, timeout=timeout, tighten_timeout=spec.tighten_timeout
         )
         result = optimize(net, problem, config, trace=trace)
     elif solver == "bisection":

@@ -103,7 +103,7 @@ class LPStatus:
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LPResult:
     status: str
     value: Optional[float] = None
@@ -230,6 +230,11 @@ class LiveModel:
         """Solve the LP `lp.build_relaxed_lp` would build for `phase`, as `solve`."""
         self._sync_phase(relaxation, phase)
         return self._solve(relaxation.lp.objective, time_limit)
+
+    def row_duals(self) -> np.ndarray:
+        """The row duals of the last solve, read from the solution HiGHS
+        still holds: a solve itself reads none."""
+        return np.asarray(self._highs.getSolution().row_dual)
 
     def _solve(self, objective: np.ndarray, time_limit: Optional[float]) -> "LPResult":
         # HiGHS measures its time limit on a clock that runs through every

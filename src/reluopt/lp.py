@@ -292,6 +292,7 @@ class Relaxation:
     imap: VariableIndexMap
     lp: LinearProgram
     link: np.ndarray
+    triangle: np.ndarray
     zhat: np.ndarray
     z: np.ndarray
     phase: np.ndarray
@@ -337,14 +338,16 @@ def encode_relaxation(
     free = phase == UNDETERMINED
     z_free, zhat_free = z[free][:, None], zhat[free][:, None]
     zeros = np.zeros(len(z_free))
-    link = np.full(len(phase), -1)
+    link, triangle = np.full(len(phase), -1), np.full(len(phase), -1)
     link[free] = add(zeros, zeros + np.inf, (z_free, 1.0), (zhat_free, -1.0))
     l, u = (
         np.concatenate([np.empty(0), *(side[k] for k in net.relu_layers)])[free]
         for side in (bounds.pre_lower, bounds.pre_upper)
     )
     s = u / (u - l)
-    add(np.full_like(s, -np.inf), -s * l, (z_free, 1.0), (zhat_free, -s[:, None]))
+    triangle[free] = add(
+        np.full_like(s, -np.inf), -s * l, (z_free, 1.0), (zhat_free, -s[:, None])
+    )
 
     # The problem rows, as one block of dense coefficients.
     if problem.rows:
@@ -394,6 +397,7 @@ def encode_relaxation(
         imap,
         LinearProgram(matrix, row_lower, row_upper, lower, upper, obj, basis=basis),
         link=link,
+        triangle=triangle,
         zhat=zhat,
         z=z,
         phase=phase,

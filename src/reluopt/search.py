@@ -51,11 +51,6 @@ class RegionStatus(Enum):
     OPTIMAL = "optimal"
 
 
-class SplitStrategy(Enum):
-    EARLIEST_UNFIXED = "earliest"
-    LARGEST_VIOLATION = "largest_violation"
-
-
 class NodeOrder(Enum):
     BEST_FIRST = "best_first"
     DEPTH_FIRST = "depth_first"
@@ -67,15 +62,15 @@ class Status(Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RegionOutcome:
     status: RegionStatus
     lp_bound: float
     value: Optional[float] = None
     assignment: Optional[np.ndarray] = None  # input vector (Optimal only)
     output: Optional[np.ndarray] = None  # the network's output there (Optimal only)
-    lp_assignment: Optional[np.ndarray] = None  # full LP vector (Unknown only)
-    gaps: Optional[np.ndarray] = None  # |z - max(0, zhat)| per ReLU there (Unknown only)
+    gaps: Optional[np.ndarray] = None  # |z - max(0, zhat)| per ReLU at the LP point (Unknown)
+    scores: Optional[np.ndarray] = None  # split score per ReLU, `split_scores` (Unknown)
     iterations: int = 0  # simplex iterations of the region's LP
 
 
@@ -98,7 +93,6 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    split_strategy: SplitStrategy = SplitStrategy.EARLIEST_UNFIXED
     node_order: NodeOrder = NodeOrder.BEST_FIRST
     timeout: float = 120.0
     tighten_timeout: float = 0.0  # seconds per preprocessing LP; 0 disables
@@ -140,7 +134,8 @@ def optimum_for_region(
     Infeasible regions and regions whose LP bound cannot beat the incumbent
     report WorseThanOpt; a consistent LP optimum, its x clipped into the
     box, is the region optimum, valued at the output of one forward pass
-    there (`output`); otherwise Unknown, with the LP point and its `gaps`.
+    there (`output`); otherwise Unknown, with the `gaps` of the LP point and
+    the `split_scores` read from the LP's row duals.
 
     `relaxation` is the problem's `encode_relaxation(net, problem, bounds)`,
     encoded here when not given, and `model` the live HiGHS model its LPs
@@ -150,9 +145,10 @@ def optimum_for_region(
         relaxation = encode_relaxation(net, problem, bounds)
     if model is None:
         with LiveModel() as model:
-            res = model.solve_phase(relaxation, phase, time_limit)
-    else:
-        res = model.solve_phase(relaxation, phase, time_limit)
+            return optimum_for_region(
+                net, problem, phase, bounds, incumbent, relaxation, model, time_limit
+            )
+    res = model.solve_phase(relaxation, phase, time_limit)
     its = res.iterations
     if res.status == LPStatus.INFEASIBLE:
         return RegionOutcome(RegionStatus.WORSE_THAN_OPT, lp_bound=-np.inf, iterations=its)
@@ -174,53 +170,48 @@ def optimum_for_region(
             output=y,
             iterations=its,
         )
-    return RegionOutcome(
-        RegionStatus.UNKNOWN, bound, lp_assignment=res.assignment, gaps=gaps, iterations=its
-    )
+    scores = split_scores(relaxation, gaps, model.row_duals())
+    return RegionOutcome(RegionStatus.UNKNOWN, bound, gaps=gaps, scores=scores, iterations=its)
+
+
+def split_scores(relaxation: Relaxation, gaps: np.ndarray, row_dual: np.ndarray) -> np.ndarray:
+    """Per ReLU, |mu| (-s l) where the LP point violates it (`gaps` above
+    CONSISTENCY_TOL), else 0. mu is the dual of its triangle row in
+    `row_dual`, the LP's row duals, and -s l = u (-l) / (u - l) is that row's
+    right-hand side. This is the exact-LP form of BaBSR's intercept score
+    (Bunel et al., JMLR 2020). A ReLU the root fixes has a gap of 0."""
+    violated = gaps > CONSISTENCY_TOL
+    rows = relaxation.triangle[violated]
+    scores = np.zeros(len(gaps))
+    scores[violated] = np.abs(row_dual[rows]) * relaxation.lp.row_upper[rows]
+    return scores
 
 
 def split(
-    phase: np.ndarray, strategy: SplitStrategy, gaps: Optional[np.ndarray] = None
+    phase: np.ndarray, gaps: Optional[np.ndarray] = None, scores: Optional[np.ndarray] = None
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Fix one undetermined node of the phase vector `phase`: its position
     `i`, then the read-only children with it active and with it inactive.
 
-    Largest violation reads `gaps`, an Unknown outcome's |z - max(0, zhat)|
-    per ReLU, and picks the earliest undetermined node with the largest gap;
-    the earliest undetermined node when none has a gap, or without `gaps`.
-    Raises NoUndetermined when no node is undetermined."""
+    With an Unknown outcome's `gaps` and `scores`, the node is the
+    undetermined one with the highest score; ties go to the largest gap,
+    then to the earliest position. A zero objective scores every node 0, and
+    missing `scores` count as 0. Without `gaps` (a scripted outcome, or an
+    unbounded LP), it is the earliest undetermined node. Raises
+    NoUndetermined when no node is undetermined."""
     undetermined = np.flatnonzero(phase == UNDETERMINED)
     if not undetermined.size:
         raise NoUndetermined("state has no undetermined node to split")
     i = undetermined[0]
-    if strategy is SplitStrategy.LARGEST_VIOLATION and gaps is not None:
+    if gaps is not None:
+        if scores is not None:
+            top = scores[undetermined]
+            undetermined = undetermined[top == top.max()]
         i = undetermined[np.argmax(gaps[undetermined])]  # the first of equal maxima
     active, inactive = phase.copy(), phase.copy()
     active[i], inactive[i] = ACTIVE, INACTIVE
     active.flags.writeable = inactive.flags.writeable = False
     return int(i), active, inactive
-
-
-def _parent_answers(
-    phase: np.ndarray,
-    parent: Optional[RegionOutcome],
-    fixed: int,
-    relaxation: Relaxation,
-) -> bool:
-    """Whether `parent`, the Unknown outcome of the state that the split of
-    node `fixed` made `phase` from, answers for `phase`: its LP optimum
-    satisfies the phase that `phase` gives that node (read from its `gaps`; an
-    outcome without them answers for no child). The child's region is then a
-    subset of the parent's that holds the parent's optimizer, so the parent's
-    outcome is its own. A leaf is never answered this way."""
-    if parent is None or parent.gaps is None:
-        return False
-    if parent.gaps[fixed] > CONSISTENCY_TOL:
-        return False
-    zhat = parent.lp_assignment[relaxation.zhat[fixed]]
-    if not (zhat >= 0.0 if phase[fixed] == ACTIVE else zhat <= 0.0):
-        return False
-    return UNDETERMINED in phase
 
 
 def optimize(
@@ -237,15 +228,12 @@ def optimize(
     incumbent)` defaults to optimum_for_region and exists so search
     behavior (pruning, incumbents, ordering) can be exercised with scripted
     region outcomes. An Unknown node is split by `split`, which reads its
-    outcome's `gaps` under largest violation.
+    outcome's `gaps` and `scores`.
 
-    A node's LP is solved only when its parent's cannot answer for it. A
-    popped node whose parent bound is at most the incumbent is dropped
-    unsolved and uncounted. A child whose region holds its parent's LP
-    optimum (the split node's new phase is already satisfied there) takes
-    the parent's Unknown outcome as its own; it is counted and traced as a
-    node but solves no LP, so `stats.lps_solved` can be below
-    `stats.nodes_explored`.
+    Every node solves its LP: the split ReLU is violated at its parent's LP
+    point, so no child holds that point, and `stats.lps_solved` equals
+    `stats.nodes_explored`. A popped node whose parent bound is at most the
+    incumbent is dropped unsolved and uncounted.
 
     Every LP draws on `config.timeout`: tightening LPs and node LPs get at
     most the time left, and a node LP stopped by that limit ends the search
@@ -292,25 +280,23 @@ def optimize(
 
     evaluator = region_evaluator or evaluate_region
 
-    # Frontier entries: (-parent bound, tiebreak counter, phase vector,
-    # parent's Unknown outcome or None at the root, index the split fixed).
+    # Frontier entries: (-parent bound, tiebreak counter, phase vector).
     # Best-first pops the largest parent bound (children can only be worse);
     # depth-first is LIFO.
     best_first = config.node_order is NodeOrder.BEST_FIRST
     counter = 0
     frontier: list = []
 
-    def push(phase: np.ndarray, parent: Optional[RegionOutcome], fixed: int):
+    def push(phase: np.ndarray, bound: float):
         nonlocal counter
-        bound = np.inf if parent is None else parent.lp_bound
-        entry = (-bound, counter, phase, parent, fixed)
+        entry = (-bound, counter, phase)
         if best_first:
             heapq.heappush(frontier, entry)
         else:
             frontier.append(entry)
         counter += 1
 
-    push(relaxation.phase, None, -1)
+    push(relaxation.phase, np.inf)
     timed_out = False
 
     with LiveModel() as model:
@@ -320,27 +306,24 @@ def optimize(
                 break
             stats.peak_frontier = max(stats.peak_frontier, len(frontier))
             entry = heapq.heappop(frontier) if best_first else frontier.pop()
-            neg_bound, _, phase, parent, fixed = entry
+            neg_bound, _, phase = entry
             if -neg_bound <= incumbent:
                 # Already beaten: no LP, not a node. Best-first pops the largest
                 # parent bound, so every node left is beaten too.
                 if best_first:
                     break
                 continue
-            if _parent_answers(phase, parent, fixed, relaxation):
-                outcome = parent
-            else:
-                clock = time.perf_counter()
-                try:
-                    outcome = evaluator(phase, incumbent)
-                except Timeout:
-                    frontier.append(entry)  # still open: its bound counts
-                    timed_out = True
-                    break
-                finally:
-                    stats.extra["lp_s"] += time.perf_counter() - clock
-                stats.lps_solved += 1
-                stats.extra["simplex_iters"] += outcome.iterations
+            clock = time.perf_counter()
+            try:
+                outcome = evaluator(phase, incumbent)
+            except Timeout:
+                frontier.append(entry)  # still open: its bound counts
+                timed_out = True
+                break
+            finally:
+                stats.extra["lp_s"] += time.perf_counter() - clock
+            stats.lps_solved += 1
+            stats.extra["simplex_iters"] += outcome.iterations
             stats.nodes_explored += 1
             if trace is not None:
                 bound = outcome.lp_bound if np.isfinite(outcome.lp_bound) else None
@@ -353,13 +336,13 @@ def optimize(
                     incumbent = outcome.value
                     argopt, output = outcome.assignment, outcome.output
                 continue
-            i, active, inactive = split(phase, config.split_strategy, outcome.gaps)
-            push(inactive, outcome, i)
-            push(active, outcome, i)
+            _, active, inactive = split(phase, outcome.gaps, outcome.scores)
+            push(inactive, outcome.lp_bound)
+            push(active, outcome.lp_bound)
 
     stats.wall_seconds = time.monotonic() - start
     # The global bound: nothing open can beat the largest parent bound left.
-    global_bound = max([incumbent] + [-neg_bound for neg_bound, *_ in frontier])
+    global_bound = max([incumbent] + [-neg_bound for neg_bound, _, _ in frontier])
     stats.extra["bound"] = global_bound
     stats.extra["gap"] = global_bound - incumbent if argopt is not None else np.inf
     if argopt is not None:

@@ -21,7 +21,6 @@ from reluopt import (
     RegionStatus,
     Row,
     SearchConfig,
-    SplitStrategy,
     Status,
     bisection_optimize,
     brute_force_optimize,
@@ -242,7 +241,7 @@ def test_relaxation_invariants():
         parent = optimum_for_region(net, problem, state, bounds, -np.inf)
         if parent.lp_bound == -np.inf or UNDETERMINED not in state:
             continue
-        _, first, second = split(state, SplitStrategy.EARLIEST_UNFIXED)
+        _, first, second = split(state)
         for child in (first, second):
             out = optimum_for_region(net, problem, child, bounds, -np.inf)
             if out.lp_bound != -np.inf:

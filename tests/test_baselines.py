@@ -144,7 +144,7 @@ def test_bisection_equals_search_within_the_gap_on_equal_root_bounds(tighten_tim
 @pytest.mark.parametrize(
     "hidden, tighten_timeout",
     [
-        ((6, 6), 0.0),  # about 20 decision calls when run to the gap
+        ((12, 12), 0.0),  # about 3 s of decision calls when run to the gap
         ((50, 50, 50, 50), 5.0),  # unbudgeted, tightening alone takes ~9 s
     ],
 )

@@ -126,6 +126,15 @@ def test_parse_rejects_bad_solver_settings(line):
     assert info.value.field == line.partition(":")[0]
 
 
+@pytest.mark.parametrize("value", ["earliest", "largest_violation"])
+def test_parse_rejects_the_removed_split_key(value):
+    """There is one split rule; a `split:` line, as older versions wrote,
+    is an unknown key."""
+    with pytest.raises(SchemaError) as info:
+        parse_problem(_OUTPUT_PROBLEM + f"split: {value}\n")
+    assert (info.value.field, info.value.reason) == ("split", "unknown field")
+
+
 _MINADV_PROBLEM = (
     "kind: min_adversarial_linf\nnetwork: a.nnet\nx0: 0,0\nradius: 0.5\n"
     "domain_lower: -1,-1\ndomain_upper: 1,1\ntarget_label: 1\ntrue_label: 0\nmargin: 0\n"
@@ -495,7 +504,7 @@ def test_milp_export_is_no_solver(tmp_path, capsys):
 
 def test_main_solve_and_trace(tmp_path, capsys):
     qdir = tmp_path / "queries"
-    # Scale 16 gives a search of many nodes, some answered by their parent's LP.
+    # Scale 16 gives a search of many nodes, each solving its own LP.
     paths = generate_queries("acas_out", seed=11, count=1, scale=16, out_dir=str(qdir))
     trace = tmp_path / "trace.jsonl"
     rc = main(["solve", paths[0], "--trace", str(trace)])
@@ -506,7 +515,7 @@ def test_main_solve_and_trace(tmp_path, capsys):
     (nodes,) = re.findall(r"\bnodes: (\d+)", out)
     (lps,) = re.findall(r"\blps: (\d+)", out)
     records = [json.loads(line) for line in trace.read_text().splitlines()]
-    assert len(records) == int(nodes) > int(lps)
+    assert len(records) == int(nodes) == int(lps) > 1
     node_list = r"(\d+\.\d+(,\d+\.\d+)*)?"
     for record in records:
         assert re.fullmatch(rf"A\[{node_list}\]N\[{node_list}\]", record["state"])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -14,7 +15,6 @@ from reluopt import (
     RegionStatus,
     Row,
     SearchConfig,
-    SplitStrategy,
     Status,
     Timeout,
     optimize,
@@ -24,12 +24,23 @@ from reluopt import (
     root_bounds,
     split,
 )
+from reluopt.baselines import brute_force_optimize, export_milp
 from reluopt.bounds import phases
 from reluopt.geometry import linf_epigraph
-from reluopt.model import NodeId, evaluate
+from reluopt.highs import LiveModel
+from reluopt.lp import LPStatus, check_relu_consistency, encode_relaxation
+from reluopt.search import CONSISTENCY_TOL, split_scores
+from reluopt.model import evaluate
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, fingerprint, phase_state
 
-from conftest import box, closed_form_relus, output_max_problem, random_net, sample_max
+from conftest import (
+    box,
+    closed_form_relus,
+    output_max_problem,
+    random_net,
+    read_lp_with_highs,
+    sample_max,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +161,21 @@ def test_region_statuses(abs_net):
 
 
 def test_split_earliest(abs_net):
+    """Without gaps `split` takes the earliest undetermined node."""
     state = phase_state(abs_net, [UNDETERMINED, UNDETERMINED])
-    i, first, second = split(state, SplitStrategy.EARLIEST_UNFIXED)
+    i, first, second = split(state)
     assert i == 0
     assert first[0] == ACTIVE
     assert second[0] == INACTIVE
+    assert split(state, scores=np.array([0.0, 5.0]))[0] == 0  # scores need gaps
     leaf = phase_state(abs_net, [ACTIVE, ACTIVE])
     with pytest.raises(NoUndetermined):
-        split(leaf, SplitStrategy.EARLIEST_UNFIXED)
+        split(leaf)
 
 
 def test_split_largest_violation(abs_net):
-    from reluopt.lp import check_relu_consistency, encode_relaxation
-
+    """With gaps and no scores `split` takes the largest violation; with
+    scores the score comes first, then the gap, then the position."""
     problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
     relaxation = encode_relaxation(abs_net, problem, propagate_interval(abs_net, problem.box))
     vec = np.zeros(relaxation.imap.n_vars)
@@ -171,19 +184,20 @@ def test_split_largest_violation(abs_net):
     vec[relaxation.z[1]] = 2.0
     state = phase_state(abs_net, [UNDETERMINED, UNDETERMINED])
     gaps = check_relu_consistency(relaxation, vec)
-    i, first, _ = split(state, SplitStrategy.LARGEST_VIOLATION, gaps)
+    i, first, _ = split(state, gaps)
     assert i == 1
     assert first[1] == ACTIVE
+    assert split(state, gaps, np.array([3.0, 1.0]))[0] == 0  # the score comes first
+    assert split(state, gaps, np.array([1.0, 1.0]))[0] == 1  # then the gap
+    assert split(state, np.array([2.0, 2.0]), np.array([1.0, 1.0]))[0] == 0  # then the position
 
 
 def test_largest_violation_splits_at_the_largest_gap_of_an_undetermined_relu():
-    """At LP optima of partial states of random nets, largest violation
-    fixes the undetermined ReLU with the largest `check_relu_consistency`
-    gap: the earliest of equal gaps, the earliest undetermined ReLU when
-    every gap is 0, and never a fixed ReLU, whatever its gap."""
-    from reluopt.highs import LiveModel
-    from reluopt.lp import LPStatus, check_relu_consistency, encode_relaxation
-
+    """At LP optima of partial states of random nets, `split` given the
+    gaps and no scores fixes the undetermined ReLU with the largest
+    `check_relu_consistency` gap: the earliest of equal gaps, the earliest
+    undetermined ReLU when every gap is 0, and never a fixed ReLU, whatever
+    its gap."""
     rng = np.random.default_rng(29)
     checked = ties = 0
     for _ in range(30):
@@ -205,13 +219,79 @@ def test_largest_violation_splits_at_the_largest_gap_of_an_undetermined_relu():
                     top = max(g[j] for j in undetermined)
                     expected = min(j for j in undetermined if g[j] == top)
                     ties += top > 0.0 and sum(g[j] == top for j in undetermined) > 1
-                    i, active, inactive = split(phase, SplitStrategy.LARGEST_VIOLATION, g)
+                    i, active, inactive = split(phase, g)
                     assert i == expected
                     for child, value in ((active, ACTIVE), (inactive, INACTIVE)):
                         assert np.flatnonzero(child != phase).tolist() == [i]
                         assert child[i] == value and not child.flags.writeable
                     checked += 1
     assert checked >= 200 and ties >= 5
+
+
+def test_split_takes_the_violated_relu_whose_triangle_row_the_duals_price_highest():
+    """At LP optima of partial states of random nets, an Unknown outcome's
+    score of ReLU i is |mu_i| u_i (-l_i) / (u_i - l_i) where the LP point
+    violates it, mu_i being the dual of its triangle row, and 0 elsewhere.
+    `split` fixes the undetermined ReLU with the highest score, a violated
+    one; ties go to the largest gap, then to the earliest position, and a
+    fixed ReLU is never split, whatever its score. Rounded and zero scores
+    and gaps make the ties."""
+    rng = np.random.default_rng(29)
+    checked = score_ties = position_ties = 0
+    for trial in range(30):
+        net = random_net(rng, n_in=3, hidden=(6, 6), n_out=2)
+        lo, hi = -np.ones(3), np.ones(3)
+        problem = output_max_problem(net, rng.normal(size=2), lo, hi)
+        if trial % 3 == 2:
+            problem = _min_adv_problem(net, rng)
+        bounds = propagate_interval(net, problem.box)
+        l, u = (
+            np.concatenate([side[k] for k in net.relu_layers])
+            for side in (bounds.pre_lower, bounds.pre_upper)
+        )
+        relaxation = encode_relaxation(net, problem, bounds)
+        with LiveModel() as model:
+            for _ in range(5):
+                phase = relaxation.phase.copy()
+                pick = (phase == UNDETERMINED) & (rng.random(len(phase)) < 0.3)
+                phase[pick] = rng.choice((ACTIVE, INACTIVE), size=int(pick.sum()))
+                phase.flags.writeable = False
+                out = optimum_for_region(net, problem, phase, bounds, -np.inf, relaxation, model)
+                if out.status is not RegionStatus.UNKNOWN:
+                    assert out.scores is None
+                    continue
+                violated = out.gaps > CONSISTENCY_TOL
+                mu = model.row_duals()[relaxation.triangle]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    intercept = u * -l / (u - l)
+                expected = np.where(violated, np.abs(mu) * intercept, 0.0)
+                np.testing.assert_allclose(out.scores, expected, rtol=1e-12, atol=0.0)
+                assert (relaxation.triangle[violated] >= 0).all()
+                undetermined = np.flatnonzero(phase == UNDETERMINED).tolist()
+                assert violated[undetermined].any()
+                louder = np.where(phase == UNDETERMINED, out.scores, out.scores + 10.0)
+                rounded = np.round(out.gaps, 1)
+                for scores, gaps in (
+                    (out.scores, out.gaps),
+                    (np.round(out.scores, 1), out.gaps),
+                    (louder, out.gaps),
+                    (np.zeros_like(out.scores), out.gaps),
+                    (np.zeros_like(out.scores), rounded),
+                ):
+                    key = lambda j: (-scores[j], -gaps[j], j)
+                    best = min(undetermined, key=key)
+                    tied = [j for j in undetermined if scores[j] == scores[best]]
+                    score_ties += len(tied) > 1
+                    position_ties += sum(gaps[j] == gaps[best] for j in tied) > 1
+                    i, active, inactive = split(phase, gaps, scores)
+                    assert i == best
+                    if gaps is out.gaps:
+                        assert violated[i]
+                    for child, value in ((active, ACTIVE), (inactive, INACTIVE)):
+                        assert np.flatnonzero(child != phase).tolist() == [i]
+                        assert child[i] == value and not child.flags.writeable
+                    checked += 1
+    assert checked >= 400 and score_ties >= 200 and position_ties >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +351,34 @@ def test_timeout_status(abs_net):
     assert result.status is Status.TIMEOUT
 
 
+def _without_gaps(net, problem, bounds, relaxation=None, model=None):
+    """A region evaluator whose Unknown outcomes carry no gaps and no
+    scores, so `split` takes the earliest undetermined ReLU."""
+
+    def evaluator(phase, incumbent):
+        out = optimum_for_region(net, problem, phase, bounds, incumbent, relaxation, model)
+        return dataclasses.replace(out, gaps=None, scores=None)
+
+    return evaluator
+
+
 def test_strategies_and_orders_agree():
+    """The score rule and the earliest-undetermined split of outcomes
+    without gaps find the same optimum in either node order."""
     rng = np.random.default_rng(51)
     for _ in range(5):
         net = random_net(rng, n_in=2, hidden=(5,), n_out=1)
         problem = output_max_problem(net, [1.0], [-1.0, -1.0], [1.0, 1.0])
+        bounds = propagate_interval(net, problem.box)
         values = []
-        for strat in SplitStrategy:
+        for evaluator in (None, _without_gaps(net, problem, bounds)):
             for order in NodeOrder:
                 result = optimize(
-                    net, problem, SearchConfig(split_strategy=strat, node_order=order)
+                    net,
+                    problem,
+                    SearchConfig(node_order=order),
+                    bounds=bounds,
+                    region_evaluator=evaluator,
                 )
                 assert result.status is Status.OPTIMAL
                 values.append(result.value)
@@ -325,7 +423,7 @@ def test_child_bound_never_exceeds_parent_bound():
             parent = optimum_for_region(net, problem, state, bounds, -np.inf)
             if parent.status is not RegionStatus.UNKNOWN:
                 break
-            _, first, second = split(state, SplitStrategy.EARLIEST_UNFIXED)
+            _, first, second = split(state)
             for child in (first, second):
                 out = optimum_for_region(net, problem, child, bounds, -np.inf)
                 if out.lp_bound != -np.inf:
@@ -430,7 +528,7 @@ def test_search_counts_the_tightening_lps_solved_and_skipped():
 
 
 # ---------------------------------------------------------------------------
-# A node's LP is solved only when its parent's cannot answer for it
+# Every node solves its LP, and the search is exact
 
 
 def _reuse_nets(seeds=range(5)):
@@ -444,80 +542,142 @@ def _reuse_nets(seeds=range(5)):
 
 @pytest.mark.parametrize("order", list(NodeOrder))
 def test_earliest_unfixed_with_reuse_finds_the_brute_force_optimum(order):
-    from reluopt.baselines import brute_force_optimize
-
-    config = SearchConfig(split_strategy=SplitStrategy.EARLIEST_UNFIXED, node_order=order)
+    """The earliest-undetermined split, which `split` makes of outcomes
+    without gaps, finds brute force's optimum with one HiGHS instance reused
+    for every node LP of a problem."""
+    config = SearchConfig(node_order=order)
     reused = 0
     for net, problem in _reuse_nets():
-        result = optimize(net, problem, config)
+        bounds = propagate_interval(net, problem.box)
+        relaxation = encode_relaxation(net, problem, bounds)
+        with LiveModel() as model:
+            evaluator = _without_gaps(net, problem, bounds, relaxation, model)
+            result = optimize(net, problem, config, bounds=bounds, region_evaluator=evaluator)
         exact = brute_force_optimize(net, problem)
         assert result.status is exact.status is Status.OPTIMAL
         assert result.value == pytest.approx(exact.value, abs=1e-6)
         assert problem.objective_at(net, result.argopt) == pytest.approx(result.value, abs=1e-9)
-        assert result.stats.lps_solved <= result.stats.nodes_explored
-        reused += result.stats.lps_solved < result.stats.nodes_explored
+        assert result.stats.lps_solved == result.stats.nodes_explored
+        reused += result.stats.nodes_explored > 1
     assert reused >= 1
 
 
 @pytest.mark.parametrize("order", list(NodeOrder))
 def test_largest_violation_solves_one_lp_per_node(order):
-    config = SearchConfig(split_strategy=SplitStrategy.LARGEST_VIOLATION, node_order=order)
+    """The split ReLU, the highest-scored and then the most violated, is
+    violated at its node's LP point, so no child holds that point: every
+    node solves its own LP."""
+    config = SearchConfig(node_order=order)
     for net, problem in _reuse_nets():
         result = optimize(net, problem, config)
         assert result.status is Status.OPTIMAL
         assert result.stats.lps_solved == result.stats.nodes_explored > 1
 
 
-def _fixed_nodes(fingerprint):
-    """The (phase letter, node) pairs a trace fingerprint names."""
-    pairs = set()
-    for part in fingerprint.rstrip("]").split("]"):
-        letter, nodes = part.split("[")
-        for node in filter(None, nodes.split(",")):
-            pairs.add((letter, NodeId(*map(int, node.split(".")))))
-    return frozenset(pairs)
+def _exact_cases(seed, hidden, open_range, count, propagate):
+    """`count` output-maximization and `count` min-adversarial problems on
+    random nets with `hidden` layers, drawn from `seed`, whose `propagate`
+    bounds leave between `open_range` ReLUs open."""
+    rng = np.random.default_rng(seed)
+    found = {False: 0, True: 0}
+    while min(found.values()) < count:
+        net = random_net(rng, n_in=3, hidden=hidden, n_out=2)
+        x0 = rng.uniform(-0.5, 0.5, 3)
+        r = rng.uniform(0.2, 1.0)
+        for problem in (
+            output_max_problem(net, rng.normal(size=2), x0 - r, x0 + r),
+            _min_adv_problem(net, rng),
+        ):
+            n_open = np.count_nonzero(phases(propagate(net, problem.box)) == UNDETERMINED)
+            if found[problem.use_t] < count and open_range[0] <= n_open <= open_range[1]:
+                found[problem.use_t] += 1
+                yield net, problem
 
 
 @pytest.mark.parametrize("order", list(NodeOrder))
-def test_reused_child_is_traced_with_its_parent_bound(order):
-    """Every explored node is traced. A node that reached no LP is a child
-    holding its parent's LP optimum: it reports Unknown at its parent's
-    bound, which its own LP would also give."""
+def test_every_node_is_traced_with_its_own_lp_bound(order):
+    """Every explored node is traced once, with the status and LP bound of
+    the outcome its own evaluation gave."""
     config = SearchConfig(node_order=order)
-    reused = 0
     for net, problem in _reuse_nets():
         bounds = propagate_interval(net, problem.box)
-        solved = []
+        solved = {}
 
         def evaluator(phase, incumbent):
-            solved.append(fingerprint(net, phase))
-            return optimum_for_region(net, problem, phase, bounds, incumbent)
+            out = optimum_for_region(net, problem, phase, bounds, incumbent)
+            solved[fingerprint(net, phase)] = out
+            return out
 
         trace = io.StringIO()
         result = optimize(
             net, problem, config, bounds=bounds, trace=trace, region_evaluator=evaluator
         )
         records = [json.loads(line) for line in trace.getvalue().splitlines()]
-        assert len(records) == result.stats.nodes_explored
-        assert len(solved) == result.stats.lps_solved
-        by_fixed = {_fixed_nodes(r["state"]): r for r in records}
+        assert len(records) == len(solved) == result.stats.nodes_explored > 1
         for record in records:
-            if record["state"] in solved:
-                continue
-            fixed = _fixed_nodes(record["state"])
-            parents = [by_fixed[fixed - {pair}] for pair in fixed if fixed - {pair} in by_fixed]
-            assert len(parents) == 1
-            assert record["status"] == parents[0]["status"] == "unknown"
-            assert record["lp_bound"] == parents[0]["lp_bound"]
-            nodes = net.relu_node_ids()
-            phase = np.zeros(len(nodes))
-            for letter, node in fixed:
-                phase[nodes.index(node)] = ACTIVE if letter == "A" else INACTIVE
-            state = phase_state(net, phase)
-            own = optimum_for_region(net, problem, state, bounds, -np.inf)
-            assert own.lp_bound == pytest.approx(record["lp_bound"], abs=1e-6)
-            reused += 1
-    assert reused >= 1
+            out = solved[record["state"]]
+            assert record["status"] == out.status.value
+            bound = out.lp_bound if np.isfinite(out.lp_bound) else None
+            assert record["lp_bound"] == bound
+
+
+def test_search_finds_the_brute_force_optimum():
+    """On seeded random nets with 4 to 11 open ReLUs, B&B under the score
+    rule gives brute force's status and value, for both query kinds and
+    both node orders."""
+    kinds = set()
+    for net, problem in _exact_cases(4100, (6, 6), (4, 11), 4, propagate_interval):
+        exact = brute_force_optimize(net, problem)
+        kinds.add((problem.use_t, exact.status))
+        for order in NodeOrder:
+            result = optimize(net, problem, SearchConfig(node_order=order))
+            assert result.status is exact.status
+            if exact.status is Status.OPTIMAL:
+                assert result.value == pytest.approx(exact.value, abs=1e-6)
+                x = result.argopt
+                assert problem.objective_at(net, x) == pytest.approx(result.value, abs=1e-9)
+                assert result.stats.extra["max_violation"] <= 1e-6
+            assert result.stats.lps_solved == result.stats.nodes_explored
+    assert {(False, Status.OPTIMAL), (True, Status.OPTIMAL)} <= kinds
+
+
+def _highs_mip(text):
+    """Status and optimum of a MILP in LP-file text, as HiGHS's reader makes
+    it (`read_lp_with_highs`), solved by HiGHS MIP to a zero gap."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    read = read_lp_with_highs(text)
+    sign = -1.0 if read.maximize else 1.0
+    res = milp(
+        sign * read.cost,
+        integrality=read.integer.astype(float),
+        bounds=Bounds(read.lower, read.upper),
+        constraints=LinearConstraint(read.matrix, read.row_lower, read.row_upper),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status in (0, 2), res.message
+    if res.status == 2:
+        return Status.INFEASIBLE, None
+    return Status.OPTIMAL, float(read.cost @ res.x)
+
+
+def test_search_finds_the_highs_mip_optimum():
+    """Beyond brute force's reach, on seeded random nets whose
+    back-substitution bounds leave 20 to 40 ReLUs open, B&B gives the status
+    and value of HiGHS MIP on `export_milp`'s model, for both query kinds and
+    both node orders."""
+    kinds = set()
+    for net, problem in _exact_cases(4200, (16, 16, 12), (20, 40), 2, propagate_symbolic):
+        _, text = export_milp(net, problem, propagate_symbolic(net, problem.box))
+        status, value = _highs_mip(text)
+        kinds.add((problem.use_t, status))
+        for order in NodeOrder:
+            result = optimize(net, problem, SearchConfig(node_order=order))
+            assert result.status is status
+            if status is Status.OPTIMAL:
+                assert result.value == pytest.approx(value, abs=1e-6)
+                assert result.stats.extra["max_violation"] <= 1e-6
+    assert {(False, Status.OPTIMAL), (True, Status.OPTIMAL)} <= kinds
 
 
 @pytest.mark.parametrize("order", list(NodeOrder))
@@ -761,40 +921,60 @@ def test_problems_solve_alike_in_any_order_and_on_reused_or_new_instances(monkey
 
 
 def test_unknown_outcome_carries_its_consistency_gaps():
-    from reluopt.lp import check_relu_consistency, encode_relaxation
-
-    unknown = 0
+    """A min-adversarial root LP at t = 0 prices no triangle row: its scores
+    are all 0, and the gaps decide its split."""
+    unknown = priced = 0
     for net, problem in _order_cases():
         bounds = propagate_interval(net, problem.box)
         relaxation = encode_relaxation(net, problem, bounds)
         root = phase_state(net, relaxation.phase)
-        out = optimum_for_region(net, problem, root, bounds, -np.inf, relaxation)
+        with LiveModel() as model:
+            out = optimum_for_region(net, problem, root, bounds, -np.inf, relaxation, model)
+            row_dual = model.row_duals()
+            again = model.solve_phase(relaxation, root)  # nothing changed: the same point
         if out.status is RegionStatus.UNKNOWN:
-            gaps = check_relu_consistency(relaxation, out.lp_assignment)
+            gaps = check_relu_consistency(relaxation, again.assignment)
             np.testing.assert_array_equal(out.gaps, gaps)
+            np.testing.assert_array_equal(out.scores, split_scores(relaxation, gaps, row_dual))
+            if out.scores.max() == 0.0:
+                assert problem.use_t and out.lp_bound == 0.0
+            priced += out.scores.max() > 0.0
             unknown += 1
         else:
-            assert out.gaps is None
-    assert unknown >= 4
+            assert out.gaps is None and out.scores is None
+    assert unknown >= 8 and priced >= 4
 
 
 @pytest.mark.parametrize("order", list(NodeOrder))
 def test_outcome_without_gaps_answers_for_no_child(order):
-    """A parent's outcome answers for a child only through its gaps: an
-    evaluator whose Unknown outcomes carry the LP point but no gaps gets
-    every node, and the search finds the same optimum."""
-    import dataclasses
-
+    """An evaluator whose Unknown outcomes carry no gaps and no scores gets
+    every node, each split at its earliest undetermined ReLU, and the search
+    finds the same optimum."""
     config = SearchConfig(node_order=order)
     for net, problem in _reuse_nets():
         bounds = propagate_interval(net, problem.box)
+        split_at = []
 
         def evaluator(state, incumbent):
             out = optimum_for_region(net, problem, state, bounds, incumbent)
-            return dataclasses.replace(out, gaps=None)
+            if out.status is RegionStatus.UNKNOWN:
+                split_at.append(int(np.flatnonzero(state == UNDETERMINED)[0]))
+            return dataclasses.replace(out, gaps=None, scores=None)
+
+        traced = []
+        original = split
+
+        def recording_split(phase, gaps=None, scores=None):
+            assert gaps is None and scores is None
+            i, active, inactive = original(phase, gaps, scores)
+            traced.append(i)
+            return i, active, inactive
 
         plain = optimize(net, problem, config, bounds=bounds)
-        stripped = optimize(net, problem, config, bounds=bounds, region_evaluator=evaluator)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("reluopt.search.split", recording_split)
+            stripped = optimize(net, problem, config, bounds=bounds, region_evaluator=evaluator)
+        assert traced == split_at and traced
         assert stripped.stats.lps_solved == stripped.stats.nodes_explored
         assert stripped.value == pytest.approx(plain.value, abs=1e-9)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reluopt import InconsistentState, NoUndetermined, SplitStrategy, split
+from reluopt import InconsistentState, NoUndetermined, split
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, fingerprint, phase_state
 
 from conftest import random_net
@@ -29,7 +29,7 @@ def _fix(phase, i, active):
     inactive, picked by a gap at `i` alone."""
     gaps = np.zeros(len(phase))
     gaps[i] = 1.0
-    fixed, on, off = split(phase, SplitStrategy.LARGEST_VIOLATION, gaps)
+    fixed, on, off = split(phase, gaps)
     assert fixed == i
     return on if active else off
 
@@ -58,7 +58,8 @@ def test_split_fixes_only_undetermined_nodes(net):
     gaps = np.zeros(net.num_relu_nodes)
     gaps[[3, 13]] = 5.0  # the largest gaps sit at fixed nodes
     gaps[4] = 1.0
-    i, on, off = split(state, SplitStrategy.LARGEST_VIOLATION, gaps)
+    scores = 2.0 * gaps  # and so do the largest scores
+    i, on, off = split(state, gaps, scores)
     assert i == 4
     assert (on[4], off[4]) == (ACTIVE, INACTIVE)
     for child in (on, off):
@@ -66,9 +67,9 @@ def test_split_fixes_only_undetermined_nodes(net):
         assert not child.flags.writeable
     assert state[4] == UNDETERMINED  # the parent is unchanged
     leaf = _state(net, active=range(0, 15, 2), inactive=range(1, 15, 2))
-    for strategy in SplitStrategy:
+    for args in ((), (gaps,), (gaps, scores)):
         with pytest.raises(NoUndetermined):
-            split(leaf, strategy, gaps)
+            split(leaf, *args)
 
 
 def test_phases_partition_the_nodes(net):
