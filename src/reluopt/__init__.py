@@ -48,7 +48,6 @@ from .model import (
 )
 from .problems import Direction, Objective, OptimizationProblem, Relation, Row
 from .search import (
-    NodeOrder,
     RegionOutcome,
     RegionStatus,
     SearchConfig,

@@ -25,7 +25,7 @@ from .errors import EmptyDomain, ReluOptError, SchemaError
 from .geometry import Hyperrectangle, linf_epigraph
 from .model import Activation, Layer, Network, evaluate, load_nnet, write_nnet
 from .problems import Direction, Objective, OptimizationProblem, Relation, Row
-from .search import NodeOrder, SearchConfig, Status, optimize
+from .search import SearchConfig, Status, optimize
 
 KINDS = ("output_optimization", "min_adversarial_linf")
 SOLVERS = ("branch_bound", "bisection", "brute_force", "fgsm", "pgd")
@@ -61,7 +61,6 @@ class ProblemSpec:
     # solver configuration
     timeout: float = 120.0
     gap: float = 1e-4
-    order: NodeOrder = NodeOrder.BEST_FIRST
     tighten_timeout: float = 0.0
     base_dir: str = "."
 
@@ -104,7 +103,6 @@ def serialize_problem(spec: ProblemSpec) -> str:
             lines.append(f"margin: {spec.margin:.17g}")
     lines.append(f"timeout: {spec.timeout:.17g}")
     lines.append(f"gap: {spec.gap:.17g}")
-    lines.append(f"order: {spec.order.value}")
     lines.append(f"tighten_timeout: {spec.tighten_timeout:.17g}")
     return "\n".join(lines) + "\n"
 
@@ -209,14 +207,12 @@ def parse_problem(text: str, base_dir: str = ".") -> ProblemSpec:
             raise SchemaError("true_label", "required with target_label")
 
     # The solver settings, each parsed and then checked; NaN fails both checks.
-    anything = lambda v: True
-    for name, default, parse, holds, rule in (
-        ("timeout", "120", float, lambda v: v > 0, "must be positive"),
-        ("gap", "1e-4", float, lambda v: v > 0, "must be positive"),
-        ("order", "best_first", NodeOrder, anything, ""),
-        ("tighten_timeout", "0", float, lambda v: v >= 0, "must be nonnegative"),
+    for name, default, holds, rule in (
+        ("timeout", "120", lambda v: v > 0, "must be positive"),
+        ("gap", "1e-4", lambda v: v > 0, "must be positive"),
+        ("tighten_timeout", "0", lambda v: v >= 0, "must be nonnegative"),
     ):
-        value = _parse_as(name, parse, take(name, default=default))
+        value = _parse_as(name, float, take(name, default=default))
         if not holds(value):
             raise SchemaError(name, rule)
         setattr(spec, name, value)
@@ -225,9 +221,21 @@ def parse_problem(text: str, base_dir: str = ".") -> ProblemSpec:
     return spec
 
 
+def _unreadable(field_name: str, path: str, exc: Exception) -> SchemaError:
+    """A file that cannot be opened or decoded, as a SchemaError on
+    `field_name` that names it."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return SchemaError(field_name, f"cannot read {path}: {reason}")
+
+
 def load_problem(path: str) -> ProblemSpec:
-    with open(path) as fh:
-        text = fh.read()
+    """The problem file at `path`; an unreadable one is a SchemaError on
+    `problem`."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable("problem", path, exc) from None
     spec = parse_problem(text, base_dir=os.path.dirname(os.path.abspath(path)))
     if not spec.problem_id:
         spec.problem_id = os.path.splitext(os.path.basename(path))[0]
@@ -494,8 +502,8 @@ def _load_network(spec: ProblemSpec) -> Network:
     path = spec.network_path()
     try:
         return load_nnet(path)
-    except OSError as exc:
-        raise SchemaError("network", f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable("network", path, exc) from None
 
 
 def _run_solver(spec, net, query, solver, timeout, trace) -> ResultRecord:
@@ -515,9 +523,7 @@ def _run_solver(spec, net, query, solver, timeout, trace) -> ResultRecord:
         )
 
     if solver == "branch_bound":
-        config = SearchConfig(
-            node_order=spec.order, timeout=timeout, tighten_timeout=spec.tighten_timeout
-        )
+        config = SearchConfig(timeout=timeout, tighten_timeout=spec.tighten_timeout)
         result = optimize(net, problem, config, trace=trace)
     elif solver == "bisection":
         cfg = baselines.BisectionConfig(
@@ -710,11 +716,11 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         for s in solvers:
             if s not in SOLVERS:
                 parser.error(f"unknown solver {s!r}")
-        spec_paths = [
-            os.path.join(args.directory, f)
-            for f in sorted(os.listdir(args.directory))
-            if f.endswith(".problem")
-        ]
+        try:
+            names = os.listdir(args.directory)
+        except OSError as exc:
+            raise _unreadable("directory", args.directory, exc) from None
+        spec_paths = [os.path.join(args.directory, f) for f in names if f.endswith(".problem")]
         records = run_benchmark(spec_paths, solvers, args.timeout, args.out)
         print(f"{len(records)} records -> {os.path.join(args.out, 'results.csv')}")
         return 0

@@ -51,11 +51,6 @@ class RegionStatus(Enum):
     OPTIMAL = "optimal"
 
 
-class NodeOrder(Enum):
-    BEST_FIRST = "best_first"
-    DEPTH_FIRST = "depth_first"
-
-
 class Status(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -93,7 +88,6 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    node_order: NodeOrder = NodeOrder.BEST_FIRST
     timeout: float = 120.0
     tighten_timeout: float = 0.0  # seconds per preprocessing LP; 0 disables
 
@@ -195,18 +189,17 @@ def split(
 
     With an Unknown outcome's `gaps` and `scores`, the node is the
     undetermined one with the highest score; ties go to the largest gap,
-    then to the earliest position. A zero objective scores every node 0, and
-    missing `scores` count as 0. Without `gaps` (a scripted outcome, or an
-    unbounded LP), it is the earliest undetermined node. Raises
-    NoUndetermined when no node is undetermined."""
+    then to the earliest position. A zero objective scores every node 0.
+    Without them (a scripted outcome, or an unbounded LP), it is the
+    earliest undetermined node. Raises NoUndetermined when no node is
+    undetermined."""
     undetermined = np.flatnonzero(phase == UNDETERMINED)
     if not undetermined.size:
         raise NoUndetermined("state has no undetermined node to split")
     i = undetermined[0]
     if gaps is not None:
-        if scores is not None:
-            top = scores[undetermined]
-            undetermined = undetermined[top == top.max()]
+        top = scores[undetermined]
+        undetermined = undetermined[top == top.max()]
         i = undetermined[np.argmax(gaps[undetermined])]  # the first of equal maxima
     active, inactive = phase.copy(), phase.copy()
     active[i], inactive[i] = ACTIVE, INACTIVE
@@ -280,23 +273,11 @@ def optimize(
 
     evaluator = region_evaluator or evaluate_region
 
-    # Frontier entries: (-parent bound, tiebreak counter, phase vector).
-    # Best-first pops the largest parent bound (children can only be worse);
-    # depth-first is LIFO.
-    best_first = config.node_order is NodeOrder.BEST_FIRST
-    counter = 0
-    frontier: list = []
-
-    def push(phase: np.ndarray, bound: float):
-        nonlocal counter
-        entry = (-bound, counter, phase)
-        if best_first:
-            heapq.heappush(frontier, entry)
-        else:
-            frontier.append(entry)
-        counter += 1
-
-    push(relaxation.phase, np.inf)
+    # The frontier is a heap of (-parent bound, tiebreak counter, phase
+    # vector): the largest parent bound pops first (children can only be
+    # worse), and of equal bounds the one pushed first.
+    frontier = [(-np.inf, 0, relaxation.phase)]
+    counter = 1
     timed_out = False
 
     with LiveModel() as model:
@@ -305,19 +286,15 @@ def optimize(
                 timed_out = True
                 break
             stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-            entry = heapq.heappop(frontier) if best_first else frontier.pop()
-            neg_bound, _, phase = entry
-            if -neg_bound <= incumbent:
-                # Already beaten: no LP, not a node. Best-first pops the largest
-                # parent bound, so every node left is beaten too.
-                if best_first:
-                    break
-                continue
+            if -frontier[0][0] <= incumbent:
+                break  # the top is beaten, and so is every node left: no LP, not a node
+            entry = heapq.heappop(frontier)
+            phase = entry[2]
             clock = time.perf_counter()
             try:
                 outcome = evaluator(phase, incumbent)
             except Timeout:
-                frontier.append(entry)  # still open: its bound counts
+                heapq.heappush(frontier, entry)  # still open: its bound counts
                 timed_out = True
                 break
             finally:
@@ -337,12 +314,13 @@ def optimize(
                     argopt, output = outcome.assignment, outcome.output
                 continue
             _, active, inactive = split(phase, outcome.gaps, outcome.scores)
-            push(inactive, outcome.lp_bound)
-            push(active, outcome.lp_bound)
+            heapq.heappush(frontier, (-outcome.lp_bound, counter, inactive))
+            heapq.heappush(frontier, (-outcome.lp_bound, counter + 1, active))
+            counter += 2
 
     stats.wall_seconds = time.monotonic() - start
     # The global bound: nothing open can beat the largest parent bound left.
-    global_bound = max([incumbent] + [-neg_bound for neg_bound, _, _ in frontier])
+    global_bound = max(incumbent, -frontier[0][0]) if frontier else incumbent
     stats.extra["bound"] = global_bound
     stats.extra["gap"] = global_bound - incumbent if argopt is not None else np.inf
     if argopt is not None:

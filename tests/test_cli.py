@@ -126,13 +126,17 @@ def test_parse_rejects_bad_solver_settings(line):
     assert info.value.field == line.partition(":")[0]
 
 
-@pytest.mark.parametrize("value", ["earliest", "largest_violation"])
-def test_parse_rejects_the_removed_split_key(value):
-    """There is one split rule; a `split:` line, as older versions wrote,
-    is an unknown key."""
+@pytest.mark.parametrize(
+    "line",
+    ["split: earliest", "split: largest_violation", "order: best_first", "order: depth_first"],
+    ids=lambda line: line.partition(": ")[2],
+)
+def test_parse_rejects_the_removed_split_key(line):
+    """There is one split rule and one node order; a `split:` or an `order:`
+    line, as older versions wrote, is an unknown key."""
     with pytest.raises(SchemaError) as info:
-        parse_problem(_OUTPUT_PROBLEM + f"split: {value}\n")
-    assert (info.value.field, info.value.reason) == ("split", "unknown field")
+        parse_problem(_OUTPUT_PROBLEM + line + "\n")
+    assert (info.value.field, info.value.reason) == (line.partition(":")[0], "unknown field")
 
 
 _MINADV_PROBLEM = (
@@ -666,15 +670,18 @@ def test_export_milp_takes_big_m_constants_from_symbolic_bounds(tmp_path):
 
 
 def test_unreadable_network_is_an_error_record_and_bench_goes_on(tmp_path, capsys):
-    """A `.nnet` that does not parse is a ParseError record and a missing
-    one a SchemaError record on `network`; bench writes both and solves the
-    rest, and solve and export-milp report the reason."""
+    """A `.nnet` that does not parse is a ParseError record, and a missing
+    one or one that is not UTF-8 text a SchemaError record on `network`;
+    bench writes them and solves the rest, and solve and export-milp report
+    the reason."""
     qdir = tmp_path / "queries"
-    paths = generate_queries("acas_out", seed=3, count=3, scale=4, out_dir=str(qdir))
-    garbage, missing, good = paths
+    paths = generate_queries("acas_out", seed=3, count=4, scale=4, out_dir=str(qdir))
+    garbage, missing, good, binary = paths
     with open(load_problem(garbage).network_path(), "w") as fh:
         fh.write("garbage\n")
     os.remove(load_problem(missing).network_path())
+    with open(load_problem(binary).network_path(), "wb") as fh:
+        fh.write(b"\xff\n")
 
     rec = solve_spec(load_problem(garbage))
     assert (rec.status, rec.error) == ("Error", "ParseError: line 1: bad numeric literal: "
@@ -683,16 +690,63 @@ def test_unreadable_network_is_an_error_record_and_bench_goes_on(tmp_path, capsy
     assert rec.status == "Error"
     assert rec.error.startswith("SchemaError: network: cannot read ")
     assert rec.error.endswith("No such file or directory")
+    rec = solve_spec(load_problem(binary))
+    assert rec.status == "Error"
+    assert rec.error.startswith("SchemaError: network: cannot read ")
+    assert rec.error.endswith("can't decode byte 0xff in position 0: invalid start byte")
 
     out = tmp_path / "out"
-    records = run_benchmark([garbage, missing, good], ["branch_bound"], 30.0, str(out))
+    records = run_benchmark([garbage, missing, good, binary], ["branch_bound"], 30.0, str(out))
     with open(out / "results.csv") as fh:
         rows = {row["problem_id"]: row for row in csv.DictReader(fh)}
-    assert [rows[r.problem_id]["status"] for r in records] == ["Error", "Error", "Optimal"]
+    statuses = [rows[r.problem_id]["status"] for r in records]
+    assert statuses == ["Error", "Error", "Optimal", "Error"]
     assert rows[records[0].problem_id]["error"].startswith("ParseError: line 1:")
-    assert rows[records[1].problem_id]["error"].startswith("SchemaError: network: cannot read ")
+    for rec in records[1], records[3]:
+        assert rows[rec.problem_id]["error"].startswith("SchemaError: network: cannot read ")
 
     assert main(["solve", missing]) == 1
     assert "\nerror: SchemaError: network: cannot read " in capsys.readouterr().out
     assert main(["export-milp", missing, "-o", str(tmp_path / "model.lp")]) == 1
     assert capsys.readouterr().err.startswith("error: SchemaError: network: cannot read ")
+
+
+def test_unreadable_problem_file_is_an_error_record_and_the_cli_says_why(tmp_path, capsys):
+    """A problem file that is missing, a dangling link or not UTF-8 text is
+    a SchemaError on `problem` that names it: bench writes an Error row for
+    it under each solver and solves the rest, solve and export-milp print
+    one error line and exit 1, and so does bench on a missing directory."""
+    qdir = tmp_path / "queries"
+    (good,) = generate_queries("acas_out", seed=3, count=1, scale=4, out_dir=str(qdir))
+    (qdir / "dangling.problem").symlink_to(tmp_path / "nowhere.problem")
+    (qdir / "binary.problem").write_bytes(b"kind: \xff\n")
+    missing = str(tmp_path / "missing.problem")
+
+    with pytest.raises(SchemaError) as info:
+        load_problem(missing)
+    assert info.value.field == "problem"
+    assert info.value.reason == f"cannot read {missing}: No such file or directory"
+
+    out = tmp_path / "out"
+    argv = ["bench", str(qdir), "--solvers", "branch_bound,bisection", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with open(out / "results.csv") as fh:
+        rows = {(row["problem_id"], row["solver"]): row for row in csv.DictReader(fh)}
+    good_id = load_problem(good).problem_id
+    for solver in ("branch_bound", "bisection"):
+        assert rows[good_id, solver]["status"] == "Optimal"
+        for pid in ("dangling", "binary"):
+            assert rows[pid, solver]["status"] == "Error"
+            reason = f"SchemaError: problem: cannot read {qdir / pid}.problem: "
+            assert rows[pid, solver]["error"].startswith(reason)
+    assert len(rows) == 6
+
+    line = f"error: SchemaError: problem: cannot read {missing}: No such file or directory\n"
+    for argv in (["solve", missing], ["export-milp", missing, "-o", str(tmp_path / "m.lp")]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", line)
+    nodir = str(tmp_path / "nodir")
+    assert main(["bench", nodir, "--out", str(out)]) == 1
+    line = f"error: SchemaError: directory: cannot read {nodir}: No such file or directory\n"
+    assert capsys.readouterr() == ("", line)

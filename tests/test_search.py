@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from reluopt import (
-    NodeOrder,
     NoUndetermined,
     Objective,
     OptimizationProblem,
@@ -28,7 +27,7 @@ from reluopt.baselines import brute_force_optimize, export_milp
 from reluopt.bounds import phases
 from reluopt.geometry import linf_epigraph
 from reluopt.highs import LiveModel
-from reluopt.lp import LPStatus, check_relu_consistency, encode_relaxation
+from reluopt.lp import check_relu_consistency, encode_relaxation
 from reluopt.search import CONSISTENCY_TOL, split_scores
 from reluopt.model import evaluate
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, fingerprint, phase_state
@@ -161,21 +160,20 @@ def test_region_statuses(abs_net):
 
 
 def test_split_earliest(abs_net):
-    """Without gaps `split` takes the earliest undetermined node."""
+    """Without gaps and scores `split` takes the earliest undetermined node."""
     state = phase_state(abs_net, [UNDETERMINED, UNDETERMINED])
     i, first, second = split(state)
     assert i == 0
     assert first[0] == ACTIVE
     assert second[0] == INACTIVE
-    assert split(state, scores=np.array([0.0, 5.0]))[0] == 0  # scores need gaps
     leaf = phase_state(abs_net, [ACTIVE, ACTIVE])
     with pytest.raises(NoUndetermined):
         split(leaf)
 
 
 def test_split_largest_violation(abs_net):
-    """With gaps and no scores `split` takes the largest violation; with
-    scores the score comes first, then the gap, then the position."""
+    """With gaps and scores `split` takes the highest score, then the
+    largest violation, then the earliest position."""
     problem = output_max_problem(abs_net, [1.0], [-2.0], [3.0])
     relaxation = encode_relaxation(abs_net, problem, propagate_interval(abs_net, problem.box))
     vec = np.zeros(relaxation.imap.n_vars)
@@ -184,48 +182,12 @@ def test_split_largest_violation(abs_net):
     vec[relaxation.z[1]] = 2.0
     state = phase_state(abs_net, [UNDETERMINED, UNDETERMINED])
     gaps = check_relu_consistency(relaxation, vec)
-    i, first, _ = split(state, gaps)
+    i, first, _ = split(state, gaps, np.zeros(2))  # a zero objective's scores
     assert i == 1
     assert first[1] == ACTIVE
     assert split(state, gaps, np.array([3.0, 1.0]))[0] == 0  # the score comes first
     assert split(state, gaps, np.array([1.0, 1.0]))[0] == 1  # then the gap
     assert split(state, np.array([2.0, 2.0]), np.array([1.0, 1.0]))[0] == 0  # then the position
-
-
-def test_largest_violation_splits_at_the_largest_gap_of_an_undetermined_relu():
-    """At LP optima of partial states of random nets, `split` given the
-    gaps and no scores fixes the undetermined ReLU with the largest
-    `check_relu_consistency` gap: the earliest of equal gaps, the earliest
-    undetermined ReLU when every gap is 0, and never a fixed ReLU, whatever
-    its gap."""
-    rng = np.random.default_rng(29)
-    checked = ties = 0
-    for _ in range(30):
-        net = random_net(rng, n_in=3, hidden=(6, 6), n_out=1)
-        problem = output_max_problem(net, rng.normal(size=1), -np.ones(3), np.ones(3))
-        relaxation = encode_relaxation(net, problem, propagate_interval(net, problem.box))
-        with LiveModel() as model:
-            for _ in range(5):
-                phase = relaxation.phase.copy()
-                pick = (phase == UNDETERMINED) & (rng.random(len(phase)) < 0.3)
-                phase[pick] = rng.choice((ACTIVE, INACTIVE), size=int(pick.sum()))
-                res = model.solve_phase(relaxation, phase)
-                undetermined = np.flatnonzero(phase == UNDETERMINED).tolist()
-                if res.status != LPStatus.OPTIMAL or not undetermined:
-                    continue
-                gaps = check_relu_consistency(relaxation, res.assignment)
-                louder = np.where(phase == UNDETERMINED, gaps, gaps + 10.0)
-                for g in (gaps, np.round(gaps, 1), louder, np.zeros_like(gaps)):
-                    top = max(g[j] for j in undetermined)
-                    expected = min(j for j in undetermined if g[j] == top)
-                    ties += top > 0.0 and sum(g[j] == top for j in undetermined) > 1
-                    i, active, inactive = split(phase, g)
-                    assert i == expected
-                    for child, value in ((active, ACTIVE), (inactive, INACTIVE)):
-                        assert np.flatnonzero(child != phase).tolist() == [i]
-                        assert child[i] == value and not child.flags.writeable
-                    checked += 1
-    assert checked >= 200 and ties >= 5
 
 
 def test_split_takes_the_violated_relu_whose_triangle_row_the_duals_price_highest():
@@ -362,9 +324,9 @@ def _without_gaps(net, problem, bounds, relaxation=None, model=None):
     return evaluator
 
 
-def test_strategies_and_orders_agree():
+def test_score_and_earliest_undetermined_splits_find_the_same_optimum():
     """The score rule and the earliest-undetermined split of outcomes
-    without gaps find the same optimum in either node order."""
+    without gaps find the same optimum."""
     rng = np.random.default_rng(51)
     for _ in range(5):
         net = random_net(rng, n_in=2, hidden=(5,), n_out=1)
@@ -372,16 +334,9 @@ def test_strategies_and_orders_agree():
         bounds = propagate_interval(net, problem.box)
         values = []
         for evaluator in (None, _without_gaps(net, problem, bounds)):
-            for order in NodeOrder:
-                result = optimize(
-                    net,
-                    problem,
-                    SearchConfig(node_order=order),
-                    bounds=bounds,
-                    region_evaluator=evaluator,
-                )
-                assert result.status is Status.OPTIMAL
-                values.append(result.value)
+            result = optimize(net, problem, bounds=bounds, region_evaluator=evaluator)
+            assert result.status is Status.OPTIMAL
+            values.append(result.value)
         assert max(values) - min(values) < 1e-6
 
 
@@ -540,19 +495,17 @@ def _reuse_nets(seeds=range(5)):
         yield net, problem
 
 
-@pytest.mark.parametrize("order", list(NodeOrder))
-def test_earliest_unfixed_with_reuse_finds_the_brute_force_optimum(order):
+def test_earliest_undetermined_split_in_one_reused_model_finds_the_brute_force_optimum():
     """The earliest-undetermined split, which `split` makes of outcomes
     without gaps, finds brute force's optimum with one HiGHS instance reused
     for every node LP of a problem."""
-    config = SearchConfig(node_order=order)
     reused = 0
     for net, problem in _reuse_nets():
         bounds = propagate_interval(net, problem.box)
         relaxation = encode_relaxation(net, problem, bounds)
         with LiveModel() as model:
             evaluator = _without_gaps(net, problem, bounds, relaxation, model)
-            result = optimize(net, problem, config, bounds=bounds, region_evaluator=evaluator)
+            result = optimize(net, problem, bounds=bounds, region_evaluator=evaluator)
         exact = brute_force_optimize(net, problem)
         assert result.status is exact.status is Status.OPTIMAL
         assert result.value == pytest.approx(exact.value, abs=1e-6)
@@ -562,14 +515,12 @@ def test_earliest_unfixed_with_reuse_finds_the_brute_force_optimum(order):
     assert reused >= 1
 
 
-@pytest.mark.parametrize("order", list(NodeOrder))
-def test_largest_violation_solves_one_lp_per_node(order):
+def test_every_node_solves_its_own_lp():
     """The split ReLU, the highest-scored and then the most violated, is
     violated at its node's LP point, so no child holds that point: every
     node solves its own LP."""
-    config = SearchConfig(node_order=order)
     for net, problem in _reuse_nets():
-        result = optimize(net, problem, config)
+        result = optimize(net, problem)
         assert result.status is Status.OPTIMAL
         assert result.stats.lps_solved == result.stats.nodes_explored > 1
 
@@ -594,11 +545,9 @@ def _exact_cases(seed, hidden, open_range, count, propagate):
                 yield net, problem
 
 
-@pytest.mark.parametrize("order", list(NodeOrder))
-def test_every_node_is_traced_with_its_own_lp_bound(order):
+def test_every_node_is_traced_with_its_own_lp_bound():
     """Every explored node is traced once, with the status and LP bound of
     the outcome its own evaluation gave."""
-    config = SearchConfig(node_order=order)
     for net, problem in _reuse_nets():
         bounds = propagate_interval(net, problem.box)
         solved = {}
@@ -609,9 +558,7 @@ def test_every_node_is_traced_with_its_own_lp_bound(order):
             return out
 
         trace = io.StringIO()
-        result = optimize(
-            net, problem, config, bounds=bounds, trace=trace, region_evaluator=evaluator
-        )
+        result = optimize(net, problem, bounds=bounds, trace=trace, region_evaluator=evaluator)
         records = [json.loads(line) for line in trace.getvalue().splitlines()]
         assert len(records) == len(solved) == result.stats.nodes_explored > 1
         for record in records:
@@ -623,21 +570,19 @@ def test_every_node_is_traced_with_its_own_lp_bound(order):
 
 def test_search_finds_the_brute_force_optimum():
     """On seeded random nets with 4 to 11 open ReLUs, B&B under the score
-    rule gives brute force's status and value, for both query kinds and
-    both node orders."""
+    rule gives brute force's status and value, for both query kinds."""
     kinds = set()
     for net, problem in _exact_cases(4100, (6, 6), (4, 11), 4, propagate_interval):
         exact = brute_force_optimize(net, problem)
         kinds.add((problem.use_t, exact.status))
-        for order in NodeOrder:
-            result = optimize(net, problem, SearchConfig(node_order=order))
-            assert result.status is exact.status
-            if exact.status is Status.OPTIMAL:
-                assert result.value == pytest.approx(exact.value, abs=1e-6)
-                x = result.argopt
-                assert problem.objective_at(net, x) == pytest.approx(result.value, abs=1e-9)
-                assert result.stats.extra["max_violation"] <= 1e-6
-            assert result.stats.lps_solved == result.stats.nodes_explored
+        result = optimize(net, problem)
+        assert result.status is exact.status
+        if exact.status is Status.OPTIMAL:
+            assert result.value == pytest.approx(exact.value, abs=1e-6)
+            x = result.argopt
+            assert problem.objective_at(net, x) == pytest.approx(result.value, abs=1e-9)
+            assert result.stats.extra["max_violation"] <= 1e-6
+        assert result.stats.lps_solved == result.stats.nodes_explored
     assert {(False, Status.OPTIMAL), (True, Status.OPTIMAL)} <= kinds
 
 
@@ -664,24 +609,21 @@ def _highs_mip(text):
 def test_search_finds_the_highs_mip_optimum():
     """Beyond brute force's reach, on seeded random nets whose
     back-substitution bounds leave 20 to 40 ReLUs open, B&B gives the status
-    and value of HiGHS MIP on `export_milp`'s model, for both query kinds and
-    both node orders."""
+    and value of HiGHS MIP on `export_milp`'s model, for both query kinds."""
     kinds = set()
     for net, problem in _exact_cases(4200, (16, 16, 12), (20, 40), 2, propagate_symbolic):
         _, text = export_milp(net, problem, propagate_symbolic(net, problem.box))
         status, value = _highs_mip(text)
         kinds.add((problem.use_t, status))
-        for order in NodeOrder:
-            result = optimize(net, problem, SearchConfig(node_order=order))
-            assert result.status is status
-            if status is Status.OPTIMAL:
-                assert result.value == pytest.approx(value, abs=1e-6)
-                assert result.stats.extra["max_violation"] <= 1e-6
+        result = optimize(net, problem)
+        assert result.status is status
+        if status is Status.OPTIMAL:
+            assert result.value == pytest.approx(value, abs=1e-6)
+            assert result.stats.extra["max_violation"] <= 1e-6
     assert {(False, Status.OPTIMAL), (True, Status.OPTIMAL)} <= kinds
 
 
-@pytest.mark.parametrize("order", list(NodeOrder))
-def test_node_whose_parent_bound_is_beaten_reaches_no_evaluator(abs_net, order):
+def test_node_whose_parent_bound_is_beaten_reaches_no_evaluator(abs_net):
     # Both grandchildren under bound 19 are optimal at 19; whichever is
     # solved first makes 19 the incumbent, and its sibling is then dropped.
     script = {
@@ -697,7 +639,7 @@ def test_node_whose_parent_bound_is_beaten_reaches_no_evaluator(abs_net, order):
     result = optimize(
         abs_net,
         problem,
-        SearchConfig(timeout=10.0, node_order=order),
+        SearchConfig(timeout=10.0),
         region_evaluator=evaluator,
         trace=trace,
     )
@@ -743,8 +685,7 @@ def test_timeout_before_any_node_has_infinite_bound_and_gap(abs_net):
     assert result.stats.extra["gap"] == np.inf
 
 
-@pytest.mark.parametrize("order", list(NodeOrder))
-def test_optimal_closes_the_gap_and_infeasible_has_no_bound(abs_net, order):
+def test_optimal_closes_the_gap_and_infeasible_has_no_bound(abs_net):
     script = {
         "A[]N[]": ("unknown", 20.0),
         "A[]N[0.0]": ("infeasible",),
@@ -754,7 +695,7 @@ def test_optimal_closes_the_gap_and_infeasible_has_no_bound(abs_net, order):
     }
     evaluator, _ = scripted_evaluator(abs_net, script)
     problem = output_max_problem(abs_net, [1.0], [-1.0], [1.0])
-    config = SearchConfig(timeout=10.0, node_order=order)
+    config = SearchConfig(timeout=10.0)
     result = optimize(abs_net, problem, config, region_evaluator=evaluator)
     assert result.status is Status.OPTIMAL
     assert result.stats.extra["bound"] == 9.0
@@ -824,16 +765,14 @@ def test_search_from_root_bounds_finds_the_brute_force_optimum():
     for net, problem in _root_bound_cases():
         exact = brute_force_optimize(net, problem)
         kinds.add((problem.use_t, exact.status))
-        for order in NodeOrder:
-            for tighten_timeout in (0.0, 5.0):
-                config = SearchConfig(node_order=order, tighten_timeout=tighten_timeout)
-                result = optimize(net, problem, config)
-                assert result.status is exact.status
-                if exact.status is Status.OPTIMAL:
-                    assert result.value == pytest.approx(exact.value, abs=1e-6)
-                    x = result.argopt
-                    assert problem.objective_at(net, x) == pytest.approx(result.value, abs=1e-9)
-                    assert result.stats.extra["max_violation"] <= 1e-6
+        for tighten_timeout in (0.0, 5.0):
+            result = optimize(net, problem, SearchConfig(tighten_timeout=tighten_timeout))
+            assert result.status is exact.status
+            if exact.status is Status.OPTIMAL:
+                assert result.value == pytest.approx(exact.value, abs=1e-6)
+                x = result.argopt
+                assert problem.objective_at(net, x) == pytest.approx(result.value, abs=1e-9)
+                assert result.stats.extra["max_violation"] <= 1e-6
     assert {(False, Status.OPTIMAL), (True, Status.OPTIMAL)} <= kinds
 
 
@@ -945,12 +884,10 @@ def test_unknown_outcome_carries_its_consistency_gaps():
     assert unknown >= 8 and priced >= 4
 
 
-@pytest.mark.parametrize("order", list(NodeOrder))
-def test_outcome_without_gaps_answers_for_no_child(order):
+def test_outcome_without_gaps_splits_at_the_earliest_undetermined_relu():
     """An evaluator whose Unknown outcomes carry no gaps and no scores gets
     every node, each split at its earliest undetermined ReLU, and the search
     finds the same optimum."""
-    config = SearchConfig(node_order=order)
     for net, problem in _reuse_nets():
         bounds = propagate_interval(net, problem.box)
         split_at = []
@@ -970,10 +907,10 @@ def test_outcome_without_gaps_answers_for_no_child(order):
             traced.append(i)
             return i, active, inactive
 
-        plain = optimize(net, problem, config, bounds=bounds)
+        plain = optimize(net, problem, bounds=bounds)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("reluopt.search.split", recording_split)
-            stripped = optimize(net, problem, config, bounds=bounds, region_evaluator=evaluator)
+            stripped = optimize(net, problem, bounds=bounds, region_evaluator=evaluator)
         assert traced == split_at and traced
         assert stripped.stats.lps_solved == stripped.stats.nodes_explored
         assert stripped.value == pytest.approx(plain.value, abs=1e-9)

@@ -26,10 +26,10 @@ def _state(net, active=(), inactive=()):
 
 def _fix(phase, i, active):
     """The child of `phase` that `split` makes with node `i` active or
-    inactive, picked by a gap at `i` alone."""
+    inactive, picked by a gap and a score at `i` alone."""
     gaps = np.zeros(len(phase))
     gaps[i] = 1.0
-    fixed, on, off = split(phase, gaps)
+    fixed, on, off = split(phase, gaps, gaps)
     assert fixed == i
     return on if active else off
 
@@ -67,7 +67,7 @@ def test_split_fixes_only_undetermined_nodes(net):
         assert not child.flags.writeable
     assert state[4] == UNDETERMINED  # the parent is unchanged
     leaf = _state(net, active=range(0, 15, 2), inactive=range(1, 15, 2))
-    for args in ((), (gaps,), (gaps, scores)):
+    for args in ((), (gaps, scores)):
         with pytest.raises(NoUndetermined):
             split(leaf, *args)
 
