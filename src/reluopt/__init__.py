@@ -2,7 +2,7 @@
 feed-forward ReLU networks: branch-and-bound over partial activation states
 with LP-relaxation bounding, plus reference baselines."""
 
-from .attacks import fgsm, pgd
+from .attacks import fgsm, pgd, ray_witness
 from .bounds import (
     BoundsMap,
     phases,

@@ -9,7 +9,7 @@ variable with t >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
@@ -48,12 +48,13 @@ class Row:
             if v is not None:
                 object.__setattr__(self, name, np.asarray(v, dtype=np.float64))
 
-    def value(self, x, y, t: float = 0.0) -> float:
+    def value(self, x, y, t=0.0):
+        """a_x.x + a_y.y + a_t.t at a point, or at each column of x and y."""
         total = self.a_t * t
         if self.a_x is not None:
-            total += float(self.a_x @ x)
+            total = total + self.a_x @ x
         if self.a_y is not None:
-            total += float(self.a_y @ y)
+            total = total + self.a_y @ y
         return total
 
     def violation(self, x, y, t: float = 0.0) -> float:
@@ -122,6 +123,22 @@ class OptimizationProblem:
         """Whether the problem has the epigraph scalar t: its objective or
         one of its rows gives t a nonzero coefficient."""
         return self.objective.c_t != 0.0 or any(row.a_t for row in self.rows)
+
+    def ball(self, value: float) -> Optional["OptimizationProblem"]:
+        """For a min-perturbation problem (objective c_t.t, c_t < 0, no x or
+        y term, `x0` set), this problem on its box within x0 +- value/c_t and
+        with t_upper at most value/c_t: it holds every point whose objective,
+        c_t times its L-inf distance from x0, beats `value`. Else None."""
+        c = self.objective
+        if self.x0 is None or not c.c_t < 0.0 or np.any(c.c_x) or np.any(c.c_y):
+            return None
+        radius = value / c.c_t
+        box = replace(
+            self.box,
+            lower=np.maximum(self.box.lower, self.x0 - radius),
+            upper=np.minimum(self.box.upper, self.x0 + radius),
+        )
+        return replace(self, box=box, t_upper=min(self.t_upper, radius))
 
     def t_of(self, x) -> float:
         """The tightest feasible epigraph value at input x (0 when the

@@ -18,6 +18,7 @@ import numpy as np
 # `LiveModel.solve_phase`) but stay importable by its name: perfbench's tracer
 # wraps them here, as it wraps tighten_lp. They go when the tracer stops
 # looking them up.
+from .attacks import ray_witness
 from .bounds import (  # noqa: F401
     COUNTERS,
     BoundsMap,
@@ -235,41 +236,53 @@ def optimize(
     because the back-substitution bounds already fix their ReLU's phase
     (`tighten_skipped`), not needed because the ReLU's range has a closed
     form (`tighten_exact`) and stopped by their time limit
-    (`tighten_limit_hits`), and the seconds spent on the root bounds
-    (`bounds_s`), the root LP (`encode_s`) and node evaluation (`lp_s`). It
-    also holds the global upper `bound`, the largest of the incumbent and
-    the parent bounds of the nodes still open, and the `gap` from the
-    incumbent up to it (inf without an incumbent).
+    (`tighten_limit_hits`), and the seconds spent on the witness and the
+    root bounds (`bounds_s`), the root LP (`encode_s`) and node evaluation
+    (`lp_s`). It also holds the global upper `bound`, the largest of the
+    incumbent and the parent bounds of the nodes still open, and the `gap`
+    from the incumbent up to it (inf without an incumbent).
     A result with an argopt re-checks it by a forward pass: `max_violation`
     is the most it leaves the box or fails a row by (0 when it holds), read
     from the output its leaf was valued at (a forward pass here when the
     outcome carries none).
 
-    `bounds` defaults to `root_bounds` under `config.tighten_timeout`.
+    `bounds` defaults to `root_bounds` under `config.tighten_timeout`. When
+    it is not given, a feasible point on the gradient ray from x0
+    (`ray_witness`) of a problem that `problem.ball` applies to is the
+    first incumbent, its objective is `stats.extra['witness']` (else None),
+    and the ball of that value is searched in place of the problem: bounds,
+    LPs and leaves. Every point that beats the witness lies in the ball.
     """
     start = time.monotonic()
     deadline = start + config.timeout
-    stats = SearchStats(extra={**dict.fromkeys(COUNTERS, 0), "lp_s": 0.0})
-
-    clock = time.perf_counter()
-    if bounds is None:
-        bounds = root_bounds(net, problem.box, config.tighten_timeout, deadline, stats.extra)
-    stats.extra["bounds_s"] = time.perf_counter() - clock
+    stats = SearchStats(extra={**dict.fromkeys(COUNTERS, 0), "lp_s": 0.0, "witness": None})
 
     incumbent = -np.inf
     argopt: Optional[np.ndarray] = None
     output: Optional[np.ndarray] = None  # the network's output at argopt, when known
+    searched = problem  # the problem the bounds, LPs and leaves are of
+
+    clock = time.perf_counter()
+    if bounds is None:
+        found = ray_witness(net, problem)
+        value = None if found is None else problem.objective_at(net, *found)
+        ball = None if found is None else problem.ball(value)
+        if ball is not None:
+            incumbent, (argopt, output), searched = value, found, ball
+            stats.extra["witness"] = value
+        bounds = root_bounds(net, searched.box, config.tighten_timeout, deadline, stats.extra)
+    stats.extra["bounds_s"] = time.perf_counter() - clock
 
     # One encoding and one live model per call, so a problem's node
     # sequence never depends on problems solved before it. The root is the
     # relaxation's read-only phase vector: the phases the bounds fix.
     clock = time.perf_counter()
-    relaxation = encode_relaxation(net, problem, bounds)
+    relaxation = encode_relaxation(net, searched, bounds)
     stats.extra["encode_s"] = time.perf_counter() - clock
 
     def evaluate_region(phase: np.ndarray, inc: float) -> RegionOutcome:
         limit = deadline - time.monotonic()
-        return optimum_for_region(net, problem, phase, bounds, inc, relaxation, model, limit)
+        return optimum_for_region(net, searched, phase, bounds, inc, relaxation, model, limit)
 
     evaluator = region_evaluator or evaluate_region
 
@@ -282,12 +295,12 @@ def optimize(
 
     with LiveModel() as model:
         while frontier:
-            if time.monotonic() - start > config.timeout:
-                timed_out = True
-                break
             stats.peak_frontier = max(stats.peak_frontier, len(frontier))
             if -frontier[0][0] <= incumbent:
                 break  # the top is beaten, and so is every node left: no LP, not a node
+            if time.monotonic() - start > config.timeout:
+                timed_out = True
+                break
             entry = heapq.heappop(frontier)
             phase = entry[2]
             clock = time.perf_counter()

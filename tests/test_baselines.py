@@ -304,7 +304,9 @@ def test_a_witness_found_as_the_budget_ends_still_decides(abs_net, monkeypatch):
 
     def evaluator(phase, incumbent):
         if not phase.any():  # the root: split it
-            return RegionOutcome(RegionStatus.UNKNOWN, lp_bound=0.0)
+            # Its bound is above the witness's value 0, so the witness does
+            # not beat the sibling: the budget, not the incumbent, ends the search.
+            return RegionOutcome(RegionStatus.UNKNOWN, lp_bound=1.0)
         time.sleep(0.3)  # the budget ends as the witness is found
         return RegionOutcome(RegionStatus.OPTIMAL, lp_bound=0.0, value=0.0, assignment=witness)
 

@@ -20,6 +20,7 @@ from reluopt import (
     optimum_for_region,
     propagate_interval,
     propagate_symbolic,
+    ray_witness,
     root_bounds,
     split,
 )
@@ -29,7 +30,7 @@ from reluopt.geometry import linf_epigraph
 from reluopt.highs import LiveModel
 from reluopt.lp import check_relu_consistency, encode_relaxation
 from reluopt.search import CONSISTENCY_TOL, split_scores
-from reluopt.model import evaluate
+from reluopt.model import evaluate, gradient
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, fingerprint, phase_state
 
 from conftest import (
@@ -570,8 +571,9 @@ def test_every_node_is_traced_with_its_own_lp_bound():
 
 def test_search_finds_the_brute_force_optimum():
     """On seeded random nets with 4 to 11 open ReLUs, B&B under the score
-    rule gives brute force's status and value, for both query kinds."""
-    kinds = set()
+    rule gives brute force's status and value, for both query kinds; at
+    least one min-adversarial search starts from a witness."""
+    kinds, witnessed = set(), 0
     for net, problem in _exact_cases(4100, (6, 6), (4, 11), 4, propagate_interval):
         exact = brute_force_optimize(net, problem)
         kinds.add((problem.use_t, exact.status))
@@ -583,7 +585,10 @@ def test_search_finds_the_brute_force_optimum():
             assert problem.objective_at(net, x) == pytest.approx(result.value, abs=1e-9)
             assert result.stats.extra["max_violation"] <= 1e-6
         assert result.stats.lps_solved == result.stats.nodes_explored
+        assert problem.use_t or result.stats.extra["witness"] is None
+        witnessed += problem.use_t and result.stats.extra["witness"] is not None
     assert {(False, Status.OPTIMAL), (True, Status.OPTIMAL)} <= kinds
+    assert witnessed >= 1
 
 
 def _highs_mip(text):
@@ -609,8 +614,9 @@ def _highs_mip(text):
 def test_search_finds_the_highs_mip_optimum():
     """Beyond brute force's reach, on seeded random nets whose
     back-substitution bounds leave 20 to 40 ReLUs open, B&B gives the status
-    and value of HiGHS MIP on `export_milp`'s model, for both query kinds."""
-    kinds = set()
+    and value of HiGHS MIP on `export_milp`'s model, for both query kinds;
+    at least one min-adversarial search starts from a witness."""
+    kinds, witnessed = set(), 0
     for net, problem in _exact_cases(4200, (16, 16, 12), (20, 40), 2, propagate_symbolic):
         _, text = export_milp(net, problem, propagate_symbolic(net, problem.box))
         status, value = _highs_mip(text)
@@ -620,7 +626,10 @@ def test_search_finds_the_highs_mip_optimum():
         if status is Status.OPTIMAL:
             assert result.value == pytest.approx(value, abs=1e-6)
             assert result.stats.extra["max_violation"] <= 1e-6
+        assert problem.use_t or result.stats.extra["witness"] is None
+        witnessed += problem.use_t and result.stats.extra["witness"] is not None
     assert {(False, Status.OPTIMAL), (True, Status.OPTIMAL)} <= kinds
+    assert witnessed >= 1
 
 
 def test_node_whose_parent_bound_is_beaten_reaches_no_evaluator(abs_net):
@@ -683,6 +692,25 @@ def test_timeout_before_any_node_has_infinite_bound_and_gap(abs_net):
     assert result.status is Status.TIMEOUT and result.value is None
     assert result.stats.extra["bound"] == np.inf
     assert result.stats.extra["gap"] == np.inf
+
+
+def test_a_search_whose_nodes_are_all_beaten_as_the_budget_ends_is_optimal(abs_net):
+    """The node in flight as the budget ends finds an incumbent that beats
+    every node left: the search has finished, so it is Optimal with gap 0."""
+    import time
+
+    def evaluator(phase, incumbent):
+        if not phase.any():  # the root: split it
+            return RegionOutcome(RegionStatus.UNKNOWN, lp_bound=1.0)
+        time.sleep(0.3)  # the budget ends as the incumbent is found
+        return RegionOutcome(RegionStatus.OPTIMAL, lp_bound=1.0, value=1.0, assignment=np.ones(1))
+
+    problem = output_max_problem(abs_net, [1.0], [-1.0], [1.0])
+    result = optimize(abs_net, problem, SearchConfig(timeout=0.2), region_evaluator=evaluator)
+    assert result.status is Status.OPTIMAL and result.value == 1.0
+    assert result.stats.nodes_explored == 2
+    assert result.stats.extra["bound"] == 1.0
+    assert result.stats.extra["gap"] == 0.0
 
 
 def test_optimal_closes_the_gap_and_infeasible_has_no_bound(abs_net):
@@ -962,3 +990,74 @@ def test_a_leaf_is_valued_and_rechecked_by_one_forward_pass(monkeypatch):
     assert len(passes) == leaves
     assert result.stats.extra["max_violation"] == problem.violation(net, result.argopt)
     assert result.value == problem.objective_at(net, result.argopt)
+
+
+# ---------------------------------------------------------------------------
+# Witnesses on the gradient ray
+
+
+def test_ray_witness_meets_every_row_on_the_clipped_gradient_ray():
+    """On seeded random nets, a witness and its output meet every row, lie
+    in the box on clip(x0 + t d) for d the sign of the rows' gradient at x0,
+    and have t <= t_upper. A target the ray never reaches, an equality row
+    and a problem without x0 give None."""
+    rng = np.random.default_rng(5100)
+    found = 0
+    for _ in range(40):
+        net = random_net(rng, n_in=3, hidden=(8, 8), n_out=2)
+        problem = _min_adv_problem(net, rng)
+        witness = ray_witness(net, problem)
+        if witness is None:
+            continue
+        found += 1
+        x, y = witness
+        np.testing.assert_array_equal(y, evaluate(net, x))
+        assert problem.violation(net, x, y) == 0.0
+        t = problem.t_of(x)
+        assert t <= problem.t_upper
+        d = np.sign(gradient(net, problem.x0, np.array([-1.0, 1.0])))
+        ray = np.clip(problem.x0 + t * d, problem.box.lower, problem.box.upper)
+        np.testing.assert_allclose(x, ray, rtol=0.0, atol=1e-12)
+
+        far = Row(None, np.array([-1.0, 1.0]), 0.0, Relation.GE, 1e6)
+        assert ray_witness(net, dataclasses.replace(problem, rows=problem.rows + (far,))) is None
+        equal = Row(None, np.array([-1.0, 1.0]), 0.0, Relation.EQ, float(y[1] - y[0]))
+        assert ray_witness(net, dataclasses.replace(problem, rows=(equal,))) is None
+        assert ray_witness(net, dataclasses.replace(problem, x0=None)) is None
+    assert found >= 10
+
+
+def test_a_min_perturbation_timeout_before_the_first_node_carries_the_witness():
+    """A min-perturbation search whose budget ends before its first node is
+    a Timeout whose value and argopt are the witness's."""
+    rng = np.random.default_rng(5200)
+    while (witness := ray_witness(net := random_net(rng, 3, (8, 8), 2),
+                                  problem := _min_adv_problem(net, rng))) is None:
+        pass
+    x, y = witness
+    result = optimize(net, problem, SearchConfig(timeout=1e-9))
+    assert result.status is Status.TIMEOUT and result.stats.nodes_explored == 0
+    assert result.value == result.stats.extra["witness"] == problem.objective_at(net, x, y)
+    np.testing.assert_array_equal(result.argopt, x)
+    assert result.stats.extra["max_violation"] == 0.0
+
+
+def test_a_witness_narrows_the_search_but_not_its_answer():
+    """A min-adversarial search that computes its own bounds starts from the
+    witness and searches the ball it leaves; given bounds it starts from no
+    witness. Both reach the same status and optimum, no worse than the witness."""
+    rng = np.random.default_rng(5300)
+    used = 0
+    for _ in range(12):
+        net = random_net(rng, n_in=3, hidden=(8, 8), n_out=2)
+        problem = _min_adv_problem(net, rng)
+        narrowed = optimize(net, problem)
+        whole = optimize(net, problem, bounds=root_bounds(net, problem.box))
+        assert narrowed.status is whole.status
+        if whole.status is Status.OPTIMAL:
+            assert narrowed.value == pytest.approx(whole.value, abs=1e-9)
+        assert whole.stats.extra["witness"] is None
+        witness = narrowed.stats.extra["witness"]
+        assert witness is None or narrowed.value >= witness
+        used += witness is not None
+    assert used >= 4
