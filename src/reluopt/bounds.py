@@ -225,11 +225,11 @@ def tighten_lp(
     (`_narrowed`). A ReLU whose new bounds fix its phase gets that phase,
     and later ReLUs see the new bounds and phases.
 
-    The LPs relax each ReLU as B&B's root node does: the phases the seed
-    fixes (`phases`) are written into the LP by `build_relaxed_lp`, with a
-    triangle row for each ReLU it leaves undetermined. A phase fixed in a
-    later layer can cut an earlier ReLU's LP as well, through the column
-    bounds of the layers after it.
+    The LPs relax each ReLU as B&B's root node does: `encode_relaxation`
+    substitutes out the ReLUs the seed fixes (`phases`) and gives each ReLU
+    it leaves undetermined a triangle row. The bounds and phases found so
+    far are written into the column bounds of those open ReLUs, so a phase
+    fixed in a later layer can cut an earlier ReLU's LP as well.
 
     A ReLU is given its range in closed form, with no LP, when every ReLU
     of the layers before it is fixed, by the seed or by tightening so far.
@@ -242,7 +242,7 @@ def tighten_lp(
     an LP, no relaxation is encoded and no live model is taken.
 
     A ReLU whose phase the seed fixes is skipped and keeps the seed's
-    bounds. Its phase is written into every LP (z = zhat or z = 0), so the
+    bounds. It is substituted into every LP (z = zhat or z = 0), so the
     ReLU is linear there, and any bound its own LPs could return the LP
     already implies. Narrowing its interval would therefore cut no later
     tightening LP, each of which lies inside the one before, nor B&B's root

@@ -5,22 +5,22 @@ A `LinearProgram` is the form HiGHS takes: one sparse CSC matrix A (a
 `CSCMatrix`, three numpy arrays) and the vectors of row_lower <= A v <=
 row_upper, lower <= v <= upper, and the costs. The relaxed LP of a network
 has one matrix in every state. Only the ReLUs whose root bounds [l, u]
-straddle zero (open ReLUs) get a z column of their own, with a link row
-z - zhat >= 0 and a triangle row z - s zhat <= -s l, s = u / (u - l). A
-ReLU the root bounds fix is linear, so its z is eliminated: an active
-ReLU's z is its zhat column, an inactive ReLU's z is one shared column
-fixed at 0, and an identity layer's z is its zhat column too. The other
-rows are the affine chaining rows and the output rows. `encode_relaxation`
-builds it once per problem, column bounds included, as the root LP, and a
-state changes only bounds, each ReLU's by one rule (`_phase_bounds`). With
-z in [0, u], open ReLUs are relaxed to their convex hull over [l, u]:
-z >= 0, z >= zhat and the triangle face (Ehlers 2017). The triangle row
-holds in every phase (z = zhat <= u, or z = 0 with zhat >= l), so it never
-changes with the state, and fully fixed leaves are exact. LPs that
-share the matrix object are re-solved in one live HiGHS model
-(reluopt.highs) by bound and cost changes; the root LP carries a starting
-basis for that model's first solve, whose primal point is the forward pass
-at a box vertex.
+straddle zero (open ReLUs) get columns: a zhat column in an affine row, a
+z column, a link row z - zhat >= 0 and a triangle row z - s zhat <= -s l,
+s = u / (u - l). A ReLU the root bounds fix is linear, and identity layers
+are too, so they are substituted out: each affine row gives an open
+ReLU's pre-activation over x and the z of the open ReLUs before it, and
+the problem rows and the objective read the output the same way.
+`encode_relaxation` builds it once per problem, column bounds included,
+as the root LP, and a state changes only bounds, each ReLU's by one rule
+(`_phase_bounds`). With z in [0, u], open ReLUs are relaxed to their
+convex hull over [l, u]: z >= 0, z >= zhat and the triangle face (Ehlers
+2017). The triangle row holds in every phase (z = zhat <= u, or z = 0
+with zhat >= l), so it never changes with the state, and fully fixed
+leaves are exact. LPs that share the matrix object are re-solved in one
+live HiGHS model (reluopt.highs) by bound and cost changes; the root LP
+carries a starting basis for that model's first solve, whose primal point
+is the forward pass at a box vertex.
 """
 
 from __future__ import annotations
@@ -231,52 +231,16 @@ def solve_lp(
 
 @dataclass(frozen=True)
 class VariableIndexMap:
-    """Column bookkeeping: x, then per network layer its zhat and the z of
+    """Column bookkeeping: x, then per ReLU layer the zhat and then the z of
     each of its ReLUs that the root phases leave open, then t, then `zero`,
-    a column fixed at 0. `post` gives every layer's z: an open ReLU's own
-    column, an active ReLU's or an identity layer's zhat column (z = zhat),
-    and an inactive ReLU's `zero` (z = 0)."""
+    a column fixed at 0 that every fixed ReLU's zhat and z point at, and
+    `one`, a column fixed at 1 whose cost is the objective's constant."""
 
     x: np.ndarray
-    pre: tuple[np.ndarray, ...]
-    post: tuple[np.ndarray, ...]
     t: Optional[int]
     zero: int
+    one: int
     n_vars: int
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.post[-1]
-
-
-def _index_map(net: Network, use_t: bool, phase: np.ndarray) -> VariableIndexMap:
-    """The columns of the relaxed LP whose root phases are `phase`, in
-    `net.relu_node_ids()` order."""
-    n = net.input_dim
-    widths = [layer.out_width for layer in net.layers]
-    zero = n + sum(widths) + int(np.count_nonzero(phase == UNDETERMINED)) + int(use_t)
-    cursor, first = n, 0  # the next column; the index in `phase` of the next ReLU
-    pre, post = [], []
-    for layer, width in zip(net.layers, widths):
-        columns = np.arange(cursor, cursor + width)
-        cursor += width
-        pre.append(columns)
-        if layer.activation is Activation.RELU:
-            layer_phase = phase[first : first + width]
-            first += width
-            columns = np.where(layer_phase == INACTIVE, zero, columns)
-            open_ = layer_phase == UNDETERMINED
-            columns[open_] = np.arange(cursor, cursor + np.count_nonzero(open_))
-            cursor += np.count_nonzero(open_)
-        post.append(columns)
-    return VariableIndexMap(
-        x=np.arange(n),
-        pre=tuple(pre),
-        post=tuple(post),
-        t=cursor if use_t else None,
-        zero=zero,
-        n_vars=zero + 1,
-    )
 
 
 @dataclass(frozen=True)
@@ -284,9 +248,10 @@ class Relaxation:
     """A problem's root LP: its relaxed LP with the phases its bounds fix
     built in and every other ReLU undetermined, column bounds included.
     Encode once per problem; every node LP shares its matrix. `zhat` and `z`
-    give each ReLU's columns, `link` its link row (-1 where its bounds fix
-    it), `phase` (read-only) the phase its bounds fix (`bounds.phases`) and
-    `by_phase` its bounds in each phase (`_phase_bounds`), in
+    give each ReLU's columns (the `zero` column for a ReLU its bounds fix),
+    `link` its link row and `triangle` its triangle row (-1 where its bounds
+    fix it), `phase` (read-only) the phase its bounds fix (`bounds.phases`)
+    and `by_phase` its bounds in each phase (`_phase_bounds`), in
     `net.relu_node_ids()` order."""
 
     imap: VariableIndexMap
@@ -302,16 +267,34 @@ class Relaxation:
 def encode_relaxation(
     net: Network, problem: "OptimizationProblem", bounds: "BoundsMap"
 ) -> Relaxation:
-    """The root LP of `problem` on `net`: x in the box, every zhat and z in
-    its `bounds` (a z that is its zhat's column in both intervals), z >= 0
-    for ReLUs, a link row and a triangle row for each ReLU the bounds leave
-    open, t in [0, t_upper], and a starting basis (`_starting_basis`)."""
+    """The root LP of `problem` on `net`, over x, the zhat and z of each
+    ReLU its `bounds` leave open, t and two fixed columns: x in the box,
+    each open zhat in its pre bounds and z in its post bounds with z >= 0,
+    t in [0, t_upper], and a starting basis (`_starting_basis`).
+
+    One forward pass keeps each layer's output as an affine map of the
+    columns. A ReLU the bounds fix is substituted out: an active one passes
+    its pre-activation on, an inactive one gives 0. An open ReLU gets an
+    affine row zhat - (its pre-activation) = constant, a link row and a
+    triangle row, and its z column carries it on. The output map y = Y v +
+    y0 is substituted into the objective and the problem rows; the
+    objective's constant c_y.y0 is the cost of the `one` column, so every
+    LP value includes it.
+
+    This is exact. The bounds are sound over the box, so every x in the box
+    has each fixed ReLU in its root phase, and a leaf's LP is the network
+    itself on its region. At an inner node, the zhat bounds dropped with the
+    fixed ReLUs are implied or only loosen the LP: back-substitution bounds
+    are nonnegative combinations of rows this LP keeps (the box, the exact
+    fixed ReLUs, and z >= 0, z >= zhat and the triangle face)."""
     phase = phases(bounds)
     phase.flags.writeable = False
-    imap = _index_map(net, problem.use_t, phase)
-    relu_columns = lambda arrays: np.concatenate([np.empty(0, np.intp), *arrays])
-    zhat = relu_columns(imap.pre[k] for k in net.relu_layers)
-    z = relu_columns(imap.post[k] for k in net.relu_layers)
+    free = phase == UNDETERMINED
+    n, n_open, use_t = net.input_dim, int(np.count_nonzero(free)), problem.use_t
+    zero = n + 2 * n_open + int(use_t)
+    imap = VariableIndexMap(np.arange(n), zero - 1 if use_t else None, zero, zero + 1, zero + 2)
+    zhat, z = np.full(len(phase), zero), np.full(len(phase), zero)
+    everything = np.arange(imap.n_vars)
     entries, sides = [], []  # (rows, columns, coeffs) triplets; (lower, upper) per block
 
     def add(lower, upper, *pieces) -> np.ndarray:
@@ -327,72 +310,78 @@ def encode_relaxation(
         sides.append((lower, upper))
         return rows[:, 0]
 
-    # Affine chaining: pre_k - W_k . prev = b_k
-    affine = []
-    for k, layer in enumerate(net.layers):
-        prev = imap.x if k == 0 else imap.post[k - 1]
-        pieces = (imap.pre[k][:, None], 1.0), (prev, -layer.weights)
-        affine.append(add(layer.biases, layer.biases, *pieces))
+    # The forward pass: the layer output so far is `out @ v + out0`.
+    out, out0 = np.eye(n, imap.n_vars), np.zeros(n)
+    affine, cursor, first = [], n, 0  # the next column; the index in `phase` of the next ReLU
+    for layer in net.layers:
+        out, out0 = layer.weights @ out, layer.weights @ out0 + layer.biases
+        if layer.activation is not Activation.RELU:
+            continue
+        layer_phase = phase[first : first + layer.out_width]
+        open_ = np.flatnonzero(layer_phase == UNDETERMINED)
+        own = first + open_
+        zhat[own] = cursor + np.arange(len(own))
+        z[own] = zhat[own] + len(own)
+        pieces = (zhat[own, None], 1.0), (everything, -out[open_])
+        affine.append(add(out0[open_], out0[open_], *pieces))
+        gone = layer_phase != ACTIVE
+        out[gone], out0[gone] = 0.0, 0.0
+        out[open_, z[own]] = 1.0
+        cursor, first = cursor + 2 * len(open_), first + layer.out_width
 
     # A link row z - zhat >= 0 and a triangle row z - s zhat <= -s l per open ReLU.
-    free = phase == UNDETERMINED
     z_free, zhat_free = z[free][:, None], zhat[free][:, None]
-    zeros = np.zeros(len(z_free))
+    zeros = np.zeros(n_open)
     link, triangle = np.full(len(phase), -1), np.full(len(phase), -1)
     link[free] = add(zeros, zeros + np.inf, (z_free, 1.0), (zhat_free, -1.0))
-    l, u = (
-        np.concatenate([np.empty(0), *(side[k] for k in net.relu_layers)])[free]
-        for side in (bounds.pre_lower, bounds.pre_upper)
-    )
+    relu = lambda side: np.concatenate([np.empty(0), *(side[k] for k in net.relu_layers)])[free]
+    l, u = relu(bounds.pre_lower), relu(bounds.pre_upper)
     s = u / (u - l)
     triangle[free] = add(
         np.full_like(s, -np.inf), -s * l, (z_free, 1.0), (zhat_free, -s[:, None])
     )
 
+    def linear(c_x, c_y, c_t) -> tuple[np.ndarray, float]:
+        """c_x.x + c_y.y + c_t.t as coefficients over the columns and a constant."""
+        coeffs, constant = np.zeros(imap.n_vars), 0.0
+        if c_y is not None:
+            coeffs, constant = c_y @ out, float(c_y @ out0)
+        if c_x is not None:
+            coeffs[imap.x] += c_x
+        if c_t:
+            coeffs[imap.t] = c_t
+        return coeffs, constant
+
     # The problem rows, as one block of dense coefficients.
     if problem.rows:
-        coeffs = np.zeros((len(problem.rows), imap.n_vars))
-        for i, row in enumerate(problem.rows):
-            for columns, a in ((imap.x, row.a_x), (imap.y, row.a_y), (imap.t, row.a_t)):
-                if columns is not None and a is not None:
-                    coeffs[i, columns] = a
-        lower, upper = np.array([row_sides(r.relation, float(r.rhs)) for r in problem.rows]).T
-        add(lower, upper, (np.arange(imap.n_vars), coeffs))
+        coeffs, constants = zip(*(linear(r.a_x, r.a_y, r.a_t) for r in problem.rows))
+        lower, upper = np.array(
+            [row_sides(r.relation, float(r.rhs) - c) for r, c in zip(problem.rows, constants)]
+        ).T
+        add(lower, upper, (everything, np.array(coeffs)))
 
     row_lower, row_upper = (np.concatenate(side).astype(np.float64) for side in zip(*sides))
     rows, cols, vals = np.concatenate(entries, axis=1)
-    keep = cols != imap.zero  # z = 0 adds nothing to a row
     shape = (len(row_lower), imap.n_vars)
-    rows, cols = rows[keep].astype(np.intp), cols[keep].astype(np.intp)
-    matrix = CSCMatrix.from_triplets(rows, cols, vals[keep], shape)
+    matrix = CSCMatrix.from_triplets(rows.astype(np.intp), cols.astype(np.intp), vals, shape)
 
     objective = problem.objective
-    obj = np.zeros(imap.n_vars)
-    for index, c in ((imap.x, objective.c_x), (imap.y, objective.c_y), (imap.t, objective.c_t)):
-        if index is not None and c is not None:
-            obj[index] = c
+    obj, constant = linear(objective.c_x, objective.c_y, objective.c_t)
+    obj[imap.one] = constant
 
     lower = np.full(imap.n_vars, -np.inf)
     upper = np.full(imap.n_vars, np.inf)
-    lower[imap.x] = problem.box.lower
-    upper[imap.x] = problem.box.upper
-    for k, layer in enumerate(net.layers):
-        lower[imap.pre[k]] = bounds.pre_lower[k]
-        upper[imap.pre[k]] = bounds.pre_upper[k]
-        post_lower = bounds.post_lower[k]
-        if layer.activation is Activation.RELU:
-            post_lower = np.maximum(post_lower, 0.0)  # z >= 0
-        # A z that is its zhat's column takes the intersection of both intervals.
-        post = imap.post[k]
-        lower[post] = np.maximum(lower[post], post_lower)
-        upper[post] = np.minimum(upper[post], bounds.post_upper[k])
-    if imap.t is not None:
-        lower[imap.t] = 0.0
-        upper[imap.t] = problem.t_upper
+    lower[imap.x], upper[imap.x] = problem.box.lower, problem.box.upper
+    lower[zhat[free]], upper[zhat[free]] = l, u
+    lower[z[free]] = np.maximum(relu(bounds.post_lower), 0.0)  # z >= 0
+    upper[z[free]] = relu(bounds.post_upper)
+    if use_t:
+        lower[imap.t], upper[imap.t] = 0.0, problem.t_upper
     lower[imap.zero] = upper[imap.zero] = 0.0
+    lower[imap.one] = upper[imap.one] = 1.0
 
-    affine = np.concatenate(affine)
-    basis = _starting_basis(net, problem, imap, phase, z, link[free], affine, len(row_lower))
+    affine = np.concatenate([np.empty(0, np.intp), *affine])
+    basis = _starting_basis(net, problem, imap, free, z, link, affine, shape)
     return Relaxation(
         imap,
         LinearProgram(matrix, row_lower, row_upper, lower, upper, obj, basis=basis),
@@ -409,7 +398,8 @@ def _phase_bounds(lower, upper, zhat, z, free) -> np.ndarray:
     """The one rule that makes a phase LP bounds: `[p, i]` is ReLU i's zhat
     lower, zhat upper, z lower, z upper and link-row upper bound in phase p
     (0, ACTIVE or INACTIVE as an index). Active adds zhat >= 0 and, when
-    `free` (open at the root), z = zhat; inactive zhat <= 0 and, when free, z <= 0."""
+    `free` (open at the root), z = zhat; inactive zhat <= 0 and, when free,
+    z <= 0. A fixed ReLU's columns are the zero column in every phase."""
     root = np.array((lower[zhat], upper[zhat], lower[z], upper[z], np.full(len(z), np.inf))).T
     table = np.array((root, root, root))
     table[ACTIVE, :, 0] = np.maximum(root[:, 0], 0.0)
@@ -423,24 +413,24 @@ def _starting_basis(
     net: Network,
     problem: "OptimizationProblem",
     imap: VariableIndexMap,
-    phase: np.ndarray,
+    free: np.ndarray,
     z: np.ndarray,
-    link_row: np.ndarray,
+    link: np.ndarray,
     affine: np.ndarray,
-    n_rows: int,
+    shape: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The root LP's starting basis, whose primal point is the forward pass
     at a vertex of the box: the vertex the sign of the objective's gradient
     at the box center picks (the upper bound where it is positive).
 
-    x is nonbasic at that vertex, t and the zero column at 0. Every zhat is
-    basic in its affine row, so an active ReLU's or an identity layer's z,
-    which is its zhat column, is too. An open ReLU's z is basic with its
-    link row at its bound z - zhat = 0 when the ReLU is active at the
-    vertex; otherwise z is nonbasic at 0 and its link row is basic. The
-    slacks of the triangle and problem rows are basic. In layer order the
-    basis matrix is lower triangular with a unit diagonal, so it is
-    nonsingular."""
+    x is nonbasic at that vertex, and t and the fixed columns at their lower
+    bounds. Every open zhat is basic in its affine row. An open ReLU's z is
+    basic with its link row at its bound z - zhat = 0 when the ReLU is
+    active at the vertex; otherwise z is nonbasic at 0 and its link row is
+    basic. The slacks of the triangle and problem rows are basic. In layer
+    order the basis matrix is lower triangular with a unit diagonal, so it
+    is nonsingular. The ReLUs the root fixes are in their root phase at the
+    vertex, as at every point of the box."""
     box, objective = problem.box, problem.objective
     grad = np.zeros(net.input_dim)
     if objective.c_x is not None:
@@ -448,19 +438,17 @@ def _starting_basis(
     if objective.c_y is not None:
         grad += gradient(net, box.center, objective.c_y)
     pre = forward_trace(net, np.where(grad > 0.0, box.upper, box.lower)).pre
-    zhat = np.concatenate([np.empty(0), *(pre[k] for k in net.relu_layers)])
-    free = phase == UNDETERMINED
-    z_basic = (zhat > 0.0)[free]  # per open ReLU
+    z_basic = np.concatenate([np.empty(0), *(pre[k] for k in net.relu_layers)])[free] > 0.0
 
-    cols = np.full(imap.n_vars, highs.BASIC, np.int8)
+    cols = np.full(shape[1], highs.BASIC, np.int8)
     cols[imap.x] = np.where(grad > 0.0, highs.AT_UPPER, highs.AT_LOWER)
     cols[z[free][~z_basic]] = highs.AT_LOWER
-    cols[imap.zero] = highs.AT_LOWER
+    cols[imap.zero :] = highs.AT_LOWER  # zero and one
     if imap.t is not None:
         cols[imap.t] = highs.AT_LOWER
-    rows = np.full(n_rows, highs.BASIC, np.int8)
+    rows = np.full(shape[0], highs.BASIC, np.int8)
     rows[affine] = highs.AT_LOWER
-    rows[link_row[z_basic]] = highs.AT_LOWER
+    rows[link[free][z_basic]] = highs.AT_LOWER
     return cols, rows
 
 
@@ -471,7 +459,6 @@ def build_relaxed_lp(relaxation: Relaxation, phase: np.ndarray) -> LinearProgram
     root = relaxation.lp
     row_upper, lower, upper = root.row_upper.copy(), root.lower.copy(), root.upper.copy()
     b = relaxation.by_phase[phase, np.arange(len(phase))]
-    # z first: a z that is its zhat's column takes the zhat entries.
     lower[relaxation.z], upper[relaxation.z] = b[:, 2], b[:, 3]
     lower[relaxation.zhat], upper[relaxation.zhat] = b[:, 0], b[:, 1]
     own = relaxation.link >= 0
@@ -479,16 +466,15 @@ def build_relaxed_lp(relaxation: Relaxation, phase: np.ndarray) -> LinearProgram
     return root._derive(row_upper=row_upper, lower=lower, upper=upper)
 
 
-def split_assignment(net: Network, imap: VariableIndexMap, vec: np.ndarray):
-    """Per-ReLU-layer (pre, post) views of a full LP assignment vector. No
-    caller in the package: perfbench's tracer wraps it by name in `search`."""
-    pre = [vec[imap.pre[k]] for k in net.relu_layers]
-    post = [vec[imap.post[k]] for k in net.relu_layers]
-    return pre, post
+def split_assignment(relaxation: Relaxation, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each ReLU's zhat and z at a full LP assignment vector, in
+    `net.relu_node_ids()` order (0 for a ReLU the root fixes). No caller in
+    the package: perfbench's tracer wraps it by name in `search`."""
+    return vec[relaxation.zhat], vec[relaxation.z]
 
 
 def check_relu_consistency(relaxation: Relaxation, vec: np.ndarray) -> np.ndarray:
     """|z - max(0, zhat)| at the LP point `vec` for each ReLU, in
     `net.relu_node_ids()` order: 0 where the point satisfies the ReLU
-    exactly."""
+    exactly, and for every ReLU the root fixes."""
     return np.abs(vec[relaxation.z] - np.maximum(0.0, vec[relaxation.zhat]))

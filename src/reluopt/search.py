@@ -238,9 +238,10 @@ def optimize(
     form (`tighten_exact`) and stopped by their time limit
     (`tighten_limit_hits`), and the seconds spent on the witness and the
     root bounds (`bounds_s`), the root LP (`encode_s`) and node evaluation
-    (`lp_s`). It also holds the global upper `bound`, the largest of the
-    incumbent and the parent bounds of the nodes still open, and the `gap`
-    from the incumbent up to it (inf without an incumbent).
+    (`lp_s`), and the root LP's shape (`lp_rows` and `lp_cols`), which
+    every node LP shares. It also holds the global upper `bound`, the
+    largest of the incumbent and the parent bounds of the nodes still open,
+    and the `gap` from the incumbent up to it (inf without an incumbent).
     A result with an argopt re-checks it by a forward pass: `max_violation`
     is the most it leaves the box or fails a row by (0 when it holds), read
     from the output its leaf was valued at (a forward pass here when the
@@ -279,6 +280,7 @@ def optimize(
     clock = time.perf_counter()
     relaxation = encode_relaxation(net, searched, bounds)
     stats.extra["encode_s"] = time.perf_counter() - clock
+    stats.extra["lp_rows"], stats.extra["lp_cols"] = relaxation.lp.matrix.shape
 
     def evaluate_region(phase: np.ndarray, inc: float) -> RegionOutcome:
         limit = deadline - time.monotonic()

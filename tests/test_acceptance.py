@@ -333,14 +333,19 @@ def test_milp_export_fidelity():
         free = np.flatnonzero(phase == UNDETERMINED)
         relaxation = encode_relaxation(net, problem, bounds)
         imap = relaxation.imap
+        nodes = net.relu_node_ids()
+        # The MILP's ReLUs that have columns in the LP: the ones the bounds leave open.
+        own = {(net.relu_layers[nodes[i].layer], nodes[i].node) for i in free}
 
         def var_vector(values):
             vec = np.zeros(imap.n_vars)
             vec[imap.x] = [values[f"x{i}"] for i in range(net.input_dim)]
-            for k in range(len(net.layers)):
-                for j in range(net.layers[k].out_width):
-                    vec[imap.pre[k][j]] = values[f"zhat_{k}_{j}"]
-                    vec[imap.post[k][j]] = values[f"z_{k}_{j}"]
+            vec[imap.one] = 1.0
+            for i, (layer, j) in enumerate(nodes):
+                k = net.relu_layers[layer]
+                if (k, j) in own:
+                    vec[relaxation.zhat[i]] = values[f"zhat_{k}_{j}"]
+                    vec[relaxation.z[i]] = values[f"z_{k}_{j}"]
             return vec
 
         def lp_feasible(lp, vec, tol=1e-7):
@@ -356,7 +361,6 @@ def test_milp_export_fidelity():
                     return False
             return True
 
-        nodes = net.relu_node_ids()
         for pattern in itertools.product((ACTIVE, INACTIVE), repeat=len(free)):
             phase[free] = pattern
             lp = build_relaxed_lp(relaxation, phase_state(net, phase))
@@ -370,17 +374,20 @@ def test_milp_export_fidelity():
                 x = b.sample(rng, 1)[0]
                 trace = forward_trace(net, x)
                 values = {f"x{i}": float(x[i]) for i in range(net.input_dim)}
+                exact = True  # no noise on a z that has no LP column
                 for k in range(len(net.layers)):
                     for j in range(net.layers[k].out_width):
                         noise = rng.normal(scale=0.3) if rng.random() < 0.5 else 0.0
                         values[f"zhat_{k}_{j}"] = float(trace.pre[k][j])
                         values[f"z_{k}_{j}"] = float(trace.post[k][j]) + noise
+                        exact &= (k, j) in own or noise == 0.0
                 values.update(deltas)
-                samples.append(values)
-            for values in samples:
+                samples.append((values, exact))
+            for values, exact in samples:
                 in_milp = model.feasible(np.array([values[n] for n in model.names]), tol=1e-7)
                 in_lp = lp_feasible(lp, var_vector(values))
-                assert in_milp == in_lp, (values, deltas)
+                # The LP is the MILP with its fixed ReLUs and its outputs substituted out.
+                assert in_milp == (in_lp and exact), (values, deltas)
 
 
 @acceptance(9, "infeasible query handling")

@@ -452,19 +452,25 @@ def test_tightening_lps_see_the_phases_the_seed_fixes_in_later_layers():
 
 def _tighten_every_lp(net, b, seed):
     """Progressive tightening that solves both LPs of every ReLU, fixed ones
-    included, with no time limit."""
+    included, with no time limit. Its LPs are the relaxation of
+    `export_milp`'s model, which has a zhat and a z column for every ReLU:
+    the binaries in [0, 1] make each open ReLU's big-M rows its triangle."""
+    from dataclasses import replace
+
+    from reluopt.baselines import export_milp, milp_to_lp
     from reluopt.bounds import IMPROVEMENT_THRESHOLD, POST_CONSISTENCY_EPS, SAFETY_MARGIN
     from reluopt.highs import LiveModel
-    from reluopt.lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
+    from reluopt.lp import LPStatus, solve_lp
     from reluopt.problems import Objective, OptimizationProblem
-    from reluopt.state import phase_state
 
-    relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), seed)
-    lp = build_relaxed_lp(relaxation, phase_state(net, relaxation.phase))
-    row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper
+    lp, index = milp_to_lp(export_milp(net, OptimizationProblem(b, Objective()), seed)[0])
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    lp = replace(lp, lower=lower, upper=upper)  # tightened in place
     model = LiveModel()
-    for zhat, z, link in zip(relaxation.zhat, relaxation.z, relaxation.link):
-        link = link if link >= 0 else None  # a fixed ReLU has z = zhat or 0 and no link row
+    for layer, j in net.relu_node_ids():
+        k = net.relu_layers[layer]
+        zhat, z = index[f"zhat_{k}_{j}"], index[f"z_{k}_{j}"]
+        delta = index.get(f"delta_{k}_{j}")  # None for a ReLU the seed fixes
         obj = np.zeros(lp.n_vars)
         obj[zhat] = 1.0
         lo, hi = lower[zhat], upper[zhat]
@@ -483,36 +489,42 @@ def _tighten_every_lp(net, b, seed):
             lower[z] = upper[z] = max(0.0, upper[z])
         if hi <= 0.0:
             upper[z] = 0.0
-        elif lo >= 0.0 and link is not None:
-            row_upper[link] = 0.0
-    imap = relaxation.imap
+        elif lo >= 0.0 and delta is not None:
+            lower[delta] = 1.0  # z <= zhat, so z = zhat
+    columns = lambda name: [
+        [index[f"{name}_{k}_{j}"] for j in range(net.layers[k].out_width)]
+        for k in range(len(net.layers))
+    ]
     return BoundsMap(
         input_lower=seed.input_lower,
         input_upper=seed.input_upper,
-        pre_lower=tuple(lower[c] for c in imap.pre),
-        pre_upper=tuple(upper[c] for c in imap.pre),
-        post_lower=tuple(lower[c] for c in imap.post),
-        post_upper=tuple(upper[c] for c in imap.post),
+        pre_lower=tuple(lower[c] for c in columns("zhat")),
+        pre_upper=tuple(upper[c] for c in columns("zhat")),
+        post_lower=tuple(lower[c] for c in columns("z")),
+        post_upper=tuple(upper[c] for c in columns("z")),
         relu_layers=seed.relu_layers,
     )
 
 
 def _root_lp_range(net, b, bounds):
-    """The max and min of every ReLU's zhat over the root LP that B&B
-    encodes from `bounds`, one row per ReLU."""
+    """The max and min over the root LP that B&B encodes from `bounds` of
+    each open ReLU's zhat, then of each output, one row each."""
     from reluopt.highs import LiveModel
-    from reluopt.lp import build_relaxed_lp, encode_relaxation, solve_lp
+    from reluopt.lp import encode_relaxation, solve_lp
     from reluopt.problems import Objective, OptimizationProblem
-    from reluopt.state import phase_state
 
     relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), bounds)
-    lp = build_relaxed_lp(relaxation, phase_state(net, relaxation.phase))
-    model, rows = LiveModel(), []
-    for zhat in relaxation.zhat:
-        obj = np.zeros(lp.n_vars)
+    lps = []
+    for zhat in relaxation.zhat[relaxation.phase == UNDETERMINED]:
+        obj = np.zeros(relaxation.lp.n_vars)
         obj[zhat] = 1.0
+        lps.append(relaxation.lp.with_objective(obj, maximize=True))
+    for c_y in np.eye(net.output_dim):
+        lps.append(encode_relaxation(net, OptimizationProblem(b, Objective(c_y=c_y)), bounds).lp)
+    model, rows = LiveModel(), []
+    for lp in lps:
         rows.append(
-            [solve_lp(lp.with_objective(obj, maximize=m), model=model).value for m in (True, False)]
+            [solve_lp(lp.with_objective(lp.objective, m), model=model).value for m in (True, False)]
         )
     return np.array(rows)
 

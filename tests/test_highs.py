@@ -173,9 +173,12 @@ def test_starting_basis_point_is_the_forward_pass_at_the_gradient_vertex():
     """Stopped before its first simplex iteration, the solve from the
     starting basis sits at the forward pass of the box vertex that the sign
     of the objective's gradient at the box center picks (the lower corner
-    when the objective does not depend on x), with t at 0."""
+    when the objective does not depend on x): each open ReLU's zhat and z
+    are its pre- and post-activation there, t is 0 and the fixed columns
+    are at 0 and 1."""
     for net, problem, relaxation in _suite_problems():
         imap, b = relaxation.imap, problem.box
+        free = relaxation.phase == UNDETERMINED
         grad = np.zeros(net.input_dim)
         if problem.objective.c_y is not None:
             grad = fd_gradient(net, b.center, problem.objective.c_y)
@@ -187,9 +190,10 @@ def test_starting_basis_point_is_the_forward_pass_at_the_gradient_vertex():
         point = np.asarray(model._highs.getSolution().col_value)
         np.testing.assert_array_equal(point[imap.x], vertex)
         trace = forward_trace(net, vertex)
-        for k in range(len(net.layers)):
-            np.testing.assert_allclose(point[imap.pre[k]], trace.pre[k], atol=1e-12)
-            np.testing.assert_allclose(point[imap.post[k]], trace.post[k], atol=1e-12)
+        for cols, side in ((relaxation.zhat, trace.pre), (relaxation.z, trace.post)):
+            at_vertex = np.concatenate([side[k] for k in net.relu_layers])
+            np.testing.assert_allclose(point[cols[free]], at_vertex[free], atol=1e-12)
+        assert (point[[imap.zero, imap.one]] == [0.0, 1.0]).all()
         if imap.t is not None:
             assert point[imap.t] == 0.0
 

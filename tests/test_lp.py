@@ -49,10 +49,10 @@ def _root(net):
 
 def _relaxed_lp(net, state, b, output_rows=(), objective=Objective(), t_upper=np.inf):
     """The relaxed LP of `state` on box `b` under interval bounds, and its
-    index map."""
+    relaxation."""
     problem = OptimizationProblem(b, objective, output_rows, t_upper)
     relaxation = encode_relaxation(net, problem, propagate_interval(net, b))
-    return build_relaxed_lp(relaxation, state), relaxation.imap
+    return build_relaxed_lp(relaxation, state), relaxation
 
 
 def test_solve_lp_matches_vertex_enumeration_oracle():
@@ -111,17 +111,25 @@ def test_solve_lp_time_limit_raises_timeout():
 # Relaxed LP construction
 
 
-def _true_assignment_feasible(net, lp, imap, x, tol=1e-6, t=0.0):
-    """Embed the true forward trace (and `t`) into the LP variable vector and
-    check every row and bound."""
+def _embed(net, relaxation, x, t=0.0):
+    """The LP variable vector of the true forward trace at x (and `t`): x,
+    each open ReLU's zhat and z, t, and the fixed columns at 0 and 1."""
     trace = forward_trace(net, x)
+    imap, free = relaxation.imap, relaxation.phase == UNDETERMINED
     vec = np.zeros(imap.n_vars)
     vec[imap.x] = x
     if imap.t is not None:
         vec[imap.t] = t
-    for k in range(len(net.layers)):
-        vec[imap.pre[k]] = trace.pre[k]
-        vec[imap.post[k]] = trace.post[k]
+    vec[imap.one] = 1.0
+    for cols, side in ((relaxation.zhat, trace.pre), (relaxation.z, trace.post)):
+        vec[cols[free]] = np.concatenate([side[k] for k in net.relu_layers])[free]
+    return vec
+
+
+def _true_assignment_feasible(net, lp, relaxation, x, tol=1e-6, t=0.0):
+    """Embed the true forward trace (and `t`) into the LP variable vector and
+    check every row and bound."""
+    vec = _embed(net, relaxation, x, t)
     if np.any(vec < lp.lower - tol) or np.any(vec > lp.upper + tol):
         return False
     for row in lp.rows:
@@ -140,9 +148,9 @@ def test_root_relaxation_contains_all_true_points():
     for _ in range(10):
         net = random_net(rng, n_in=2, hidden=(4,), n_out=1)
         b = box([-1.5, -1.5], [1.5, 1.5])
-        lp, imap = _relaxed_lp(net, _root(net), b)
+        lp, relaxation = _relaxed_lp(net, _root(net), b)
         for x in b.sample(rng, 50):
-            assert _true_assignment_feasible(net, lp, imap, x)
+            assert _true_assignment_feasible(net, lp, relaxation, x)
 
 
 def test_root_relaxation_upper_bounds_true_max():
@@ -169,13 +177,13 @@ def test_leaf_lp_is_exact_and_consistent():
         state = phase_state(net, np.where(np.concatenate(masks), ACTIVE, INACTIVE))
         problem = OptimizationProblem(b, Objective(c_y=np.array([1.0])))
         relaxation = encode_relaxation(net, problem, propagate_interval(net, b))
-        lp, imap = build_relaxed_lp(relaxation, state), relaxation.imap
-        assert _true_assignment_feasible(net, lp, imap, x)
+        lp = build_relaxed_lp(relaxation, state)
+        assert _true_assignment_feasible(net, lp, relaxation, x)
         res = solve_lp(lp)
         assert res.status == LPStatus.OPTIMAL
         assert (check_relu_consistency(relaxation, res.assignment) <= 1e-6).all()
         # exactness: the LP value is attained by the network itself
-        x_opt = res.assignment[imap.x]
+        x_opt = res.assignment[relaxation.imap.x]
         assert float(evaluate(net, x_opt)[0]) == pytest.approx(res.value, abs=1e-6)
 
 
@@ -208,16 +216,15 @@ def test_triangle_rows_hold_in_every_phase(min_adv):
             bounds = tighten_lp(net, b, bounds, 5.0)
         relaxation = encode_relaxation(net, problem, bounds)
         undetermined = relaxation.phase == UNDETERMINED
-        n_rows = sum(layer.out_width for layer in net.layers)
-        n_rows += 2 * np.count_nonzero(undetermined) + len(problem.rows)
-        assert relaxation.lp.matrix.shape[0] == n_rows  # a link and a triangle row per open ReLU
+        n_rows = 3 * np.count_nonzero(undetermined) + len(problem.rows)
+        assert relaxation.lp.matrix.shape[0] == n_rows  # affine, link and triangle per open ReLU
         for x in b.sample(rng, 40):
             if not problem.rows_satisfied(net, x, tol=0.0):
                 continue
             at_x = np.where(np.concatenate(activation_pattern(net, x)), ACTIVE, INACTIVE)
             phase = np.where(undetermined & (rng.random(len(at_x)) < 0.7), at_x, relaxation.phase)
             lp = build_relaxed_lp(relaxation, phase_state(net, phase))
-            assert _true_assignment_feasible(net, lp, relaxation.imap, x, t=problem.t_of(x))
+            assert _true_assignment_feasible(net, lp, relaxation, x, t=problem.t_of(x))
             checked += 1
             phases_seen.update(phase[undetermined])
     assert checked >= 150 and phases_seen == {ACTIVE, INACTIVE, UNDETERMINED}
@@ -225,9 +232,11 @@ def test_triangle_rows_hold_in_every_phase(min_adv):
 
 @pytest.mark.parametrize("min_adv", [False, True])
 def test_relus_the_root_fixes_get_no_column_and_no_row(min_adv):
-    """Only a ReLU the root bounds leave open has a z column, a link row and
-    a triangle row of its own. An active ReLU's z and an identity layer's z
-    is its zhat column; an inactive ReLU's z is the one column fixed at 0."""
+    """Only a ReLU the root bounds leave open has columns and rows: a zhat
+    column in an affine row, a z column, a link row and a triangle row. The
+    LP has n + 2 (open ReLUs) + t columns, plus one fixed at 0, which every
+    fixed ReLU's zhat and z point at, and one fixed at 1. At the root LP's
+    optimum a fixed ReLU's gap is 0."""
     from reluopt.bounds import propagate_symbolic, tighten_lp
     from reluopt.geometry import linf_epigraph
     from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED
@@ -250,20 +259,26 @@ def test_relus_the_root_fixes_get_no_column_and_no_row(min_adv):
             bounds = tighten_lp(net, b, bounds, 5.0)
         relaxation = encode_relaxation(net, problem, bounds)
         imap, phase, lp = relaxation.imap, relaxation.phase, relaxation.lp
-        n_open = np.count_nonzero(phase == UNDETERMINED)
-        widths = sum(layer.out_width for layer in net.layers)
-        n_cols = n_in + widths + n_open + problem.use_t + 1
-        assert lp.matrix.shape == (widths + 2 * n_open + len(problem.rows), n_cols)
+        free = phase == UNDETERMINED
+        n_open = np.count_nonzero(free)
+        n_cols = n_in + 2 * n_open + problem.use_t + 2
+        assert lp.matrix.shape == (3 * n_open + len(problem.rows), n_cols)
 
-        pre = np.concatenate([imap.pre[k] for k in net.relu_layers])
-        post = np.concatenate([imap.post[k] for k in net.relu_layers])
-        np.testing.assert_array_equal(post[phase == ACTIVE], pre[phase == ACTIVE])
-        np.testing.assert_array_equal(imap.y, imap.pre[-1])  # the identity output layer
-        assert (post[phase == INACTIVE] == imap.zero).all()
+        assert (relaxation.zhat[~free] == imap.zero).all() and (relaxation.z[~free] == imap.zero).all()
+        assert (relaxation.link[~free] == -1).all() and (relaxation.triangle[~free] == -1).all()
         assert lp.lower[imap.zero] == lp.upper[imap.zero] == 0.0
+        assert lp.lower[imap.one] == lp.upper[imap.one] == 1.0
         t = [] if imap.t is None else [imap.t]
-        columns = np.concatenate([imap.x, *imap.pre, post[phase == UNDETERMINED], t, [imap.zero]])
+        columns = np.concatenate(
+            [imap.x, relaxation.zhat[free], relaxation.z[free], t, [imap.zero, imap.one]]
+        )
         np.testing.assert_array_equal(np.sort(columns), np.arange(n_cols))  # each once
+        own_rows = np.concatenate([relaxation.link[free], relaxation.triangle[free]])
+        assert len(set(own_rows.tolist())) == 2 * n_open
+
+        res = solve_lp(lp)
+        if res.status == LPStatus.OPTIMAL:
+            assert (check_relu_consistency(relaxation, res.assignment)[~free] == 0.0).all()
         seen.update(phase.tolist())
     assert seen == {ACTIVE, INACTIVE, UNDETERMINED}
 
@@ -301,13 +316,13 @@ def test_output_rows_and_epigraph_variable(abs_net):
     )
     # fully fixed on the positive branch: x >= 0 region
     state = phase_state(abs_net, [ACTIVE, INACTIVE])
-    lp, imap = _relaxed_lp(
+    lp, relaxation = _relaxed_lp(
         abs_net, state, b, output_rows=rows, objective=Objective(c_t=-1.0), t_upper=2.0
     )
     res = solve_lp(lp)
     assert res.status == LPStatus.OPTIMAL
     assert res.value == pytest.approx(-1.0, abs=1e-6)
-    assert res.assignment[imap.t] == pytest.approx(1.0, abs=1e-6)
+    assert res.assignment[relaxation.imap.t] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_infeasible_state_gives_infeasible_lp(abs_net):
@@ -339,13 +354,13 @@ def test_check_relu_consistency_gives_each_relus_gap_in_node_order(abs_net):
 def test_row_using_t_without_t_variable_raises(abs_net):
     b = box([-1.0], [1.0])
     # a_t present forces the t variable to exist; this is the supported path
-    lp, imap = _relaxed_lp(
+    _, relaxation = _relaxed_lp(
         abs_net,
         _root(abs_net),
         b,
         output_rows=(Row(np.array([1.0]), None, -1.0, Relation.LE, 0.0),),
     )
-    assert imap.t is not None
+    assert relaxation.imap.t is not None
 
 
 @pytest.mark.parametrize(
@@ -501,41 +516,36 @@ def test_node_lp_shares_the_relaxation_matrix_and_reads_as_rows(abs_net):
 def _reference_node_vectors(net, problem, bounds, state, relaxation):
     """The node LP's row upper bounds and column bounds, built node by node
     from the bounds map and the state's phase vector: the reference that
-    `build_relaxed_lp` must match bit for bit."""
+    `build_relaxed_lp` must match bit for bit. A ReLU the root bounds fix has
+    no columns of its own, whatever the state gives it."""
     imap = relaxation.imap
     lower = np.full(imap.n_vars, -np.inf)
     upper = np.full(imap.n_vars, np.inf)
     lower[imap.x] = problem.box.lower
     upper[imap.x] = problem.box.upper
-    for k, layer in enumerate(net.layers):
-        lower[imap.pre[k]] = bounds.pre_lower[k]
-        upper[imap.pre[k]] = bounds.pre_upper[k]
-        post_lower = bounds.post_lower[k]
-        if k in net.relu_layers:
-            post_lower = np.maximum(post_lower, 0.0)
-        for j, post in enumerate(imap.post[k]):  # a z aliased to its zhat: both intervals
-            lower[post] = max(lower[post], post_lower[j])
-            upper[post] = min(upper[post], bounds.post_upper[k][j])
     if imap.t is not None:
         lower[imap.t] = 0.0
         upper[imap.t] = problem.t_upper
     lower[imap.zero] = upper[imap.zero] = 0.0
+    lower[imap.one] = upper[imap.one] = 1.0
 
     dense = relaxation.lp.matrix.toarray()
     row_upper = relaxation.lp.row_upper.copy()
     for i, node in enumerate(net.relu_node_ids()):
-        if state[i] == UNDETERMINED:
+        if relaxation.phase[i] != UNDETERMINED:
             continue
-        pre = int(imap.pre[net.relu_layers[node.layer]][node.node])
-        post = int(imap.post[net.relu_layers[node.layer]][node.node])
+        k, j = net.relu_layers[node.layer], node.node
+        pre, post = int(relaxation.zhat[i]), int(relaxation.z[i])
+        lower[pre], upper[pre] = bounds.pre_lower[k][j], bounds.pre_upper[k][j]
+        lower[post] = max(bounds.post_lower[k][j], 0.0)
+        upper[post] = bounds.post_upper[k][j]
         if state[i] == ACTIVE:
-            if relaxation.phase[i] == UNDETERMINED:  # a ReLU the root bounds fix has no link row
-                link = np.zeros(imap.n_vars)
-                link[[post, pre]] = 1.0, -1.0
-                (row,) = np.flatnonzero((dense == link).all(axis=1))  # z - zhat >= 0
-                row_upper[row] = 0.0
+            link = np.zeros(imap.n_vars)
+            link[[post, pre]] = 1.0, -1.0
+            (row,) = np.flatnonzero((dense == link).all(axis=1))  # z - zhat >= 0
+            row_upper[row] = 0.0
             lower[pre] = max(lower[pre], 0.0)
-        else:
+        elif state[i] == INACTIVE:
             upper[pre] = min(upper[pre], 0.0)
             upper[post] = min(upper[post], 0.0)
     return row_upper, lower, upper
@@ -574,3 +584,81 @@ def test_node_lp_vectors_match_the_node_by_node_reference():
             expected = _reference_node_vectors(net, problem, bounds, state, relaxation)
             for got, want in zip((lp.row_upper, lp.lower, lp.upper), expected):
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tighten", [False, True])
+def test_root_lp_optimum_is_the_relaxed_milp_optimum(tighten):
+    """The root LP substitutes out every ReLU its bounds fix, and yet its
+    optimum is the optimum of the relaxation of `export_milp`'s model under
+    the same bounds, which keeps a zhat and a z column for every ReLU and
+    shares no code with `encode_relaxation`. Seeded random nets, with
+    back-substitution bounds and with tightened bounds, for output
+    maximization and min-adversarial problems."""
+    from reluopt import export_milp, milp_to_lp
+    from reluopt.bounds import phases, propagate_symbolic, tighten_lp
+    from reluopt.geometry import linf_epigraph
+
+    rng = np.random.default_rng(1212 + tighten)
+    compared, fixed = {False: 0, True: 0}, 0
+    for trial in range(30):
+        n_in = int(rng.integers(2, 5))
+        hidden = tuple(int(h) for h in rng.integers(3, 9, size=rng.integers(1, 4)))
+        net = random_net(rng, n_in=n_in, hidden=hidden, n_out=3)
+        center = rng.uniform(-1.0, 1.0, n_in)
+        radius = rng.uniform(0.05, 1.0)
+        b = box(center - radius, center + radius)
+        if trial % 2:
+            target = Row(None, np.array([1.0, -1.0, 0.0]), 0.0, Relation.GE, 0.0)
+            rows = (*linf_epigraph(center), target)
+            problem = OptimizationProblem(b, Objective(c_t=-1.0), rows, radius, x0=center)
+        else:
+            objective = Objective(c_x=rng.normal(size=n_in), c_y=rng.normal(size=3))
+            problem = OptimizationProblem(b, objective)
+        bounds = propagate_symbolic(net, b)
+        if tighten:
+            bounds = tighten_lp(net, b, bounds, 5.0)
+        ours = solve_lp(encode_relaxation(net, problem, bounds).lp)
+        theirs = solve_lp(milp_to_lp(export_milp(net, problem, bounds)[0])[0])
+        assert ours.status == theirs.status
+        if theirs.status == LPStatus.OPTIMAL:
+            tol = 1e-6 * max(1.0, abs(theirs.value))
+            assert ours.value == pytest.approx(theirs.value, rel=0.0, abs=tol)
+            compared[problem.use_t] += 1
+        fixed += int(np.count_nonzero(phases(bounds) != UNDETERMINED))
+    assert min(compared.values()) >= 8 and fixed >= 100
+
+
+def test_an_output_constant_reaches_the_lp_value_and_the_rows():
+    """With output biases far from 0, the output map has a constant y0 that
+    the objective and a row over y must read. At the fully fixed state of a
+    sampled point, the leaf LP's optimum is the objective at the network's
+    own output there, and the row holds there; a constant lost would prune
+    wrongly, so the search also gives brute force's value."""
+    from reluopt import brute_force_optimize, optimize
+    from reluopt.bounds import propagate_symbolic
+
+    rng = np.random.default_rng(321)
+    for _ in range(12):
+        net = random_net(rng, n_in=2, hidden=(5, 4), n_out=2)
+        last = net.layers[-1]
+        shifted = Layer(last.weights, last.biases + np.array([5.0, -4.0]), last.activation)
+        net = Network((*net.layers[:-1], shifted))
+        b = box(-np.ones(2), np.ones(2))
+        x = b.sample(rng, 1)[0]
+        y = evaluate(net, x)
+        row = Row(None, np.array([1.0, -1.0]), 0.0, Relation.LE, float(y[0] - y[1]) + 0.1)
+        problem = OptimizationProblem(b, Objective(c_y=rng.normal(size=2)), (row,))
+        relaxation = encode_relaxation(net, problem, propagate_symbolic(net, b))
+        assert relaxation.lp.objective[relaxation.imap.one] != 0.0
+
+        leaf = np.where(np.concatenate(activation_pattern(net, x)), ACTIVE, INACTIVE)
+        res = solve_lp(build_relaxed_lp(relaxation, leaf))
+        assert res.status == LPStatus.OPTIMAL  # x is a point of the leaf LP
+        x_opt = res.assignment[relaxation.imap.x]
+        assert res.value == pytest.approx(problem.objective_at(net, x_opt), abs=1e-6)
+        assert res.value >= problem.objective_at(net, x) - 1e-6
+        assert problem.row_violation(net, x_opt) <= 1e-6
+
+        result, exact = optimize(net, problem), brute_force_optimize(net, problem)
+        assert result.status is exact.status
+        assert result.value == pytest.approx(exact.value, abs=1e-6)

@@ -591,6 +591,18 @@ def test_search_finds_the_brute_force_optimum():
     assert witnessed >= 1
 
 
+def test_stats_give_the_root_lp_shape():
+    """`stats.extra` gives the root LP's rows and columns: for output
+    maximization, an affine, a link and a triangle row per ReLU the root
+    bounds leave open, and x, their zhat and z, and the two fixed columns."""
+    for net, problem in _exact_cases(4300, (6, 6), (2, 9), 3, propagate_symbolic):
+        if problem.use_t:
+            continue
+        n_open = np.count_nonzero(phases(propagate_symbolic(net, problem.box)) == UNDETERMINED)
+        extra = optimize(net, problem).stats.extra
+        assert (extra["lp_rows"], extra["lp_cols"]) == (3 * n_open, net.input_dim + 2 * n_open + 2)
+
+
 def _highs_mip(text):
     """Status and optimum of a MILP in LP-file text, as HiGHS's reader makes
     it (`read_lp_with_highs`), solved by HiGHS MIP to a zero gap."""
