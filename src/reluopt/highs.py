@@ -7,13 +7,11 @@ re-solves from the basis that solve left behind. After a phase split only
 bounds change, so the dual simplex method restarts from a dual-feasible
 basis (Huangfu & Hall 2018) instead of from scratch. An LP with another
 matrix object is loaded afresh; LPs built from one `reluopt.lp.Relaxation`
-share its matrix. An LP that carries a starting basis (`LinearProgram.basis`)
-has it set when it is loaded, so the first solve of a live model starts from
-that basis instead of from HiGHS's slack basis. `solve_phase` changes only
-the ReLUs whose phase differs from the last phase solved. A solve answers
-with an `LPResult`; it and `LPStatus` are defined here and re-exported by
-`reluopt.lp`. A released model's HiGHS instance serves the next `LiveModel`;
-loading clears its solver state.
+share its matrix. The first solve of a loaded LP starts from HiGHS's slack
+basis. `solve_phase` changes only the ReLUs whose phase differs from the
+last phase solved. A solve answers with an `LPResult`; it and `LPStatus`
+are defined here and re-exported by `reluopt.lp`. A released model's HiGHS
+instance serves the next `LiveModel`; loading clears its solver state.
 
 The binding is scipy's private extension module `scipy.optimize._highspy._core`,
 shipped by the scipy releases `pyproject.toml` allows. It is loaded from its
@@ -75,16 +73,15 @@ def _load_core():
 _core = _load_core()
 
 # Deterministic, silent, single-threaded; presolve off so that the basis
-# left by one solve is the starting point of the next.
-OPTIONS = (("output_flag", False), ("presolve", "off"), ("threads", 1))
-
-# The basis status codes of `LinearProgram.basis`: nonbasic at the lower
-# bound, basic, nonbasic at the upper bound. A row's status is its slack's.
-AT_LOWER, BASIC, AT_UPPER = 0, 1, 2
-_STATUS = (
-    _core.HighsBasisStatus.kLower,
-    _core.HighsBasisStatus.kBasic,
-    _core.HighsBasisStatus.kUpper,
+# left by one solve is the starting point of the next. At HiGHS's default
+# primal feasibility tolerance of 1e-7 the dual simplex method may stop at
+# a point that breaks a row by that much, so that an optimum is off by as
+# much as `bounds.SAFETY_MARGIN`; at 1e-9, optima are exact to 1e-9.
+OPTIONS = (
+    ("output_flag", False),
+    ("presolve", "off"),
+    ("threads", 1),
+    ("primal_feasibility_tolerance", 1e-9),
 )
 
 # Statuses that decide the LP; any other gets one cold re-solve.
@@ -153,13 +150,6 @@ class LiveModel:
         )
         if status == _core.HighsStatus.kError:
             raise NumericalFailure("HiGHS rejected the LP")
-        if lp.basis is not None:
-            # The basis sets where the solve starts, never what it returns.
-            basis = _core.HighsBasis()
-            basis.col_status = [_STATUS[code] for code in lp.basis[0].tolist()]
-            basis.row_status = [_STATUS[code] for code in lp.basis[1].tolist()]
-            basis.valid = True
-            self._highs.setBasis(basis)
 
     def _sync(self, lp: "LinearProgram") -> None:
         """Make the loaded model equal `lp`: load `lp` when its matrix is

@@ -18,9 +18,8 @@ convex hull over [l, u]: z >= 0, z >= zhat and the triangle face (Ehlers
 2017). The triangle row holds in every phase (z = zhat <= u, or z = 0
 with zhat >= l), so it never changes with the state, and fully fixed
 leaves are exact. LPs that share the matrix object are re-solved in one
-live HiGHS model (reluopt.highs) by bound and cost changes; the root LP
-carries a starting basis for that model's first solve, whose primal point
-is the forward pass at a box vertex.
+live HiGHS model (reluopt.highs) by bound and cost changes, the first from
+HiGHS's slack basis.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from . import highs
 from .errors import DimensionMismatch
 from .bounds import phases
 from .highs import LPResult, LPStatus  # noqa: F401  (re-exported)
-from .model import Activation, Network, forward_trace, gradient
+from .model import Activation, Network
 from .problems import Relation
 from .state import ACTIVE, INACTIVE, UNDETERMINED
 
@@ -142,9 +141,7 @@ class LinearProgram:
     `matrix` is a `CSCMatrix`, or any object with its `shape`, `indptr`,
     `indices` and `data` (a scipy.sparse CSC matrix, say). A row side may
     be infinite only away from its row (-inf below, +inf above), and every
-    row has a finite side; no bound or cost is NaN. `basis`, when given, is a starting basis
-    for a live model's first solve: the status of every column and of every
-    row, as `reluopt.highs` codes (AT_LOWER, BASIC, AT_UPPER)."""
+    row has a finite side; no bound or cost is NaN."""
 
     matrix: CSCMatrix
     row_lower: np.ndarray
@@ -153,7 +150,6 @@ class LinearProgram:
     upper: np.ndarray
     objective: np.ndarray
     maximize: bool = True
-    basis: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
         n_rows, n_vars = self.matrix.shape
@@ -167,8 +163,6 @@ class LinearProgram:
         # no side is NaN, and no side is the infinity facing its row.
         if not np.isfinite(np.maximum(self.row_lower, -self.row_upper)).all():
             raise DimensionMismatch("every row needs a finite side and no NaN side")
-        if self.basis is not None and tuple(len(s) for s in self.basis) != (n_vars, n_rows):
-            raise DimensionMismatch("the basis needs one status per column and per row")
 
     @classmethod
     def from_rows(cls, rows, lower, upper, objective, maximize: bool = True) -> "LinearProgram":
@@ -270,7 +264,7 @@ def encode_relaxation(
     """The root LP of `problem` on `net`, over x, the zhat and z of each
     ReLU its `bounds` leave open, t and two fixed columns: x in the box,
     each open zhat in its pre bounds and z in its post bounds with z >= 0,
-    t in [0, t_upper], and a starting basis (`_starting_basis`).
+    and t in [0, t_upper].
 
     One forward pass keeps each layer's output as an affine map of the
     columns. A ReLU the bounds fix is substituted out: an active one passes
@@ -312,7 +306,7 @@ def encode_relaxation(
 
     # The forward pass: the layer output so far is `out @ v + out0`.
     out, out0 = np.eye(n, imap.n_vars), np.zeros(n)
-    affine, cursor, first = [], n, 0  # the next column; the index in `phase` of the next ReLU
+    cursor, first = n, 0  # the next column; the index in `phase` of the next ReLU
     for layer in net.layers:
         out, out0 = layer.weights @ out, layer.weights @ out0 + layer.biases
         if layer.activation is not Activation.RELU:
@@ -323,7 +317,7 @@ def encode_relaxation(
         zhat[own] = cursor + np.arange(len(own))
         z[own] = zhat[own] + len(own)
         pieces = (zhat[own, None], 1.0), (everything, -out[open_])
-        affine.append(add(out0[open_], out0[open_], *pieces))
+        add(out0[open_], out0[open_], *pieces)
         gone = layer_phase != ACTIVE
         out[gone], out0[gone] = 0.0, 0.0
         out[open_, z[own]] = 1.0
@@ -380,11 +374,9 @@ def encode_relaxation(
     lower[imap.zero] = upper[imap.zero] = 0.0
     lower[imap.one] = upper[imap.one] = 1.0
 
-    affine = np.concatenate([np.empty(0, np.intp), *affine])
-    basis = _starting_basis(net, problem, imap, free, z, link, affine, shape)
     return Relaxation(
         imap,
-        LinearProgram(matrix, row_lower, row_upper, lower, upper, obj, basis=basis),
+        LinearProgram(matrix, row_lower, row_upper, lower, upper, obj),
         link=link,
         triangle=triangle,
         zhat=zhat,
@@ -407,49 +399,6 @@ def _phase_bounds(lower, upper, zhat, z, free) -> np.ndarray:
     table[INACTIVE, :, 1] = np.minimum(root[:, 1], 0.0)
     table[INACTIVE, free, 3] = np.minimum(root[free, 3], 0.0)
     return table
-
-
-def _starting_basis(
-    net: Network,
-    problem: "OptimizationProblem",
-    imap: VariableIndexMap,
-    free: np.ndarray,
-    z: np.ndarray,
-    link: np.ndarray,
-    affine: np.ndarray,
-    shape: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The root LP's starting basis, whose primal point is the forward pass
-    at a vertex of the box: the vertex the sign of the objective's gradient
-    at the box center picks (the upper bound where it is positive).
-
-    x is nonbasic at that vertex, and t and the fixed columns at their lower
-    bounds. Every open zhat is basic in its affine row. An open ReLU's z is
-    basic with its link row at its bound z - zhat = 0 when the ReLU is
-    active at the vertex; otherwise z is nonbasic at 0 and its link row is
-    basic. The slacks of the triangle and problem rows are basic. In layer
-    order the basis matrix is lower triangular with a unit diagonal, so it
-    is nonsingular. The ReLUs the root fixes are in their root phase at the
-    vertex, as at every point of the box."""
-    box, objective = problem.box, problem.objective
-    grad = np.zeros(net.input_dim)
-    if objective.c_x is not None:
-        grad += objective.c_x
-    if objective.c_y is not None:
-        grad += gradient(net, box.center, objective.c_y)
-    pre = forward_trace(net, np.where(grad > 0.0, box.upper, box.lower)).pre
-    z_basic = np.concatenate([np.empty(0), *(pre[k] for k in net.relu_layers)])[free] > 0.0
-
-    cols = np.full(shape[1], highs.BASIC, np.int8)
-    cols[imap.x] = np.where(grad > 0.0, highs.AT_UPPER, highs.AT_LOWER)
-    cols[z[free][~z_basic]] = highs.AT_LOWER
-    cols[imap.zero :] = highs.AT_LOWER  # zero and one
-    if imap.t is not None:
-        cols[imap.t] = highs.AT_LOWER
-    rows = np.full(shape[0], highs.BASIC, np.int8)
-    rows[affine] = highs.AT_LOWER
-    rows[link[free][z_basic]] = highs.AT_LOWER
-    return cols, rows
 
 
 def build_relaxed_lp(relaxation: Relaxation, phase: np.ndarray) -> LinearProgram:

@@ -633,6 +633,42 @@ def test_tightening_counts_each_lp_as_solved_skipped_or_stopped(monkeypatch):
     assert fixed_total > 0
 
 
+def test_warm_tightening_optima_equal_cold_solves(monkeypatch):
+    # Every optimal LP tightening solves warm in its live model has the
+    # optimum of a cold solve of the same LP to 1e-9, so the SAFETY_MARGIN
+    # that widens each bound is not spent on the solver's own error.
+    import reluopt.lp
+    from reluopt.lp import LinearProgram, LPStatus
+
+    solved = []
+    original = reluopt.lp.solve_lp
+
+    def record(lp, *args, **kw):
+        res = original(lp, *args, **kw)
+        if res.status == LPStatus.OPTIMAL:
+            # Tightening writes new bounds into the same vectors after each ReLU.
+            vectors = (lp.row_lower, lp.row_upper, lp.lower, lp.upper, lp.objective)
+            copy = LinearProgram(lp.matrix, *(v.copy() for v in vectors), lp.maximize)
+            solved.append((copy, res.value))
+        return res
+
+    monkeypatch.setattr(reluopt.lp, "solve_lp", record)
+    rng = np.random.default_rng(1002)
+    for _ in range(60):
+        n_in, n_out = int(rng.integers(2, 7)), int(rng.integers(2, 8))
+        hidden = tuple(int(h) for h in rng.integers(4, 12, size=2))
+        center = rng.uniform(-1.0, 1.0, n_in)
+        net = random_net(rng, n_in=n_in, hidden=hidden, n_out=n_out)
+        b = box(center - 0.5, center + 0.5)
+        for seed in (propagate_interval(net, b), propagate_symbolic(net, b)):
+            tighten_lp(net, b, seed, per_query_timeout=5.0)
+    assert len(solved) > 1000
+    for lp, warm in solved:
+        cold = original(lp)
+        assert cold.status == LPStatus.OPTIMAL
+        assert warm == pytest.approx(cold.value, rel=0.0, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form ranges of ReLUs behind no open ReLU
 

@@ -1,7 +1,5 @@
 """The live HiGHS model against cold solves of the same LPs in fresh models."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -20,10 +18,9 @@ from reluopt import (
 from reluopt import highs
 from reluopt.geometry import linf_epigraph
 from reluopt.lp import encode_relaxation
-from reluopt.model import forward_trace
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, phase_state
 
-from conftest import box, fd_gradient, random_net
+from conftest import box, random_net
 
 
 def _random_problem(rng, min_adv: bool):
@@ -120,82 +117,6 @@ def test_undecided_status_gets_one_cold_resolve(monkeypatch):
     with pytest.raises(NumericalFailure):
         solve_lp(lp)
     assert len(calls) == 2
-
-
-def _suite_problems():
-    """16 problems on 2x16 nets with 5 inputs and outputs, half of each
-    query kind, under back-substitution bounds."""
-    rng = np.random.default_rng(216)
-    problems = []
-    for trial in range(16):
-        net = random_net(rng, n_in=5, hidden=(16, 16), n_out=5)
-        center = rng.uniform(-1.0, 1.0, 5)
-        radius = 0.5
-        b = box(center - radius, center + radius)
-        if trial % 2:
-            target = Row(None, np.eye(5)[0] - np.eye(5)[1], 0.0, Relation.GE, 0.0)
-            rows = tuple(linf_epigraph(center)) + (target,)
-            problem = OptimizationProblem(b, Objective(c_t=-1.0), rows, radius)
-        else:
-            problem = OptimizationProblem(b, Objective(c_y=rng.normal(size=5)))
-        problems.append((net, problem, encode_relaxation(net, problem, propagate_symbolic(net, b))))
-    return problems
-
-
-def test_starting_basis_is_accepted_and_needs_few_iterations():
-    """The root LP's starting basis has one basic variable per row, HiGHS
-    takes it as given, and the first solve from it reaches the optimum of a
-    cold solve from the slack basis in at most half the simplex iterations,
-    summed over the problems."""
-    warm_iterations = cold_iterations = 0
-    for _, _, relaxation in _suite_problems():
-        lp = relaxation.lp
-        cols, rows = lp.basis
-        assert np.count_nonzero(cols == highs.BASIC) + np.count_nonzero(rows == highs.BASIC) == len(rows)
-        model = highs.LiveModel()
-        model._load(lp)
-        loaded = model._highs.getBasis()
-        assert loaded.valid
-        assert [int(s) for s in loaded.col_status] == cols.tolist()
-        assert [int(s) for s in loaded.row_status] == rows.tolist()
-
-        warm = solve_lp(lp, model=highs.LiveModel())
-        cold = solve_lp(dataclasses.replace(lp, basis=None))
-        assert warm.status == cold.status
-        if cold.status == LPStatus.OPTIMAL:
-            assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
-        warm_iterations += warm.iterations
-        cold_iterations += cold.iterations
-    assert warm_iterations <= cold_iterations / 2
-
-
-def test_starting_basis_point_is_the_forward_pass_at_the_gradient_vertex():
-    """Stopped before its first simplex iteration, the solve from the
-    starting basis sits at the forward pass of the box vertex that the sign
-    of the objective's gradient at the box center picks (the lower corner
-    when the objective does not depend on x): each open ReLU's zhat and z
-    are its pre- and post-activation there, t is 0 and the fixed columns
-    are at 0 and 1."""
-    for net, problem, relaxation in _suite_problems():
-        imap, b = relaxation.imap, problem.box
-        free = relaxation.phase == UNDETERMINED
-        grad = np.zeros(net.input_dim)
-        if problem.objective.c_y is not None:
-            grad = fd_gradient(net, b.center, problem.objective.c_y)
-        vertex = np.where(grad > 0.0, b.upper, b.lower)
-        model = highs.LiveModel()
-        model._load(relaxation.lp)
-        model._highs.setOptionValue("simplex_iteration_limit", 0)
-        model._highs.run()
-        point = np.asarray(model._highs.getSolution().col_value)
-        np.testing.assert_array_equal(point[imap.x], vertex)
-        trace = forward_trace(net, vertex)
-        for cols, side in ((relaxation.zhat, trace.pre), (relaxation.z, trace.post)):
-            at_vertex = np.concatenate([side[k] for k in net.relu_layers])
-            np.testing.assert_allclose(point[cols[free]], at_vertex[free], atol=1e-12)
-        assert (point[[imap.zero, imap.one]] == [0.0, 1.0]).all()
-        if imap.t is not None:
-            assert point[imap.t] == 0.0
 
 
 def test_phase_sync_along_random_walks_matches_cold_solves():
