@@ -56,7 +56,7 @@ from .search import (
     Status,
     optimize,
     optimum_for_region,
-    root_bounds,
+    root_relaxation,
     split,
 )
 from .state import fingerprint, phase_state

@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import BoundsMap, phases, propagate_interval
 from .errors import NumericalFailure, Timeout, TooLarge, UnboundedNode
 from .geometry import Hyperrectangle
-from .lp import CSCMatrix, LPStatus, LinearProgram, encode_relaxation, row_sides, solve_lp
+from .lp import CSCMatrix, LPStatus, LinearProgram, row_sides, solve_lp
 from .lpformat import MilpModel, write_lp_text
 from .model import Activation, Network
 from .problems import Objective, OptimizationProblem, Relation, Row
@@ -29,7 +29,7 @@ from .search import (
     SearchStats,
     Status,
     optimize,
-    root_bounds,
+    root_relaxation,
 )
 from .state import ACTIVE, INACTIVE, UNDETERMINED
 
@@ -114,25 +114,26 @@ def bisection_optimize(
     The bracket [lo, hi] comes from one rule. A feasibility search over the
     problem's rows alone decides feasibility exactly: without a witness the
     problem is Infeasible, and a witness's true value is `lo`. The maximum
-    of the root LP (`encode_relaxation`), which bounds every feasible value
-    from above, is `hi`; an unbounded root LP raises ValueError. Each
-    decision at the midpoint then halves the bracket, until it is within
-    `cfg.gap`. A decision whose witness does not raise `lo` ends the run as
-    Optimal: the bracket is then within the decision procedure's tolerance.
+    of the root LP, which bounds every feasible value from above, is `hi`;
+    an unbounded root LP raises ValueError. Each decision at the midpoint
+    then halves the bracket, until it is within `cfg.gap`. A decision whose
+    witness does not raise `lo` ends the run as Optimal: the bracket is
+    then within the decision procedure's tolerance.
 
-    Every decision searches from the bounds branch-and-bound starts from
-    (`root_bounds`), computed once. `cfg.timeout` is a budget for the whole
-    run: bound tightening, the root LP and each decision get the time left,
-    and a run that spends it returns Timeout with its bracket and
-    incumbent. `stats.extra` holds the `bracket`, its upper end as the
-    `bound` (-inf when Infeasible) and the `gap` hi - lo (inf without an
-    incumbent), and the stats sum the nodes and LPs of every decision,
-    the one the budget stopped included.
+    Every decision searches from the bounds branch-and-bound starts from,
+    and the root LP is the one it encodes under them (`root_relaxation`),
+    set up once. `cfg.timeout` is a budget for the whole run: bound
+    tightening, the root LP and each decision get the time left, and a run
+    that spends it returns Timeout with its bracket and incumbent.
+    `stats.extra` holds the `bracket`, its upper end as the `bound` (-inf
+    when Infeasible) and the `gap` hi - lo (inf without an incumbent), and
+    the stats sum the nodes and LPs of every decision, the one the budget
+    stopped included.
     """
     start = time.monotonic()
     deadline = start + cfg.timeout
     stats = SearchStats()
-    bounds = root_bounds(net, problem.box, cfg.tighten_timeout, deadline)
+    bounds, relaxation = root_relaxation(net, problem, cfg.tighten_timeout, deadline)
     lo, hi = -np.inf, np.inf
     best_x: Optional[np.ndarray] = None
 
@@ -163,9 +164,7 @@ def bisection_optimize(
     lo = problem.objective_at(net, best_x)
 
     try:
-        root = solve_lp(
-            encode_relaxation(net, problem, bounds).lp, time_limit=deadline - time.monotonic()
-        )
+        root = solve_lp(relaxation.lp, time_limit=deadline - time.monotonic())
     except Timeout:
         return finish(Status.TIMEOUT)
     if root.status != LPStatus.OPTIMAL:

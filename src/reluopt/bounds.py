@@ -5,16 +5,20 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
-from typing import Optional
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, Timeout
 from .geometry import Hyperrectangle
 from .model import Activation, Layer, Network, NodeId
-from .problems import Objective, OptimizationProblem
 from .state import ACTIVE, INACTIVE, UNDETERMINED
+
+if TYPE_CHECKING:
+    from .highs import LiveModel
+    from .lp import Relaxation
 
 log = logging.getLogger(__name__)
 
@@ -192,79 +196,68 @@ def fixed_by_bounds(b: BoundsMap) -> FixedByBounds:
 def _narrowed(lo, hi, post_lo, post_hi, top, bottom):
     """Tightening's one rule for ReLUs whose zhat, under bounds [lo, hi] and
     post bounds [post_lo, post_hi], ranges up to `top` and down to `bottom`
-    (an LP optimum or its closed form; hi or lo where no LP gave one). A
-    side moves to that value widened by SAFETY_MARGIN when that improves it
-    by at least IMPROVEMENT_THRESHOLD. The post bounds then follow as
-    max(0, pre): with z >= 0 and z >= zhat as an undetermined ReLU's only
-    rows below z, an LP over z could not do better; and hi <= 0 fixes
-    z <= 0. Returns the new (lo, hi, post_lo, post_hi)."""
+    (an LP optimum; hi or lo where no LP gave one). A side moves to that
+    value widened by SAFETY_MARGIN when that improves it by at least
+    IMPROVEMENT_THRESHOLD. The post bounds then follow as max(0, pre): with
+    z >= 0 and z >= zhat as an undetermined ReLU's only rows below z, an LP
+    over z could not do better; and hi <= 0 fixes z <= 0. Returns the new
+    (lo, hi, post_lo, post_hi)."""
     top, bottom = top + SAFETY_MARGIN, bottom - SAFETY_MARGIN
-    hi = np.where(hi - top >= IMPROVEMENT_THRESHOLD, top, hi)
-    lo = np.where(bottom - lo >= IMPROVEMENT_THRESHOLD, bottom, lo)
-    post_lo = np.maximum(post_lo, np.maximum(lo - POST_CONSISTENCY_EPS, 0.0))
-    post_hi = np.minimum(post_hi, np.maximum(0.0, hi) + POST_CONSISTENCY_EPS)
-    crossed = post_lo > post_hi  # numerically crossed: keep a sound order
-    post_lo = np.where(crossed, np.maximum(0.0, post_hi), post_lo)
-    post_hi = np.where(crossed, post_lo, post_hi)
-    return lo, hi, post_lo, np.where(hi <= 0.0, 0.0, post_hi)
+    hi = top if hi - top >= IMPROVEMENT_THRESHOLD else hi
+    lo = bottom if bottom - lo >= IMPROVEMENT_THRESHOLD else lo
+    post_lo = max(post_lo, lo - POST_CONSISTENCY_EPS, 0.0)
+    post_hi = min(post_hi, max(0.0, hi) + POST_CONSISTENCY_EPS)
+    if post_lo > post_hi:  # numerically crossed: keep a sound order
+        post_lo = post_hi = max(0.0, post_hi)
+    return lo, hi, post_lo, 0.0 if hi <= 0.0 else post_hi
 
 
 def tighten_lp(
     net: Network,
-    input_box: Hyperrectangle,
+    relaxation: "Relaxation",
     seed: BoundsMap,
     per_query_timeout: float,
     deadline: Optional[float] = None,
     counters: Optional[dict] = None,
+    model: Optional["LiveModel"] = None,
 ) -> BoundsMap:
-    """Progressive LP tightening: visit the ReLUs whose phase the seed
-    leaves open in topological order and, for each, find the max and the
-    min of its zhat over the relaxation under the current bounds. A bound
-    is replaced only when that value is known (an LP finished within its
-    time limit) and improves it by at least the improvement threshold
-    (`_narrowed`). A ReLU whose new bounds fix its phase gets that phase,
-    and later ReLUs see the new bounds and phases.
+    """Progressive LP tightening of `seed` over `relaxation`, the root LP
+    that `encode_relaxation` encodes from `seed` for the problem searched:
+    visit the ReLUs the seed leaves open in topological order and, for
+    each, find the max and the min of its zhat over that LP, under the
+    bounds found so far. A bound is replaced only when that value is known
+    (an LP finished within its time limit) and improves it by at least the
+    improvement threshold (`_narrowed`). A ReLU's new bounds, with the phase
+    they fix, are written into the LP before the next ReLU's LPs, so a
+    phase fixed in a later layer can cut an earlier ReLU's LP as well.
 
-    The LPs relax each ReLU as B&B's root node does: `encode_relaxation`
-    substitutes out the ReLUs the seed fixes (`phases`) and gives each ReLU
-    it leaves undetermined a triangle row. The bounds and phases found so
-    far are written into the column bounds of those open ReLUs, so a phase
-    fixed in a later layer can cut an earlier ReLU's LP as well.
+    The LP holds the problem's rows, so the bounds hold over its feasible
+    set: the x of the box that meet the rows (the box, without rows). An
+    infeasible LP ends tightening: no x meets the rows, and every later LP
+    would be infeasible too. The ReLUs the seed leaves open in the first
+    layer that has one keep the seed's bounds, with no LP: every ReLU before
+    them is fixed, so their zhat is affine in x, and `propagate_symbolic`,
+    which seeds tightening in the package, gives its exact range over the
+    box, widened by SAFETY_MARGIN. So does a ReLU the seed fixes: it is
+    substituted into every LP, so the LP already implies any bound its own
+    LPs could return, and narrowing its interval would cut no later LP.
 
-    A ReLU is given its range in closed form, with no LP, when every ReLU
-    of the layers before it is fixed, by the seed or by tightening so far.
-    Its zhat is then an affine function of x, and the bounds are sound, so
-    the forward pass at any x of the box is a point of the LP: the LP
-    optimum is the exact range of that function over the box.
-    `_interval_step` gives it for the first layer and `_back_substitute`,
-    with the exact slopes of the fixed layers, after that; `_narrowed`
-    applies it as it applies an LP optimum. When no ReLU is left that needs
-    an LP, no relaxation is encoded and no live model is taken.
-
-    A ReLU whose phase the seed fixes is skipped and keeps the seed's
-    bounds. It is substituted into every LP (z = zhat or z = 0), so the
-    ReLU is linear there, and any bound its own LPs could return the LP
-    already implies. Narrowing its interval would therefore cut no later
-    tightening LP, each of which lies inside the one before, nor B&B's root
-    LP, which lies inside the last.
-
-    All LPs are re-solved in one live HiGHS model, released on return; only
-    bounds and the cost change between them. Each LP's time limit is
-    `per_query_timeout`, cut to the time left before `deadline` (a
-    `time.monotonic()` reading); once that is spent, tightening stops before
-    the next ReLU or LP and keeps the bounds found so far.
-    `counters`, when given, accumulates `simplex_iters`, `tighten_lps` (LPs
-    solved), `tighten_skipped` (the two LPs of each ReLU the seed fixes),
-    `tighten_limit_hits` (LPs stopped by their time limit) and `tighten_exact`
-    (two per ReLU given its range in closed form), every one of them set when
+    The LPs are re-solved in the live `model`, or in one made here and
+    released on return; when no ReLU needs an LP, no model is touched. Each
+    LP's time limit is `per_query_timeout`, cut to the time left before
+    `deadline` (a `time.monotonic()` reading); once that is spent,
+    tightening stops before the next ReLU or LP and keeps the bounds found
+    so far. `counters`, when given, accumulates `simplex_iters`,
+    `tighten_lps` (LPs solved), `tighten_skipped` (two per ReLU the seed
+    fixes), `tighten_limit_hits` (LPs stopped by their time limit) and
+    `tighten_exact` (two per open ReLU of that first layer), each set when
     the call starts. Each ReLU visited adds two to the last four together,
-    unless one of its LPs fails numerically.
+    unless one of its LPs fails numerically or is infeasible.
     """
     from .highs import LiveModel
-    from .lp import LPStatus, build_relaxed_lp, encode_relaxation, solve_lp
+    from .lp import LPStatus, build_relaxed_lp, solve_lp
 
-    if counters is None:
-        counters = {}
+    counters = {} if counters is None else counters
     for name in COUNTERS:
         counters.setdefault(name, 0)
     if per_query_timeout <= 0.0:
@@ -275,7 +268,7 @@ def tighten_lp(
     lo, hi, post_lo, post_hi = (
         relu_side(s) for s in (seed.pre_lower, seed.pre_upper, seed.post_lower, seed.post_upper)
     )
-    fixed = phases(seed) != UNDETERMINED
+    fixed = relaxation.phase != UNDETERMINED
     node = lambda i: tuple(net.relu_node_ids()[i])  # for log lines only
     ends = np.cumsum([len(seed.pre_lower[k]) for k in seed.relu_layers], dtype=int)
     span = {k: slice(end - len(seed.pre_lower[k]), end) for k, end in zip(seed.relu_layers, ends)}
@@ -286,101 +279,70 @@ def tighten_lp(
         return min(per_query_timeout, deadline - time.monotonic())
 
     def finish(i: int) -> BoundsMap:
-        """The bounds tightened so far, with tightening ended before ReLU
-        `i`: early, by the budget, unless `i` is past the last ReLU."""
-        if i < len(fixed):
-            log.warning(
-                "bound tightening stopped at node %s: the search budget is spent", node(i)
-            )
+        """The bounds tightened so far, with tightening ended before ReLU `i`."""
         counters["tighten_skipped"] += 2 * int(np.count_nonzero(fixed[:i]))
         sides = lambda values, seed_sides: tuple(
             values[span[k]] if k in span else side for k, side in enumerate(seed_sides)
         )
-
-        return BoundsMap(
-            input_lower=seed.input_lower,
-            input_upper=seed.input_upper,
+        return replace(
+            seed,
             pre_lower=sides(lo, seed.pre_lower),
             pre_upper=sides(hi, seed.pre_upper),
             post_lower=sides(post_lo, seed.post_lower),
             post_upper=sides(post_hi, seed.post_upper),
-            relu_layers=seed.relu_layers,
         )
 
-    # Closed form, layer by layer while every ReLU before the layer is fixed.
-    x_lo, x_hi = input_box.lower, input_box.upper
-    relaxations, first = [], 0  # the exact relaxations so far; the first ReLU after them
-    for k, layer in enumerate(net.layers):
-        layer_lo = layer_hi = None
-        if k in span:
-            visit = span[k].start + np.flatnonzero(~fixed[span[k]])
-            if visit.size:
-                if time_left() <= 0.0:
-                    return finish(int(visit[0]))
-                if k:
-                    bottom, top = _back_substitute(net.layers, relaxations, k, x_lo, x_hi)
-                else:
-                    bottom, top = _interval_step(layer, x_lo, x_hi)
-                at = visit - span[k].start
-                lo[visit], hi[visit], post_lo[visit], post_hi[visit] = _narrowed(
-                    lo[visit], hi[visit], post_lo[visit], post_hi[visit], top[at], bottom[at]
-                )
-                counters["tighten_exact"] += 2 * visit.size
-            first = span[k].stop
-            layer_lo, layer_hi = lo[span[k]], hi[span[k]]
-            if (_phase(layer_lo, layer_hi) == UNDETERMINED).any():
-                break
-        relaxations.append(_relaxation(layer, layer_lo, layer_hi))
-    visit = first + np.flatnonzero(~fixed[first:])
+    def spent(i: int) -> BoundsMap:
+        log.warning("bound tightening stopped at node %s: the search budget is spent", node(i))
+        return finish(i)
+
+    opened = np.flatnonzero(~fixed)
+    if opened.size and time_left() <= 0.0:
+        return spent(int(opened[0]))
+    # LPs for the open ReLUs after the first layer that has one.
+    first = ends[np.searchsorted(ends, opened[0], side="right")] if opened.size else 0
+    visit = opened[opened >= first]
+    counters["tighten_exact"] += 2 * (opened.size - visit.size)
     if not visit.size:
         return finish(len(fixed))
 
-    # One LP each way for every other open ReLU, in the seed's relaxation
-    # with the bounds and phases found so far written in.
-    relaxation = encode_relaxation(net, OptimizationProblem(input_box, Objective()), seed)
     lp = build_relaxed_lp(relaxation, relaxation.phase)
     row_upper, lower, upper = lp.row_upper, lp.lower, lp.upper  # copies the build made
-
-    def write(i) -> None:
-        """Write the bounds of the seed's open ReLUs `i` into the LP, with
-        the phase they fix as `build_relaxed_lp` writes it: z = 0 through
-        the post bounds, z = zhat through the link row."""
-        zhat, z = relaxation.zhat[i], relaxation.z[i]
-        lower[zhat], upper[zhat], lower[z], upper[z] = lo[i], hi[i], post_lo[i], post_hi[i]
-        row_upper[relaxation.link[i][(lo[i] >= 0.0) & (hi[i] > 0.0)]] = 0.0
-
-    write(np.flatnonzero(~fixed[:first]))
-    with LiveModel() as model:
+    with LiveModel() if model is None else nullcontext(model) as model:
         for i in visit:
+            zhat, z = relaxation.zhat[i], relaxation.z[i]
             obj = np.zeros(lp.n_vars)
-            obj[relaxation.zhat[i]] = 1.0
+            obj[zhat] = 1.0
             top, bottom = hi[i], lo[i]
             for maximize in (True, False):
                 limit = time_left()
                 if limit <= 0.0:
-                    return finish(int(i))
+                    return spent(int(i))
+                cost = lp.with_objective(obj, maximize=maximize)
                 try:
-                    res = solve_lp(
-                        lp.with_objective(obj, maximize=maximize), time_limit=limit, model=model
-                    )
+                    res = solve_lp(cost, time_limit=limit, model=model)
                 except Timeout:
                     counters["tighten_limit_hits"] += 1
-                    log.warning(
-                        "bound kept at node %s: LP stopped at its %.3g s time limit",
-                        node(i),
-                        limit,
-                    )
+                    message = "bound kept at node %s: LP stopped at its %.3g s time limit"
+                    log.warning(message, node(i), limit)
                     continue
                 except NumericalFailure as exc:
                     log.debug("bound kept at node %s: %s", node(i), exc)
                     continue
                 counters["tighten_lps"] += 1
                 counters["simplex_iters"] += res.iterations
+                if res.status == LPStatus.INFEASIBLE:
+                    log.info("bound tightening stopped at node %s: its LP is infeasible", node(i))
+                    return finish(int(i))
                 if res.status == LPStatus.OPTIMAL:
                     top, bottom = (res.value, bottom) if maximize else (top, res.value)
-            # Both LPs of a ReLU see the same bounds; later ReLUs see the new ones.
+            # Both LPs of a ReLU see the same bounds; later ReLUs see the new
+            # ones, with the phase they fix as `build_relaxed_lp` writes it:
+            # z = 0 through the post bounds, z = zhat through the link row.
             lo[i], hi[i], post_lo[i], post_hi[i] = _narrowed(
                 lo[i], hi[i], post_lo[i], post_hi[i], top, bottom
             )
-            write([i])
+            lower[zhat], upper[zhat], lower[z], upper[z] = lo[i], hi[i], post_lo[i], post_hi[i]
+            if lo[i] >= 0.0 and hi[i] > 0.0:
+                row_upper[relaxation.link[i]] = 0.0
     return finish(len(fixed))

@@ -13,19 +13,22 @@ ReLU's pre-activation over x and the z of the open ReLUs before it, and
 the problem rows and the objective read the output the same way.
 `encode_relaxation` builds it once per problem, column bounds included,
 as the root LP, and a state changes only bounds, each ReLU's by one rule
-(`_phase_bounds`). With z in [0, u], open ReLUs are relaxed to their
-convex hull over [l, u]: z >= 0, z >= zhat and the triangle face (Ehlers
-2017). The triangle row holds in every phase (z = zhat <= u, or z = 0
-with zhat >= l), so it never changes with the state, and fully fixed
-leaves are exact. LPs that share the matrix object are re-solved in one
-live HiGHS model (reluopt.highs) by bound and cost changes, the first from
+(`_phase_bounds`). The numbers an open ReLU's bounds give its columns and
+triangle row follow one rule (`_open_bounds`), by which `with_bounds`
+writes tightened bounds into a root LP when they fix no further phase.
+With z in [0, u], open ReLUs are relaxed to their convex hull over
+[l, u]: z >= 0, z >= zhat and the triangle face (Ehlers 2017). The
+triangle row holds in every phase (z = zhat <= u, or z = 0 with
+zhat >= l), so it never changes with the state, and fully fixed leaves
+are exact. LPs that share the matrix object are re-solved in one live
+HiGHS model (reluopt.highs) by bound and cost changes, the first from
 HiGHS's slack basis.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -275,12 +278,15 @@ def encode_relaxation(
     objective's constant c_y.y0 is the cost of the `one` column, so every
     LP value includes it.
 
-    This is exact. The bounds are sound over the box, so every x in the box
-    has each fixed ReLU in its root phase, and a leaf's LP is the network
-    itself on its region. At an inner node, the zhat bounds dropped with the
-    fixed ReLUs are implied or only loosen the LP: back-substitution bounds
-    are nonnegative combinations of rows this LP keeps (the box, the exact
-    fixed ReLUs, and z >= 0, z >= zhat and the triangle face)."""
+    The bounds hold over the feasible set, the x of the box that meet the
+    rows (tightened bounds, `bounds.tighten_lp`, hold only there), so every
+    feasible x has each fixed ReLU in its root phase, and a leaf's LP holds
+    every feasible point of its region, valued exactly; where the phases
+    hold over the whole box, it is the network itself on its region. At an
+    inner node, the zhat bounds dropped with the fixed ReLUs are implied or
+    only loosen the LP: back-substitution bounds are nonnegative
+    combinations of rows this LP keeps (the box, the exact fixed ReLUs, and
+    z >= 0, z >= zhat and the triangle face)."""
     phase = phases(bounds)
     phase.flags.writeable = False
     free = phase == UNDETERMINED
@@ -323,17 +329,15 @@ def encode_relaxation(
         out[open_, z[own]] = 1.0
         cursor, first = cursor + 2 * len(open_), first + layer.out_width
 
-    # A link row z - zhat >= 0 and a triangle row z - s zhat <= -s l per open ReLU.
+    # A link row z - zhat >= 0 and a triangle row z - s zhat <= -s l per open
+    # ReLU. The triangle rows come after every affine and link row, and no
+    # problem row reads a zhat, so each is the last row of its zhat column.
     z_free, zhat_free = z[free][:, None], zhat[free][:, None]
     zeros = np.zeros(n_open)
     link, triangle = np.full(len(phase), -1), np.full(len(phase), -1)
     link[free] = add(zeros, zeros + np.inf, (z_free, 1.0), (zhat_free, -1.0))
-    relu = lambda side: np.concatenate([np.empty(0), *(side[k] for k in net.relu_layers)])[free]
-    l, u = relu(bounds.pre_lower), relu(bounds.pre_upper)
-    s = u / (u - l)
-    triangle[free] = add(
-        np.full_like(s, -np.inf), -s * l, (z_free, 1.0), (zhat_free, -s[:, None])
-    )
+    l, u, z_lower, z_upper, s = _open_bounds(bounds, free)
+    triangle[free] = add(zeros - np.inf, -s * l, (z_free, 1.0), (zhat_free, -s[:, None]))
 
     def linear(c_x, c_y, c_t) -> tuple[np.ndarray, float]:
         """c_x.x + c_y.y + c_t.t as coefficients over the columns and a constant."""
@@ -366,24 +370,42 @@ def encode_relaxation(
     lower = np.full(imap.n_vars, -np.inf)
     upper = np.full(imap.n_vars, np.inf)
     lower[imap.x], upper[imap.x] = problem.box.lower, problem.box.upper
-    lower[zhat[free]], upper[zhat[free]] = l, u
-    lower[z[free]] = np.maximum(relu(bounds.post_lower), 0.0)  # z >= 0
-    upper[z[free]] = relu(bounds.post_upper)
+    lower[zhat[free]], upper[zhat[free]], lower[z[free]], upper[z[free]] = l, u, z_lower, z_upper
     if use_t:
         lower[imap.t], upper[imap.t] = 0.0, problem.t_upper
     lower[imap.zero] = upper[imap.zero] = 0.0
     lower[imap.one] = upper[imap.one] = 1.0
+    lp = LinearProgram(matrix, row_lower, row_upper, lower, upper, obj)
+    by_phase = _phase_bounds(lower, upper, zhat, z, free)
+    return Relaxation(imap, lp, link, triangle, zhat, z, phase, by_phase)
 
-    return Relaxation(
-        imap,
-        LinearProgram(matrix, row_lower, row_upper, lower, upper, obj),
-        link=link,
-        triangle=triangle,
-        zhat=zhat,
-        z=z,
-        phase=phase,
-        by_phase=_phase_bounds(lower, upper, zhat, z, free),
-    )
+
+def _open_bounds(bounds: "BoundsMap", free: np.ndarray):
+    """The one rule for the numbers `bounds` give the open ReLUs `free`
+    marks: zhat's bounds l and u, z's bounds (z >= 0), and the slope
+    s = u / (u - l) of the triangle row z - s zhat <= -s l."""
+    relu = lambda side: np.concatenate([np.empty(0), *(side[k] for k in bounds.relu_layers)])[free]
+    l, u = relu(bounds.pre_lower), relu(bounds.pre_upper)
+    return l, u, np.maximum(relu(bounds.post_lower), 0.0), relu(bounds.post_upper), u / (u - l)
+
+
+def with_bounds(relaxation: Relaxation, bounds: "BoundsMap") -> Relaxation:
+    """`relaxation` with its open ReLUs' column bounds, triangle rows and
+    `by_phase` made from `bounds` (`_open_bounds`), in a new matrix object of
+    the same structure. `bounds` must fix no phase that `relaxation` leaves
+    open; this is then the LP `encode_relaxation` encodes from them."""
+    free = relaxation.phase == UNDETERMINED
+    l, u, z_lower, z_upper, s = _open_bounds(bounds, free)
+    root, zhat, z = relaxation.lp, relaxation.zhat[free], relaxation.z[free]
+    row_upper, lower, upper = root.row_upper.copy(), root.lower.copy(), root.upper.copy()
+    lower[zhat], upper[zhat], lower[z], upper[z] = l, u, z_lower, z_upper
+    row_upper[relaxation.triangle[free]] = -s * l
+    a, data = root.matrix, root.matrix.data.copy()
+    data[a.indptr[zhat + 1] - 1] = -s  # the triangle row is its zhat column's last
+    matrix = CSCMatrix(a.shape, a.indptr, a.indices, data)
+    lp = root._derive(matrix=matrix, row_upper=row_upper, lower=lower, upper=upper)  # all finite
+    by_phase = _phase_bounds(lower, upper, relaxation.zhat, relaxation.z, free)
+    return replace(relaxation, lp=lp, by_phase=by_phase)
 
 
 def _phase_bounds(lower, upper, zhat, z, free) -> np.ndarray:

@@ -23,12 +23,12 @@ from .bounds import (  # noqa: F401
     COUNTERS,
     BoundsMap,
     fixed_by_bounds,
+    phases,
     propagate_interval,
     propagate_symbolic,
     tighten_lp,
 )
 from .errors import NoUndetermined, Timeout
-from .geometry import Hyperrectangle
 from .highs import LiveModel
 from .lp import (  # noqa: F401
     LPStatus,
@@ -38,6 +38,7 @@ from .lp import (  # noqa: F401
     encode_relaxation,
     solve_lp,
     split_assignment,
+    with_bounds,
 )
 from .model import Network, evaluate
 from .problems import OptimizationProblem
@@ -99,20 +100,35 @@ class SearchConfig:
             raise ValueError("tighten_timeout must be nonnegative")
 
 
-def root_bounds(
+def root_relaxation(
     net: Network,
-    box: Hyperrectangle,
+    problem: OptimizationProblem,
     tighten_timeout: float = 0.0,
     deadline: Optional[float] = None,
     counters: Optional[dict] = None,
-) -> BoundsMap:
-    """The bounds a search starts from: back-substitution bounds, then, when
-    `tighten_timeout` is positive, LP tightening (`tighten_lp`) seeded with
-    them, under `deadline`."""
-    bounds = propagate_symbolic(net, box)
+    model: Optional[LiveModel] = None,
+) -> tuple[BoundsMap, Relaxation]:
+    """The bounds a search of `problem` starts from and its root LP: back-
+    substitution bounds and one `encode_relaxation` under them, then, when
+    `tighten_timeout` > 0, `tighten_lp` over that LP by `deadline` in the
+    live `model` the search goes on in, and `with_bounds`, or a second
+    encoding when tightening fixes a phase, so that ReLU gets no column or
+    row in any node LP. `counters` gets `tighten_lp`'s counts and
+    `encode_s`, the seconds spent encoding and writing bounds back."""
+    counters = {} if counters is None else counters
+    bounds = propagate_symbolic(net, problem.box)
+    clock = time.perf_counter()
+    relaxation = encode_relaxation(net, problem, bounds)
+    counters["encode_s"] = time.perf_counter() - clock
     if tighten_timeout > 0.0:
-        bounds = tighten_lp(net, box, bounds, tighten_timeout, deadline=deadline, counters=counters)
-    return bounds
+        bounds = tighten_lp(net, relaxation, bounds, tighten_timeout, deadline, counters, model)
+        clock = time.perf_counter()
+        if (phases(bounds) == relaxation.phase).all():
+            relaxation = with_bounds(relaxation, bounds)
+        else:
+            relaxation = encode_relaxation(net, problem, bounds)
+        counters["encode_s"] += time.perf_counter() - clock
+    return bounds, relaxation
 
 
 def optimum_for_region(
@@ -234,12 +250,12 @@ def optimize(
     as Timeout. `stats.extra` counts the simplex iterations of all LPs
     (`simplex_iters`) and the tightening LPs solved (`tighten_lps`), skipped
     because the back-substitution bounds already fix their ReLU's phase
-    (`tighten_skipped`), not needed because the ReLU's range has a closed
-    form (`tighten_exact`) and stopped by their time limit
-    (`tighten_limit_hits`), and the seconds spent on the witness and the
-    root bounds (`bounds_s`), the root LP (`encode_s`) and node evaluation
-    (`lp_s`), and the root LP's shape (`lp_rows` and `lp_cols`), which
-    every node LP shares. It also holds the global upper `bound`, the
+    (`tighten_skipped`), not needed as the ReLU's range is exact already
+    (`tighten_exact`) and stopped by their time limit (`tighten_limit_hits`),
+    the seconds spent on the witness, bounds and tightening (`bounds_s`), on
+    encoding the root LP and writing bounds into it (`encode_s`) and on node
+    evaluation (`lp_s`), and the root LP's shape (`lp_rows` and `lp_cols`),
+    which every node LP shares. It also holds the global upper `bound`, the
     largest of the incumbent and the parent bounds of the nodes still open,
     and the `gap` from the incumbent up to it (inf without an incumbent).
     A result with an argopt re-checks it by a forward pass: `max_violation`
@@ -247,8 +263,9 @@ def optimize(
     from the output its leaf was valued at (a forward pass here when the
     outcome carries none).
 
-    `bounds` defaults to `root_bounds` under `config.tighten_timeout`. When
-    it is not given, a feasible point on the gradient ray from x0
+    `bounds` and the root LP default to `root_relaxation`'s under
+    `config.tighten_timeout`; given `bounds`, the root LP is encoded from
+    them. When `bounds` is not given, a feasible point on the gradient ray from x0
     (`ray_witness`) of a problem that `problem.ball` applies to is the
     first incumbent, its objective is `stats.extra['witness']` (else None),
     and the ball of that value is searched in place of the problem: bounds,
@@ -263,39 +280,39 @@ def optimize(
     output: Optional[np.ndarray] = None  # the network's output at argopt, when known
     searched = problem  # the problem the bounds, LPs and leaves are of
 
-    clock = time.perf_counter()
-    if bounds is None:
-        found = ray_witness(net, problem)
-        value = None if found is None else problem.objective_at(net, *found)
-        ball = None if found is None else problem.ball(value)
-        if ball is not None:
-            incumbent, (argopt, output), searched = value, found, ball
-            stats.extra["witness"] = value
-        bounds = root_bounds(net, searched.box, config.tighten_timeout, deadline, stats.extra)
-    stats.extra["bounds_s"] = time.perf_counter() - clock
-
-    # One encoding and one live model per call, so a problem's node
-    # sequence never depends on problems solved before it. The root is the
-    # relaxation's read-only phase vector: the phases the bounds fix.
-    clock = time.perf_counter()
-    relaxation = encode_relaxation(net, searched, bounds)
-    stats.extra["encode_s"] = time.perf_counter() - clock
-    stats.extra["lp_rows"], stats.extra["lp_cols"] = relaxation.lp.matrix.shape
-
     def evaluate_region(phase: np.ndarray, inc: float) -> RegionOutcome:
         limit = deadline - time.monotonic()
         return optimum_for_region(net, searched, phase, bounds, inc, relaxation, model, limit)
 
     evaluator = region_evaluator or evaluate_region
 
-    # The frontier is a heap of (-parent bound, tiebreak counter, phase
-    # vector): the largest parent bound pops first (children can only be
-    # worse), and of equal bounds the one pushed first.
-    frontier = [(-np.inf, 0, relaxation.phase)]
-    counter = 1
-    timed_out = False
-
+    # One encoding and one live model per call, tightening included, so a
+    # problem's node sequence never depends on problems solved before it.
     with LiveModel() as model:
+        clock = time.perf_counter()
+        if bounds is None:
+            found = ray_witness(net, problem)
+            value = None if found is None else problem.objective_at(net, *found)
+            ball = None if found is None else problem.ball(value)
+            if ball is not None:
+                incumbent, (argopt, output), searched = value, found, ball
+                stats.extra["witness"] = value
+            bounds, relaxation = root_relaxation(
+                net, searched, config.tighten_timeout, deadline, stats.extra, model
+            )
+        else:
+            relaxation = encode_relaxation(net, searched, bounds)
+            stats.extra["encode_s"] = time.perf_counter() - clock
+        stats.extra["bounds_s"] = time.perf_counter() - clock - stats.extra["encode_s"]
+        stats.extra["lp_rows"], stats.extra["lp_cols"] = relaxation.lp.matrix.shape
+
+        # The frontier is a heap of (-parent bound, tiebreak counter, phase
+        # vector): the largest parent bound pops first (children can only be
+        # worse), and of equal bounds the one pushed first. The root is the
+        # relaxation's read-only phase vector: the phases the bounds fix.
+        frontier = [(-np.inf, 0, relaxation.phase)]
+        counter = 1
+        timed_out = False
         while frontier:
             stats.peak_frontier = max(stats.peak_frontier, len(frontier))
             if -frontier[0][0] <= incumbent:

@@ -197,25 +197,34 @@ def read_lp_with_highs(text, names=None):
 # Network factories
 
 
-def closed_form_relus(net, seed, tight):
-    """The ReLUs to which tightening from `seed` to `tight` (with no time
-    limit reached) gives their range in closed form, as a mask in
-    `relu_node_ids()` order: the ones the seed leaves open in every layer
-    up to and including the first layer in which `tight` leaves one open.
-    Every ReLU before such a layer is fixed."""
+def exact_range_relus(net, seed):
+    """The ReLUs that tightening from `seed` gives no LP, their range being
+    exact over the box, as a mask in `relu_node_ids()` order: the ones the
+    seed leaves open in the first layer in which it leaves one open. Every
+    ReLU before them is fixed."""
     from reluopt.bounds import phases
     from reluopt.state import UNDETERMINED
 
-    before, after = phases(seed), phases(tight)
-    mask = np.zeros(len(before), bool)
+    opened = phases(seed) == UNDETERMINED
+    mask = np.zeros(len(opened), bool)
     first = 0
     for width in net.relu_layer_widths():
         layer = slice(first, first + width)
-        mask[layer] = before[layer] == UNDETERMINED
-        if (after[layer] == UNDETERMINED).any():
+        if opened[layer].any():
+            mask[layer] = opened[layer]
             break
         first += width
     return mask
+
+
+def tighten_over_box(net, b, seed, *args, **kwargs):
+    """`tighten_lp` of `seed` over the root LP of a problem on box `b` with
+    no rows, encoded from `seed`: the LPs output maximization tightens over."""
+    from reluopt import tighten_lp
+    from reluopt.lp import encode_relaxation
+
+    relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), seed)
+    return tighten_lp(net, relaxation, seed, *args, **kwargs)
 
 
 def random_net(rng, n_in=2, hidden=(4,), n_out=1, weight_scale=1.0):

@@ -277,8 +277,9 @@ def test_bound_soundness():
         lo = -np.ones(net.input_dim)
         b = box(lo, -lo)
         interval = propagate_interval(net, b)
-        assert tighten_lp(net, b, interval, 0.0) is interval  # timeout 0 no-op
-        tight = tighten_lp(net, b, interval, per_query_timeout=1.0)
+        relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), interval)
+        assert tighten_lp(net, relaxation, interval, 0.0) is interval  # timeout 0 no-op
+        tight = tighten_lp(net, relaxation, interval, per_query_timeout=1.0)
         for k in range(len(net.layers)):  # tightened within interval
             assert np.all(tight.pre_lower[k] >= interval.pre_lower[k] - 1e-12)
             assert np.all(tight.pre_upper[k] <= interval.pre_upper[k] + 1e-12)

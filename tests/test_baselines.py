@@ -126,7 +126,7 @@ def test_bisection_agrees_with_search():
 
 @pytest.mark.parametrize("tighten_timeout", [0.0, 5.0])
 def test_bisection_equals_search_within_the_gap_on_equal_root_bounds(tighten_timeout):
-    # Both search from root_bounds: symbolic bounds, then (with a tightening
+    # Both search from root_relaxation: symbolic bounds, then (with a tightening
     # timeout) phase-aware LP tightening.
     rng = np.random.default_rng(131)
     cfg = BisectionConfig(gap=1e-4, tighten_timeout=tighten_timeout)

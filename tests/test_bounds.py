@@ -12,7 +12,7 @@ from reluopt.bounds import COUNTERS, BoundsMap, fixed_by_bounds, phases
 from reluopt.model import forward_trace
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED
 
-from conftest import box, closed_form_relus, random_net
+from conftest import box, exact_range_relus, random_net, tighten_over_box
 
 
 def _assert_sound(net, bounds, b, rng, samples=500, tol=1e-9):
@@ -108,7 +108,7 @@ def test_tighten_zero_timeout_is_noop():
     net = random_net(rng, n_in=2, hidden=(4,), n_out=1)
     b = box([-1.0, -1.0], [1.0, 1.0])
     seed = propagate_interval(net, b)
-    assert tighten_lp(net, b, seed, 0.0) is seed
+    assert tighten_over_box(net, b, seed, 0.0) is seed
 
 
 def test_tighten_never_loosens_and_stays_sound():
@@ -117,7 +117,7 @@ def test_tighten_never_loosens_and_stays_sound():
         net = random_net(rng, n_in=2, hidden=(5, 4), n_out=1)
         b = box([-1.0, -1.0], [1.0, 1.0])
         seed = propagate_interval(net, b)
-        tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
+        tight = tighten_over_box(net, b, seed, per_query_timeout=5.0)
         for k in range(len(net.layers)):
             assert np.all(tight.pre_lower[k] >= seed.pre_lower[k] - 1e-12)
             assert np.all(tight.pre_upper[k] <= seed.pre_upper[k] + 1e-12)
@@ -155,13 +155,13 @@ def test_tighten_strictly_improves_correlated_net():
     )
     assert true_min == pytest.approx(-0.5, abs=1e-3)
     counters = {}
-    tight = tighten_lp(net, b, seed, per_query_timeout=5.0, counters=counters)
+    tight = tighten_over_box(net, b, seed, per_query_timeout=5.0, counters=counters)
     assert tight.pre_lower[1][0] == pytest.approx(-0.5, abs=1e-6)
     assert _pre(tight, 1, 1) == _pre(seed, 1, 1) == (0.0, 4.0)
     assert _post(tight, 1, 1) == _post(seed, 1, 1)
     assert counters["tighten_skipped"] == 2
-    # The first layer's two ReLUs get their range in closed form; the open
-    # ReLU behind them needs its two LPs.
+    # The first layer's two ReLUs keep their exact seed ranges with no LP;
+    # the open ReLU behind them needs its two LPs.
     assert counters["tighten_exact"] == 4
     assert counters["tighten_lps"] == 2
 
@@ -182,7 +182,7 @@ def test_tightening_lp_stopped_by_its_time_limit_keeps_the_bound(caplog):
     seed = propagate_interval(net, b)
     counters = {}
     with caplog.at_level("WARNING", logger="reluopt.bounds"):
-        kept = tighten_lp(net, b, seed, per_query_timeout=1e-9, counters=counters)
+        kept = tighten_over_box(net, b, seed, per_query_timeout=1e-9, counters=counters)
     assert counters["tighten_limit_hits"] > 0
     assert "time limit" in caplog.text
     for k in range(len(net.layers)):
@@ -199,7 +199,7 @@ def test_tightening_stops_at_the_deadline():
     b = box([-1.0, -1.0], [1.0, 1.0])
     seed = propagate_interval(net, b)
     counters = {}
-    kept = tighten_lp(net, b, seed, 5.0, deadline=time.monotonic() - 1.0, counters=counters)
+    kept = tighten_over_box(net, b, seed, 5.0, deadline=time.monotonic() - 1.0, counters=counters)
     assert counters == dict.fromkeys(COUNTERS, 0)
     for k in range(len(net.layers)):
         np.testing.assert_array_equal(kept.pre_lower[k], seed.pre_lower[k])
@@ -215,7 +215,7 @@ def test_tightened_post_bounds_are_max_of_zero_and_pre_bounds():
         net = random_net(rng, n_in=3, hidden=(6, 5, 4), n_out=1)
         b = box(-np.ones(3), np.ones(3))
         seed = propagate_interval(net, b)
-        tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
+        tight = tighten_over_box(net, b, seed, per_query_timeout=5.0)
         for k in net.relu_layers:
             improved += int(np.count_nonzero(tight.pre_upper[k] < seed.pre_upper[k]))
             for post, pre in (
@@ -346,7 +346,7 @@ def test_phase_aware_tightening_is_sound_and_fixes_at_least_what_its_seed_does()
     for net, b in _symbolic_cases():
         interval = propagate_interval(net, b)
         seed = propagate_symbolic(net, b)
-        tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
+        tight = tighten_over_box(net, b, seed, per_query_timeout=5.0)
         _assert_sound(net, tight, b, rng, samples=300, tol=1e-7)
         assert _undetermined(net, tight) <= _undetermined(net, seed)
         assert _undetermined(net, tight) <= _undetermined(net, interval)
@@ -379,7 +379,7 @@ def test_tightening_applies_the_phase_a_node_lp_fixes_before_later_nodes():
     b = box([-1.0], [2.0])
     seed = propagate_interval(net, b)
     assert seed.pre_lower[1][0] < 0.0 < seed.pre_upper[2][0]  # both undetermined
-    tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
+    tight = tighten_over_box(net, b, seed, per_query_timeout=5.0)
     assert tight.pre_lower[1][0] == pytest.approx(0.5, abs=1e-6)
     assert tight.pre_upper[2][0] == pytest.approx(-0.1, abs=1e-6)
     assert phases(tight)[-1] == INACTIVE  # node (2, 0)
@@ -389,21 +389,29 @@ def test_tightening_applies_the_phase_a_node_lp_fixes_before_later_nodes():
 def test_tightening_writes_the_seeds_fixed_phases_into_its_lps():
     # x in [0.5, 1] fixes z = relu(x) active, and z - x - 0.1 is -0.1 on the
     # whole box. An LP that relaxed the fixed ReLU as z >= x, z <= 1 would
-    # find 0.4 as its maximum.
+    # find 0.4 as its maximum. The first layer's open relu(x - 0.75), which
+    # the second layer does not read, puts that second layer behind an open
+    # ReLU, so its ReLU gets its two LPs.
     from reluopt import Activation, Layer, Network
 
     net = Network(
         (
-            Layer(np.array([[1.0], [1.0], [-1.0]]), np.array([0.0, 0.0, 0.0]), Activation.RELU),
-            Layer(np.array([[1.0, -1.0, 1.0]]), np.array([-0.1]), Activation.RELU),
+            Layer(
+                np.array([[1.0], [1.0], [-1.0], [1.0]]),
+                np.array([0.0, 0.0, 0.0, -0.75]),
+                Activation.RELU,
+            ),
+            Layer(np.array([[1.0, -1.0, 1.0, 0.0]]), np.array([-0.1]), Activation.RELU),
             Layer(np.array([[1.0]]), np.array([0.0]), Activation.IDENTITY),
         )
     )
     b = box([0.5], [1.0])
     seed = propagate_interval(net, b)
     assert seed.pre_upper[1][0] > 0.0
-    tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
+    counters = {}
+    tight = tighten_over_box(net, b, seed, per_query_timeout=5.0, counters=counters)
     assert tight.pre_upper[1][0] == pytest.approx(-0.1, abs=1e-6)
+    assert counters["tighten_lps"] == 2
 
 
 def test_tightening_lps_see_the_phases_the_seed_fixes_in_later_layers():
@@ -426,7 +434,7 @@ def test_tightening_lps_see_the_phases_the_seed_fixes_in_later_layers():
         lo = rng.uniform(-1.0, 0.6, 3)
         b = box(lo, lo + 0.4)
         seed = propagate_symbolic(net, b)
-        tight = tighten_lp(net, b, seed, per_query_timeout=5.0)
+        tight = tighten_over_box(net, b, seed, per_query_timeout=5.0)
         relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), seed)
         lp = build_relaxed_lp(relaxation, phase_state(net, relaxation.phase))
         for i, node in enumerate(net.relu_node_ids()):
@@ -566,7 +574,7 @@ def test_skipping_fixed_relus_gives_the_root_lp_of_tightening_every_relu():
     for net, b in _tightening_cases():
         seed = propagate_symbolic(net, b)
         counters = {}
-        tight = tighten_lp(net, b, seed, per_query_timeout=5.0, counters=counters)
+        tight = tighten_over_box(net, b, seed, per_query_timeout=5.0, counters=counters)
         reference = _tighten_every_lp(net, b, seed)
         np.testing.assert_array_equal(phases(tight), phases(reference))
         opened = phases(seed) == UNDETERMINED
@@ -582,7 +590,7 @@ def test_skipping_fixed_relus_gives_the_root_lp_of_tightening_every_relu():
             atol=SAFETY_MARGIN,
         )
         assert counters["tighten_skipped"] == 2 * np.count_nonzero(~opened)
-        exact = 2 * np.count_nonzero(closed_form_relus(net, seed, tight))
+        exact = 2 * np.count_nonzero(exact_range_relus(net, seed))
         assert counters["tighten_exact"] == exact
         assert counters["tighten_limit_hits"] == 0
         assert (
@@ -612,9 +620,9 @@ def test_tightening_counts_each_lp_as_solved_skipped_or_stopped(monkeypatch):
         b = box(-half_width * np.ones(4), half_width * np.ones(4))
         seed = propagate_symbolic(net, b)
         counters, calls[:] = {}, []
-        tight = tighten_lp(net, b, seed, timeout, counters=counters)
+        tight = tighten_over_box(net, b, seed, timeout, counters=counters)
         exact = counters["tighten_exact"]
-        assert exact == 2 * np.count_nonzero(closed_form_relus(net, seed, tight)) > 0
+        assert exact == 2 * np.count_nonzero(exact_range_relus(net, seed)) > 0
         visited = (
             counters["tighten_lps"]
             + counters["tighten_skipped"]
@@ -661,7 +669,7 @@ def test_warm_tightening_optima_equal_cold_solves(monkeypatch):
         net = random_net(rng, n_in=n_in, hidden=hidden, n_out=n_out)
         b = box(center - 0.5, center + 0.5)
         for seed in (propagate_interval(net, b), propagate_symbolic(net, b)):
-            tighten_lp(net, b, seed, per_query_timeout=5.0)
+            tighten_over_box(net, b, seed, per_query_timeout=5.0)
     assert len(solved) > 1000
     for lp, warm in solved:
         cold = original(lp)
@@ -670,7 +678,7 @@ def test_warm_tightening_optima_equal_cold_solves(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form ranges of ReLUs behind no open ReLU
+# Exact ranges of ReLUs behind no open ReLU
 
 
 def _affine_range(net, b, phase, k):
@@ -692,9 +700,9 @@ def _affine_range(net, b, phase, k):
 def _layer_closing_net():
     """x in [1, 2]. The first layer's two ReLUs, both x, are active on the
     box. The second layer's first ReLU has pre-activation z0 - z1 + 0.5 =
-    0.5, which interval bounds see as [-0.5, 1.5], and its second ReLU is
-    z0 = x again. The third layer's ReLU has pre-activation a - x + 1 =
-    1.5 - x, in [-0.5, 0.5]."""
+    0.5, which interval bounds see as [-0.5, 1.5] and back-substitution
+    exactly, and its second ReLU is z0 = x again. The third layer's ReLU
+    has pre-activation a - x + 1 = 1.5 - x, in [-0.5, 0.5]."""
     from reluopt import Activation, Layer, Network
 
     return Network(
@@ -707,81 +715,77 @@ def _layer_closing_net():
     )
 
 
-def test_closed_form_ranges_are_the_lp_optima():
-    # Tightening gives a ReLU its range in closed form when every ReLU
-    # before its layer is fixed. Here both LPs of each such ReLU are solved
-    # over the bounds tightening had when it reached the layer (tightened
-    # before it, the seed's from it on), and each optimum is the range of
-    # the affine map the fixed layers make. Tightening applied that range
-    # as it applies an LP optimum.
-    from reluopt.bounds import IMPROVEMENT_THRESHOLD, SAFETY_MARGIN
+def test_back_substitution_gives_relus_behind_no_open_relu_their_lp_range():
+    # Where back-substitution bounds fix every ReLU before a layer, each of
+    # its ReLUs has an affine zhat over the box. Its bounds are then that
+    # function's exact range, which is the LP optimum over the root LP,
+    # widened by at most SAFETY_MARGIN. Tightening solves no LP for the
+    # open ones of the first layer that has one, and they keep those bounds.
+    from reluopt.bounds import SAFETY_MARGIN
     from reluopt.lp import build_relaxed_lp, encode_relaxation, solve_lp
     from reluopt.problems import Objective, OptimizationProblem
 
     nets = [(_layer_closing_net(), box([1.0], [2.0]))] + list(_tightening_cases())
-    solved = closed_behind_closed = 0
+    solved = closed_behind_open_interval = 0
     for net, b in nets:
-        for seed in (propagate_interval(net, b), propagate_symbolic(net, b)):
-            counters = {}
-            tight = tighten_lp(net, b, seed, per_query_timeout=5.0, counters=counters)
-            closed = closed_form_relus(net, seed, tight)
-            assert counters["tighten_exact"] == 2 * np.count_nonzero(closed)
-            phase = phases(tight)
-            first = 0
-            for k in net.relu_layers:
-                layer = np.arange(first, first + net.layers[k].out_width)
-                first += len(layer)
-                if not closed[layer].any():
+        seed = propagate_symbolic(net, b)
+        counters = {}
+        tight = tighten_over_box(net, b, seed, per_query_timeout=5.0, counters=counters)
+        closed = exact_range_relus(net, seed)
+        assert counters["tighten_exact"] == 2 * np.count_nonzero(closed)
+        phase, interval_phase = phases(seed), phases(propagate_interval(net, b))
+        relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), seed)
+        lp = build_relaxed_lp(relaxation, relaxation.phase)
+        first = 0
+        for k in net.relu_layers:
+            layer = np.arange(first, first + net.layers[k].out_width)
+            first += len(layer)
+            if (phase[: layer[0]] == UNDETERMINED).any():
+                break
+            closed_behind_open_interval += bool((interval_phase[: layer[0]] == UNDETERMINED).any())
+            bottom, top = _affine_range(net, b, phase, k)
+            for j, i in enumerate(layer):
+                hi, lo = seed.pre_upper[k][j], seed.pre_lower[k][j]
+                assert top[j] - 1e-12 <= hi <= top[j] + SAFETY_MARGIN + 1e-12
+                assert bottom[j] - SAFETY_MARGIN - 1e-12 <= lo <= bottom[j] + 1e-12
+                if not closed[i]:
                     continue
-                closed_behind_closed += bool(
-                    (phases(seed)[: layer[0]] == UNDETERMINED).any()
-                )
-                sides = [
-                    tuple(t[:k]) + tuple(s[k:])
-                    for t, s in zip(
-                        (tight.pre_lower, tight.pre_upper, tight.post_lower, tight.post_upper),
-                        (seed.pre_lower, seed.pre_upper, seed.post_lower, seed.post_upper),
-                    )
-                ]
-                current = BoundsMap(seed.input_lower, seed.input_upper, *sides, seed.relu_layers)
-                relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), current)
-                lp = build_relaxed_lp(relaxation, relaxation.phase)
-                bottom, top = _affine_range(net, b, phase, k)
-                for j in np.flatnonzero(closed[layer]):
-                    obj = np.zeros(lp.n_vars)
-                    obj[relaxation.zhat[layer[j]]] = 1.0
-                    high = solve_lp(lp.with_objective(obj, maximize=True)).value
-                    low = solve_lp(lp.with_objective(obj, maximize=False)).value
-                    assert high == pytest.approx(top[j], rel=0.0, abs=1e-9)
-                    assert low == pytest.approx(bottom[j], rel=0.0, abs=1e-9)
-                    hi, lo = seed.pre_upper[k][j], seed.pre_lower[k][j]
-                    if hi - (top[j] + SAFETY_MARGIN) >= IMPROVEMENT_THRESHOLD:
-                        hi = top[j] + SAFETY_MARGIN
-                    if bottom[j] - SAFETY_MARGIN - lo >= IMPROVEMENT_THRESHOLD:
-                        lo = bottom[j] - SAFETY_MARGIN
-                    assert tight.pre_upper[k][j] == pytest.approx(hi, rel=0.0, abs=1e-12)
-                    assert tight.pre_lower[k][j] == pytest.approx(lo, rel=0.0, abs=1e-12)
-                    solved += 1
-    assert solved > 0 and closed_behind_closed > 0
+                obj = np.zeros(lp.n_vars)
+                obj[relaxation.zhat[i]] = 1.0
+                high = solve_lp(lp.with_objective(obj, maximize=True)).value
+                low = solve_lp(lp.with_objective(obj, maximize=False)).value
+                assert high == pytest.approx(top[j], rel=0.0, abs=1e-9)
+                assert low == pytest.approx(bottom[j], rel=0.0, abs=1e-9)
+                assert (tight.pre_lower[k][j], tight.pre_upper[k][j]) == (lo, hi)
+                solved += 1
+    assert solved > 0 and closed_behind_open_interval > 0
 
 
-def test_tightening_closes_a_layer_and_gives_the_next_its_range_without_an_lp(monkeypatch):
+def test_back_substitution_closes_a_layer_and_tightening_gives_the_next_no_lp(monkeypatch):
     import reluopt.lp
+    from reluopt.lp import encode_relaxation
+    from reluopt.problems import Objective, OptimizationProblem
 
-    monkeypatch.setattr(reluopt.lp, "encode_relaxation", None)  # no LP may be set up
     net, b = _layer_closing_net(), box([1.0], [2.0])
-    seed = propagate_interval(net, b)
-    assert phases(seed).tolist() == [ACTIVE, ACTIVE, UNDETERMINED, ACTIVE, UNDETERMINED]
+    interval = propagate_interval(net, b)
+    assert phases(interval).tolist() == [ACTIVE, ACTIVE, UNDETERMINED, ACTIVE, UNDETERMINED]
+    seed = propagate_symbolic(net, b)
+    assert phases(seed).tolist() == [ACTIVE, ACTIVE, ACTIVE, ACTIVE, UNDETERMINED]
+    assert _pre(seed, 1, 0) == pytest.approx((0.5, 0.5), abs=2e-7)
+    assert _pre(seed, 2, 0) == pytest.approx((-0.5, 0.5), abs=2e-7)
+    _assert_sound(net, seed, b, np.random.default_rng(5), samples=200, tol=0.0)
+    relaxation = encode_relaxation(net, OptimizationProblem(b, Objective()), seed)
+    monkeypatch.setattr(reluopt.lp, "build_relaxed_lp", None)  # no LP may be set up
+    monkeypatch.setattr(reluopt.lp, "solve_lp", None)
     counters = {}
-    tight = tighten_lp(net, b, seed, per_query_timeout=5.0, counters=counters)
+    tight = tighten_lp(net, relaxation, seed, per_query_timeout=5.0, counters=counters)
     assert counters == {
         "simplex_iters": 0,
         "tighten_lps": 0,
-        "tighten_skipped": 6,
-        "tighten_exact": 4,
+        "tighten_skipped": 8,
+        "tighten_exact": 2,
         "tighten_limit_hits": 0,
     }
-    assert phases(tight).tolist() == [ACTIVE, ACTIVE, ACTIVE, ACTIVE, UNDETERMINED]
-    assert _pre(tight, 1, 0) == pytest.approx((0.5, 0.5), abs=2e-7)
-    assert _pre(tight, 2, 0) == pytest.approx((-0.5, 0.5), abs=2e-7)
-    _assert_sound(net, tight, b, np.random.default_rng(5), samples=200, tol=0.0)
+    for node in net.relu_node_ids():
+        assert _pre(tight, *node) == _pre(seed, *node)
+        assert _post(tight, *node) == _post(seed, *node)

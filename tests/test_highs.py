@@ -221,7 +221,7 @@ def test_solves_give_back_every_instance_they_take(monkeypatch):
         brute_force_optimize,
         optimize,
         phases,
-        root_bounds,
+        root_relaxation,
     )
 
     from conftest import output_max_problem
@@ -262,10 +262,11 @@ def test_solves_give_back_every_instance_they_take(monkeypatch):
     deep_brute = brute_force_optimize(deep, deep_problem)
     assert deep_tightened.value == pytest.approx(deep_brute.value, abs=1e-6)
 
-    # One hidden layer: every open ReLU gets its range in closed form.
+    # One hidden layer: every open ReLU has its exact range from
+    # back-substitution, and tightening given no model takes none.
     monkeypatch.setattr(highs, "_FREE", [])
     built.clear()
     counters = {}
-    root_bounds(net, problem.box, tighten_timeout=1.0, counters=counters)
+    root_relaxation(net, problem, tighten_timeout=1.0, counters=counters)
     assert counters["tighten_lps"] == 0 and counters["tighten_exact"] > 0
     assert built == highs._FREE == []

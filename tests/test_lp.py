@@ -24,7 +24,7 @@ from reluopt.lp import CSCMatrix, encode_relaxation
 from reluopt.model import activation_pattern, evaluate, forward_trace
 from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, phase_state
 
-from conftest import box, lp_oracle, random_net
+from conftest import box, lp_oracle, random_net, tighten_over_box
 
 
 def _random_lp(rng, n, n_rows):
@@ -212,8 +212,8 @@ def test_triangle_rows_hold_in_every_phase(min_adv):
         else:
             problem = OptimizationProblem(b, Objective(c_y=rng.normal(size=2)))
         bounds = propagate_symbolic(net, b)
-        if trial % 3 == 0:
-            bounds = tighten_lp(net, b, bounds, 5.0)
+        if trial % 3 == 0:  # tightened over the problem's own root LP, rows included
+            bounds = tighten_lp(net, encode_relaxation(net, problem, bounds), bounds, 5.0)
         relaxation = encode_relaxation(net, problem, bounds)
         undetermined = relaxation.phase == UNDETERMINED
         n_rows = 3 * np.count_nonzero(undetermined) + len(problem.rows)
@@ -237,7 +237,7 @@ def test_relus_the_root_fixes_get_no_column_and_no_row(min_adv):
     LP has n + 2 (open ReLUs) + t columns, plus one fixed at 0, which every
     fixed ReLU's zhat and z point at, and one fixed at 1. At the root LP's
     optimum a fixed ReLU's gap is 0."""
-    from reluopt.bounds import propagate_symbolic, tighten_lp
+    from reluopt.bounds import propagate_symbolic
     from reluopt.geometry import linf_epigraph
     from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED
 
@@ -256,7 +256,7 @@ def test_relus_the_root_fixes_get_no_column_and_no_row(min_adv):
             problem = OptimizationProblem(b, Objective(c_y=rng.normal(size=2)))
         bounds = propagate_symbolic(net, b)
         if trial % 2:
-            bounds = tighten_lp(net, b, bounds, 5.0)
+            bounds = tighten_over_box(net, b, bounds, 5.0)
         relaxation = encode_relaxation(net, problem, bounds)
         imap, phase, lp = relaxation.imap, relaxation.phase, relaxation.lp
         free = phase == UNDETERMINED
@@ -553,7 +553,6 @@ def _reference_node_vectors(net, problem, bounds, state, relaxation):
 
 def test_node_lp_vectors_match_the_node_by_node_reference():
     from reluopt.geometry import linf_epigraph
-    from reluopt.bounds import tighten_lp
 
     rng = np.random.default_rng(404)
     for trial in range(12):
@@ -570,7 +569,7 @@ def test_node_lp_vectors_match_the_node_by_node_reference():
             problem = OptimizationProblem(b, Objective(c_y=rng.normal(size=2)))
         bounds = propagate_interval(net, b)
         if trial % 3 == 0:
-            bounds = tighten_lp(net, b, bounds, 5.0)
+            bounds = tighten_over_box(net, b, bounds, 5.0)
         relaxation = encode_relaxation(net, problem, bounds)
         for _ in range(10):
             u = rng.random(net.num_relu_nodes)
@@ -615,8 +614,8 @@ def test_root_lp_optimum_is_the_relaxed_milp_optimum(tighten):
             objective = Objective(c_x=rng.normal(size=n_in), c_y=rng.normal(size=3))
             problem = OptimizationProblem(b, objective)
         bounds = propagate_symbolic(net, b)
-        if tighten:
-            bounds = tighten_lp(net, b, bounds, 5.0)
+        if tighten:  # over the problem's own root LP, rows included
+            bounds = tighten_lp(net, encode_relaxation(net, problem, bounds), bounds, 5.0)
         ours = solve_lp(encode_relaxation(net, problem, bounds).lp)
         theirs = solve_lp(milp_to_lp(export_milp(net, problem, bounds)[0])[0])
         assert ours.status == theirs.status

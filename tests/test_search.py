@@ -21,7 +21,7 @@ from reluopt import (
     propagate_interval,
     propagate_symbolic,
     ray_witness,
-    root_bounds,
+    root_relaxation,
     split,
 )
 from reluopt.baselines import brute_force_optimize, export_milp
@@ -35,11 +35,12 @@ from reluopt.state import ACTIVE, INACTIVE, UNDETERMINED, fingerprint, phase_sta
 
 from conftest import (
     box,
-    closed_form_relus,
+    exact_range_relus,
     output_max_problem,
     random_net,
     read_lp_with_highs,
     sample_max,
+    tighten_over_box,
 )
 
 
@@ -473,7 +474,7 @@ def test_search_counts_the_tightening_lps_solved_and_skipped():
     tightened = optimize(net, problem, SearchConfig(tighten_timeout=5.0)).stats.extra
     seed = propagate_symbolic(net, problem.box)
     fixed = np.count_nonzero(phases(seed) != UNDETERMINED)
-    closed = closed_form_relus(net, seed, root_bounds(net, problem.box, tighten_timeout=5.0))
+    closed = exact_range_relus(net, seed)
     assert tightened["tighten_lps"] > 0 and fixed > 0
     assert tightened["tighten_skipped"] == 2 * fixed
     assert tightened["tighten_exact"] == 2 * np.count_nonzero(closed) > 0
@@ -781,21 +782,35 @@ def _root_bound_cases():
         yield net, _min_adv_problem(net, rng)
 
 
+def _lp_vectors(lp):
+    """An LP's dense matrix, then its bound and cost vectors."""
+    return lp.matrix.toarray(), lp.row_lower, lp.row_upper, lp.lower, lp.upper, lp.objective
+
+
 def test_root_bounds_are_symbolic_bounds_then_tightening():
+    # The root LP that `root_relaxation` gives with its bounds, tightened or
+    # not, is the one `encode_relaxation` encodes from those bounds.
     rng = np.random.default_rng(2011)
     net = random_net(rng, n_in=3, hidden=(8, 6), n_out=1)
     b = box(-np.ones(3), np.ones(3))
-    symbolic = root_bounds(net, b)
+    problem = OptimizationProblem(b, Objective(c_y=np.ones(1)))
+    symbolic, relaxation = root_relaxation(net, problem)
     expected = propagate_symbolic(net, b)
     for k in range(len(net.layers)):
         np.testing.assert_array_equal(symbolic.pre_lower[k], expected.pre_lower[k])
         np.testing.assert_array_equal(symbolic.pre_upper[k], expected.pre_upper[k])
+    encoded = encode_relaxation(net, problem, expected).lp
+    for got, want in zip(_lp_vectors(relaxation.lp), _lp_vectors(encoded)):
+        np.testing.assert_array_equal(got, want)
     counters = {}
-    tight = root_bounds(net, b, tighten_timeout=5.0, counters=counters)
+    tight, relaxation = root_relaxation(net, problem, tighten_timeout=5.0, counters=counters)
     assert counters["simplex_iters"] > 0
     for k in range(len(net.layers)):
         assert np.all(tight.pre_lower[k] >= symbolic.pre_lower[k])
         assert np.all(tight.pre_upper[k] <= symbolic.pre_upper[k])
+    encoded = encode_relaxation(net, problem, tight).lp
+    for got, want in zip(_lp_vectors(relaxation.lp), _lp_vectors(encoded)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_search_from_root_bounds_finds_the_brute_force_optimum():
@@ -814,6 +829,115 @@ def test_search_from_root_bounds_finds_the_brute_force_optimum():
                 assert problem.objective_at(net, x) == pytest.approx(result.value, abs=1e-9)
                 assert result.stats.extra["max_violation"] <= 1e-6
     assert {(False, Status.OPTIMAL), (True, Status.OPTIMAL)} <= kinds
+
+
+def _deep_tightening_case(seed, radius):
+    """Maximize y1 - y0 on a seeded 5 -> 8x3 -> 5 net, drawn as perfbench's
+    deep workload draws its nets, over the box of `radius` around a random
+    center."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, n_in=5, hidden=(8, 8, 8), n_out=5)
+    center = rng.uniform(-1.0, 1.0, 5)
+    objective = [-1.0, 1.0, 0.0, 0.0, 0.0]
+    return net, output_max_problem(net, objective, center - radius, center + radius)
+
+
+def test_a_tightened_search_encodes_once_in_one_live_model(monkeypatch):
+    """A search that tightens its bounds encodes its root LP once and solves
+    the tightening LPs and the node LPs in one live model: when tightening
+    fixes no phase that back-substitution left open, its bounds are written
+    into that LP. When it fixes one, the root LP is encoded again, with the
+    shape `encode_relaxation` gives the tightened bounds. Both searches
+    reach brute force's value."""
+    import reluopt.highs
+    import reluopt.lp
+    import reluopt.search
+
+    encodes, models = [], []
+    for owner in (reluopt.lp, reluopt.search):
+        encode = owner.encode_relaxation
+        monkeypatch.setattr(
+            owner, "encode_relaxation", lambda *a, f=encode: encodes.append(1) or f(*a)
+        )
+    init = reluopt.highs.LiveModel.__init__
+    monkeypatch.setattr(
+        reluopt.highs.LiveModel, "__init__", lambda self: models.append(1) or init(self)
+    )
+    for radius, fixes in ((0.1, False), (0.15, True)):
+        net, problem = _deep_tightening_case(0, radius)
+        encodes.clear()
+        models.clear()
+        result = optimize(net, problem, SearchConfig(tighten_timeout=5.0))
+        assert result.stats.extra["tighten_lps"] > 0
+        assert (len(encodes), len(models)) == (1 + fixes, 1)
+        tight, _ = root_relaxation(net, problem, tighten_timeout=5.0)
+        assert (phases(tight) != phases(propagate_symbolic(net, problem.box))).any() == fixes
+        shape = encode_relaxation(net, problem, tight).lp.matrix.shape
+        assert (result.stats.extra["lp_rows"], result.stats.extra["lp_cols"]) == shape
+        exact = brute_force_optimize(net, problem)
+        assert result.status is exact.status is Status.OPTIMAL
+        assert result.value == pytest.approx(exact.value, abs=1e-6)
+
+
+def _targeted_problem(net, rng, margin=0.0):
+    """Smallest L-inf move from x0 within 1 that makes the output smallest
+    at x0 exceed the largest by `margin`."""
+    x0 = rng.uniform(-0.5, 0.5, net.input_dim)
+    y0 = evaluate(net, x0)
+    a = np.zeros(net.output_dim)
+    a[int(np.argmin(y0))], a[int(np.argmax(y0))] = 1.0, -1.0
+    rows = (*linf_epigraph(x0), Row(None, a, 0.0, Relation.GE, margin))
+    return OptimizationProblem(box(x0 - 1.0, x0 + 1.0), Objective(c_t=-1.0), rows, 1.0, x0=x0)
+
+
+def test_min_adversarial_tightening_reads_the_problem_rows():
+    """Tightening over a min-adversarial problem's own root LP, rows
+    included, gives bounds within those of tightening over its box alone
+    (to round-off), and strictly inside somewhere. Searched from them, the
+    problems reach brute force's answers in no more nodes in all (a search
+    may split another ReLU first and take more). Where the target is out of
+    reach, tightening may stop at an infeasible LP and keep wider bounds,
+    and both searches end Infeasible."""
+    rng = np.random.default_rng(2800)
+    narrower = searched = 0
+    nodes = np.zeros(2, int)
+    for _ in range(16):
+        net = random_net(rng, n_in=3, hidden=(5, 5), n_out=3)
+        problem = _targeted_problem(net, rng)
+        seed = propagate_symbolic(net, problem.box)
+        box_only = tighten_over_box(net, problem.box, seed, 5.0)
+        with_rows, _ = root_relaxation(net, problem, tighten_timeout=5.0)
+        exact = brute_force_optimize(net, problem)
+        ours = optimize(net, problem, bounds=with_rows)
+        theirs = optimize(net, problem, bounds=box_only)
+        assert ours.status is theirs.status is exact.status
+        nodes += (ours.stats.nodes_explored, theirs.stats.nodes_explored)
+        if exact.status is Status.INFEASIBLE:
+            continue
+        assert ours.value == pytest.approx(exact.value, abs=1e-6)
+        searched += 1
+        for k in net.relu_layers:
+            for side, inward in (("pre_lower", 1.0), ("pre_upper", -1.0)):
+                shift = inward * (getattr(with_rows, side)[k] - getattr(box_only, side)[k])
+                assert (shift >= -1e-12).all()
+                narrower += int(np.count_nonzero(shift > 1e-6))
+    assert narrower > 0 and searched >= 4 and nodes[0] <= nodes[1]
+
+
+def test_an_unreachable_target_ends_tightening_at_its_first_lp():
+    # No point of the box makes the smallest output exceed the largest by
+    # 100, and no point of the relaxation either: the first tightening LP is
+    # infeasible, tightening stops there, and the search ends Infeasible.
+    rng = np.random.default_rng(2900)
+    net = random_net(rng, n_in=3, hidden=(5, 5), n_out=3)
+    problem = _targeted_problem(net, rng, margin=100.0)
+    counters = {}
+    root_relaxation(net, problem, tighten_timeout=5.0, counters=counters)
+    assert counters["tighten_lps"] == 1
+    result = optimize(net, problem, SearchConfig(tighten_timeout=5.0))
+    assert result.status is Status.INFEASIBLE
+    assert result.stats.extra["tighten_lps"] == 1
+    assert brute_force_optimize(net, problem).status is Status.INFEASIBLE
 
 
 def test_optimal_argopt_is_clipped_into_the_box(abs_net):
@@ -1064,7 +1188,7 @@ def test_a_witness_narrows_the_search_but_not_its_answer():
         net = random_net(rng, n_in=3, hidden=(8, 8), n_out=2)
         problem = _min_adv_problem(net, rng)
         narrowed = optimize(net, problem)
-        whole = optimize(net, problem, bounds=root_bounds(net, problem.box))
+        whole = optimize(net, problem, bounds=root_relaxation(net, problem)[0])
         assert narrowed.status is whole.status
         if whole.status is Status.OPTIMAL:
             assert narrowed.value == pytest.approx(whole.value, abs=1e-9)
