@@ -2,10 +2,11 @@
 the brute-force activation-enumeration oracle, and big-M MILP export.
 
 Brute force (`_leaf_affine`) and the MILP export encode the network on
-their own instead of through `reluopt.lp.encode_relaxation`: they are the
-independent references that branch-and-bound is checked against. They read
-the phases the bounds fix as `bounds.phases` gives them, one int8 per ReLU
-in `net.relu_node_ids()` order, as the search does."""
+their own, in dense rows that `LinearProgram.from_rows` puts together,
+instead of through `reluopt.lp.encode_relaxation`: they are the independent
+references that branch-and-bound is checked against. They read the phases
+the bounds fix as `bounds.phases` gives them, one int8 per ReLU in
+`net.relu_node_ids()` order, as the search does."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 from .bounds import BoundsMap, phases, propagate_interval
 from .errors import NumericalFailure, Timeout, TooLarge, UnboundedNode
 from .geometry import Hyperrectangle
-from .lp import CSCMatrix, LPStatus, LinearProgram, row_sides, solve_lp
+from .lp import LPStatus, LinearProgram, solve_lp
 from .lpformat import MilpModel, write_lp_text
 from .model import Activation, Network
 from .problems import Objective, OptimizationProblem, Relation, Row
@@ -316,7 +317,9 @@ def export_milp(
 
     Columns: x, then per layer and node its zhat and z, then t, then the
     binaries delta in node order. Rows: the affine rows of every layer,
-    then per layer and node its activation rows, then the problem's rows."""
+    then per layer and node its activation rows, then the problem's rows,
+    each dense (a layer's affine rows as one block), put together by
+    `LinearProgram.from_rows` without `reluopt.lp.encode_relaxation`."""
     phase = phases(bounds)
     n = net.input_dim
     names = [f"x{i}" for i in range(n)]
@@ -335,22 +338,22 @@ def export_milp(
         upper.append([problem.t_upper])
     n_continuous = len(names)
 
-    entries: list[tuple[int, int, float]] = []  # (row, column, coefficient)
-    sides: list[tuple[float, float]] = []  # (lower, upper) of each row
+    n_binary = int(np.count_nonzero(phase == UNDETERMINED))
+    n_cols = n_continuous + n_binary
+    rows = []  # (coefficients over the columns, relation, rhs), dense
 
     def add(terms, relation: Relation, rhs: float):
-        entries.extend((len(sides), col, c) for col, c in terms)
-        sides.append(row_sides(relation, rhs))
+        coeffs = np.zeros(n_cols)
+        for col, c in terms:
+            coeffs[col] = c
+        rows.append((coeffs, relation, rhs))
 
     # Affine chaining, one block per layer: zhat_k - W_k z_{k-1} = b_k
     for k, layer in enumerate(net.layers):
-        prev = np.arange(n) if k == 0 else post[k - 1]
-        r, c = np.nonzero(layer.weights)
-        rows = len(sides) + np.concatenate((np.arange(layer.out_width), r))
-        cols = np.concatenate((pre[k], prev[c]))
-        vals = np.concatenate((np.ones(layer.out_width), -layer.weights[r, c]))
-        entries.extend(zip(rows.tolist(), cols.tolist(), vals.tolist()))
-        sides.extend((b, b) for b in layer.biases.tolist())
+        block = np.zeros((layer.out_width, n_cols))
+        block[:, np.arange(n) if k == 0 else post[k - 1]] = -layer.weights
+        block[np.arange(layer.out_width), pre[k]] = 1.0
+        rows += zip(block, itertools.repeat(Relation.EQ), layer.biases.tolist())
 
     layer_phases = np.split(phase, np.cumsum(net.relu_layer_widths())[:-1])
     for k, layer in enumerate(net.layers):
@@ -381,32 +384,25 @@ def export_milp(
                 # z <= hi * delta
                 add(((z[j], 1.0), (delta, -hi)), Relation.LE, 0.0)
 
-    def terms(c_x, c_y, c_t) -> list[tuple[int, float]]:
-        """The nonzero coefficients of x, y and t, by column."""
-        out = []
-        for cols, values in ((np.arange(n), c_x), (post[-1], c_y)):
-            if values is not None:
-                nz = np.flatnonzero(values)
-                out += zip(cols[nz].tolist(), np.asarray(values, dtype=float)[nz].tolist())
-        return out + [(t, float(c_t))] if c_t else out
+    def coefficients(c_x, c_y, c_t) -> np.ndarray:
+        """c_x.x + c_y.y + c_t.t over the columns."""
+        coeffs = np.zeros(n_cols)
+        if c_x is not None:
+            coeffs[:n] += c_x
+        if c_y is not None:
+            coeffs[post[-1]] += c_y
+        if c_t:
+            coeffs[t] = c_t
+        return coeffs
 
     for row in problem.rows:
-        add(terms(row.a_x, row.a_y, row.a_t), row.relation, float(row.rhs))
+        rows.append((coefficients(row.a_x, row.a_y, row.a_t), row.relation, float(row.rhs)))
     o = problem.objective
-    objective = np.zeros(len(names))
-    for col, c in terms(o.c_x, o.c_y, o.c_t):
-        objective[col] = c
-
-    rows, cols, vals = (np.array(v) for v in zip(*entries))
-    row_lower, row_upper = np.array(sides).T.copy()
-    n_binary = len(names) - n_continuous
-    lp = LinearProgram(
-        CSCMatrix.from_triplets(rows, cols, vals, (len(sides), len(names))),
-        row_lower,
-        row_upper,
-        np.concatenate(lower + [np.zeros(n_binary)], dtype=float),
-        np.concatenate(upper + [np.ones(n_binary)], dtype=float),
-        objective,
+    lp = LinearProgram.from_rows(
+        rows,
+        np.concatenate(lower + [np.zeros(n_binary)]),
+        np.concatenate(upper + [np.ones(n_binary)]),
+        coefficients(o.c_x, o.c_y, o.c_t),
     )
     model = MilpModel(lp, tuple(names), np.arange(len(names)) >= n_continuous)
     return model, write_lp_text(model)

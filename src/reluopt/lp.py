@@ -2,8 +2,9 @@
 relaxed LP for a partial activation state.
 
 A `LinearProgram` is the form HiGHS takes: one sparse CSC matrix A (a
-`CSCMatrix`, three numpy arrays) and the vectors of row_lower <= A v <=
-row_upper, lower <= v <= upper, and the costs. The relaxed LP of a network
+`CSCMatrix`, three numpy arrays, converted once from a dense array by
+`CSCMatrix.from_dense`) and the vectors of row_lower <= A v <= row_upper,
+lower <= v <= upper, and the costs. The relaxed LP of a network
 has one matrix in every state. Only the ReLUs whose root bounds [l, u]
 straddle zero (open ReLUs) get columns: a zhat column in an affine row, a
 z column, a link row z - zhat >= 0 and a triangle row z - s zhat <= -s l,
@@ -102,8 +103,9 @@ class RowView(Sequence):
 class CSCMatrix:
     """A sparse matrix in the compressed sparse column form HiGHS takes:
     column j holds `data[indptr[j]:indptr[j + 1]]` at rows
-    `indices[indptr[j]:indptr[j + 1]]`, sorted, with no zero entry. Indices
-    are int32. Compared by identity, as a live model compares matrices."""
+    `indices[indptr[j]:indptr[j + 1]]`, sorted, with no zero entry; int32
+    indices. Built from a dense array by `from_dense`. Compared by
+    identity, as a live model compares matrices."""
 
     shape: tuple[int, int]
     indptr: np.ndarray
@@ -111,20 +113,13 @@ class CSCMatrix:
     data: np.ndarray
 
     @classmethod
-    def from_triplets(cls, rows, cols, vals, shape: tuple[int, int]) -> "CSCMatrix":
-        """The matrix with entry `vals[i]` at `(rows[i], cols[i])`; each
-        position may appear once. Zero values are dropped."""
-        keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        order = np.argsort(cols * shape[0] + rows)  # column-major; positions are unique
-        indptr = np.zeros(shape[1] + 1, np.int32)
-        np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
-        return cls(
-            (int(shape[0]), int(shape[1])),
-            indptr,
-            rows[order].astype(np.int32),
-            vals[order].astype(np.float64),
-        )
+    def from_dense(cls, a: np.ndarray) -> "CSCMatrix":
+        """The CSC form of the dense 2-D array `a`, without its zeros (-0.0 too)."""
+        cols, rows = np.nonzero(a.T)  # column by column, each column's rows in order
+        indptr = np.zeros(a.shape[1] + 1, np.int32)
+        np.cumsum(np.bincount(cols, minlength=a.shape[1]), out=indptr[1:])
+        shape = (int(a.shape[0]), int(a.shape[1]))
+        return cls(shape, indptr, rows.astype(np.int32), a[rows, cols].astype(np.float64))
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros(self.shape)
@@ -171,12 +166,13 @@ class LinearProgram:
     def from_rows(cls, rows, lower, upper, objective, maximize: bool = True) -> "LinearProgram":
         """The LP with dense rows `(coeffs, relation, rhs)` over its variables."""
         lower, upper, objective = (np.asarray(v, dtype=float) for v in (lower, upper, objective))
-        dense = np.array([coeffs for coeffs, _, _ in rows], dtype=np.float64)
-        dense = dense.reshape(len(rows), lower.shape[0])
+        coeffs = [np.asarray(c, dtype=np.float64) for c, _, _ in rows]
+        if any(c.shape != lower.shape for c in coeffs):
+            raise DimensionMismatch("every row needs one coefficient per variable")
+        dense = np.array(coeffs).reshape(len(rows), lower.shape[0])
         sides = np.array([row_sides(rel, float(rhs)) for _, rel, rhs in rows])
         row_lower, row_upper = sides.reshape(-1, 2).T.copy()
-        nonzero = np.nonzero(dense)
-        matrix = CSCMatrix.from_triplets(*nonzero, dense[nonzero], dense.shape)
+        matrix = CSCMatrix.from_dense(dense)
         return cls(matrix, row_lower, row_upper, lower, upper, objective, maximize)
 
     @property
@@ -276,7 +272,8 @@ def encode_relaxation(
     triangle row, and its z column carries it on. The output map y = Y v +
     y0 is substituted into the objective and the problem rows; the
     objective's constant c_y.y0 is the cost of the `one` column, so every
-    LP value includes it.
+    LP value includes it. The rows, one dense array, are the open ReLUs'
+    affine rows, their link rows, their triangle rows and the problem rows.
 
     The bounds hold over the feasible set, the x of the box that meet the
     rows (tightened bounds, `bounds.tighten_lp`, hold only there), so every
@@ -294,21 +291,11 @@ def encode_relaxation(
     zero = n + 2 * n_open + int(use_t)
     imap = VariableIndexMap(np.arange(n), zero - 1 if use_t else None, zero, zero + 1, zero + 2)
     zhat, z = np.full(len(phase), zero), np.full(len(phase), zero)
-    everything = np.arange(imap.n_vars)
-    entries, sides = [], []  # (rows, columns, coeffs) triplets; (lower, upper) per block
-
-    def add(lower, upper, *pieces) -> np.ndarray:
-        """Append a block of rows lower <= sum of coeffs * v[columns] <= upper,
-        summed over the pieces (columns, coeffs); both broadcast against the
-        block's row indices as a column. Returns those row indices."""
-        start = sum(len(block_lower) for block_lower, _ in sides)
-        rows = np.arange(start, start + len(lower))[:, None]
-        for columns, coeffs in pieces:
-            triplets = np.empty((3, *np.broadcast(rows, columns).shape))  # indices exact as floats
-            triplets[0], triplets[1], triplets[2] = rows, columns, coeffs
-            entries.append(triplets.reshape(3, -1))
-        sides.append((lower, upper))
-        return rows[:, 0]
+    # Keep this row order: each triangle row is the last entry of its zhat
+    # column (no problem row reads a zhat), where `with_bounds` writes -s.
+    a = np.zeros((3 * n_open + len(problem.rows), imap.n_vars))
+    row_lower, row_upper = np.zeros(len(a)), np.full(len(a), np.inf)  # a link row's sides
+    nth_open = np.cumsum(free) - 1
 
     # The forward pass: the layer output so far is `out @ v + out0`.
     out, out0 = np.eye(n, imap.n_vars), np.zeros(n)
@@ -322,22 +309,23 @@ def encode_relaxation(
         own = first + open_
         zhat[own] = cursor + np.arange(len(own))
         z[own] = zhat[own] + len(own)
-        pieces = (zhat[own, None], 1.0), (everything, -out[open_])
-        add(out0[open_], out0[open_], *pieces)
+        rows = nth_open[own]
+        a[rows] = -out[open_]
+        a[rows, zhat[own]] = 1.0
+        row_lower[rows] = row_upper[rows] = out0[open_]
         gone = layer_phase != ACTIVE
         out[gone], out0[gone] = 0.0, 0.0
         out[open_, z[own]] = 1.0
         cursor, first = cursor + 2 * len(open_), first + layer.out_width
 
-    # A link row z - zhat >= 0 and a triangle row z - s zhat <= -s l per open
-    # ReLU. The triangle rows come after every affine and link row, and no
-    # problem row reads a zhat, so each is the last row of its zhat column.
-    z_free, zhat_free = z[free][:, None], zhat[free][:, None]
-    zeros = np.zeros(n_open)
+    # A link row z - zhat >= 0 and a triangle row z - s zhat <= -s l per open ReLU.
     link, triangle = np.full(len(phase), -1), np.full(len(phase), -1)
-    link[free] = add(zeros, zeros + np.inf, (z_free, 1.0), (zhat_free, -1.0))
+    link[free], triangle[free] = n_open + nth_open[free], 2 * n_open + nth_open[free]
     l, u, z_lower, z_upper, s = _open_bounds(bounds, free)
-    triangle[free] = add(zeros - np.inf, -s * l, (z_free, 1.0), (zhat_free, -s[:, None]))
+    a[link[free], z[free]] = a[triangle[free], z[free]] = 1.0
+    a[link[free], zhat[free]] = -1.0
+    a[triangle[free], zhat[free]] = -s
+    row_lower[triangle[free]], row_upper[triangle[free]] = -np.inf, -s * l
 
     def linear(c_x, c_y, c_t) -> tuple[np.ndarray, float]:
         """c_x.x + c_y.y + c_t.t as coefficients over the columns and a constant."""
@@ -350,18 +338,9 @@ def encode_relaxation(
             coeffs[imap.t] = c_t
         return coeffs, constant
 
-    # The problem rows, as one block of dense coefficients.
-    if problem.rows:
-        coeffs, constants = zip(*(linear(r.a_x, r.a_y, r.a_t) for r in problem.rows))
-        lower, upper = np.array(
-            [row_sides(r.relation, float(r.rhs) - c) for r, c in zip(problem.rows, constants)]
-        ).T
-        add(lower, upper, (everything, np.array(coeffs)))
-
-    row_lower, row_upper = (np.concatenate(side).astype(np.float64) for side in zip(*sides))
-    rows, cols, vals = np.concatenate(entries, axis=1)
-    shape = (len(row_lower), imap.n_vars)
-    matrix = CSCMatrix.from_triplets(rows.astype(np.intp), cols.astype(np.intp), vals, shape)
+    for i, r in enumerate(problem.rows, 3 * n_open):
+        a[i], constant = linear(r.a_x, r.a_y, r.a_t)
+        row_lower[i], row_upper[i] = row_sides(r.relation, float(r.rhs) - constant)
 
     objective = problem.objective
     obj, constant = linear(objective.c_x, objective.c_y, objective.c_t)
@@ -375,7 +354,7 @@ def encode_relaxation(
         lower[imap.t], upper[imap.t] = 0.0, problem.t_upper
     lower[imap.zero] = upper[imap.zero] = 0.0
     lower[imap.one] = upper[imap.one] = 1.0
-    lp = LinearProgram(matrix, row_lower, row_upper, lower, upper, obj)
+    lp = LinearProgram(CSCMatrix.from_dense(a), row_lower, row_upper, lower, upper, obj)
     by_phase = _phase_bounds(lower, upper, zhat, z, free)
     return Relaxation(imap, lp, link, triangle, zhat, z, phase, by_phase)
 

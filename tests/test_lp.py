@@ -433,21 +433,22 @@ def _assert_canonical_csc(matrix):
 
 
 @pytest.mark.parametrize("min_adv", [False, True])
-def test_relaxation_matrix_is_the_scipy_assembly_of_its_triplets(min_adv, monkeypatch):
+def test_relaxation_matrix_is_the_scipy_assembly_of_its_dense_array(min_adv, monkeypatch):
     from reluopt.geometry import linf_epigraph
 
-    triplets = []
-    build = CSCMatrix.from_triplets.__func__
+    arrays = []
+    build = CSCMatrix.from_dense.__func__
 
-    def recorded(cls, rows, cols, vals, shape):
-        triplets.append((rows, cols, vals, shape))
-        return build(cls, rows, cols, vals, shape)
+    def recorded(cls, a):
+        arrays.append(a.copy())
+        return build(cls, a)
 
-    monkeypatch.setattr(CSCMatrix, "from_triplets", classmethod(recorded))
+    monkeypatch.setattr(CSCMatrix, "from_dense", classmethod(recorded))
     rng = np.random.default_rng(77)
+    zero_weights = 0
     for _ in range(6):
         net = random_net(rng, n_in=3, hidden=(5, 4), n_out=2)
-        # zero weights put explicit zeros into the triplets
+        # zero weights put zeros, and -0.0, into the dense array
         layers = []
         for layer in net.layers:
             weights = np.where(rng.random(layer.weights.shape) < 0.3, 0.0, layer.weights)
@@ -460,12 +461,12 @@ def test_relaxation_matrix_is_the_scipy_assembly_of_its_triplets(min_adv, monkey
             problem = OptimizationProblem(b, Objective(c_t=-1.0), (*linf_epigraph(center), target), 0.8)
         else:
             problem = OptimizationProblem(b, Objective(c_y=rng.normal(size=2)))
-        triplets.clear()
-        matrix = encode_relaxation(net, problem, propagate_interval(net, b)).lp.matrix
-        ((rows, cols, vals, shape),) = triplets
-        assert (vals == 0.0).any()
-        reference = coo_matrix((vals, (rows, cols)), shape=shape)
-        assert matrix.shape == shape
+        arrays.clear()
+        relaxation = encode_relaxation(net, problem, propagate_interval(net, b))
+        matrix = relaxation.lp.matrix
+        (dense,) = arrays
+        reference = coo_matrix(dense)
+        assert matrix.shape == dense.shape
         np.testing.assert_array_equal(matrix.toarray(), reference.toarray())
         np.testing.assert_array_equal(np.asarray(matrix), reference.toarray())
         _assert_canonical_csc(matrix)
@@ -474,6 +475,15 @@ def test_relaxation_matrix_is_the_scipy_assembly_of_its_triplets(min_adv, monkey
         reference.eliminate_zeros()
         for field in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(matrix, field), getattr(reference, field))
+        # a zero weight into an open first-layer ReLU makes no entry in its affine row
+        first = net.layers[0].weights
+        for j in np.flatnonzero(relaxation.phase[: len(first)] == UNDETERMINED):
+            affine = np.flatnonzero(dense[:, relaxation.zhat[j]])[0]  # affine rows come first
+            for i in np.flatnonzero(first[j] == 0.0):
+                zero_weights += 1
+                assert dense[affine, i] == 0.0
+                assert affine not in matrix.indices[matrix.indptr[i] : matrix.indptr[i + 1]]
+    assert zero_weights > 0
 
 
 def test_from_rows_builds_the_csc_of_its_dense_rows():
@@ -495,6 +505,28 @@ def test_from_rows_builds_the_csc_of_its_dense_rows():
     np.testing.assert_array_equal(empty.matrix.indptr, [0, 0, 0])
     _assert_canonical_csc(empty.matrix)
     assert solve_lp(empty).value == pytest.approx(1.0)
+
+    # -0.0 entries, an all-zero column and no rows: scipy's CSC of the same array
+    negative_zeros = np.array([[-0.0, 2.0, 0.0, -1.5], [0.0, -0.0, 0.0, 4.0], [3.0, 0.0, -0.0, -0.0]])
+    for dense in (negative_zeros, np.zeros((2, 3)), np.zeros((0, 4))):
+        rows = [(coeffs, Relation.LE, 1.0) for coeffs in dense]
+        n = dense.shape[1]
+        matrix = LinearProgram.from_rows(rows, np.zeros(n), np.ones(n), np.ones(n)).matrix
+        _assert_canonical_csc(matrix)
+        assert len(matrix.data) == np.count_nonzero(dense)
+        reference = csc_matrix(dense)
+        reference.eliminate_zeros()
+        assert matrix.shape == reference.shape
+        for field in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(matrix, field), getattr(reference, field))
+
+
+def test_rows_of_another_length_than_the_variables_are_a_dimension_mismatch():
+    bounds = np.zeros(3), np.ones(3), np.ones(3)
+    short = [(np.ones(3), Relation.LE, 1.0), (np.ones(2), Relation.LE, 1.0)]
+    for rows in (short[1:], short, short[::-1]):  # one short row; ragged rows either way round
+        with pytest.raises(DimensionMismatch):
+            LinearProgram.from_rows(rows, *bounds)
 
 
 def test_node_lp_shares_the_relaxation_matrix_and_reads_as_rows(abs_net):
